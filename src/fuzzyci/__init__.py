@@ -9,7 +9,7 @@ that emits everything as CSV/JSON.
 """
 
 from .binomial import BinomialFamily
-from .core import DiscreteMeasure, PsiStar, construct_psi_star, feasible_optimum_oracle
+from .core import DiscreteMeasure, PsiStar, construct_psi_star
 from .knapsack import KnapsackInstance, KnapsackSolution, solve_fractional, solve_01_dp
 from .length import DiscreteFamilyModel, ELCurve, QuadratureSpec, el_curve
 from .normal import NormalFamily
@@ -33,7 +33,6 @@ __all__ = [
     "Tolerance",
     "construct_psi_star",
     "el_curve",
-    "feasible_optimum_oracle",
     "solve_01_dp",
     "solve_fractional",
     "__version__",

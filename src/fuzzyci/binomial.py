@@ -1,11 +1,9 @@
-"""Closed-form fuzzy membership for a single binomial observation.
+"""Binomial family: omega successes in n trials with success probability tau.
 
-For a reference point o and confidence gamma, ``psi_o(omega | tau)`` is the
-degree to which the parameter value tau belongs to the interval after
-observing omega successes in n trials.  The branch thresholds are inverse
-regularized-beta quantiles; between them the membership interpolates so the
-coverage at every tau equals gamma exactly.  The Agresti-Coull interval is
-provided as a crisp comparison membership.
+The membership is built by :mod:`fuzzyci.discrete`; this module supplies
+what is binomial about it.  Both tail masses are regularized incomplete
+betas, and the branch thresholds are the matching inverse beta quantiles.
+The Agresti-Coull interval is the crisp comparison method.
 """
 
 from __future__ import annotations
@@ -14,43 +12,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .specfun import (
-    binom_log_pmf,
-    binom_pmf,
-    inv_reg_inc_beta,
-    normal_quantile,
-    reg_inc_beta,
-)
+from .specfun import binom_log_pmf, inv_reg_inc_beta, reg_inc_beta, two_sided_z
 
-__all__ = [
-    "BinomialFamily",
-    "psi_lower",
-    "psi_o",
-    "agresti_coull_interval",
-    "agresti_coull_membership",
-    "agresti_coull_coverage",
-    "agresti_coull_model",
-    "coverage",
-    "tau_breakpoints",
-    "model",
-]
-
-
-@dataclass(frozen=True)
-class BinomialFamily:
-    """n trials, reference point o in (0, 1), confidence gamma in (0, 1)."""
-
-    n: int
-    o: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not 0.0 < self.o < 1.0:
-            raise ValueError(f"o must lie in (0, 1), got {self.o}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+__all__ = ["BinomialFamily", "AgrestiCoull"]
 
 
 @lru_cache(maxsize=65536)
@@ -69,138 +33,66 @@ def _thresholds(n: int, gamma: float, omega: int):
     return below_zero, below_one, above_one, above_zero
 
 
-def _check_args(omega: int, tau: float, n: int):
-    if not 0 <= omega <= n:
-        raise ValueError(f"omega must lie in [0, {n}], got {omega}")
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+class _Binomial:
+    """Sampling model shared by the proposed and the comparison membership."""
+
+    tau_upper = 1.0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+
+    def check(self, omega: int, tau: float):
+        if not 0 <= omega <= self.n:
+            raise ValueError(f"omega must lie in [0, {self.n}], got {omega}")
+        if not 0.0 < tau < 1.0:
+            raise ValueError(f"tau must lie in (0, 1), got {tau}")
+
+    def log_pmf(self, omega: int, tau: float) -> float:
+        return binom_log_pmf(omega, self.n, tau)
+
+    def support_upper(self, tau: float) -> int:
+        return self.n
 
 
-def _clamp_unit(value: float) -> float:
-    # Absorbs float dust only; the formulas already land in [0, 1].
-    return min(1.0, max(0.0, value))
+@dataclass(frozen=True)
+class BinomialFamily(_Binomial):
+    """n trials, reference point o in (0, 1), confidence gamma in (0, 1)."""
+
+    n: int
+    o: float
+    gamma: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.o < 1.0:
+            raise ValueError(f"o must lie in (0, 1), got {self.o}")
+
+    def thresholds(self, omega: int):
+        return _thresholds(self.n, self.gamma, omega)
+
+    def slack_below(self, omega: int, tau: float) -> float:
+        # gamma - P[X < omega]; the beta gives the upper tail P[X >= omega].
+        return self.gamma - 1.0 + reg_inc_beta(tau, omega, self.n - omega + 1)
+
+    def slack_above(self, omega: int, tau: float) -> float:
+        # gamma - P[X > omega], with P[X >= omega + 1] from the beta.
+        return self.gamma - reg_inc_beta(tau, omega + 1, self.n - omega)
 
 
-def _psi_below(omega: int, tau: float, n: int, gamma: float) -> float:
-    lo, hi, _, _ = _thresholds(n, gamma, omega)
-    if tau <= lo:
-        return 0.0
-    if tau > hi:
-        return 1.0
-    numerator = gamma - 1.0 + reg_inc_beta(tau, omega, n - omega + 1)
-    if numerator <= 0.0:
-        return 0.0
-    return _clamp_unit(
-        math.exp(math.log(numerator) - binom_log_pmf(omega, n, tau))
-    )
+@dataclass(frozen=True)
+class AgrestiCoull(_Binomial):
+    """The Agresti-Coull interval as a crisp comparison membership."""
 
+    n: int
+    gamma: float
 
-def _psi_above(omega: int, tau: float, n: int, gamma: float) -> float:
-    _, _, one, zero = _thresholds(n, gamma, omega)
-    if tau <= one:
-        return 1.0
-    if tau > zero:
-        return 0.0
-    numerator = gamma - reg_inc_beta(tau, omega + 1, n - omega)
-    if numerator <= 0.0:
-        return 0.0
-    return _clamp_unit(
-        math.exp(math.log(numerator) - binom_log_pmf(omega, n, tau))
-    )
-
-
-def psi_lower(omega: int, tau: float, fam: BinomialFamily) -> float:
-    """One-sided membership for tau strictly below the reference point."""
-    _check_args(omega, tau, fam.n)
-    if tau >= fam.o:
-        raise ValueError(f"psi_lower requires tau < o, got tau={tau}, o={fam.o}")
-    return _psi_below(omega, tau, fam.n, fam.gamma)
-
-
-def psi_o(omega: int, tau: float, fam: BinomialFamily) -> float:
-    """Membership of tau after observing omega successes.
-
-    At tau = o the two one-sided branch values are combined with max, which
-    keeps the coverage at o at or above gamma.
-    """
-    _check_args(omega, tau, fam.n)
-    if tau < fam.o:
-        return _psi_below(omega, tau, fam.n, fam.gamma)
-    if tau > fam.o:
-        return _psi_above(omega, tau, fam.n, fam.gamma)
-    return max(
-        _psi_below(omega, tau, fam.n, fam.gamma),
-        _psi_above(omega, tau, fam.n, fam.gamma),
-    )
-
-
-@lru_cache(maxsize=1024)
-def _half_width_quantile(gamma: float) -> float:
-    return normal_quantile(0.5 * (1.0 + gamma))
-
-
-def agresti_coull_interval(omega: int, n: int, gamma: float) -> tuple[float, float]:
-    """Endpoints of the Agresti-Coull interval, clipped to (0, 1)."""
-    z = _half_width_quantile(gamma)
-    n_tilde = n + z * z
-    p_tilde = (omega + 0.5 * z * z) / n_tilde
-    half = z * math.sqrt(p_tilde * (1.0 - p_tilde) / n_tilde)
-    return max(0.0, p_tilde - half), min(1.0, p_tilde + half)
-
-
-def agresti_coull_membership(omega: int, tau: float, n: int, gamma: float) -> float:
-    """Crisp indicator membership of the Agresti-Coull interval."""
-    _check_args(omega, tau, n)
-    lo, hi = agresti_coull_interval(omega, n, gamma)
-    return 1.0 if lo <= tau <= hi else 0.0
-
-
-def coverage(tau: float, fam: BinomialFamily) -> float:
-    """Probability mass the membership assigns to the truth at tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    return math.fsum(
-        binom_pmf(w, fam.n, tau) * psi_o(w, tau, fam) for w in range(fam.n + 1)
-    )
-
-
-def agresti_coull_coverage(tau: float, n: int, gamma: float) -> float:
-    return math.fsum(
-        binom_pmf(w, n, tau) * agresti_coull_membership(w, tau, n, gamma)
-        for w in range(n + 1)
-    )
-
-
-def tau_breakpoints(omega: int, fam: BinomialFamily) -> tuple[float, ...]:
-    """Potential kinks/jumps of tau -> psi_o(omega | tau) inside (0, 1)."""
-    points = set(_thresholds(fam.n, fam.gamma, omega))
-    points.add(fam.o)
-    return tuple(sorted(p for p in points if 0.0 < p < 1.0))
-
-
-def model(fam: BinomialFamily) -> "DiscreteFamilyModel":
-    """Expected-length engine handle for the proposed membership."""
-    from .length import DiscreteFamilyModel
-
-    return DiscreteFamilyModel(
-        label=f"binomial_psi_o(n={fam.n}, o={fam.o:g}, gamma={fam.gamma:g})",
-        psi=lambda w, t: psi_o(w, t, fam),
-        pmf=lambda w, th: binom_pmf(w, fam.n, th),
-        support_upper=lambda th: fam.n,
-        breakpoints=lambda w: tau_breakpoints(w, fam),
-    )
-
-
-def agresti_coull_model(n: int, gamma: float) -> "DiscreteFamilyModel":
-    """Engine handle for the Agresti-Coull comparison membership."""
-    from .length import DiscreteFamilyModel
-
-    return DiscreteFamilyModel(
-        label=f"binomial_agresti_coull(n={n}, gamma={gamma:g})",
-        psi=lambda w, t: agresti_coull_membership(w, t, n, gamma),
-        pmf=lambda w, th: binom_pmf(w, n, th),
-        support_upper=lambda th: n,
-        breakpoints=lambda w: tuple(
-            p for p in agresti_coull_interval(w, n, gamma) if 0.0 < p < 1.0
-        ),
-    )
+    def interval(self, omega: int) -> tuple[float, float]:
+        """Endpoints of the Agresti-Coull interval, clipped to (0, 1)."""
+        z = two_sided_z(self.gamma)
+        n_tilde = self.n + z * z
+        p_tilde = (omega + 0.5 * z * z) / n_tilde
+        half = z * math.sqrt(p_tilde * (1.0 - p_tilde) / n_tilde)
+        return max(0.0, p_tilde - half), min(1.0, p_tilde + half)

@@ -18,10 +18,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import binomial, normal, poisson
+from . import binomial, discrete, normal, poisson
 from .core import construct_psi_star
 from .knapsack import KnapsackInstance, solve_01_dp, solve_fractional, to_measure_problem
 from .length import QuadratureSpec, el_curve, lower_bound_curve
@@ -31,22 +32,6 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
 OUTPUT_DIR_ENV = "FUZZYCI_OUTPUT_DIR"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-family parameters for one command invocation."""
-
-    family: str
-    method: str
-    gamma: float
-    n: int | None = None
-    o: float | None = None
-    sigma: float | None = None
-    a: float | None = None
-    b: float | None = None
-    tau_max: float | None = None
-    rel_tol: float = 1e-9
 
 
 class UsageError(ValueError):
@@ -60,59 +45,95 @@ _METHODS = {
 }
 
 
-def _build_config(args, need_o=True) -> RunConfig:
-    family = args.family
-    method = args.method
-    if method not in _METHODS[family]:
-        raise UsageError(
-            f"method {method!r} is not available for family {family!r}; "
-            f"choose from {_METHODS[family]}"
+def _poisson_range(args, thetas) -> tuple[float, float]:
+    top = args.tau_max
+    if top is None:
+        anchor = max([t for t in thetas] + ([args.o] if args.o else []))
+        top = poisson.default_tau_max(anchor)
+    return 1e-9, top
+
+
+@dataclass(frozen=True)
+class _Discrete:
+    """How the commands build one discrete family from its flags.
+
+    ``family`` is the proposed membership, anchored at a reference point;
+    ``comparison`` is the crisp method any other ``--method`` names.  Both
+    take ``gamma`` and the ``flags`` by name.  ``quadrature_range`` gives
+    the tau range the expected lengths integrate over.
+    """
+
+    family: type
+    comparison: type
+    flags: tuple[str, ...]
+    quadrature_range: Callable[..., tuple[float, float]]
+
+    def membership(self, args, proposed: bool):
+        """The family anchored at --o, or the comparison method."""
+        params = {"gamma": args.gamma}
+        for flag in self.flags:
+            if getattr(args, flag) is None:
+                raise UsageError(f"{args.family} family requires --{flag}")
+            params[flag] = getattr(args, flag)
+        if not proposed:
+            return self.comparison(**params)
+        if args.o is None:
+            raise UsageError(f"the proposed {args.family} method requires --o")
+        return self.family(o=args.o, **params)
+
+    def reference_models(self, args, thetas):
+        """The proposed model anchored at each theta, and the quadrature."""
+        params = {flag: getattr(args, flag) for flag in self.flags}
+        quad = QuadratureSpec(*self.quadrature_range(args, thetas), rel_tol=args.rel_tol)
+        make_ref = lambda th: discrete.model(
+            self.family(o=th, gamma=args.gamma, **params)
         )
-    if not 0.0 < args.gamma < 1.0:
-        raise UsageError(f"--gamma must lie in (0, 1), got {args.gamma}")
-    cfg = RunConfig(
-        family=family,
-        method=method,
-        gamma=args.gamma,
-        n=getattr(args, "n", None),
-        o=getattr(args, "o", None),
-        sigma=getattr(args, "sigma", None),
-        a=getattr(args, "a", None),
-        b=getattr(args, "b", None),
-        tau_max=getattr(args, "tau_max", None),
-        rel_tol=getattr(args, "rel_tol", 1e-9),
-    )
-    if family == "binomial":
-        if cfg.n is None:
-            raise UsageError("binomial family requires --n")
-        if cfg.n < 1:
-            raise UsageError(f"--n must be a positive integer, got {cfg.n}")
+        return make_ref, quad
+
+
+_DISCRETE = {
+    "binomial": _Discrete(
+        binomial.BinomialFamily, binomial.AgrestiCoull, ("n",),
+        lambda args, thetas: (0.0, 1.0),
+    ),
+    "poisson": _Discrete(
+        poisson.PoissonFamily, poisson.ScoreInterval, (), _poisson_range
+    ),
+}
+
+
+def _normal_family(args, need_o: bool) -> normal.NormalFamily:
+    if args.sigma is None:
+        raise UsageError("normal family requires --sigma")
+    if (args.a is None) != (args.b is None):
+        raise UsageError("provide both --a and --b, or neither")
+    if args.method == "truncated_standard" and args.a is None:
+        raise UsageError("truncated_standard requires --a and --b")
+    bounds = (args.a, args.b) if args.a is not None else None
+    o = args.o
+    if o is None:
         if need_o:
-            if cfg.o is None:
-                raise UsageError("the proposed binomial method requires --o")
-            if not 0.0 < cfg.o < 1.0:
-                raise UsageError(f"--o must lie in (0, 1), got {cfg.o}")
-    elif family == "poisson":
-        if need_o:
-            if cfg.o is None:
-                raise UsageError("the proposed poisson method requires --o")
-            if not cfg.o > 0.0:
-                raise UsageError(f"--o must be positive, got {cfg.o}")
-    else:
-        if cfg.sigma is None or not cfg.sigma > 0.0:
-            raise UsageError("normal family requires --sigma > 0")
-        if (cfg.a is None) != (cfg.b is None):
-            raise UsageError("provide both --a and --b, or neither")
-        if cfg.a is not None and not cfg.a < cfg.b:
-            raise UsageError(f"bounds must satisfy a < b, got [{cfg.a}, {cfg.b}]")
-        if method == "truncated_standard" and cfg.a is None:
-            raise UsageError("truncated_standard requires --a and --b")
-        if need_o:
-            if cfg.o is None:
-                raise UsageError("the proposed normal method requires --o")
-            if cfg.a is not None and not cfg.a <= cfg.o <= cfg.b:
-                raise UsageError(f"--o must lie inside [{cfg.a}, {cfg.b}]")
-    return cfg
+            raise UsageError("the proposed normal method requires --o")
+        # Commands that never evaluate at o (the lower bound is o-free).
+        o = 0.5 * (args.a + args.b) if bounds else 0.0
+    return normal.NormalFamily(o=o, gamma=args.gamma, sigma=args.sigma, bounds=bounds)
+
+
+def _family(args, need_o: bool):
+    """The family object a command evaluates, built from the flags.
+
+    Building it checks every parameter's domain.  A discrete family is the
+    proposed membership anchored at --o when ``need_o``, else the comparison
+    method, which needs no --o.
+    """
+    if args.method not in _METHODS[args.family]:
+        raise UsageError(
+            f"method {args.method!r} is not available for family {args.family!r}; "
+            f"choose from {_METHODS[args.family]}"
+        )
+    if args.family == "normal":
+        return _normal_family(args, need_o)
+    return _DISCRETE[args.family].membership(args, need_o)
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -125,6 +146,8 @@ def parse_grid(spec: str) -> list[float]:
         count = int(parts[2])
     except ValueError as exc:
         raise UsageError(f"malformed grid {spec!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"grid endpoints must be finite, got {spec!r}")
     if count < 0:
         raise UsageError(f"grid count must be nonnegative, got {count}")
     if count == 0:
@@ -163,174 +186,97 @@ def emit(columns, rows, args, comments=()):
         handle.write(text)
 
 
-def _binomial_family(cfg: RunConfig) -> binomial.BinomialFamily:
-    return binomial.BinomialFamily(cfg.n, cfg.o, cfg.gamma)
-
-
-def _poisson_family(cfg: RunConfig) -> poisson.PoissonFamily:
-    return poisson.PoissonFamily(cfg.o, cfg.gamma)
-
-
-def _normal_family(cfg: RunConfig) -> normal.NormalFamily:
-    bounds = (cfg.a, cfg.b) if cfg.a is not None else None
-    o = cfg.o
-    if o is None:
-        # Commands that never evaluate at o (the lower bound is o-free).
-        o = 0.5 * (cfg.a + cfg.b) if bounds else 0.0
-    return normal.NormalFamily(o=o, gamma=cfg.gamma, sigma=cfg.sigma, bounds=bounds)
+def _discrete_grid(spec: str, name: str, args, membership) -> list[float]:
+    grid = parse_grid(spec)
+    for value in grid:
+        if not 0.0 < value < membership.tau_upper:
+            raise UsageError(
+                f"{args.family} {name} grid must stay in "
+                f"(0, {membership.tau_upper:g}), got {value}"
+            )
+    return grid
 
 
 def cmd_membership(args) -> int:
-    cfg = _build_config(args, need_o=(args.method == "proposed"))
-    taus = parse_grid(args.tau_grid)
-    rows = []
-    if cfg.family == "binomial":
-        fam = _binomial_family(cfg) if cfg.method == "proposed" else None
-        for w in range(cfg.n + 1):
-            for tau in taus:
-                if not 0.0 < tau < 1.0:
-                    raise UsageError(f"binomial tau grid must stay in (0, 1), got {tau}")
-                if cfg.method == "proposed":
-                    value = binomial.psi_o(w, tau, fam)
-                else:
-                    value = binomial.agresti_coull_membership(w, tau, cfg.n, cfg.gamma)
-                rows.append((tau, w, value))
-    elif cfg.family == "poisson":
-        fam = _poisson_family(cfg) if cfg.method == "proposed" else None
-        omega_max = args.omega_max
-        if omega_max is None:
-            top = max([t for t in taus] + ([cfg.o] if cfg.o else [1.0]))
-            omega_max = poisson.support_bound(top, 1e-12)
-        for w in range(omega_max + 1):
-            for tau in taus:
-                if not tau > 0.0:
-                    raise UsageError(f"poisson tau grid must be positive, got {tau}")
-                if cfg.method == "proposed":
-                    value = poisson.psi_o(w, tau, fam)
-                else:
-                    value = poisson.score_membership(w, tau, cfg.gamma)
-                rows.append((tau, w, value))
-    else:
+    proposed = args.method == "proposed"
+    fam = _family(args, need_o=proposed)
+    if args.family == "normal":
+        taus = parse_grid(args.tau_grid)
         if args.x_grid is None:
             raise UsageError("normal membership requires --x-grid")
-        fam = _normal_family(cfg)
-        for x in parse_grid(args.x_grid):
-            for tau in taus:
-                if cfg.method == "proposed":
-                    value = normal.psi_o(x, tau, fam)
-                else:
-                    value = normal.psi_standard(x, tau, fam)
-                rows.append((tau, x, value))
+        psi = normal.psi_o if proposed else normal.psi_standard
+        xs = parse_grid(args.x_grid)
+        rows = [(tau, x, psi(x, tau, fam)) for x in xs for tau in taus]
+    else:
+        taus = _discrete_grid(args.tau_grid, "tau", args, fam)
+        omega_max = args.omega_max
+        if omega_max is None:
+            omega_max = fam.support_upper(max(taus + [args.o or 1.0]))
+        psi = discrete.psi_o if proposed else discrete.crisp_membership
+        rows = [(tau, w, psi(w, tau, fam)) for w in range(omega_max + 1) for tau in taus]
     emit(("tau", "omega", "psi"), rows, args)
     return 0
 
 
-def _normal_coverage(cfg: RunConfig, tau: float) -> float:
-    # Crisp normal intervals have analytic coverage; see README.
-    if cfg.method == "proposed":
-        return 2.0 * cfg.gamma - 1.0 if tau == cfg.o else cfg.gamma
-    return cfg.gamma
-
-
 def cmd_coverage(args) -> int:
-    cfg = _build_config(args, need_o=(args.method == "proposed"))
-    taus = parse_grid(args.tau_grid)
-    rows = []
-    for tau in taus:
-        if cfg.family == "binomial":
-            if not 0.0 < tau < 1.0:
-                raise UsageError(f"binomial tau grid must stay in (0, 1), got {tau}")
-            if cfg.method == "proposed":
-                value = binomial.coverage(tau, _binomial_family(cfg))
-            else:
-                value = binomial.agresti_coull_coverage(tau, cfg.n, cfg.gamma)
-        elif cfg.family == "poisson":
-            if not tau > 0.0:
-                raise UsageError(f"poisson tau grid must be positive, got {tau}")
-            if cfg.method == "proposed":
-                value = poisson.coverage(tau, _poisson_family(cfg))
-            else:
-                value = poisson.score_coverage(tau, cfg.gamma)
-        else:
-            value = _normal_coverage(cfg, tau)
-        rows.append((tau, value))
+    proposed = args.method == "proposed"
+    fam = _family(args, need_o=proposed)
+    if args.family == "normal":
+        taus = parse_grid(args.tau_grid)
+        for tau in taus:
+            if args.a is not None and not args.a <= tau <= args.b:
+                raise UsageError(
+                    f"normal tau grid must stay in [{args.a}, {args.b}], got {tau}"
+                )
+        # Crisp normal intervals have analytic coverage; see README.
+        at_o = 2.0 * args.gamma - 1.0 if proposed else args.gamma
+        rows = [(tau, at_o if tau == args.o else args.gamma) for tau in taus]
+    else:
+        taus = _discrete_grid(args.tau_grid, "tau", args, fam)
+        cover = discrete.coverage if proposed else discrete.crisp_coverage
+        rows = [(tau, cover(tau, fam)) for tau in taus]
     emit(("tau", "coverage"), rows, args)
     return 0
 
 
-def _discrete_curve(cfg: RunConfig, thetas, need_model=True):
-    model = None
-    if cfg.family == "binomial":
-        quad = QuadratureSpec(0.0, 1.0, rel_tol=cfg.rel_tol)
-        make_ref = lambda th: binomial.model(
-            binomial.BinomialFamily(cfg.n, th, cfg.gamma)
-        )
-        if need_model:
-            if cfg.method == "proposed":
-                model = binomial.model(_binomial_family(cfg))
-            else:
-                model = binomial.agresti_coull_model(cfg.n, cfg.gamma)
-        for theta in thetas:
-            if not 0.0 < theta < 1.0:
-                raise UsageError(f"binomial theta grid must stay in (0, 1), got {theta}")
-    else:
-        top = cfg.tau_max
-        if top is None:
-            anchor = max([t for t in thetas] + ([cfg.o] if cfg.o else []))
-            top = poisson.default_tau_max(anchor)
-        quad = QuadratureSpec(1e-9, top, rel_tol=cfg.rel_tol)
-        make_ref = lambda th: poisson.model(poisson.PoissonFamily(th, cfg.gamma))
-        if need_model:
-            if cfg.method == "proposed":
-                model = poisson.model(_poisson_family(cfg))
-            else:
-                model = poisson.score_model(cfg.gamma)
-        for theta in thetas:
-            if not theta > 0.0:
-                raise UsageError(f"poisson theta grid must be positive, got {theta}")
-    return model, make_ref, quad
-
-
 def cmd_el_curve(args) -> int:
-    cfg = _build_config(args, need_o=(args.method == "proposed"))
-    thetas = parse_grid(args.theta_grid)
-    if cfg.family == "normal":
-        if cfg.a is None:
+    proposed = args.method == "proposed"
+    fam = _family(args, need_o=proposed)
+    if args.family == "normal":
+        thetas = parse_grid(args.theta_grid)
+        if args.a is None:
             raise UsageError("normal el-curve requires --a and --b")
-        if cfg.method == "standard":
+        if args.method == "standard":
             raise UsageError(
                 "normal el-curve supports methods 'proposed' and 'truncated_standard'"
             )
-        fam = _normal_family(cfg)
-        rows = []
-        for theta in thetas:
-            if cfg.method == "proposed":
-                el = normal.el_psi_o_closed(theta, fam)
-            else:
-                el = normal.el_psi_nl_closed(theta, fam)
-            rows.append((theta, el, normal.el_lower_bound(theta, fam)))
-        emit(("theta", "el", "lower_bound"), rows, args)
-        return 0
-    model, make_ref, quad = _discrete_curve(cfg, thetas)
-    curve = el_curve(model, make_ref, thetas, quad)
-    rows = list(zip(curve.theta_grid, curve.el, curve.lower_bound))
+        el = normal.el_psi_o_closed if proposed else normal.el_psi_nl_closed
+        rows = [
+            (theta, el(theta, fam), normal.el_lower_bound(theta, fam))
+            for theta in thetas
+        ]
+    else:
+        thetas = _discrete_grid(args.theta_grid, "theta", args, fam)
+        model = (discrete.model if proposed else discrete.crisp_model)(fam)
+        make_ref, quad = _DISCRETE[args.family].reference_models(args, thetas)
+        curve = el_curve(model, make_ref, thetas, quad)
+        rows = list(zip(curve.theta_grid, curve.el, curve.lower_bound))
     emit(("theta", "el", "lower_bound"), rows, args)
     return 0
 
 
 def cmd_lower_bound(args) -> int:
-    cfg = _build_config(args, need_o=False)
-    thetas = parse_grid(args.theta_grid)
-    if cfg.family == "normal":
-        if cfg.a is None:
+    fam = _family(args, need_o=False)
+    if args.family == "normal":
+        thetas = parse_grid(args.theta_grid)
+        if args.a is None:
             raise UsageError("normal lower-bound requires --a and --b")
-        fam = _normal_family(cfg)
         rows = [(theta, normal.el_lower_bound(theta, fam)) for theta in thetas]
-        emit(("theta", "lower_bound"), rows, args)
-        return 0
-    _, make_ref, quad = _discrete_curve(cfg, thetas, need_model=False)
-    curve = lower_bound_curve(make_ref, thetas, quad)
-    rows = list(zip(curve.theta_grid, curve.lower_bound))
+    else:
+        thetas = _discrete_grid(args.theta_grid, "theta", args, fam)
+        make_ref, quad = _DISCRETE[args.family].reference_models(args, thetas)
+        curve = lower_bound_curve(make_ref, thetas, quad)
+        rows = list(zip(curve.theta_grid, curve.lower_bound))
     emit(("theta", "lower_bound"), rows, args)
     return 0
 
@@ -463,9 +409,9 @@ def _selftest_checks():
 
     yield "beta identity", lambda: abs(reg_inc_beta(0.6, 2, 1) - 0.36) < 1e-12
     fam = binomial.BinomialFamily(10, 0.5, 0.95)
-    yield "binomial coverage", lambda: abs(binomial.coverage(0.3, fam) - 0.95) < 1e-8
+    yield "binomial coverage", lambda: abs(discrete.coverage(0.3, fam) - 0.95) < 1e-8
     pfam = poisson.PoissonFamily(8.0, 0.95)
-    yield "poisson coverage", lambda: abs(poisson.coverage(3.0, pfam) - 0.95) < 1e-8
+    yield "poisson coverage", lambda: abs(discrete.coverage(3.0, pfam) - 0.95) < 1e-8
 
     def _constructor_match():
         ids = tuple(range(11))
@@ -475,7 +421,7 @@ def _selftest_checks():
         nu = DiscreteMeasure(ids, tuple(binom_pmf(w, 10, 0.5) for w in ids))
         res = construct_psi_star(mu, nu, 0.95)
         return all(
-            abs(binomial.psi_o(w, 0.3, fam) - res.psi[w]) < 1e-9 for w in ids
+            abs(discrete.psi_o(w, 0.3, fam) - res.psi[w]) < 1e-9 for w in ids
         )
 
     yield "constructor equivalence", _constructor_match
@@ -510,19 +456,13 @@ def cmd_selftest(args) -> int:
 
 def _add_family_options(parser, include_method=True):
     parser.add_argument(
-        "--family", required=True, choices=("binomial", "poisson", "normal")
+        "--family", required=True, choices=tuple(_METHODS)
     )
     if include_method:
         parser.add_argument(
             "--method",
             default="proposed",
-            choices=(
-                "proposed",
-                "agresti_coull",
-                "score",
-                "standard",
-                "truncated_standard",
-            ),
+            choices=tuple(dict.fromkeys(m for ms in _METHODS.values() for m in ms)),
         )
     parser.add_argument("--gamma", type=float, required=True)
     parser.add_argument("--n", type=int, help="binomial trial count")
@@ -551,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_options(p)
     p.add_argument("--tau-grid", required=True, help="start:stop:count (inclusive)")
     p.add_argument("--x-grid", help="sample-mean grid for the normal family")
-    p.add_argument("--omega-max", type=int, help="largest count (poisson)")
+    p.add_argument("--omega-max", type=int, help="largest count (default: the support bound)")
     _add_output_options(p)
     p.set_defaults(handler=cmd_membership)
 

@@ -8,9 +8,6 @@ comparing the density ratio Y = dnu/dmu against its gamma-quantile under
 mu: points below the quantile get psi = 1, points above get 0, ties at the
 quantile share a single mass-splitting constant, and points carrying nu-mass
 but no mu-mass (the singular part) get 0.
-
-:func:`feasible_optimum_oracle` solves the same one-constraint linear
-program by a direct greedy fill and serves as an independent check.
 """
 
 from __future__ import annotations
@@ -22,14 +19,11 @@ from typing import Hashable, Sequence
 __all__ = [
     "DiscreteMeasure",
     "PsiStar",
-    "radon_nikodym",
     "construct_psi_star",
-    "feasible_optimum_oracle",
 ]
 
 _MASS_ATOL = 1e-12
 _TIE_RTOL = 1e-12
-_ORACLE_MAX_SUPPORT = 25
 
 
 @dataclass(frozen=True)
@@ -105,21 +99,6 @@ def _align(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return support, mu_mass, nu_mass
 
 
-def radon_nikodym(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Density ratio of nu with respect to mu, plus the singular set.
-
-    Returns ``(support, ratio, singular)`` where ``ratio[i] = nu_i / mu_i``
-    on points with mu-mass and ``inf`` otherwise, and ``singular`` is the
-    set of points carrying nu-mass but no mu-mass.
-    """
-    support, mu_mass, nu_mass = _align(mu, nu)
-    ratio = [
-        (n / m) if m > 0.0 else math.inf for m, n in zip(mu_mass, nu_mass)
-    ]
-    singular = {p for p, m, n in zip(support, mu_mass, nu_mass) if m == 0.0 and n > 0.0}
-    return tuple(support), tuple(ratio), singular
-
-
 def _ratio_ties(y: float, q: float) -> bool:
     # Purely relative: tiny ratios of very different magnitude must not tie.
     if y == q:
@@ -190,37 +169,3 @@ def construct_psi_star(
         q_gamma=q,
         c_value=c_value,
     )
-
-
-def feasible_optimum_oracle(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, gamma: float
-) -> float:
-    """Minimal nu-mass over memberships with mu-mass >= gamma, by greedy fill.
-
-    Points are taken in ascending density-ratio order, the last one
-    fractionally, which is optimal for this single-constraint linear
-    program.  Kept deliberately independent of :func:`construct_psi_star`.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    support, mu_mass, nu_mass = _align(mu, nu)
-    if len(support) > _ORACLE_MAX_SUPPORT:
-        raise ValueError(
-            f"oracle supports at most {_ORACLE_MAX_SUPPORT} points, got {len(support)}"
-        )
-    ratio = [
-        (n / m) if m > 0.0 else math.inf for m, n in zip(mu_mass, nu_mass)
-    ]
-    order = sorted(
-        (i for i in range(len(support)) if mu_mass[i] > 0.0),
-        key=lambda i: (ratio[i], i),
-    )
-    remaining = gamma
-    parts = []
-    for i in order:
-        if remaining <= 0.0:
-            break
-        take = min(1.0, remaining / mu_mass[i])
-        parts.append(take * nu_mass[i])
-        remaining -= take * mu_mass[i]
-    return math.fsum(parts)

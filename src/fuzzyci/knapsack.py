@@ -40,6 +40,8 @@ class KnapsackInstance:
             raise ValueError("weights and values must have equal length")
         if len(self.weights) == 0:
             raise ValueError("instance must contain at least one item")
+        if not all(map(math.isfinite, (*self.weights, *self.values, self.capacity))):
+            raise ValueError("weights, values and capacity must be finite")
         if any(w <= 0.0 for w in self.weights):
             raise ValueError("weights must be positive")
         if any(v < 0.0 for v in self.values):

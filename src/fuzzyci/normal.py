@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .specfun import normal_cdf, normal_quantile
+from .specfun import normal_cdf, normal_quantile, two_sided_z
 
 __all__ = [
     "NormalFamily",
@@ -71,11 +71,6 @@ def _one_sided_z(gamma: float) -> float:
     return normal_quantile(gamma)
 
 
-@lru_cache(maxsize=1024)
-def _two_sided_z(gamma: float) -> float:
-    return normal_quantile(0.5 * (1.0 + gamma))
-
-
 def psi_o(x: float, tau: float, fam: NormalFamily) -> float:
     """Indicator membership of the one-sided interval anchored at o."""
     c = _one_sided_z(fam.gamma) * fam.stderr
@@ -88,7 +83,7 @@ def psi_o(x: float, tau: float, fam: NormalFamily) -> float:
 
 def psi_standard(x: float, tau: float, fam: NormalFamily) -> float:
     """Indicator of the usual two-sided interval, truncated if bounded."""
-    d = _two_sided_z(fam.gamma) * fam.stderr
+    d = two_sided_z(fam.gamma) * fam.stderr
     inside = x - d <= tau <= x + d
     if fam.bounds is not None:
         a, b = fam.bounds
@@ -136,7 +131,7 @@ def el_psi_nl_closed(theta: float, fam: NormalFamily) -> float:
     """
     a, b = _require_bounds(fam)
     s = fam.stderr
-    d = _two_sided_z(fam.gamma) * s
+    d = two_sided_z(fam.gamma) * s
 
     def cdf(t):
         return normal_cdf(t / s)

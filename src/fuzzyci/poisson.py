@@ -1,11 +1,12 @@
-"""Closed-form fuzzy membership for a single Poisson observation.
+"""Poisson family: one count omega with mean tau.
 
-Same construction as the binomial family, with branch thresholds coming
-from the chi-square tail identity ``P[X <= i-1 | tau] = 1 - F_chisq(2 tau;
-2 i)``: the membership for omega switches branches at half the chi-square
-quantiles.  Coverage sums run over a truncated support whose omitted tail
-mass is certified below ``truncation_mass``.  The score (Wilson-type)
-interval is provided as a crisp comparison membership.
+The membership is built by :mod:`fuzzyci.discrete`; this module supplies
+what is Poisson about it.  The branch thresholds come from the chi-square
+tail identity ``P[X <= i-1 | tau] = 1 - F_chisq(2 tau; 2 i)``: the
+membership for omega switches branches at half the chi-square quantiles.
+Sums over omega run over a truncated support whose omitted tail mass is
+certified below ``truncation_mass``.  The score (Wilson-type) interval is
+the crisp comparison method.
 """
 
 from __future__ import annotations
@@ -14,47 +15,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .specfun import (
-    chisq_quantile,
-    normal_quantile,
-    pois_cdf,
-    pois_log_pmf,
-    pois_pmf,
-)
+from .specfun import chisq_quantile, pois_cdf, pois_log_pmf, two_sided_z
 
 __all__ = [
     "PoissonFamily",
-    "psi_lower",
-    "psi_o",
-    "score_interval",
-    "score_membership",
-    "score_model",
-    "coverage",
-    "score_coverage",
+    "ScoreInterval",
     "support_bound",
-    "tau_breakpoints",
     "default_tau_max",
-    "model",
 ]
-
-
-@dataclass(frozen=True)
-class PoissonFamily:
-    """Reference point o > 0, confidence gamma, certified truncation mass."""
-
-    o: float
-    gamma: float
-    truncation_mass: float = 1e-12
-
-    def __post_init__(self):
-        if not self.o > 0.0:
-            raise ValueError(f"o must be positive, got {self.o}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0.0 < self.truncation_mass <= 1e-6:
-            raise ValueError(
-                f"truncation_mass must lie in (0, 1e-6], got {self.truncation_mass}"
-            )
 
 
 @lru_cache(maxsize=65536)
@@ -71,86 +39,6 @@ def _thresholds(gamma: float, omega: int):
     above_one = 0.5 * chisq_quantile(gamma, 2 * omega) if omega > 0 else 0.0
     above_zero = 0.5 * chisq_quantile(gamma, 2 * omega + 2)
     return below_zero, below_one, above_one, above_zero
-
-
-def _check_args(omega: int, tau: float):
-    if omega < 0:
-        raise ValueError(f"omega must be a nonnegative integer, got {omega}")
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-
-
-def _clamp_unit(value: float) -> float:
-    return min(1.0, max(0.0, value))
-
-
-def _psi_below(omega: int, tau: float, gamma: float) -> float:
-    lo, hi, _, _ = _thresholds(gamma, omega)
-    if tau <= lo:
-        return 0.0
-    if tau > hi:
-        return 1.0
-    numerator = gamma - pois_cdf(omega - 1, tau)
-    if numerator <= 0.0:
-        return 0.0
-    return _clamp_unit(math.exp(math.log(numerator) - pois_log_pmf(omega, tau)))
-
-
-def _psi_above(omega: int, tau: float, gamma: float) -> float:
-    _, _, one, zero = _thresholds(gamma, omega)
-    if tau <= one:
-        return 1.0
-    if tau > zero:
-        return 0.0
-    numerator = gamma - 1.0 + pois_cdf(omega, tau)
-    if numerator <= 0.0:
-        return 0.0
-    return _clamp_unit(math.exp(math.log(numerator) - pois_log_pmf(omega, tau)))
-
-
-def psi_lower(omega: int, tau: float, fam: PoissonFamily) -> float:
-    """One-sided membership for tau strictly below the reference point."""
-    _check_args(omega, tau)
-    if tau >= fam.o:
-        raise ValueError(f"psi_lower requires tau < o, got tau={tau}, o={fam.o}")
-    return _psi_below(omega, tau, fam.gamma)
-
-
-def psi_o(omega: int, tau: float, fam: PoissonFamily) -> float:
-    """Membership of tau after observing the count omega.
-
-    At tau = o the two one-sided branch values are combined with max, as in
-    the binomial family.
-    """
-    _check_args(omega, tau)
-    if tau < fam.o:
-        return _psi_below(omega, tau, fam.gamma)
-    if tau > fam.o:
-        return _psi_above(omega, tau, fam.gamma)
-    return max(
-        _psi_below(omega, tau, fam.gamma),
-        _psi_above(omega, tau, fam.gamma),
-    )
-
-
-@lru_cache(maxsize=1024)
-def _half_width_quantile(gamma: float) -> float:
-    return normal_quantile(0.5 * (1.0 + gamma))
-
-
-def score_interval(omega: int, gamma: float) -> tuple[float, float]:
-    """Endpoints of the score interval, intersected with (0, inf)."""
-    z = _half_width_quantile(gamma)
-    center = omega + 0.5 * z * z
-    half = z * math.sqrt(omega + 0.25 * z * z)
-    return max(0.0, center - half), center + half
-
-
-def score_membership(omega: int, tau: float, gamma: float) -> float:
-    """Crisp indicator membership of the score interval."""
-    _check_args(omega, tau)
-    lo, hi = score_interval(omega, gamma)
-    return 1.0 if lo <= tau <= hi else 0.0
 
 
 def support_bound(tau_max: float, truncation_mass: float = 1e-12) -> int:
@@ -172,56 +60,71 @@ def support_bound(tau_max: float, truncation_mass: float = 1e-12) -> int:
     return m
 
 
-def coverage(tau: float, fam: PoissonFamily) -> float:
-    """Mass assigned to the truth at tau, over the truncated support."""
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    m = support_bound(tau, fam.truncation_mass)
-    return math.fsum(pois_pmf(w, tau) * psi_o(w, tau, fam) for w in range(m + 1))
-
-
-def score_coverage(
-    tau: float, gamma: float, truncation_mass: float = 1e-12
-) -> float:
-    m = support_bound(tau, truncation_mass)
-    return math.fsum(
-        pois_pmf(w, tau) * score_membership(w, tau, gamma) for w in range(m + 1)
-    )
-
-
-def tau_breakpoints(omega: int, fam: PoissonFamily) -> tuple[float, ...]:
-    """Potential kinks/jumps of tau -> psi_o(omega | tau) on (0, inf)."""
-    points = set(_thresholds(fam.gamma, omega))
-    points.add(fam.o)
-    return tuple(sorted(p for p in points if p > 0.0))
-
-
 def default_tau_max(o: float) -> float:
     """Default upper end of the parameter integration range."""
     return o + 10.0 * math.sqrt(o) + 20.0
 
 
-def model(fam: PoissonFamily) -> "DiscreteFamilyModel":
-    """Expected-length engine handle for the proposed membership."""
-    from .length import DiscreteFamilyModel
+class _Poisson:
+    """Sampling model shared by the proposed and the comparison membership."""
 
-    return DiscreteFamilyModel(
-        label=f"poisson_psi_o(o={fam.o:g}, gamma={fam.gamma:g})",
-        psi=lambda w, t: psi_o(w, t, fam),
-        pmf=lambda w, th: pois_pmf(w, th),
-        support_upper=lambda th: support_bound(th, fam.truncation_mass),
-        breakpoints=lambda w: tau_breakpoints(w, fam),
-    )
+    tau_upper = math.inf
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not 0.0 < self.truncation_mass <= 1e-6:
+            raise ValueError(
+                f"truncation_mass must lie in (0, 1e-6], got {self.truncation_mass}"
+            )
+
+    def check(self, omega: int, tau: float):
+        if omega < 0:
+            raise ValueError(f"omega must be a nonnegative integer, got {omega}")
+        if not tau > 0.0:
+            raise ValueError(f"tau must be positive, got {tau}")
+
+    def log_pmf(self, omega: int, tau: float) -> float:
+        return pois_log_pmf(omega, tau)
+
+    def support_upper(self, tau: float) -> int:
+        return support_bound(tau, self.truncation_mass)
 
 
-def score_model(gamma: float, truncation_mass: float = 1e-12) -> "DiscreteFamilyModel":
-    """Engine handle for the score-interval comparison membership."""
-    from .length import DiscreteFamilyModel
+@dataclass(frozen=True)
+class PoissonFamily(_Poisson):
+    """Reference point o > 0, confidence gamma, certified truncation mass."""
 
-    return DiscreteFamilyModel(
-        label=f"poisson_score(gamma={gamma:g})",
-        psi=lambda w, t: score_membership(w, t, gamma),
-        pmf=lambda w, th: pois_pmf(w, th),
-        support_upper=lambda th: support_bound(th, truncation_mass),
-        breakpoints=lambda w: tuple(p for p in score_interval(w, gamma) if p > 0.0),
-    )
+    o: float
+    gamma: float
+    truncation_mass: float = 1e-12
+
+    def __post_init__(self):
+        if not self.o > 0.0:
+            raise ValueError(f"o must be positive, got {self.o}")
+        super().__post_init__()
+
+    def thresholds(self, omega: int):
+        return _thresholds(self.gamma, omega)
+
+    def slack_below(self, omega: int, tau: float) -> float:
+        return self.gamma - pois_cdf(omega - 1, tau)
+
+    def slack_above(self, omega: int, tau: float) -> float:
+        # gamma - P[X > omega], through the CDF P[X <= omega].
+        return self.gamma - 1.0 + pois_cdf(omega, tau)
+
+
+@dataclass(frozen=True)
+class ScoreInterval(_Poisson):
+    """The score interval as a crisp comparison membership."""
+
+    gamma: float
+    truncation_mass: float = 1e-12
+
+    def interval(self, omega: int) -> tuple[float, float]:
+        """Endpoints of the score interval, intersected with (0, inf)."""
+        z = two_sided_z(self.gamma)
+        center = omega + 0.5 * z * z
+        half = z * math.sqrt(omega + 0.25 * z * z)
+        return max(0.0, center - half), center + half

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "Tolerance",
     "ConvergenceError",
-    "CDF_TOL",
     "QUANTILE_TOL",
     "reg_inc_beta",
     "inv_reg_inc_beta",
@@ -27,9 +27,9 @@ __all__ = [
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
+    "two_sided_z",
     "binom_log_pmf",
     "binom_pmf",
-    "binom_cdf",
     "pois_log_pmf",
     "pois_pmf",
     "pois_cdf",
@@ -57,7 +57,6 @@ class Tolerance:
             raise ValueError("max_iter must be a positive integer")
 
 
-CDF_TOL = Tolerance(abs_tol=1e-12, max_iter=500)
 QUANTILE_TOL = Tolerance(abs_tol=1e-10, max_iter=200)
 
 
@@ -141,6 +140,41 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
+def _rtsafe(cdf, pdf, p, x, lo, hi, tol: Tolerance, failure: str) -> float:
+    """Solve ``cdf(x) = p`` for x in the bracket [lo, hi], starting at x.
+
+    Newton steps on the increasing ``cdf`` with derivative ``pdf``, kept
+    inside a bracket that every iterate narrows; a step that would leave it
+    falls back to bisection (Numerical Recipes ``rtsafe``).  Converged means
+    the residual is within ``tol.abs_tol`` and the iteration has stalled in
+    x: deep in a tail the CDF is nearly flat and the residual alone says
+    little.  Raises :class:`ConvergenceError` with ``failure`` when the
+    budget runs out.
+    """
+    step = math.inf
+    for _ in range(tol.max_iter):
+        f = cdf(x) - p
+        if abs(f) <= tol.abs_tol and step <= 1e-12 * max(1.0, abs(x)):
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        dfdx = pdf(x)
+        newton_ok = dfdx > 0.0
+        if newton_ok:
+            x_new = x - f / dfdx
+            newton_ok = lo < x_new < hi
+        if not newton_ok:
+            x_new = 0.5 * (lo + hi)
+        step = abs(x_new - x)
+        if hi - lo < 4.0 * _EPS * max(1.0, abs(x_new)):
+            # Bracket exhausted at machine precision; accept the midpoint.
+            return 0.5 * (lo + hi)
+        x = x_new
+    raise ConvergenceError(failure)
+
+
 def _beta_pdf(x: float, a: float, b: float) -> float:
     if x <= 0.0 or x >= 1.0:
         return 0.0
@@ -160,8 +194,7 @@ def inv_reg_inc_beta(
     """Inverse of :func:`reg_inc_beta` in its first argument.
 
     Returns x with ``|reg_inc_beta(x, a, b) - p| <= tol.abs_tol``, found by
-    bracketing bisection refined with Newton steps (falling back to bisection
-    whenever a Newton step leaves the bracket).  Degenerate shapes follow the
+    safeguarded Newton steps from the mean.  Degenerate shapes follow the
     conventions ``inv(p, 0, b) = 0`` and ``inv(p, a, 0) = 1`` for p in (0, 1).
     """
     if not 0.0 <= p <= 1.0:
@@ -178,34 +211,11 @@ def inv_reg_inc_beta(
         return 0.0
     if p == 1.0:
         return 1.0
-
-    lo, hi = 0.0, 1.0
-    x = a / (a + b)  # mean as the starting point
-    step = math.inf
-    for _ in range(tol.max_iter):
-        f = reg_inc_beta(x, a, b) - p
-        # The residual alone is meaningless deep in a tail where the CDF is
-        # nearly flat, so also require the iteration to have stalled in x.
-        if abs(f) <= tol.abs_tol and step <= 1e-12 * max(1.0, abs(x)):
-            return x
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
-        dfdx = _beta_pdf(x, a, b)
-        newton_ok = dfdx > 0.0
-        if newton_ok:
-            x_new = x - f / dfdx
-            newton_ok = lo < x_new < hi
-        if not newton_ok:
-            x_new = 0.5 * (lo + hi)
-        step = abs(x_new - x)
-        if hi - lo < 4.0 * _EPS * max(1.0, abs(x_new)):
-            # Bracket exhausted at machine precision; accept the midpoint.
-            return 0.5 * (lo + hi)
-        x = x_new
-    raise ConvergenceError(
-        f"inverse incomplete beta failed for p={p}, a={a}, b={b}"
+    return _rtsafe(
+        lambda x: reg_inc_beta(x, a, b),
+        lambda x: _beta_pdf(x, a, b),
+        p, a / (a + b), 0.0, 1.0, tol,
+        f"inverse incomplete beta failed for p={p}, a={a}, b={b}",
     )
 
 
@@ -274,30 +284,16 @@ def chisq_quantile(p: float, k: int, tol: Tolerance = QUANTILE_TOL) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise ConvergenceError(f"chi-square quantile bracket failed for p={p}, k={k}")
-    x = float(k)
     s = k / 2.0
-    step = math.inf
-    for _ in range(tol.max_iter):
-        f = chisq_cdf(x, k) - p
-        if abs(f) <= tol.abs_tol and step <= 1e-12 * max(1.0, abs(x)):
-            return x
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
+
+    def pdf(x):
         ln_pdf = -x / 2.0 + (s - 1.0) * math.log(x) - s * math.log(2.0) - math.lgamma(s)
-        dfdx = math.exp(ln_pdf) if ln_pdf > -745.0 else 0.0
-        newton_ok = dfdx > 0.0
-        if newton_ok:
-            x_new = x - f / dfdx
-            newton_ok = lo < x_new < hi
-        if not newton_ok:
-            x_new = 0.5 * (lo + hi)
-        step = abs(x_new - x)
-        if hi - lo < 4.0 * _EPS * max(1.0, abs(x_new)):
-            return 0.5 * (lo + hi)
-        x = x_new
-    raise ConvergenceError(f"chi-square quantile failed for p={p}, k={k}")
+        return math.exp(ln_pdf) if ln_pdf > -745.0 else 0.0
+
+    return _rtsafe(
+        lambda x: chisq_cdf(x, k), pdf, p, float(k), lo, hi, tol,
+        f"chi-square quantile failed for p={p}, k={k}",
+    )
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -317,29 +313,16 @@ def normal_quantile(p: float, tol: Tolerance = QUANTILE_TOL) -> float:
     """Standard normal quantile: z with normal_cdf(z) = p, for p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    z = 0.0
-    step = math.inf
-    for _ in range(tol.max_iter):
-        f = normal_cdf(z) - p
-        if abs(f) <= tol.abs_tol and step <= 1e-12 * max(1.0, abs(z)):
-            return z
-        if f < 0.0:
-            lo = z
-        else:
-            hi = z
-        dfdz = normal_pdf(z)
-        newton_ok = dfdz > 0.0
-        if newton_ok:
-            z_new = z - f / dfdz
-            newton_ok = lo < z_new < hi
-        if not newton_ok:
-            z_new = 0.5 * (lo + hi)
-        step = abs(z_new - z)
-        if hi - lo < 4.0 * _EPS * max(1.0, abs(z_new)):
-            return 0.5 * (lo + hi)
-        z = z_new
-    raise ConvergenceError(f"normal quantile failed for p={p}")
+    return _rtsafe(
+        normal_cdf, normal_pdf, p, 0.0, -40.0, 40.0, tol,
+        f"normal quantile failed for p={p}",
+    )
+
+
+@lru_cache(maxsize=1024)
+def two_sided_z(gamma: float) -> float:
+    """Half-width quantile z of a two-sided normal interval: P[|Z| <= z] = gamma."""
+    return normal_quantile(0.5 * (1.0 + gamma))
 
 
 def binom_log_pmf(omega: int, n: int, tau: float) -> float:
@@ -358,21 +341,6 @@ def binom_log_pmf(omega: int, n: int, tau: float) -> float:
 
 def binom_pmf(omega: int, n: int, tau: float) -> float:
     return math.exp(binom_log_pmf(omega, n, tau))
-
-
-def binom_cdf(omega: int, n: int, tau: float) -> float:
-    """Binomial CDF P[X <= omega] by direct summation of the smaller tail."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    if omega < 0:
-        return 0.0
-    if omega >= n:
-        return 1.0
-    if omega <= n // 2:
-        return math.fsum(binom_pmf(i, n, tau) for i in range(0, omega + 1))
-    return 1.0 - math.fsum(binom_pmf(i, n, tau) for i in range(omega + 1, n + 1))
 
 
 def pois_log_pmf(omega: int, tau: float) -> float:

@@ -2,15 +2,20 @@
 
 These deliberately avoid the library's own integration and closed-form
 code paths: plain Gauss-Legendre panels for normal expectations (with the
-interval length taken straight from the interval endpoints) and midpoint
-Riemann sums for memberships over the parameter axis.
+interval length taken straight from the interval endpoints), midpoint
+Riemann sums for memberships over the parameter axis, a greedy fill for
+the optimal-membership linear program, and the binomial CDF by direct
+summation.
 """
 
 import math
 
 import numpy as np
 
-from fuzzyci.specfun import normal_quantile
+from fuzzyci.core import _align
+from fuzzyci.specfun import binom_pmf, normal_quantile
+
+_ORACLE_MAX_SUPPORT = 25
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(40)
 
@@ -69,3 +74,65 @@ def riemann_mass(psi, lo, hi, n_points, split=()):
         h = (b - a) / m
         total += h * math.fsum(psi(a + (k + 0.5) * h) for k in range(m))
     return total
+
+
+def radon_nikodym(mu, nu):
+    """Density ratio of nu with respect to mu, plus the singular set.
+
+    Returns ``(support, ratio, singular)`` where ``ratio[i] = nu_i / mu_i``
+    on points with mu-mass and ``inf`` otherwise, and ``singular`` is the
+    set of points carrying nu-mass but no mu-mass.
+    """
+    support, mu_mass, nu_mass = _align(mu, nu)
+    ratio = [
+        (n / m) if m > 0.0 else math.inf for m, n in zip(mu_mass, nu_mass)
+    ]
+    singular = {p for p, m, n in zip(support, mu_mass, nu_mass) if m == 0.0 and n > 0.0}
+    return tuple(support), tuple(ratio), singular
+
+
+def feasible_optimum_oracle(mu, nu, gamma):
+    """Minimal nu-mass over memberships with mu-mass >= gamma, by greedy fill.
+
+    Points are taken in ascending density-ratio order, the last one
+    fractionally, which is optimal for this single-constraint linear
+    program.  Kept deliberately independent of ``construct_psi_star``.
+    """
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    support, mu_mass, nu_mass = _align(mu, nu)
+    if len(support) > _ORACLE_MAX_SUPPORT:
+        raise ValueError(
+            f"oracle supports at most {_ORACLE_MAX_SUPPORT} points, got {len(support)}"
+        )
+    ratio = [
+        (n / m) if m > 0.0 else math.inf for m, n in zip(mu_mass, nu_mass)
+    ]
+    order = sorted(
+        (i for i in range(len(support)) if mu_mass[i] > 0.0),
+        key=lambda i: (ratio[i], i),
+    )
+    remaining = gamma
+    parts = []
+    for i in order:
+        if remaining <= 0.0:
+            break
+        take = min(1.0, remaining / mu_mass[i])
+        parts.append(take * nu_mass[i])
+        remaining -= take * mu_mass[i]
+    return math.fsum(parts)
+
+
+def binom_cdf(omega, n, tau):
+    """Binomial CDF P[X <= omega] by direct summation of the smaller tail."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    if omega < 0:
+        return 0.0
+    if omega >= n:
+        return 1.0
+    if omega <= n // 2:
+        return math.fsum(binom_pmf(i, n, tau) for i in range(0, omega + 1))
+    return 1.0 - math.fsum(binom_pmf(i, n, tau) for i in range(omega + 1, n + 1))

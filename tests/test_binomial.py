@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyci.binomial import (
-    BinomialFamily,
-    agresti_coull_coverage,
-    agresti_coull_interval,
-    agresti_coull_membership,
+from fuzzyci.binomial import AgrestiCoull, BinomialFamily
+from fuzzyci.discrete import (
     coverage,
+    crisp_coverage,
+    crisp_membership,
     psi_lower,
     psi_o,
     tau_breakpoints,
@@ -131,24 +130,25 @@ class TestPsiO:
 
 class TestAgrestiCoull:
     def test_center_is_inside(self):
-        lo, hi = agresti_coull_interval(5, 10, 0.95)
+        lo, hi = AgrestiCoull(10, 0.95).interval(5)
         center = 0.5 * (lo + hi)
-        assert agresti_coull_membership(5, center, 10, 0.95) == 1.0
+        assert crisp_membership(5, center, AgrestiCoull(10, 0.95)) == 1.0
 
     def test_far_outside(self):
-        assert agresti_coull_membership(10, 1e-9, 10, 0.95) == 0.0
+        assert crisp_membership(10, 1e-9, AgrestiCoull(10, 0.95)) == 0.0
 
     def test_endpoints_by_bisecting_the_indicator(self):
         # Locate the membership jump by bisection and compare with the
         # closed-form endpoints.
         n, gamma, w = 10, 0.95, 3
-        lo, hi = agresti_coull_interval(w, n, gamma)
+        method = AgrestiCoull(n, gamma)
+        lo, hi = method.interval(w)
 
         def bisect_jump(a, b):
-            fa = agresti_coull_membership(w, a, n, gamma)
+            fa = crisp_membership(w, a, method)
             for _ in range(60):
                 mid = 0.5 * (a + b)
-                if agresti_coull_membership(w, mid, n, gamma) == fa:
+                if crisp_membership(w, mid, method) == fa:
                     a = mid
                 else:
                     b = mid
@@ -158,7 +158,7 @@ class TestAgrestiCoull:
         assert bisect_jump((lo + hi) / 2, 1.0 - 1e-6) == pytest.approx(hi, abs=1e-12)
 
     def test_expected_z_value(self):
-        lo, hi = agresti_coull_interval(3, 10, 0.95)
+        lo, hi = AgrestiCoull(10, 0.95).interval(3)
         z = normal_quantile(0.975)
         n_tilde = 10 + z * z
         p_tilde = (3 + z * z / 2) / n_tilde
@@ -168,7 +168,7 @@ class TestAgrestiCoull:
 
     def test_coverage_oscillates_around_gamma(self):
         taus = np.linspace(0.05, 0.95, 181)
-        cov = [agresti_coull_coverage(float(t), 10, 0.95) for t in taus]
+        cov = [crisp_coverage(float(t), AgrestiCoull(10, 0.95)) for t in taus]
         assert min(cov) < 0.95 < max(cov)
 
 
@@ -179,7 +179,7 @@ class TestOptimalityAtReferencePoint:
         # where the comparison interval actually covers at level gamma
         # (it under-covers elsewhere) and to tau != o.
         n, gamma = 10, 0.95
-        pmf_cache = {}
+        method = AgrestiCoull(n, gamma)
         for o in (0.1, 0.5, 0.9):
             fam = BinomialFamily(n, o, gamma)
             pmf_o = [binom_pmf(w, n, o) for w in range(n + 1)]
@@ -187,11 +187,11 @@ class TestOptimalityAtReferencePoint:
                 t = float(t)
                 if t == o:
                     continue
-                if agresti_coull_coverage(t, n, gamma) < gamma:
+                if crisp_coverage(t, method) < gamma:
                     continue
                 proposed = sum(p * psi_o(w, t, fam) for w, p in enumerate(pmf_o))
                 comparison = sum(
-                    p * agresti_coull_membership(w, t, n, gamma)
+                    p * crisp_membership(w, t, method)
                     for w, p in enumerate(pmf_o)
                 )
                 assert proposed <= comparison + 1e-12

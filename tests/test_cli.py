@@ -2,10 +2,11 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
-from fuzzyci import binomial, poisson
+from fuzzyci import binomial, discrete, poisson
 from fuzzyci.cli import main, parse_grid, UsageError
 from fuzzyci.specfun import ConvergenceError
 
@@ -41,6 +42,21 @@ class TestParseGrid:
             parse_grid("a:b:3")
         with pytest.raises(UsageError):
             parse_grid("0:1:-2")
+        for spec in ("0.1:inf:2", "nan:1:3", "-inf:0:0"):
+            with pytest.raises(UsageError):
+                parse_grid(spec)
+
+    def test_non_finite_endpoint_is_usage_error_without_warning(self, capsys):
+        # Rejected before numpy sees it, so no RuntimeWarning leaks out.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out = run_cli(
+                capsys,
+                "coverage", "--family", "poisson", "--gamma", "0.95",
+                "--o", "3", "--tau-grid", "0.1:inf:2",
+            )
+        assert status == 2
+        assert out == ""
 
 
 class TestMembershipCommand:
@@ -74,7 +90,7 @@ class TestMembershipCommand:
         fam = binomial.BinomialFamily(5, 0.3, 0.9)
         _, rows = parse_csv(out)
         for tau, omega, psi in rows:
-            assert psi == binomial.psi_o(int(omega), tau, fam)
+            assert psi == discrete.psi_o(int(omega), tau, fam)
 
     def test_poisson_score_method(self, capsys):
         status, out = run_cli(
@@ -86,7 +102,9 @@ class TestMembershipCommand:
         _, rows = parse_csv(out)
         assert len(rows) == 20 * 7
         for tau, omega, psi in rows:
-            assert psi == poisson.score_membership(int(omega), tau, 0.95)
+            assert psi == discrete.crisp_membership(
+                int(omega), tau, poisson.ScoreInterval(0.95)
+            )
 
     def test_normal_requires_x_grid(self, capsys):
         # Negative grid endpoints need the --flag=value form.
@@ -159,6 +177,20 @@ class TestCoverageCommand:
         _, rows = parse_csv(out)
         for _, cov in rows:
             assert cov == pytest.approx(0.9, abs=1e-8 + 1e-12)
+
+    def test_bounded_normal_rejects_tau_outside_bounds(self, capsys):
+        argv = (
+            "coverage", "--family", "normal", "--gamma", "0.95", "--o", "0.5",
+            "--sigma", "0.3", "--a", "0", "--b", "1",
+        )
+        for grid in ("-0.5:1.5:3", "0:1.5:2", "-0.5:1:2"):
+            status, out = run_cli(capsys, *argv, f"--tau-grid={grid}")
+            assert status == 2
+            assert out == ""
+        status, out = run_cli(capsys, *argv, "--tau-grid", "0:1:3")
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert rows == [(0.0, 0.95), (0.5, 0.95 * 2 - 1), (1.0, 0.95)]
 
 
 class TestElCurveCommand:
@@ -304,6 +336,17 @@ class TestKnapsackCommand:
         )
         assert status == 2
 
+    def test_non_finite_input_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "items.csv"
+        path.write_text("1,2\n3,4\n")
+        status, out = run_cli(capsys, "knapsack", str(path), "--capacity", "nan")
+        assert status == 2
+        assert out == ""
+        path.write_text("1,nan\n3,4\n")
+        status, out = run_cli(capsys, "knapsack", str(path), "--capacity", "2")
+        assert status == 2
+        assert out == ""
+
     def test_malformed_rows(self, capsys, tmp_path):
         path = tmp_path / "items.csv"
         path.write_text("1,2,3\n")
@@ -336,7 +379,7 @@ class TestOutputHandling:
         def boom(tau, fam):
             raise ConvergenceError("forced failure")
 
-        monkeypatch.setattr("fuzzyci.cli.binomial.coverage", boom)
+        monkeypatch.setattr("fuzzyci.cli.discrete.coverage", boom)
         status, _ = run_cli(
             capsys,
             "coverage", "--family", "binomial", "--n", "5", "--gamma", "0.9",

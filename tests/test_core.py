@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyci.core import (
-    DiscreteMeasure,
-    construct_psi_star,
-    feasible_optimum_oracle,
-    radon_nikodym,
-)
+from oracles import feasible_optimum_oracle, radon_nikodym
+
+from fuzzyci.core import DiscreteMeasure, construct_psi_star
 
 
 def measure(*masses):

@@ -88,6 +88,13 @@ class TestSolveFractional:
             KnapsackInstance((1.0,), (-1.0,), 1.0)
         with pytest.raises(ValueError):
             KnapsackInstance((1.0,), (1.0, 2.0), 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                KnapsackInstance((1.0, 2.0), (1.0, 1.0), bad)
+            with pytest.raises(ValueError):
+                KnapsackInstance((1.0, bad), (1.0, 1.0), 1.0)
+            with pytest.raises(ValueError):
+                KnapsackInstance((1.0, 2.0), (bad, 1.0), 1.0)
 
 
 class TestSolve01DP:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyci import binomial, poisson
+from fuzzyci import binomial, discrete, poisson
 from fuzzyci.length import (
     DiscreteFamilyModel,
     ELCurve,
@@ -64,9 +64,9 @@ class TestIntervalMass:
 
     def test_binomial_against_fine_riemann_oracle(self):
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
-        mass = interval_mass(binomial.model(fam), 5, UNIT)
+        mass = interval_mass(discrete.model(fam), 5, UNIT)
         oracle = riemann_mass(
-            lambda t: binomial.psi_o(5, t, fam), 0.0, 1.0, 10**6, split=(fam.o,)
+            lambda t: discrete.psi_o(5, t, fam), 0.0, 1.0, 10**6, split=(fam.o,)
         )
         assert mass == pytest.approx(oracle, rel=1e-6)
 
@@ -78,22 +78,22 @@ class TestIntervalMass:
                 fam = binomial.BinomialFamily(
                     n, float(rng.uniform(0.1, 0.9)), float(rng.choice([0.9, 0.95]))
                 )
-                model = binomial.model(fam)
+                model = discrete.model(fam)
                 w = int(rng.integers(0, n + 1))
                 quad = UNIT
                 points = 15000
-                psi = lambda t: binomial.psi_o(w, t, fam)
+                psi = lambda t: discrete.psi_o(w, t, fam)
             else:
                 fam = poisson.PoissonFamily(
                     float(rng.uniform(0.5, 10.0)), float(rng.choice([0.9, 0.95]))
                 )
-                model = poisson.model(fam)
+                model = discrete.model(fam)
                 w = int(rng.integers(0, 15))
                 quad = QuadratureSpec(1e-9, poisson.default_tau_max(fam.o))
                 # The oracle's own midpoint error scales with the squared
                 # step, so the wide range needs proportionally more points.
                 points = 40000
-                psi = lambda t: poisson.psi_o(w, t, fam)
+                psi = lambda t: discrete.psi_o(w, t, fam)
             mass = interval_mass(model, w, quad)
             oracle = riemann_mass(psi, quad.lower, quad.upper, points, split=(fam.o,))
             assert mass == pytest.approx(oracle, rel=1e-6, abs=1e-9)
@@ -122,14 +122,14 @@ class TestExpectedLength:
     def test_binomial_curves_are_positive_and_bounded(self):
         for o in (0.1, 0.5, 0.9):
             fam = binomial.BinomialFamily(10, o, 0.95)
-            model = binomial.model(fam)
+            model = discrete.model(fam)
             for theta in (0.2, 0.5, 0.8):
                 value = expected_length(model, theta, UNIT)
                 assert 0.0 < value < 1.0
 
     def test_poisson_tail_insensitivity(self):
         fam = poisson.PoissonFamily(8.0, 0.95)
-        model = poisson.model(fam)
+        model = discrete.model(fam)
         tau_max = poisson.default_tau_max(8.0)
         for theta in (3.0, 8.0):
             base = expected_length(model, theta, QuadratureSpec(1e-9, tau_max))
@@ -141,8 +141,8 @@ class TestCurves:
     def test_tangency_and_dominance_binomial(self):
         grid = np.linspace(0.05, 0.95, 19)
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
-        make_ref = lambda th: binomial.model(binomial.BinomialFamily(10, th, 0.95))
-        curve = el_curve(binomial.model(fam), make_ref, grid, UNIT)
+        make_ref = lambda th: discrete.model(binomial.BinomialFamily(10, th, 0.95))
+        curve = el_curve(discrete.model(fam), make_ref, grid, UNIT)
         for theta, el, bound in zip(curve.theta_grid, curve.el, curve.lower_bound):
             assert el >= bound - 1e-9
             if theta == 0.5:
@@ -150,31 +150,31 @@ class TestCurves:
 
     def test_agresti_coull_dominates_bound(self):
         grid = np.linspace(0.05, 0.95, 19)
-        make_ref = lambda th: binomial.model(binomial.BinomialFamily(10, th, 0.95))
-        curve = el_curve(binomial.agresti_coull_model(10, 0.95), make_ref, grid, UNIT)
+        make_ref = lambda th: discrete.model(binomial.BinomialFamily(10, th, 0.95))
+        curve = el_curve(discrete.crisp_model(binomial.AgrestiCoull(10, 0.95)), make_ref, grid, UNIT)
         for el, bound in zip(curve.el, curve.lower_bound):
             assert el >= bound - 1e-9
 
     def test_lower_bound_curve_is_self_consistent(self):
         grid = [0.2, 0.5, 0.8]
-        make_ref = lambda th: binomial.model(binomial.BinomialFamily(10, th, 0.95))
+        make_ref = lambda th: discrete.model(binomial.BinomialFamily(10, th, 0.95))
         curve = lower_bound_curve(make_ref, grid, UNIT)
         assert curve.el == curve.lower_bound
         assert curve.method_label == "lower_bound"
 
     def test_poisson_tangency(self):
         quad = QuadratureSpec(1e-9, poisson.default_tau_max(8.0))
-        make_ref = lambda th: poisson.model(poisson.PoissonFamily(th, 0.95))
+        make_ref = lambda th: discrete.model(poisson.PoissonFamily(th, 0.95))
         curve = el_curve(
-            poisson.model(poisson.PoissonFamily(8.0, 0.95)), make_ref, [5.0, 8.0], quad
+            discrete.model(poisson.PoissonFamily(8.0, 0.95)), make_ref, [5.0, 8.0], quad
         )
         assert curve.el[1] == pytest.approx(curve.lower_bound[1], abs=1e-7)
         assert curve.el[0] >= curve.lower_bound[0] - 1e-9
 
     def test_empty_grid(self):
-        make_ref = lambda th: binomial.model(binomial.BinomialFamily(10, th, 0.95))
+        make_ref = lambda th: discrete.model(binomial.BinomialFamily(10, th, 0.95))
         curve = el_curve(
-            binomial.model(binomial.BinomialFamily(10, 0.5, 0.95)), make_ref, [], UNIT
+            discrete.model(binomial.BinomialFamily(10, 0.5, 0.95)), make_ref, [], UNIT
         )
         assert curve.theta_grid == ()
         assert curve.el == ()

@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
-from fuzzyci.poisson import (
-    PoissonFamily,
+from fuzzyci.discrete import (
     coverage,
+    crisp_coverage,
+    crisp_membership,
     psi_lower,
     psi_o,
-    score_coverage,
-    score_interval,
-    score_membership,
-    support_bound,
     tau_breakpoints,
 )
+from fuzzyci.poisson import PoissonFamily, ScoreInterval, support_bound
 from fuzzyci.specfun import chisq_quantile, normal_quantile, pois_cdf, pois_pmf
 
 
@@ -142,21 +140,22 @@ class TestPsiO:
 
 class TestScoreMembership:
     def test_small_tau_with_zero_count(self):
-        assert score_membership(0, 1e-9, 0.95) == 1.0
+        assert crisp_membership(0, 1e-9, ScoreInterval(0.95)) == 1.0
 
     def test_center_inside(self):
         z = normal_quantile(0.975)
         center = 4 + z * z / 2
-        assert score_membership(4, center, 0.95) == 1.0
+        assert crisp_membership(4, center, ScoreInterval(0.95)) == 1.0
 
     def test_endpoints_direct_formula(self):
         z = normal_quantile(0.975)
-        lo, hi = score_interval(4, 0.95)
+        lo, hi = ScoreInterval(0.95).interval(4)
         assert lo == pytest.approx(4 + z * z / 2 - z * math.sqrt(4 + z * z / 4))
         assert hi == pytest.approx(4 + z * z / 2 + z * math.sqrt(4 + z * z / 4))
 
     def test_coverage_oscillates(self):
-        cov = [score_coverage(float(t), 0.95) for t in np.linspace(0.2, 15.0, 120)]
+        method = ScoreInterval(0.95)
+        cov = [crisp_coverage(float(t), method) for t in np.linspace(0.2, 15.0, 120)]
         assert min(cov) < 0.95 < max(cov)
 
 

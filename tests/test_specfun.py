@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import binom_cdf
+
 from fuzzyci.specfun import (
     ConvergenceError,
     Tolerance,
-    binom_cdf,
     binom_pmf,
     chisq_cdf,
     chisq_quantile,
