@@ -11,26 +11,23 @@ that emits everything as CSV/JSON.
 from .binomial import BinomialFamily
 from .core import DiscreteMeasure, PsiStar, construct_psi_star
 from .knapsack import KnapsackInstance, KnapsackSolution, solve_fractional, solve_01_dp
-from .length import DiscreteFamilyModel, ELCurve, QuadratureSpec, el_curve
+from .length import QuadratureSpec, el_curve
 from .normal import NormalFamily
 from .poisson import PoissonFamily
-from .specfun import ConvergenceError, Tolerance
+from .specfun import ConvergenceError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BinomialFamily",
     "ConvergenceError",
-    "DiscreteFamilyModel",
     "DiscreteMeasure",
-    "ELCurve",
     "KnapsackInstance",
     "KnapsackSolution",
     "NormalFamily",
     "PoissonFamily",
     "PsiStar",
     "QuadratureSpec",
-    "Tolerance",
     "construct_psi_star",
     "el_curve",
     "solve_01_dp",

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .discrete import Crisp, Randomized
 from .specfun import binom_log_pmf, inv_reg_inc_beta, reg_inc_beta, two_sided_z
 
 __all__ = ["BinomialFamily", "AgrestiCoull"]
@@ -56,9 +57,12 @@ class _Binomial:
     def support_upper(self, tau: float) -> int:
         return self.n
 
+    def reference(self, theta: float) -> "BinomialFamily":
+        return BinomialFamily(self.n, theta, self.gamma)
+
 
 @dataclass(frozen=True)
-class BinomialFamily(_Binomial):
+class BinomialFamily(_Binomial, Randomized):
     """n trials, reference point o in (0, 1), confidence gamma in (0, 1)."""
 
     n: int
@@ -83,7 +87,7 @@ class BinomialFamily(_Binomial):
 
 
 @dataclass(frozen=True)
-class AgrestiCoull(_Binomial):
+class AgrestiCoull(_Binomial, Crisp):
     """The Agresti-Coull interval as a crisp comparison membership."""
 
     n: int

@@ -48,7 +48,7 @@ _METHODS = {
 def _poisson_range(args, thetas) -> tuple[float, float]:
     top = args.tau_max
     if top is None:
-        anchor = max([t for t in thetas] + ([args.o] if args.o else []))
+        anchor = max([*thetas, args.o or 0.0])
         top = poisson.default_tau_max(anchor)
     return 1e-9, top
 
@@ -81,14 +81,8 @@ class _Discrete:
             raise UsageError(f"the proposed {args.family} method requires --o")
         return self.family(o=args.o, **params)
 
-    def reference_models(self, args, thetas):
-        """The proposed model anchored at each theta, and the quadrature."""
-        params = {flag: getattr(args, flag) for flag in self.flags}
-        quad = QuadratureSpec(*self.quadrature_range(args, thetas), rel_tol=args.rel_tol)
-        make_ref = lambda th: discrete.model(
-            self.family(o=th, gamma=args.gamma, **params)
-        )
-        return make_ref, quad
+    def quadrature(self, args, thetas) -> QuadratureSpec:
+        return QuadratureSpec(*self.quadrature_range(args, thetas), rel_tol=args.rel_tol)
 
 
 _DISCRETE = {
@@ -212,8 +206,7 @@ def cmd_membership(args) -> int:
         omega_max = args.omega_max
         if omega_max is None:
             omega_max = fam.support_upper(max(taus + [args.o or 1.0]))
-        psi = discrete.psi_o if proposed else discrete.crisp_membership
-        rows = [(tau, w, psi(w, tau, fam)) for w in range(omega_max + 1) for tau in taus]
+        rows = [(tau, w, fam.psi(w, tau)) for w in range(omega_max + 1) for tau in taus]
     emit(("tau", "omega", "psi"), rows, args)
     return 0
 
@@ -233,8 +226,7 @@ def cmd_coverage(args) -> int:
         rows = [(tau, at_o if tau == args.o else args.gamma) for tau in taus]
     else:
         taus = _discrete_grid(args.tau_grid, "tau", args, fam)
-        cover = discrete.coverage if proposed else discrete.crisp_coverage
-        rows = [(tau, cover(tau, fam)) for tau in taus]
+        rows = [(tau, discrete.coverage(tau, fam)) for tau in taus]
     emit(("tau", "coverage"), rows, args)
     return 0
 
@@ -257,10 +249,10 @@ def cmd_el_curve(args) -> int:
         ]
     else:
         thetas = _discrete_grid(args.theta_grid, "theta", args, fam)
-        model = (discrete.model if proposed else discrete.crisp_model)(fam)
-        make_ref, quad = _DISCRETE[args.family].reference_models(args, thetas)
-        curve = el_curve(model, make_ref, thetas, quad)
-        rows = list(zip(curve.theta_grid, curve.el, curve.lower_bound))
+        quad = _DISCRETE[args.family].quadrature(args, thetas)
+        rows = list(zip(
+            thetas, el_curve(fam, thetas, quad), lower_bound_curve(fam, thetas, quad)
+        ))
     emit(("theta", "el", "lower_bound"), rows, args)
     return 0
 
@@ -274,9 +266,8 @@ def cmd_lower_bound(args) -> int:
         rows = [(theta, normal.el_lower_bound(theta, fam)) for theta in thetas]
     else:
         thetas = _discrete_grid(args.theta_grid, "theta", args, fam)
-        make_ref, quad = _DISCRETE[args.family].reference_models(args, thetas)
-        curve = lower_bound_curve(make_ref, thetas, quad)
-        rows = list(zip(curve.theta_grid, curve.lower_bound))
+        quad = _DISCRETE[args.family].quadrature(args, thetas)
+        rows = list(zip(thetas, lower_bound_curve(fam, thetas, quad)))
     emit(("theta", "lower_bound"), rows, args)
     return 0
 
@@ -421,7 +412,7 @@ def _selftest_checks():
         nu = DiscreteMeasure(ids, tuple(binom_pmf(w, 10, 0.5) for w in ids))
         res = construct_psi_star(mu, nu, 0.95)
         return all(
-            abs(discrete.psi_o(w, 0.3, fam) - res.psi[w]) < 1e-9 for w in ids
+            abs(fam.psi(w, 0.3) - res.psi[w]) < 1e-9 for w in ids
         )
 
     yield "constructor equivalence", _constructor_match

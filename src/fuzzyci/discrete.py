@@ -13,37 +13,36 @@ thresholds on the tau axis where the membership leaves 0 and reaches 1;
 they come from quantiles of the family's conjugate distribution and short-
 circuit the clamped regions, so the ratio is evaluated only between them.
 
-A family object supplies what differs between the families:
+Every family object, proposed or crisp, offers the protocol the coverage
+sums and the expected-length engine (:mod:`fuzzyci.length`) use:
+
+- ``psi(omega, tau)``: the membership, after checking the domain;
+- ``breakpoints(omega)``: where ``tau -> psi(omega, tau)`` may kink or jump
+  inside the domain;
+- ``log_pmf(omega, tau)``, the log mass function, and ``support_upper(tau)``,
+  the last omega a sum at tau needs;
+- ``reference(theta)``: the proposed family anchored at o = theta, whose
+  expected length at theta is the envelope value there.
+
+:class:`Randomized` builds ``psi`` and ``breakpoints`` of a proposed family
+from what differs between the families:
 
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
 - ``thresholds(omega)``: ``(below_zero, below_one, above_one, above_zero)``,
   cached on the parameters other than o;
 - ``slack_below(omega, tau)`` and ``slack_above(omega, tau)``: the two
-  numerators above, each from whichever tail the family computes accurately;
-- ``log_pmf(omega, tau)``, the log mass function, and ``support_upper(tau)``,
-  the last omega a sum at tau needs.
+  numerators above, each from whichever tail the family computes accurately.
 
-A crisp comparison method supplies the same domain, mass and support parts
-plus ``interval(omega)``, the endpoints of its interval.
+:class:`Crisp` builds them for a comparison method from ``check`` and
+``interval(omega)``, the endpoints of its interval.
 """
 
 from __future__ import annotations
 
 import math
 
-from .length import DiscreteFamilyModel
-
-__all__ = [
-    "psi_lower",
-    "psi_o",
-    "coverage",
-    "tau_breakpoints",
-    "model",
-    "crisp_membership",
-    "crisp_coverage",
-    "crisp_model",
-]
+__all__ = ["Randomized", "Crisp", "psi_lower", "coverage"]
 
 
 def _randomized(slack: float, omega: int, tau: float, fam) -> float:
@@ -79,75 +78,44 @@ def psi_lower(omega: int, tau: float, fam) -> float:
     return _psi_below(omega, tau, fam)
 
 
-def psi_o(omega: int, tau: float, fam) -> float:
-    """Membership of tau after observing omega.
+class Randomized:
+    """The proposed membership of a discrete family anchored at ``o``."""
 
-    At tau = o the two one-sided branch values are combined with max, which
-    keeps the coverage at o at or above gamma.
-    """
-    fam.check(omega, tau)
-    if tau < fam.o:
-        return _psi_below(omega, tau, fam)
-    if tau > fam.o:
-        return _psi_above(omega, tau, fam)
-    return max(_psi_below(omega, tau, fam), _psi_above(omega, tau, fam))
+    def psi(self, omega: int, tau: float) -> float:
+        """Membership of tau after observing omega.
+
+        At tau = o the two one-sided branch values are combined with max,
+        which keeps the coverage at o at or above gamma.
+        """
+        self.check(omega, tau)
+        if tau < self.o:
+            return _psi_below(omega, tau, self)
+        if tau > self.o:
+            return _psi_above(omega, tau, self)
+        return max(_psi_below(omega, tau, self), _psi_above(omega, tau, self))
+
+    def breakpoints(self, omega: int) -> tuple[float, ...]:
+        points = set(self.thresholds(omega))
+        points.add(self.o)
+        return tuple(sorted(p for p in points if 0.0 < p < self.tau_upper))
 
 
-def _pmf(fam):
-    return lambda omega, tau: math.exp(fam.log_pmf(omega, tau))
+class Crisp:
+    """The indicator membership of a comparison method's interval."""
 
+    def psi(self, omega: int, tau: float) -> float:
+        self.check(omega, tau)
+        lo, hi = self.interval(omega)
+        return 1.0 if lo <= tau <= hi else 0.0
 
-def _pmf_weighted(tau: float, fam, psi) -> float:
-    fam.check(0, tau)  # omega = 0 lies in every support
-    pmf = _pmf(fam)
-    return math.fsum(
-        pmf(w, tau) * psi(w, tau, fam) for w in range(fam.support_upper(tau) + 1)
-    )
+    def breakpoints(self, omega: int) -> tuple[float, ...]:
+        return tuple(p for p in self.interval(omega) if 0.0 < p < self.tau_upper)
 
 
 def coverage(tau: float, fam) -> float:
     """Probability mass the membership assigns to the truth at tau."""
-    return _pmf_weighted(tau, fam, psi_o)
-
-
-def tau_breakpoints(omega: int, fam) -> tuple[float, ...]:
-    """Potential kinks/jumps of tau -> psi_o(omega | tau) inside the domain."""
-    points = set(fam.thresholds(omega))
-    points.add(fam.o)
-    return tuple(sorted(p for p in points if 0.0 < p < fam.tau_upper))
-
-
-def model(fam) -> DiscreteFamilyModel:
-    """Expected-length engine handle for the proposed membership."""
-    return DiscreteFamilyModel(
-        label=repr(fam),
-        psi=lambda w, t: psi_o(w, t, fam),
-        pmf=_pmf(fam),
-        support_upper=fam.support_upper,
-        breakpoints=lambda w: tau_breakpoints(w, fam),
-    )
-
-
-def crisp_membership(omega: int, tau: float, method) -> float:
-    """Indicator membership of a comparison method's interval."""
-    method.check(omega, tau)
-    lo, hi = method.interval(omega)
-    return 1.0 if lo <= tau <= hi else 0.0
-
-
-def crisp_coverage(tau: float, method) -> float:
-    """Coverage of a comparison method's interval at tau."""
-    return _pmf_weighted(tau, method, crisp_membership)
-
-
-def crisp_model(method) -> DiscreteFamilyModel:
-    """Expected-length engine handle for a comparison method."""
-    return DiscreteFamilyModel(
-        label=repr(method),
-        psi=lambda w, t: crisp_membership(w, t, method),
-        pmf=_pmf(method),
-        support_upper=method.support_upper,
-        breakpoints=lambda w: tuple(
-            p for p in method.interval(w) if 0.0 < p < method.tau_upper
-        ),
+    fam.check(0, tau)  # omega = 0 lies in every support
+    return math.fsum(
+        math.exp(fam.log_pmf(w, tau)) * fam.psi(w, tau)
+        for w in range(fam.support_upper(tau) + 1)
     )

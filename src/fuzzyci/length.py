@@ -4,19 +4,23 @@ The expected length at a true parameter theta is the outer expectation,
 under the sampling distribution at theta, of the Lebesgue mass each
 observation's membership assigns over the parameter axis.  The inner
 integral runs on adaptive Gauss-Legendre quadrature with panels pre-split
-at the family's branch boundaries (adaptive bisection converges poorly
-across kinks, and open nodes keep jump points harmless).  The outer sum is
-an exact pmf summation over the (truncated) support.
+at the family's breakpoints (adaptive bisection converges poorly across
+kinks, and open nodes keep jump points harmless).  The outer sum is an
+exact pmf summation over the (truncated) support.
 
-Setting the reference point equal to the true parameter traces the envelope
-no admissible membership's curve can undercut.
+A family is the model: the engine reads its ``psi(omega, tau)``,
+``breakpoints(omega)``, ``log_pmf(omega, theta)`` and
+``support_upper(theta)`` (see :mod:`fuzzyci.discrete`).  The envelope no
+admissible membership's curve can undercut is the expected length at theta
+of ``reference(theta)``, the proposed family anchored at o = theta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +28,6 @@ from .specfun import ConvergenceError
 
 __all__ = [
     "QuadratureSpec",
-    "DiscreteFamilyModel",
-    "ELCurve",
     "interval_mass",
     "expected_length",
     "el_curve",
@@ -34,6 +36,7 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _GL = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+_MAX_DEPTH = 30
 
 
 @dataclass(frozen=True)
@@ -43,44 +46,12 @@ class QuadratureSpec:
     lower: float
     upper: float
     rel_tol: float = 1e-9
-    max_depth: int = 30
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
         if not 0.0 < self.rel_tol <= 1e-4:
             raise ValueError(f"rel_tol must lie in (0, 1e-4], got {self.rel_tol}")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be a positive integer")
-
-
-@dataclass(frozen=True)
-class DiscreteFamilyModel:
-    """Everything the engine needs to know about one membership family.
-
-    ``psi(omega, tau)`` is the membership, ``pmf(omega, theta)`` the
-    sampling mass, ``support_upper(theta)`` the truncation index for the
-    outer sum, and ``breakpoints(omega)`` the tau-locations where
-    ``psi(omega, .)`` may kink or jump.
-    """
-
-    label: str
-    psi: Callable[[int, float], float]
-    pmf: Callable[[int, float], float]
-    support_upper: Callable[[float], int]
-    breakpoints: Callable[[int], Sequence[float]]
-
-
-@dataclass(frozen=True)
-class ELCurve:
-    theta_grid: tuple[float, ...]
-    el: tuple[float, ...]
-    lower_bound: tuple[float, ...]
-    method_label: str
-
-    def __post_init__(self):
-        if not len(self.theta_grid) == len(self.el) == len(self.lower_bound):
-            raise ValueError("theta_grid, el and lower_bound must have equal length")
 
 
 def _gauss_legendre(f, a: float, b: float) -> float:
@@ -89,31 +60,29 @@ def _gauss_legendre(f, a: float, b: float) -> float:
     return half * math.fsum(w * f(mid + half * x) for x, w in _GL)
 
 
-def _refine(f, a, b, whole, tol, depth, max_depth):
+def _refine(f, a, b, whole, tol, depth):
     mid = 0.5 * (a + b)
     left = _gauss_legendre(f, a, mid)
     right = _gauss_legendre(f, mid, b)
     err = abs(left + right - whole)
     if err <= tol or (b - a) <= 1e-14 * max(abs(a), abs(b), 1.0):
         return left + right
-    if depth >= max_depth:
+    if depth >= _MAX_DEPTH:
         raise ConvergenceError(
             f"quadrature did not converge on [{a}, {b}] at depth {depth}"
         )
-    return _refine(f, a, mid, left, 0.5 * tol, depth + 1, max_depth) + _refine(
-        f, mid, b, right, 0.5 * tol, depth + 1, max_depth
+    return _refine(f, a, mid, left, 0.5 * tol, depth + 1) + _refine(
+        f, mid, b, right, 0.5 * tol, depth + 1
     )
 
 
-def interval_mass(
-    model: DiscreteFamilyModel, omega: int, quad: QuadratureSpec
-) -> float:
+def interval_mass(fam, omega: int, quad: QuadratureSpec) -> float:
     """Lebesgue mass of tau -> psi(omega | tau) over the quadrature range."""
     edges = sorted(
         {quad.lower, quad.upper,
-         *(p for p in model.breakpoints(omega) if quad.lower < p < quad.upper)}
+         *(p for p in fam.breakpoints(omega) if quad.lower < p < quad.upper)}
     )
-    f = lambda tau: model.psi(omega, tau)
+    f = partial(fam.psi, omega)
     panels = list(zip(edges, edges[1:]))
     first_pass = [_gauss_legendre(f, a, b) for a, b in panels]
     scale = max(math.fsum(abs(v) for v in first_pass), 1e-12)
@@ -121,72 +90,38 @@ def interval_mass(
     parts = []
     for (a, b), whole in zip(panels, first_pass):
         tol = quad.rel_tol * scale * (b - a) / width_total
-        parts.append(_refine(f, a, b, whole, tol, 0, quad.max_depth))
+        parts.append(_refine(f, a, b, whole, tol, 0))
     return max(0.0, math.fsum(parts))
 
 
-def expected_length(
-    model: DiscreteFamilyModel, theta: float, quad: QuadratureSpec
-) -> float:
-    """Outer pmf-weighted sum of the per-observation interval masses."""
-    upper = model.support_upper(theta)
-    return math.fsum(
-        model.pmf(w, theta) * interval_mass(model, w, quad) for w in range(upper + 1)
-    )
-
-
-def _el_values(model, theta_grid, quad):
-    """Expected lengths over a grid, reusing the theta-free inner masses."""
-    if not theta_grid:
-        return []
-    top = max(model.support_upper(theta) for theta in theta_grid)
-    masses = [interval_mass(model, w, quad) for w in range(top + 1)]
-    values = []
-    for theta in theta_grid:
-        upper = model.support_upper(theta)
-        values.append(
-            math.fsum(model.pmf(w, theta) * masses[w] for w in range(upper + 1))
-        )
-    return values
-
-
-def el_curve(
-    model: DiscreteFamilyModel,
-    make_reference_model: Callable[[float], DiscreteFamilyModel],
-    theta_grid: Sequence[float],
-    quad: QuadratureSpec,
-) -> ELCurve:
-    """Expected-length curve of one method next to the envelope curve.
-
-    ``make_reference_model(theta)`` must build the optimal family anchored
-    at theta; its expected length at theta is the envelope value there.
-    """
-    grid = [float(t) for t in theta_grid]
-    el = _el_values(model, grid, quad)
-    bound = [
-        expected_length(make_reference_model(theta), theta, quad) for theta in grid
+def _el_values(fam, thetas: list[float], quad: QuadratureSpec) -> list[float]:
+    """Expected lengths at each theta, reusing the theta-free inner masses."""
+    uppers = [fam.support_upper(theta) for theta in thetas]
+    masses = [interval_mass(fam, w, quad) for w in range(max(uppers, default=-1) + 1)]
+    return [
+        math.fsum(math.exp(fam.log_pmf(w, theta)) * masses[w] for w in range(upper + 1))
+        for theta, upper in zip(thetas, uppers)
     ]
-    return ELCurve(
-        theta_grid=tuple(grid),
-        el=tuple(el),
-        lower_bound=tuple(bound),
-        method_label=model.label,
-    )
+
+
+def expected_length(fam, theta: float, quad: QuadratureSpec) -> float:
+    """Outer pmf-weighted sum of the per-observation interval masses."""
+    return _el_values(fam, [theta], quad)[0]
+
+
+def el_curve(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> list[float]:
+    """Expected length of one method at each grid point."""
+    return _el_values(fam, [float(t) for t in theta_grid], quad)
 
 
 def lower_bound_curve(
-    make_reference_model: Callable[[float], DiscreteFamilyModel],
-    theta_grid: Sequence[float],
-    quad: QuadratureSpec,
-) -> ELCurve:
-    """Envelope curve alone: the method tuned to each grid point."""
-    grid = [float(t) for t in theta_grid]
-    bound = [
-        expected_length(make_reference_model(theta), theta, quad) for theta in grid
+    fam, theta_grid: Sequence[float], quad: QuadratureSpec
+) -> list[float]:
+    """Envelope at each grid point: the proposed family tuned to it.
+
+    Any family of the same sampling model serves, a comparison method too.
+    """
+    return [
+        expected_length(fam.reference(theta), theta, quad)
+        for theta in map(float, theta_grid)
     ]
-    return ELCurve(
-        theta_grid=tuple(grid),
-        el=tuple(bound),
-        lower_bound=tuple(bound),
-        method_label="lower_bound",
-    )

@@ -5,7 +5,7 @@ what is Poisson about it.  The branch thresholds come from the chi-square
 tail identity ``P[X <= i-1 | tau] = 1 - F_chisq(2 tau; 2 i)``: the
 membership for omega switches branches at half the chi-square quantiles.
 Sums over omega run over a truncated support whose omitted tail mass is
-certified below ``truncation_mass``.  The score (Wilson-type) interval is
+certified below ``TRUNCATION_MASS``.  The score (Wilson-type) interval is
 the crisp comparison method.
 """
 
@@ -15,14 +15,18 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .discrete import Crisp, Randomized
 from .specfun import chisq_quantile, pois_cdf, pois_log_pmf, two_sided_z
 
 __all__ = [
     "PoissonFamily",
     "ScoreInterval",
+    "TRUNCATION_MASS",
     "support_bound",
     "default_tau_max",
 ]
+
+TRUNCATION_MASS = 1e-12
 
 
 @lru_cache(maxsize=65536)
@@ -41,22 +45,50 @@ def _thresholds(gamma: float, omega: int):
     return below_zero, below_one, above_one, above_zero
 
 
-def support_bound(tau_max: float, truncation_mass: float = 1e-12) -> int:
-    """Smallest m with P[X <= m | tau_max] >= 1 - truncation_mass."""
+def support_bound(tau_max: float) -> int:
+    """Smallest m with P[X <= m | tau_max] >= 1 - TRUNCATION_MASS."""
     if not tau_max > 0.0:
         raise ValueError(f"tau_max must be positive, got {tau_max}")
+    if tau_max > 1e4:
+        # Sums run over about tau terms; larger means are out of range.
+        raise ValueError("support bound only implemented for tau_max <= 1e4")
     if tau_max > 700.0:
-        raise ValueError("support bound only implemented for tau_max <= 700")
+        return _support_bound_from_mode(tau_max)
     term = math.exp(-tau_max)
     total = term
     m = 0
-    target = 1.0 - truncation_mass
+    target = 1.0 - TRUNCATION_MASS
     while total < target:
         m += 1
         term *= tau_max / m
         total += term
-        if m > 100000:
-            raise ValueError("support bound did not close; tau_max too large?")
+    return m
+
+
+def _support_bound_from_mode(tau: float) -> int:
+    """:func:`support_bound` where exp(-tau) underflows.
+
+    Masses relative to the mode's stay representable.  Sum them out from
+    the mode to where they vanish, then drop upper-tail terms from the top
+    while their share stays within the truncation mass.
+    """
+    mode = math.floor(tau)
+    lower = [1.0]
+    for k in range(mode, 0, -1):
+        lower.append(lower[-1] * k / tau)
+        if lower[-1] < 1e-300:
+            break
+    upper = [tau / (mode + 1)]
+    while upper[-1] >= 1e-300:
+        upper.append(upper[-1] * tau / (mode + 1 + len(upper)))
+    m = mode + len(upper)
+    total = math.fsum(lower + upper)
+    tail = 0.0
+    for term in reversed(upper):
+        if (tail + term) / total > TRUNCATION_MASS:
+            break
+        tail += term
+        m -= 1
     return m
 
 
@@ -73,10 +105,6 @@ class _Poisson:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0.0 < self.truncation_mass <= 1e-6:
-            raise ValueError(
-                f"truncation_mass must lie in (0, 1e-6], got {self.truncation_mass}"
-            )
 
     def check(self, omega: int, tau: float):
         if omega < 0:
@@ -88,16 +116,18 @@ class _Poisson:
         return pois_log_pmf(omega, tau)
 
     def support_upper(self, tau: float) -> int:
-        return support_bound(tau, self.truncation_mass)
+        return support_bound(tau)
+
+    def reference(self, theta: float) -> "PoissonFamily":
+        return PoissonFamily(theta, self.gamma)
 
 
 @dataclass(frozen=True)
-class PoissonFamily(_Poisson):
-    """Reference point o > 0, confidence gamma, certified truncation mass."""
+class PoissonFamily(_Poisson, Randomized):
+    """Reference point o > 0, confidence gamma."""
 
     o: float
     gamma: float
-    truncation_mass: float = 1e-12
 
     def __post_init__(self):
         if not self.o > 0.0:
@@ -116,11 +146,10 @@ class PoissonFamily(_Poisson):
 
 
 @dataclass(frozen=True)
-class ScoreInterval(_Poisson):
+class ScoreInterval(_Poisson, Crisp):
     """The score interval as a crisp comparison membership."""
 
     gamma: float
-    truncation_mass: float = 1e-12
 
     def interval(self, omega: int) -> tuple[float, float]:
         """Endpoints of the score interval, intersected with (0, inf)."""

@@ -5,21 +5,18 @@ incomplete beta function and its inverse, chi-square CDF/quantile for even
 degrees of freedom, the standard normal CDF/quantile, and binomial/Poisson
 mass and distribution functions evaluated in log space.
 
-All functions are pure and reentrant.  Iterative solvers honour a
-:class:`Tolerance` and raise :class:`ConvergenceError` instead of returning
-an unconverged value.
+All functions are pure and reentrant.  The root solves meet the absolute
+residual ``_ABS_TOL`` within ``_MAX_ITER`` iterations or raise
+:class:`ConvergenceError` instead of returning an unconverged value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
-    "Tolerance",
     "ConvergenceError",
-    "QUANTILE_TOL",
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "chisq_cdf",
@@ -37,27 +34,12 @@ __all__ = [
 
 _EPS = 1e-15
 _FPMIN = 1e-300
+_ABS_TOL = 1e-10
+_MAX_ITER = 200
 
 
 class ConvergenceError(ArithmeticError):
     """An iterative solver exhausted its iteration budget."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute error bound and iteration budget for iterative solvers."""
-
-    abs_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be a positive integer")
-
-
-QUANTILE_TOL = Tolerance(abs_tol=1e-10, max_iter=200)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -140,21 +122,21 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _rtsafe(cdf, pdf, p, x, lo, hi, tol: Tolerance, failure: str) -> float:
+def _rtsafe(cdf, pdf, p, x, lo, hi, failure: str) -> float:
     """Solve ``cdf(x) = p`` for x in the bracket [lo, hi], starting at x.
 
     Newton steps on the increasing ``cdf`` with derivative ``pdf``, kept
     inside a bracket that every iterate narrows; a step that would leave it
     falls back to bisection (Numerical Recipes ``rtsafe``).  Converged means
-    the residual is within ``tol.abs_tol`` and the iteration has stalled in
+    the residual is within ``_ABS_TOL`` and the iteration has stalled in
     x: deep in a tail the CDF is nearly flat and the residual alone says
     little.  Raises :class:`ConvergenceError` with ``failure`` when the
     budget runs out.
     """
     step = math.inf
-    for _ in range(tol.max_iter):
+    for _ in range(_MAX_ITER):
         f = cdf(x) - p
-        if abs(f) <= tol.abs_tol and step <= 1e-12 * max(1.0, abs(x)):
+        if abs(f) <= _ABS_TOL and step <= 1e-12 * max(1.0, abs(x)):
             return x
         if f < 0.0:
             lo = x
@@ -188,12 +170,10 @@ def _beta_pdf(x: float, a: float, b: float) -> float:
     return math.exp(ln) if ln > -745.0 else 0.0
 
 
-def inv_reg_inc_beta(
-    p: float, a: float, b: float, tol: Tolerance = QUANTILE_TOL
-) -> float:
+def inv_reg_inc_beta(p: float, a: float, b: float) -> float:
     """Inverse of :func:`reg_inc_beta` in its first argument.
 
-    Returns x with ``|reg_inc_beta(x, a, b) - p| <= tol.abs_tol``, found by
+    Returns x with ``|reg_inc_beta(x, a, b) - p| <= _ABS_TOL``, found by
     safeguarded Newton steps from the mean.  Degenerate shapes follow the
     conventions ``inv(p, 0, b) = 0`` and ``inv(p, a, 0) = 1`` for p in (0, 1).
     """
@@ -214,7 +194,7 @@ def inv_reg_inc_beta(
     return _rtsafe(
         lambda x: reg_inc_beta(x, a, b),
         lambda x: _beta_pdf(x, a, b),
-        p, a / (a + b), 0.0, 1.0, tol,
+        p, a / (a + b), 0.0, 1.0,
         f"inverse incomplete beta failed for p={p}, a={a}, b={b}",
     )
 
@@ -272,7 +252,7 @@ def chisq_cdf(x: float, k: int) -> float:
     return _reg_lower_gamma(k / 2.0, x / 2.0)
 
 
-def chisq_quantile(p: float, k: int, tol: Tolerance = QUANTILE_TOL) -> float:
+def chisq_quantile(p: float, k: int) -> float:
     """Chi-square quantile: x with chisq_cdf(x, k) = p, for p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
@@ -291,7 +271,7 @@ def chisq_quantile(p: float, k: int, tol: Tolerance = QUANTILE_TOL) -> float:
         return math.exp(ln_pdf) if ln_pdf > -745.0 else 0.0
 
     return _rtsafe(
-        lambda x: chisq_cdf(x, k), pdf, p, float(k), lo, hi, tol,
+        lambda x: chisq_cdf(x, k), pdf, p, float(k), lo, hi,
         f"chi-square quantile failed for p={p}, k={k}",
     )
 
@@ -309,12 +289,12 @@ def normal_pdf(z: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
-def normal_quantile(p: float, tol: Tolerance = QUANTILE_TOL) -> float:
+def normal_quantile(p: float) -> float:
     """Standard normal quantile: z with normal_cdf(z) = p, for p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     return _rtsafe(
-        normal_cdf, normal_pdf, p, 0.0, -40.0, 40.0, tol,
+        normal_cdf, normal_pdf, p, 0.0, -40.0, 40.0,
         f"normal quantile failed for p={p}",
     )
 

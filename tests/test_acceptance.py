@@ -15,7 +15,7 @@ from oracles import feasible_optimum_oracle, oracle_el_nl, oracle_el_psi_o
 from fuzzyci import binomial, discrete, normal, poisson
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.knapsack import KnapsackInstance, solve_01_dp, solve_fractional, to_measure_problem
-from fuzzyci.length import QuadratureSpec, el_curve, interval_mass
+from fuzzyci.length import QuadratureSpec, el_curve, lower_bound_curve
 from fuzzyci.specfun import (
     binom_pmf,
     chisq_cdf,
@@ -65,7 +65,7 @@ def test_criterion_2_poisson_exact_coverage():
     worst = 0.0
     for gamma in (0.9, 0.95, 0.99):
         for o in (0.5, 3.8, 8.0):
-            fam = poisson.PoissonFamily(o, gamma, truncation_mass=1e-12)
+            fam = poisson.PoissonFamily(o, gamma)
             for tau in grid:
                 cov = discrete.coverage(tau, fam)
                 if tau == o:
@@ -96,7 +96,7 @@ def test_criterion_3_closed_forms_match_constructor():
         )
         worst_binom = max(
             worst_binom,
-            max(abs(discrete.psi_o(w, tau, fam) - res.psi[w]) for w in range(n + 1)),
+            max(abs(fam.psi(w, tau) - res.psi[w]) for w in range(n + 1)),
         )
     worst_pois = 0.0
     pairs = 0
@@ -114,7 +114,7 @@ def test_criterion_3_closed_forms_match_constructor():
         res = construct_psi_star(mu, nu, gamma)
         worst_pois = max(
             worst_pois,
-            max(abs(discrete.psi_o(w, tau, fam) - res.psi[w]) for w in ids),
+            max(abs(fam.psi(w, tau) - res.psi[w]) for w in ids),
         )
     report(
         "criterion 3 (closed form = generic constructor)",
@@ -233,24 +233,24 @@ def test_criterion_7_lower_bound_dominance_and_tangency():
     worst_tangency = 0.0
 
     # Binomial, n = 10, gamma = 0.95.
-    make_bin = lambda th: discrete.model(binomial.BinomialFamily(10, th, 0.95))
     for o in (0.1, 0.5, 0.9):
+        fam = binomial.BinomialFamily(10, o, 0.95)
         grid = sorted(set(np.linspace(0.05, 0.95, 37).tolist()) | {o})
-        curve = el_curve(discrete.model(binomial.BinomialFamily(10, o, 0.95)),
-                         make_bin, grid, unit)
-        for theta, el, bound in zip(curve.theta_grid, curve.el, curve.lower_bound):
+        curves = zip(grid, el_curve(fam, grid, unit), lower_bound_curve(fam, grid, unit))
+        for theta, el, bound in curves:
             worst_viol = max(worst_viol, bound - el)
             if theta == o:
                 worst_tangency = max(worst_tangency, abs(el - bound))
 
     # Poisson, gamma = 0.95.
-    make_pois = lambda th: discrete.model(poisson.PoissonFamily(th, 0.95))
     pquad = QuadratureSpec(1e-9, poisson.default_tau_max(12.0))
     for o in (0.5, 3.8, 8.0):
+        fam = poisson.PoissonFamily(o, 0.95)
         grid = sorted(set(np.linspace(0.3, 12.0, 17).tolist()) | {o})
-        curve = el_curve(discrete.model(poisson.PoissonFamily(o, 0.95)),
-                         make_pois, grid, pquad)
-        for theta, el, bound in zip(curve.theta_grid, curve.el, curve.lower_bound):
+        curves = zip(
+            grid, el_curve(fam, grid, pquad), lower_bound_curve(fam, grid, pquad)
+        )
+        for theta, el, bound in curves:
             worst_viol = max(worst_viol, bound - el)
             if theta == o:
                 worst_tangency = max(worst_tangency, abs(el - bound))
@@ -285,32 +285,32 @@ def test_criterion_8_qualitative_figure_shapes():
     for o in (0.2, 0.5, 0.8):
         fam = binomial.BinomialFamily(10, o, 0.95)
         for w in range(11):
-            vals = [discrete.psi_o(w, t, fam) for t in taus]
+            vals = [fam.psi(w, t) for t in taus]
             below = [v for t, v in zip(taus, vals) if t < o]
             above = [v for t, v in zip(taus, vals) if t > o]
             monotone_ok &= all(u <= v + 1e-12 for u, v in zip(below, below[1:]))
             monotone_ok &= all(u >= v - 1e-12 for u, v in zip(above, above[1:]))
         limit_ok &= (
-            max(discrete.psi_o(w, o - 1e-9, fam) for w in range(11)) >= 1.0 - 1e-6
+            max(fam.psi(w, o - 1e-9) for w in range(11)) >= 1.0 - 1e-6
         )
         limit_ok &= (
-            max(discrete.psi_o(w, o + 1e-9, fam) for w in range(11)) >= 1.0 - 1e-6
+            max(fam.psi(w, o + 1e-9) for w in range(11)) >= 1.0 - 1e-6
         )
 
     ptaus = [float(t) for t in np.linspace(0.05, 25.0, 199)]
     for o in (4.0, 8.0, 12.0):
         fam = poisson.PoissonFamily(o, 0.95)
         for w in range(26):
-            vals = [discrete.psi_o(w, t, fam) for t in ptaus]
+            vals = [fam.psi(w, t) for t in ptaus]
             below = [v for t, v in zip(ptaus, vals) if t < o]
             above = [v for t, v in zip(ptaus, vals) if t > o]
             monotone_ok &= all(u <= v + 1e-12 for u, v in zip(below, below[1:]))
             monotone_ok &= all(u >= v - 1e-12 for u, v in zip(above, above[1:]))
         limit_ok &= (
-            max(discrete.psi_o(w, o - 1e-9, fam) for w in range(30)) >= 1.0 - 1e-6
+            max(fam.psi(w, o - 1e-9) for w in range(30)) >= 1.0 - 1e-6
         )
         limit_ok &= (
-            max(discrete.psi_o(w, o + 1e-9, fam) for w in range(30)) >= 1.0 - 1e-6
+            max(fam.psi(w, o + 1e-9) for w in range(30)) >= 1.0 - 1e-6
         )
 
     fam = normal.NormalFamily(o=0.5, gamma=0.95, sigma=1.0, bounds=(0.0, 1.0))

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from fuzzyci.binomial import AgrestiCoull, BinomialFamily
 from fuzzyci.discrete import (
     coverage,
-    crisp_coverage,
-    crisp_membership,
     psi_lower,
-    psi_o,
-    tau_breakpoints,
 )
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.specfun import binom_pmf, inv_reg_inc_beta, normal_quantile
@@ -78,14 +74,14 @@ class TestPsiO:
         for o in (0.2, 0.5, 0.8):
             fam = BinomialFamily(10, o, 0.95)
             for w in range(11):
-                vals = [psi_o(w, float(t), fam) for t in taus]
+                vals = [fam.psi(w, float(t)) for t in taus]
                 below = [v for t, v in zip(taus, vals) if t < o]
                 above = [v for t, v in zip(taus, vals) if t > o]
                 assert all(u <= v + 1e-12 for u, v in zip(below, below[1:]))
                 assert all(u >= v - 1e-12 for u, v in zip(above, above[1:]))
             eps = 1e-9
-            assert max(psi_o(w, o - eps, fam) for w in range(11)) >= 1.0 - 1e-6
-            assert max(psi_o(w, o + eps, fam) for w in range(11)) >= 1.0 - 1e-6
+            assert max(fam.psi(w, o - eps) for w in range(11)) >= 1.0 - 1e-6
+            assert max(fam.psi(w, o + eps) for w in range(11)) >= 1.0 - 1e-6
 
     def test_matches_generic_constructor(self):
         rng = np.random.default_rng(314159)
@@ -102,7 +98,7 @@ class TestPsiO:
                 binomial_measure(n, float(tau)), binomial_measure(n, float(o)), gamma
             )
             for w in range(n + 1):
-                assert psi_o(w, float(tau), fam) == pytest.approx(
+                assert fam.psi(w, float(tau)) == pytest.approx(
                     res.psi[w], abs=1e-9
                 )
 
@@ -117,12 +113,12 @@ class TestPsiO:
     def test_membership_stays_in_unit_interval(self, n, o, gamma, tau, data):
         omega = data.draw(st.integers(0, n))
         fam = BinomialFamily(n, o, gamma)
-        value = psi_o(omega, tau, fam)
+        value = fam.psi(omega, tau)
         assert 0.0 <= value <= 1.0
 
     def test_breakpoints_cover_branch_edges(self):
         fam = BinomialFamily(10, 0.5, 0.95)
-        points = tau_breakpoints(3, fam)
+        points = fam.breakpoints(3)
         assert fam.o in points
         assert all(0.0 < p < 1.0 for p in points)
         assert points == tuple(sorted(points))
@@ -132,10 +128,10 @@ class TestAgrestiCoull:
     def test_center_is_inside(self):
         lo, hi = AgrestiCoull(10, 0.95).interval(5)
         center = 0.5 * (lo + hi)
-        assert crisp_membership(5, center, AgrestiCoull(10, 0.95)) == 1.0
+        assert AgrestiCoull(10, 0.95).psi(5, center) == 1.0
 
     def test_far_outside(self):
-        assert crisp_membership(10, 1e-9, AgrestiCoull(10, 0.95)) == 0.0
+        assert AgrestiCoull(10, 0.95).psi(10, 1e-9) == 0.0
 
     def test_endpoints_by_bisecting_the_indicator(self):
         # Locate the membership jump by bisection and compare with the
@@ -145,10 +141,10 @@ class TestAgrestiCoull:
         lo, hi = method.interval(w)
 
         def bisect_jump(a, b):
-            fa = crisp_membership(w, a, method)
+            fa = method.psi(w, a)
             for _ in range(60):
                 mid = 0.5 * (a + b)
-                if crisp_membership(w, mid, method) == fa:
+                if method.psi(w, mid) == fa:
                     a = mid
                 else:
                     b = mid
@@ -168,13 +164,13 @@ class TestAgrestiCoull:
 
     def test_coverage_oscillates_around_gamma(self):
         taus = np.linspace(0.05, 0.95, 181)
-        cov = [crisp_coverage(float(t), AgrestiCoull(10, 0.95)) for t in taus]
+        cov = [coverage(float(t), AgrestiCoull(10, 0.95)) for t in taus]
         assert min(cov) < 0.95 < max(cov)
 
 
 class TestOptimalityAtReferencePoint:
     def test_false_coverage_at_o_is_minimal(self):
-        # Among memberships meeting the coverage constraint at tau, psi_o
+        # Among memberships meeting the coverage constraint at tau, fam.psi
         # assigns the least mass to o-distributed data.  Restricted to taus
         # where the comparison interval actually covers at level gamma
         # (it under-covers elsewhere) and to tau != o.
@@ -187,11 +183,11 @@ class TestOptimalityAtReferencePoint:
                 t = float(t)
                 if t == o:
                     continue
-                if crisp_coverage(t, method) < gamma:
+                if coverage(t, method) < gamma:
                     continue
-                proposed = sum(p * psi_o(w, t, fam) for w, p in enumerate(pmf_o))
+                proposed = sum(p * fam.psi(w, t) for w, p in enumerate(pmf_o))
                 comparison = sum(
-                    p * crisp_membership(w, t, method)
+                    p * method.psi(w, t)
                     for w, p in enumerate(pmf_o)
                 )
                 assert proposed <= comparison + 1e-12

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from fuzzyci import binomial, discrete, poisson
+from fuzzyci import binomial, poisson
 from fuzzyci.cli import main, parse_grid, UsageError
 from fuzzyci.specfun import ConvergenceError
 
@@ -90,7 +90,7 @@ class TestMembershipCommand:
         fam = binomial.BinomialFamily(5, 0.3, 0.9)
         _, rows = parse_csv(out)
         for tau, omega, psi in rows:
-            assert psi == discrete.psi_o(int(omega), tau, fam)
+            assert psi == fam.psi(int(omega), tau)
 
     def test_poisson_score_method(self, capsys):
         status, out = run_cli(
@@ -102,9 +102,7 @@ class TestMembershipCommand:
         _, rows = parse_csv(out)
         assert len(rows) == 20 * 7
         for tau, omega, psi in rows:
-            assert psi == discrete.crisp_membership(
-                int(omega), tau, poisson.ScoreInterval(0.95)
-            )
+            assert psi == poisson.ScoreInterval(0.95).psi(int(omega), tau)
 
     def test_normal_requires_x_grid(self, capsys):
         # Negative grid endpoints need the --flag=value form.
@@ -250,14 +248,31 @@ class TestElCurveCommand:
             assert el >= bound - 1e-9
 
     def test_library_domain_error_maps_to_usage_exit(self, capsys):
-        # tau far beyond the supported Poisson range raises deep in the
-        # library; the CLI must turn it into the usage exit code.
+        # The quadrature spec rejects the tolerance inside the library; the
+        # CLI must turn that into the usage exit code.
         status, _ = run_cli(
             capsys,
-            "coverage", "--family", "poisson", "--gamma", "0.95",
-            "--o", "5", "--tau-grid", "800:900:2",
+            "el-curve", "--family", "binomial", "--n", "10", "--gamma", "0.95",
+            "--o", "0.5", "--theta-grid", "0.2:0.8:3", "--rel-tol", "1e-3",
         )
         assert status == 2
+
+    @pytest.mark.parametrize(
+        "command, header",
+        [
+            (("el-curve", "--method", "score"), "theta,el,lower_bound\n"),
+            (("lower-bound",), "theta,lower_bound\n"),
+        ],
+        ids=["el-curve", "lower-bound"],
+    )
+    def test_poisson_empty_theta_grid_gives_header_only(self, capsys, command, header):
+        # No --o: the integration range would come from the empty grid alone.
+        status, out = run_cli(
+            capsys,
+            *command, "--family", "poisson", "--gamma", "0.9", "--theta-grid", "0:1:0",
+        )
+        assert status == 0
+        assert out == header
 
     def test_lower_bound_command(self, capsys):
         status, out = run_cli(

@@ -3,7 +3,7 @@
 import pytest
 
 from fuzzyci import binomial, poisson
-from fuzzyci.discrete import coverage, model
+from fuzzyci.discrete import coverage
 
 
 @pytest.mark.parametrize(
@@ -30,15 +30,13 @@ def test_families_differing_only_in_o_share_threshold_cache(module, first, secon
     for tau in taus:
         coverage(tau, first)
     top = first.support_upper(max(taus))
-    first_model = model(first)
     for w in range(top + 1):
-        first_model.breakpoints(w)
+        first.breakpoints(w)
     before = module._thresholds.cache_info()
     for tau in taus:
         coverage(tau, second)
-    second_model = model(second)
     for w in range(top + 1):
-        second_model.breakpoints(w)
+        second.breakpoints(w)
     after = module._thresholds.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits

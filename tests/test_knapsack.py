@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ class TestToMeasureProblem:
             x = solve_fractional(inst).x
             for xi, pi in zip(x, res.psi):
                 assert xi == pytest.approx(1.0 - pi, abs=1e-10)
+
+    def test_round_trip_4000_items_small_capacity(self):
+        # gamma - mass_a over thousands of items, divided by one small tie mass:
+        # a running sum of mass_a drifted past 1e-10 here.
+        rng = random.Random(4000)
+        items = [(rng.randint(1, 10), rng.uniform(0.1, 10.0)) for _ in range(4000)]
+        inst = KnapsackInstance(
+            tuple(float(w) for w, _ in items), tuple(v for _, v in items), 220.0
+        )
+        mu, nu, gamma = to_measure_problem(inst)
+        res = construct_psi_star(mu, nu, gamma)
+        x = solve_fractional(inst).x
+        assert max(abs(xi - (1.0 - pi)) for xi, pi in zip(x, res.psi)) <= 1e-10
 
     def test_domain_errors(self):
         inst = KnapsackInstance((1.0, 2.0), (1.0, 1.0), 3.0)

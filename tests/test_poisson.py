@@ -10,18 +10,14 @@ from hypothesis import strategies as st
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.discrete import (
     coverage,
-    crisp_coverage,
-    crisp_membership,
     psi_lower,
-    psi_o,
-    tau_breakpoints,
 )
-from fuzzyci.poisson import PoissonFamily, ScoreInterval, support_bound
+from fuzzyci.poisson import TRUNCATION_MASS, PoissonFamily, ScoreInterval, support_bound
 from fuzzyci.specfun import chisq_quantile, normal_quantile, pois_cdf, pois_pmf
 
 
-def poisson_measures(tau, o, truncation_mass=1e-12):
-    m = max(support_bound(tau, truncation_mass), support_bound(o, truncation_mass))
+def poisson_measures(tau, o):
+    m = max(support_bound(tau), support_bound(o))
     ids = tuple(range(m + 1))
     mu = DiscreteMeasure.from_weights(ids, [pois_pmf(w, tau) for w in ids])
     nu = DiscreteMeasure.from_weights(ids, [pois_pmf(w, o) for w in ids])
@@ -75,8 +71,14 @@ class TestPsiO:
                     if abs(tau - o) < 1e-9:
                         continue
                     assert coverage(tau, fam) == pytest.approx(
-                        gamma, abs=1e-8 + fam.truncation_mass
+                        gamma, abs=1e-8 + TRUNCATION_MASS
                     )
+
+    def test_exact_coverage_above_mean_700(self):
+        # exp(-tau) underflows here; the support bound works from the mode.
+        fam = PoissonFamily(800.0, 0.95)
+        for tau in (760.0, 840.0):
+            assert coverage(tau, fam) == pytest.approx(0.95, abs=1e-8 + TRUNCATION_MASS)
 
     def test_coverage_at_o_is_at_least_gamma(self):
         for o in (0.5, 3.8, 8.0):
@@ -88,14 +90,14 @@ class TestPsiO:
         for o in (4.0, 8.0, 12.0):
             fam = PoissonFamily(o, 0.95)
             for w in range(0, 26):
-                vals = [psi_o(w, float(t), fam) for t in taus]
+                vals = [fam.psi(w, float(t)) for t in taus]
                 below = [v for t, v in zip(taus, vals) if t < o]
                 above = [v for t, v in zip(taus, vals) if t > o]
                 assert all(u <= v + 1e-12 for u, v in zip(below, below[1:]))
                 assert all(u >= v - 1e-12 for u, v in zip(above, above[1:]))
             eps = 1e-9
-            assert max(psi_o(w, o - eps, fam) for w in range(30)) >= 1.0 - 1e-6
-            assert max(psi_o(w, o + eps, fam) for w in range(30)) >= 1.0 - 1e-6
+            assert max(fam.psi(w, o - eps) for w in range(30)) >= 1.0 - 1e-6
+            assert max(fam.psi(w, o + eps) for w in range(30)) >= 1.0 - 1e-6
 
     def test_matches_generic_constructor(self):
         rng = np.random.default_rng(271828)
@@ -109,7 +111,7 @@ class TestPsiO:
             mu, nu = poisson_measures(tau, o)
             res = construct_psi_star(mu, nu, gamma)
             for w in range(len(res.support)):
-                assert psi_o(w, tau, fam) == pytest.approx(res.psi[w], abs=1e-8)
+                assert fam.psi(w, tau) == pytest.approx(res.psi[w], abs=1e-8)
 
     @given(
         o=st.floats(0.05, 30.0),
@@ -120,7 +122,7 @@ class TestPsiO:
     @settings(max_examples=300, deadline=None)
     def test_membership_stays_in_unit_interval(self, o, gamma, tau, omega):
         fam = PoissonFamily(o, gamma)
-        value = psi_o(omega, tau, fam)
+        value = fam.psi(omega, tau)
         assert 0.0 <= value <= 1.0
 
     def test_threshold_monotone_in_omega(self):
@@ -132,7 +134,7 @@ class TestPsiO:
 
     def test_breakpoints(self):
         fam = PoissonFamily(8.0, 0.95)
-        points = tau_breakpoints(3, fam)
+        points = fam.breakpoints(3)
         assert fam.o in points
         assert points == tuple(sorted(points))
         assert all(p > 0.0 for p in points)
@@ -140,12 +142,12 @@ class TestPsiO:
 
 class TestScoreMembership:
     def test_small_tau_with_zero_count(self):
-        assert crisp_membership(0, 1e-9, ScoreInterval(0.95)) == 1.0
+        assert ScoreInterval(0.95).psi(0, 1e-9) == 1.0
 
     def test_center_inside(self):
         z = normal_quantile(0.975)
         center = 4 + z * z / 2
-        assert crisp_membership(4, center, ScoreInterval(0.95)) == 1.0
+        assert ScoreInterval(0.95).psi(4, center) == 1.0
 
     def test_endpoints_direct_formula(self):
         z = normal_quantile(0.975)
@@ -155,21 +157,32 @@ class TestScoreMembership:
 
     def test_coverage_oscillates(self):
         method = ScoreInterval(0.95)
-        cov = [crisp_coverage(float(t), method) for t in np.linspace(0.2, 15.0, 120)]
+        cov = [coverage(float(t), method) for t in np.linspace(0.2, 15.0, 120)]
         assert min(cov) < 0.95 < max(cov)
 
 
 class TestSupportBound:
     def test_certifies_tail(self):
         for tau in (0.5, 3.8, 8.0, 50.0):
-            m = support_bound(tau, 1e-12)
+            m = support_bound(tau)
             assert pois_cdf(m, tau) >= 1.0 - 1e-12
             if m > 0:
                 assert pois_cdf(m - 1, tau) < 1.0 - 1e-12
 
+    def test_certifies_tail_above_mean_700(self):
+        # Upper tails summed term by term: 1 - pois_cdf cancels at 1e-12.
+        def tail(m, tau):
+            return math.fsum(pois_pmf(k, tau) for k in range(m + 1, m + 2000))
+
+        for tau in (700.5, 800.0, 1000.0):
+            m = support_bound(tau)
+            assert tail(m, tau) <= TRUNCATION_MASS < tail(m - 1, tau)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             support_bound(0.0)
+        with pytest.raises(ValueError):
+            support_bound(math.inf)
 
 
 class TestFamilyValidation:
@@ -178,5 +191,3 @@ class TestFamilyValidation:
             PoissonFamily(0.0, 0.95)
         with pytest.raises(ValueError):
             PoissonFamily(1.0, 1.5)
-        with pytest.raises(ValueError):
-            PoissonFamily(1.0, 0.95, truncation_mass=1e-3)

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from oracles import binom_cdf
 
+from fuzzyci import specfun
 from fuzzyci.specfun import (
     ConvergenceError,
-    Tolerance,
     binom_pmf,
     chisq_cdf,
     chisq_quantile,
@@ -150,10 +150,10 @@ class TestInvRegIncBeta:
                         continue
                     assert inv_reg_inc_beta(p, a, b) == pytest.approx(x, abs=1e-9)
 
-    def test_reports_nonconvergence(self):
-        strict = Tolerance(abs_tol=1e-10, max_iter=2)
+    def test_reports_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_ITER", 2)
         with pytest.raises(ConvergenceError):
-            inv_reg_inc_beta(0.731, 7.3, 11.9, tol=strict)
+            inv_reg_inc_beta(0.731, 7.3, 11.9)
 
 
 class TestChiSquare:
