@@ -2,7 +2,8 @@
 
 The membership is built by :mod:`fuzzyci.discrete`; this module supplies
 what is binomial about it.  Both tail masses are regularized incomplete
-betas, and the branch thresholds are the matching inverse beta quantiles.
+betas (upper tails, summed from the top over a mass column), and the branch
+thresholds are the matching inverse beta quantiles.
 The Agresti-Coull interval is the crisp comparison method.
 """
 
@@ -12,8 +13,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .discrete import Crisp, Randomized
-from .specfun import binom_log_pmf, inv_reg_inc_beta, reg_inc_beta, two_sided_z
+from .specfun import (
+    binom_log_pmf,
+    binom_log_pmf_column,
+    inv_reg_inc_beta,
+    reg_inc_beta,
+    two_sided_z,
+)
 
 __all__ = ["BinomialFamily", "AgrestiCoull"]
 
@@ -54,6 +63,9 @@ class _Binomial:
     def log_pmf(self, omega: int, tau: float) -> float:
         return binom_log_pmf(omega, self.n, tau)
 
+    def log_pmf_column(self, tau: float) -> np.ndarray:
+        return binom_log_pmf_column(self.n, tau)
+
     def support_upper(self, tau: float) -> int:
         return self.n
 
@@ -85,6 +97,12 @@ class BinomialFamily(_Binomial, Randomized):
         # gamma - P[X > omega], with P[X >= omega + 1] from the beta.
         return self.gamma - reg_inc_beta(tau, omega + 1, self.n - omega)
 
+    def slack_columns(self, p: np.ndarray):
+        # Upper tails P[X >= omega], as the betas give them; the forward
+        # CDF cancels below o (6e-11 in psi).
+        upper = np.cumsum(p[::-1])[::-1]
+        return self.gamma - 1.0 + upper, self.gamma - np.append(upper[1:], 0.0)
+
 
 @dataclass(frozen=True)
 class AgrestiCoull(_Binomial, Crisp):
@@ -93,10 +111,10 @@ class AgrestiCoull(_Binomial, Crisp):
     n: int
     gamma: float
 
-    def interval(self, omega: int) -> tuple[float, float]:
-        """Endpoints of the Agresti-Coull interval, clipped to (0, 1)."""
+    def endpoints(self, omega, sqrt=math.sqrt):
+        """Endpoints of the Agresti-Coull interval, before clipping."""
         z = two_sided_z(self.gamma)
         n_tilde = self.n + z * z
         p_tilde = (omega + 0.5 * z * z) / n_tilde
-        half = z * math.sqrt(p_tilde * (1.0 - p_tilde) / n_tilde)
-        return max(0.0, p_tilde - half), min(1.0, p_tilde + half)
+        half = z * sqrt(p_tilde * (1.0 - p_tilde) / n_tilde)
+        return p_tilde - half, p_tilde + half

@@ -11,7 +11,14 @@ after observing omega is
 and the larger of the two at tau = o.  Per omega, each side has two
 thresholds on the tau axis where the membership leaves 0 and reaches 1;
 they come from quantiles of the family's conjugate distribution and short-
-circuit the clamped regions, so the ratio is evaluated only between them.
+circuit the clamped regions of the scalar ``psi``, so the ratio is evaluated
+only between them.  The thresholds serve only ``psi`` and ``breakpoints``.
+
+Coverage at tau needs the whole column omega = 0, 1, ... at once, and there
+the numerators are partial sums of the same mass column p (Geyer & Meeden's
+clamp form): psi * p = clip(gamma - 1 + P[X >= omega], 0, p) below o and
+clip(gamma - 1 + P[X <= omega], 0, p) above o.  One pmf column and one
+cumulative sum per tau replace the root solves and special functions.
 
 Every family object, proposed or crisp, offers the protocol the coverage
 sums and the expected-length engine (:mod:`fuzzyci.length`) use:
@@ -21,26 +28,35 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
   inside the domain;
 - ``log_pmf(omega, tau)``, the log mass function, and ``support_upper(tau)``,
   the last omega a sum at tau needs;
+- ``log_pmf_column(tau)``: ``log_pmf`` at omega = 0..support_upper(tau), as
+  an array;
+- ``psi_column(tau, p)``: ``psi`` at the same omegas, given the mass column
+  ``p``, without domain checks;
 - ``reference(theta)``: the proposed family anchored at o = theta, whose
   expected length at theta is the envelope value there.
 
-:class:`Randomized` builds ``psi`` and ``breakpoints`` of a proposed family
-from what differs between the families:
+:class:`Randomized` builds ``psi``, ``psi_column`` and ``breakpoints`` of a
+proposed family from what differs between the families:
 
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
 - ``thresholds(omega)``: ``(below_zero, below_one, above_one, above_zero)``,
   cached on the parameters other than o;
 - ``slack_below(omega, tau)`` and ``slack_above(omega, tau)``: the two
-  numerators above, each from whichever tail the family computes accurately.
+  numerators above, each from whichever tail the family computes accurately;
+- ``slack_columns(p)``: both numerators over a mass column, each from the
+  partial sums of the tail its scalar counterpart uses.
 
 :class:`Crisp` builds them for a comparison method from ``check`` and
-``interval(omega)``, the endpoints of its interval.
+``endpoints(omega, sqrt)``, the endpoints of its interval written so that
+omega may be an array when ``sqrt`` is ``numpy.sqrt``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = ["Randomized", "Crisp", "psi_lower", "coverage"]
 
@@ -94,6 +110,22 @@ class Randomized:
             return _psi_above(omega, tau, self)
         return max(_psi_below(omega, tau, self), _psi_above(omega, tau, self))
 
+    def psi_column(self, tau: float, p: np.ndarray) -> np.ndarray:
+        """Clamp form of ``psi(omega, tau)`` over the mass column p at tau.
+
+        Where p underflows to 0 the membership is its limit: 1 where the
+        slack is positive, else 0.
+        """
+        below, above = self.slack_columns(p)
+        if tau < self.o:
+            slack = below
+        elif tau > self.o:
+            slack = above
+        else:
+            slack = np.maximum(below, above)
+        with np.errstate(all="ignore"):
+            return np.where(slack > 0.0, np.minimum(1.0, slack / p), 0.0)
+
     def breakpoints(self, omega: int) -> tuple[float, ...]:
         points = set(self.thresholds(omega))
         points.add(self.o)
@@ -101,21 +133,32 @@ class Randomized:
 
 
 class Crisp:
-    """The indicator membership of a comparison method's interval."""
+    """The indicator membership of a comparison method's interval.
+
+    Inside the parameter space (0, tau_upper), comparing tau with the raw
+    endpoints gives the same answer as comparing it with :meth:`interval`.
+    """
+
+    def interval(self, omega: int) -> tuple[float, float]:
+        """Endpoints of the interval, clipped to the parameter space."""
+        lo, hi = self.endpoints(omega)
+        return max(0.0, lo), min(self.tau_upper, hi)
 
     def psi(self, omega: int, tau: float) -> float:
         self.check(omega, tau)
-        lo, hi = self.interval(omega)
+        lo, hi = self.endpoints(omega)
         return 1.0 if lo <= tau <= hi else 0.0
 
+    def psi_column(self, tau: float, p: np.ndarray) -> np.ndarray:
+        lo, hi = self.endpoints(np.arange(len(p)), np.sqrt)
+        return ((lo <= tau) & (tau <= hi)).astype(float)
+
     def breakpoints(self, omega: int) -> tuple[float, ...]:
-        return tuple(p for p in self.interval(omega) if 0.0 < p < self.tau_upper)
+        return tuple(p for p in self.endpoints(omega) if 0.0 < p < self.tau_upper)
 
 
 def coverage(tau: float, fam) -> float:
     """Probability mass the membership assigns to the truth at tau."""
     fam.check(0, tau)  # omega = 0 lies in every support
-    return math.fsum(
-        math.exp(fam.log_pmf(w, tau)) * fam.psi(w, tau)
-        for w in range(fam.support_upper(tau) + 1)
-    )
+    p = np.exp(fam.log_pmf_column(tau))
+    return math.fsum((p * fam.psi_column(tau, p)).tolist())

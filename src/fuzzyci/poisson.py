@@ -15,8 +15,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .discrete import Crisp, Randomized
-from .specfun import chisq_quantile, pois_cdf, pois_log_pmf, two_sided_z
+from .specfun import (
+    chisq_quantile,
+    pois_cdf,
+    pois_log_pmf,
+    pois_log_pmf_column,
+    two_sided_z,
+)
 
 __all__ = [
     "PoissonFamily",
@@ -115,6 +123,9 @@ class _Poisson:
     def log_pmf(self, omega: int, tau: float) -> float:
         return pois_log_pmf(omega, tau)
 
+    def log_pmf_column(self, tau: float) -> np.ndarray:
+        return pois_log_pmf_column(self.support_upper(tau), tau)
+
     def support_upper(self, tau: float) -> int:
         return support_bound(tau)
 
@@ -144,6 +155,12 @@ class PoissonFamily(_Poisson, Randomized):
         # gamma - P[X > omega], through the CDF P[X <= omega].
         return self.gamma - 1.0 + pois_cdf(omega, tau)
 
+    def slack_columns(self, p: np.ndarray):
+        # The CDF P[X <= omega], as pois_cdf gives it; summing the upper
+        # tail from the top of the truncated support would miss its mass.
+        cdf = np.cumsum(p)
+        return self.gamma - np.append(0.0, cdf[:-1]), self.gamma - 1.0 + cdf
+
 
 @dataclass(frozen=True)
 class ScoreInterval(_Poisson, Crisp):
@@ -151,9 +168,9 @@ class ScoreInterval(_Poisson, Crisp):
 
     gamma: float
 
-    def interval(self, omega: int) -> tuple[float, float]:
-        """Endpoints of the score interval, intersected with (0, inf)."""
+    def endpoints(self, omega, sqrt=math.sqrt):
+        """Endpoints of the score interval, before clipping."""
         z = two_sided_z(self.gamma)
         center = omega + 0.5 * z * z
-        half = z * math.sqrt(omega + 0.25 * z * z)
-        return max(0.0, center - half), center + half
+        half = z * sqrt(omega + 0.25 * z * z)
+        return center - half, center + half

@@ -3,7 +3,8 @@
 Everything the distribution families need lives here: the regularized
 incomplete beta function and its inverse, chi-square CDF/quantile for even
 degrees of freedom, the standard normal CDF/quantile, and binomial/Poisson
-mass and distribution functions evaluated in log space.
+mass and distribution functions evaluated in log space, per point or as a
+whole column over the support.
 
 All functions are pure and reentrant.  The root solves meet the absolute
 residual ``_ABS_TOL`` within ``_MAX_ITER`` iterations or raise
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "ConvergenceError",
     "reg_inc_beta",
@@ -25,9 +28,12 @@ __all__ = [
     "normal_pdf",
     "normal_quantile",
     "two_sided_z",
+    "log_factorials",
     "binom_log_pmf",
+    "binom_log_pmf_column",
     "binom_pmf",
     "pois_log_pmf",
+    "pois_log_pmf_column",
     "pois_pmf",
     "pois_cdf",
 ]
@@ -205,12 +211,14 @@ def _reg_lower_gamma(s: float, x: float) -> float:
         raise ValueError("requires x >= 0 and s > 0")
     if x == 0.0:
         return 0.0
+    # Near x = s both expansions need about sqrt(70 s) terms.
+    budget = 500 + int(10.0 * math.sqrt(s))
     if x < s + 1.0:
         # Power series around zero.
         ap = s
         summed = 1.0 / s
         term = summed
-        for _ in range(500):
+        for _ in range(budget):
             ap += 1.0
             term *= x / ap
             summed += term
@@ -223,7 +231,7 @@ def _reg_lower_gamma(s: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b_
     h = d
-    for i in range(1, 500):
+    for i in range(1, budget):
         an = -i * (i - s)
         b_ += 2.0
         d = an * d + b_
@@ -305,6 +313,26 @@ def two_sided_z(gamma: float) -> float:
     return normal_quantile(0.5 * (1.0 + gamma))
 
 
+_log_factorial_table = np.empty(0)  # grown by log_factorials
+
+
+def log_factorials(m: int) -> np.ndarray:
+    """Read-only array of log(k!) for k = 0..m.
+
+    Each entry is ``math.lgamma(k + 1)``, the value the scalar mass
+    functions use, so the columns below match them bit for bit; a running
+    sum of logs drifts (9e-12 at m = 1000).  One table serves every m and
+    at least doubles whenever a caller needs more of it.
+    """
+    global _log_factorial_table
+    size = len(_log_factorial_table)
+    if m >= size:
+        grown = [math.lgamma(k + 1) for k in range(size, max(m + 1, 2 * size))]
+        _log_factorial_table = np.concatenate((_log_factorial_table, grown))
+        _log_factorial_table.flags.writeable = False
+    return _log_factorial_table[: m + 1]
+
+
 def binom_log_pmf(omega: int, n: int, tau: float) -> float:
     """Log of the binomial mass function at omega for n trials, success tau."""
     if n < 1:
@@ -319,6 +347,17 @@ def binom_log_pmf(omega: int, n: int, tau: float) -> float:
     return ln_choose + omega * math.log(tau) + (n - omega) * math.log1p(-tau)
 
 
+def binom_log_pmf_column(n: int, tau: float) -> np.ndarray:
+    """:func:`binom_log_pmf` at omega = 0..n, same expression and order.
+
+    The caller checks the domain.
+    """
+    omega = np.arange(n + 1)
+    log_fact = log_factorials(n)
+    ln_choose = log_fact[n] - log_fact - log_fact[::-1]
+    return ln_choose + omega * math.log(tau) + (n - omega) * math.log1p(-tau)
+
+
 def binom_pmf(omega: int, n: int, tau: float) -> float:
     return math.exp(binom_log_pmf(omega, n, tau))
 
@@ -330,6 +369,14 @@ def pois_log_pmf(omega: int, tau: float) -> float:
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     return -tau + omega * math.log(tau) - math.lgamma(omega + 1)
+
+
+def pois_log_pmf_column(m: int, tau: float) -> np.ndarray:
+    """:func:`pois_log_pmf` at omega = 0..m, same expression and order.
+
+    The caller checks the domain.
+    """
+    return -tau + np.arange(m + 1) * math.log(tau) - log_factorials(m)
 
 
 def pois_pmf(omega: int, tau: float) -> float:

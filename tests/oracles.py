@@ -4,8 +4,8 @@ These deliberately avoid the library's own integration and closed-form
 code paths: plain Gauss-Legendre panels for normal expectations (with the
 interval length taken straight from the interval endpoints), midpoint
 Riemann sums for memberships over the parameter axis, a greedy fill for
-the optimal-membership linear program, and the binomial CDF by direct
-summation.
+the optimal-membership linear program, the binomial CDF by direct
+summation, and coverage as a sum of scalar memberships.
 """
 
 import math
@@ -136,3 +136,15 @@ def binom_cdf(omega, n, tau):
     if omega <= n // 2:
         return math.fsum(binom_pmf(i, n, tau) for i in range(0, omega + 1))
     return 1.0 - math.fsum(binom_pmf(i, n, tau) for i in range(omega + 1, n + 1))
+
+
+def scalar_coverage(tau, fam):
+    """Coverage at tau summed from the scalar ``log_pmf`` and ``psi``.
+
+    The threshold-and-special-function route, independent of the clamp-form
+    columns behind ``discrete.coverage``.
+    """
+    return math.fsum(
+        math.exp(fam.log_pmf(w, tau)) * fam.psi(w, tau)
+        for w in range(fam.support_upper(tau) + 1)
+    )

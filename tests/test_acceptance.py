@@ -10,7 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import feasible_optimum_oracle, oracle_el_nl, oracle_el_psi_o
+from oracles import (
+    feasible_optimum_oracle,
+    oracle_el_nl,
+    oracle_el_psi_o,
+    scalar_coverage,
+)
 
 from fuzzyci import binomial, discrete, normal, poisson
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
@@ -41,12 +46,16 @@ def binomial_measure(n, theta):
 def test_criterion_1_binomial_exact_coverage():
     grid = [k / 1000.0 for k in range(1, 1000)]
     worst = 0.0
+    worst_oracle = 0.0
     for n in (5, 10, 25):
         for gamma in (0.9, 0.95, 0.99):
             for o in (0.1, 0.5, 0.9):
                 fam = binomial.BinomialFamily(n, o, gamma)
                 for tau in grid:
                     cov = discrete.coverage(tau, fam)
+                    worst_oracle = max(
+                        worst_oracle, abs(cov - scalar_coverage(tau, fam))
+                    )
                     if tau == o:
                         # The max convention keeps coverage at or above
                         # gamma at the reference point itself.
@@ -55,27 +64,78 @@ def test_criterion_1_binomial_exact_coverage():
                     worst = max(worst, abs(cov - gamma))
     report(
         "criterion 1 (binomial exact coverage)",
-        worst < 1e-8,
-        f"max |coverage - gamma| = {worst:.3g} over 27 settings x 999 taus",
+        worst < 1e-8 and worst_oracle <= 1e-11,
+        f"max |coverage - gamma| = {worst:.3g} over 27 settings x 999 taus, "
+        f"max |coverage - scalar sum| = {worst_oracle:.3g} (tol 1e-11)",
+    )
+
+
+def test_criterion_1_large_n_binomial_exact_coverage():
+    grid = [k / 1000.0 for k in range(1, 1000)]
+    worst = 0.0
+    for n in (1000, 5000):
+        for gamma in (0.9, 0.99):
+            fam = binomial.BinomialFamily(n, 0.3, gamma)
+            for tau in grid:
+                cov = discrete.coverage(tau, fam)
+                if tau == fam.o:
+                    assert cov >= gamma - 1e-12
+                    continue
+                worst = max(worst, abs(cov - gamma))
+    # The scalar sum pays O(n) root solves per (n, gamma): a few taus only.
+    fam = binomial.BinomialFamily(1000, 0.3, 0.95)
+    worst_oracle = max(
+        abs(discrete.coverage(tau, fam) - scalar_coverage(tau, fam))
+        for tau in (0.25, 0.3, 0.35)
+    )
+    report(
+        "criterion 1 (binomial exact coverage, large n)",
+        worst < 1e-8 and worst_oracle <= 1e-11,
+        f"max |coverage - gamma| = {worst:.3g} over n in (1000, 5000) x 2 gammas "
+        f"x 999 taus, max |coverage - scalar sum| = {worst_oracle:.3g} "
+        "(tol 1e-11) at n = 1000",
     )
 
 
 def test_criterion_2_poisson_exact_coverage():
     grid = [float(t) for t in np.linspace(0.02, 20.0, 999)]
     worst = 0.0
+    worst_oracle = 0.0
     for gamma in (0.9, 0.95, 0.99):
         for o in (0.5, 3.8, 8.0):
             fam = poisson.PoissonFamily(o, gamma)
             for tau in grid:
                 cov = discrete.coverage(tau, fam)
+                worst_oracle = max(worst_oracle, abs(cov - scalar_coverage(tau, fam)))
                 if tau == o:
                     assert cov >= gamma - 1e-12
                     continue
                 worst = max(worst, abs(cov - gamma))
     report(
         "criterion 2 (poisson exact coverage)",
+        worst < 1e-8 + 1e-12 and worst_oracle <= 1e-11,
+        f"max |coverage - gamma| = {worst:.3g} over 9 settings x 999 taus, "
+        f"max |coverage - scalar sum| = {worst_oracle:.3g} (tol 1e-11)",
+    )
+
+
+def test_criterion_2_large_mean_poisson_exact_coverage():
+    worst = 0.0
+    for o in (2000.0, 1e4):
+        fam = poisson.PoissonFamily(o, 0.95)
+        # Six standard deviations either side; support sums stop at 1e4.
+        spread = 6.0 * math.sqrt(o)
+        grid = np.linspace(o - spread, min(o + spread, 1e4), 199).tolist()
+        for tau in grid:
+            cov = discrete.coverage(tau, fam)
+            if tau == o:
+                assert cov >= 0.95 - 1e-12
+                continue
+            worst = max(worst, abs(cov - 0.95))
+    report(
+        "criterion 2 (poisson exact coverage, large mean)",
         worst < 1e-8 + 1e-12,
-        f"max |coverage - gamma| = {worst:.3g} over 9 settings x 999 taus",
+        f"max |coverage - gamma| = {worst:.3g} over o in (2000, 1e4) x 199 taus",
     )
 
 

@@ -176,6 +176,17 @@ class TestCoverageCommand:
         for _, cov in rows:
             assert cov == pytest.approx(0.9, abs=1e-8 + 1e-12)
 
+    def test_poisson_coverage_at_mean_5000(self, capsys):
+        status, out = run_cli(
+            capsys,
+            "coverage", "--family", "poisson", "--gamma", "0.95",
+            "--o", "5000", "--tau-grid", "4900:4900:1",
+        )
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 1
+        assert rows[0][1] == pytest.approx(0.95, abs=1e-10)
+
     def test_bounded_normal_rejects_tau_outside_bounds(self, capsys):
         argv = (
             "coverage", "--family", "normal", "--gamma", "0.95", "--o", "0.5",

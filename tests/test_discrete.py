@@ -1,9 +1,17 @@
 """Tests for the membership kernel shared by the discrete families."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import scalar_coverage
 
 from fuzzyci import binomial, poisson
 from fuzzyci.discrete import coverage
+from fuzzyci.specfun import log_factorials
 
 
 @pytest.mark.parametrize(
@@ -27,16 +35,145 @@ from fuzzyci.discrete import coverage
 def test_families_differing_only_in_o_share_threshold_cache(module, first, second, taus):
     # The envelope builds one reference family per theta; its cost rests on
     # the thresholds being keyed on everything but o.
-    for tau in taus:
-        coverage(tau, first)
     top = first.support_upper(max(taus))
+    for tau in taus:
+        for w in range(top + 1):
+            first.psi(w, tau)
     for w in range(top + 1):
         first.breakpoints(w)
     before = module._thresholds.cache_info()
     for tau in taus:
-        coverage(tau, second)
+        for w in range(top + 1):
+            second.psi(w, tau)
     for w in range(top + 1):
         second.breakpoints(w)
     after = module._thresholds.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
+
+
+def test_coverage_leaves_threshold_caches_untouched():
+    # A gamma no other test uses: any lookup would be a miss.
+    gamma = 0.9182736
+    families = (
+        binomial.BinomialFamily(40, 0.4, gamma),
+        poisson.PoissonFamily(6.0, gamma),
+    )
+    before = [m._thresholds.cache_info() for m in (binomial, poisson)]
+    for fam in families:
+        for tau in (0.2, fam.o, 0.7 if fam.tau_upper == 1.0 else 11.0):
+            assert 0.0 < coverage(tau, fam) < 1.0
+    assert [m._thresholds.cache_info() for m in (binomial, poisson)] == before
+
+
+def test_log_factorials_are_lgamma_values():
+    table = log_factorials(3000)
+    assert table.tolist() == [math.lgamma(k + 1) for k in range(3001)]
+    assert log_factorials(10).tolist() == table[:11].tolist()
+    assert not table.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "fam, taus",
+    [
+        (binomial.BinomialFamily(1000, 0.5, 0.95), (1e-3, 0.3, 0.999)),
+        (poisson.PoissonFamily(400.0, 0.97), (0.05, 200.0, 1500.0)),
+    ],
+    ids=repr,
+)
+def test_log_pmf_column_is_scalar_log_pmf(fam, taus):
+    for tau in taus:
+        column = fam.log_pmf_column(tau)
+        assert len(column) == fam.support_upper(tau) + 1
+        assert column.tolist() == [fam.log_pmf(w, tau) for w in range(len(column))]
+
+
+@pytest.mark.parametrize(
+    "fam, taus",
+    [
+        (binomial.BinomialFamily(10, 0.5, 0.95), (0.05, 0.3, 0.5, 0.7, 0.95)),
+        (binomial.BinomialFamily(200, 0.3, 0.99), (0.2, 0.3, 0.45)),
+        (binomial.BinomialFamily(1000, 0.6, 0.9), (0.55, 0.6, 0.65)),
+        (poisson.PoissonFamily(3.8, 0.95), (0.5, 3.8, 9.0)),
+        (poisson.PoissonFamily(50.0, 0.9), (35.0, 50.0, 70.0)),
+        (poisson.PoissonFamily(400.0, 0.97), (200.0, 400.0, 450.0)),
+    ],
+    ids=repr,
+)
+def test_psi_column_matches_scalar_psi(fam, taus):
+    for tau in taus:
+        p = np.exp(fam.log_pmf_column(tau))
+        column = fam.psi_column(tau, p)
+        scalar = [fam.psi(w, tau) for w in range(len(p))]
+        assert np.max(np.abs(column - scalar)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "method, taus",
+    [
+        (binomial.AgrestiCoull(10, 0.95), np.linspace(0.005, 0.995, 199)),
+        (binomial.AgrestiCoull(1000, 0.9), np.linspace(0.005, 0.995, 37)),
+        (poisson.ScoreInterval(0.95), np.linspace(0.05, 30.0, 199)),
+    ],
+    ids=["agresti_coull_n10", "agresti_coull_n1000", "score"],
+)
+def test_crisp_psi_column_is_scalar_indicator(method, taus):
+    for tau in taus.tolist():
+        p = np.exp(method.log_pmf_column(tau))
+        column = method.psi_column(tau, p)
+        assert column.tolist() == [method.psi(w, tau) for w in range(len(p))]
+        # The sums differ only where numpy's exp and math.exp round apart.
+        assert coverage(tau, method) == pytest.approx(
+            scalar_coverage(tau, method), abs=1e-14
+        )
+
+
+def _families():
+    gammas = st.floats(0.5, 0.999)
+    binomials = st.builds(
+        binomial.BinomialFamily, st.integers(1, 2000), st.floats(0.01, 0.99), gammas
+    )
+    poissons = st.builds(poisson.PoissonFamily, st.floats(0.05, 200.0), gammas)
+    return st.one_of(binomials, poissons)
+
+
+def _tau(fam, u):
+    """Map u in (0, 1) onto the family's parameter space."""
+    return u if fam.tau_upper == 1.0 else 3.0 * fam.o * u + 0.01
+
+
+class TestPsiColumnProperties:
+    @given(fam=_families(), u=st.floats(0.001, 0.999))
+    @settings(max_examples=200, deadline=None)
+    def test_membership_in_unit_interval(self, fam, u):
+        tau = _tau(fam, u)
+        column = fam.psi_column(tau, np.exp(fam.log_pmf_column(tau)))
+        assert np.all((column >= 0.0) & (column <= 1.0))
+
+    @given(fam=_families(), u=st.floats(0.001, 0.999), at_o=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_coverage_off_o_and_at_least_gamma_at_o(self, fam, u, at_o):
+        tau = fam.o if at_o else _tau(fam, u)
+        cov = coverage(tau, fam)
+        if tau == fam.o:
+            assert cov >= fam.gamma - 1e-12
+        else:
+            assert cov == pytest.approx(fam.gamma, abs=1e-8 + poisson.TRUNCATION_MASS)
+
+    @given(
+        fam=_families(),
+        u=st.floats(0.001, 0.999),
+        v=st.floats(0.001, 0.999),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_in_tau_on_each_side_of_o(self, fam, u, v):
+        lo, hi = sorted((_tau(fam, u), _tau(fam, v)))
+        assume(lo < hi and (hi < fam.o or lo > fam.o))
+        first = fam.psi_column(lo, np.exp(fam.log_pmf_column(lo)))
+        second = fam.psi_column(hi, np.exp(fam.log_pmf_column(hi)))
+        common = min(len(first), len(second))
+        step = second[:common] - first[:common]
+        if hi < fam.o:
+            assert np.all(step >= -1e-10)  # rises towards o from below
+        else:
+            assert np.all(step <= 1e-10)  # falls away from o above

@@ -80,6 +80,21 @@ class TestPsiO:
         for tau in (760.0, 840.0):
             assert coverage(tau, fam) == pytest.approx(0.95, abs=1e-8 + TRUNCATION_MASS)
 
+    def test_exact_coverage_at_large_means(self):
+        # Each tau once took seconds of per-omega chi-square root solves, and
+        # from a mean of about 4000 the solves failed to converge.
+        for o, tau in ((2000.0, 1950.0), (5000.0, 4900.0), (5000.0, 5100.0)):
+            assert coverage(tau, PoissonFamily(o, 0.95)) == pytest.approx(0.95, abs=1e-10)
+
+    def test_membership_near_mean_5000(self):
+        # The thresholds here need chi-square quantiles with about 10^4
+        # degrees of freedom.
+        fam = PoissonFamily(5000.0, 0.95)
+        for tau in (4950.0, 5050.0):
+            values = [fam.psi(w, tau) for w in (4850, 4950, 5000, 5050, 5150)]
+            assert all(0.0 <= v <= 1.0 for v in values)
+            assert 0.0 < sum(values) < len(values)
+
     def test_coverage_at_o_is_at_least_gamma(self):
         for o in (0.5, 3.8, 8.0):
             fam = PoissonFamily(o, 0.95)

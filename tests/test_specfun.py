@@ -191,6 +191,31 @@ class TestChiSquare:
         quantiles = [chisq_quantile(0.95, k) for k in range(2, 60, 2)]
         assert all(u < v for u, v in zip(quantiles, quantiles[1:]))
 
+    def test_large_dof_quantiles_against_mpmath(self):
+        # Near x = s the incomplete-gamma expansions need about sqrt(70 s)
+        # terms: more than 500 from about k = 8000 on.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for k in (8000, 12000, 22000):
+                for p in (0.005, 0.05, 0.95, 0.995):
+                    q = chisq_quantile(p, k)
+                    exact = mpmath.gammainc(k // 2, 0, mpmath.mpf(q) / 2, regularized=True)
+                    assert abs(float(exact) - p) < 1e-10
+
+    def test_large_dof_cdf_against_mpmath(self):
+        # Points on both sides of x = s + 1: the series and the continued
+        # fraction.  The prefactor exp(-x + s log x - lgamma(s)) cancels
+        # terms near 1e5 in size, which costs about 1e-11.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for s in (4000, 11000):
+                root = math.sqrt(s)
+                for x in (s - 2.0 * root, float(s), s + 1.5, s + 2.0 * root):
+                    exact = mpmath.gammainc(s, 0, mpmath.mpf(x), regularized=True)
+                    assert chisq_cdf(2.0 * x, 2 * s) == pytest.approx(
+                        float(exact), abs=1e-10
+                    )
+
 
 class TestNormal:
     def test_cdf_at_zero(self):
