@@ -38,96 +38,135 @@ class UsageError(ValueError):
     """Invalid flag combination or out-of-domain parameter."""
 
 
-_METHODS = {
-    "binomial": ("proposed", "agresti_coull"),
-    "poisson": ("proposed", "score"),
-    "normal": ("proposed", "standard", "truncated_standard"),
-}
+def _require(args, flag: str):
+    value = getattr(args, flag)
+    if value is None:
+        raise UsageError(f"{args.family} family requires --{flag}")
+    return value
 
 
-def _poisson_range(args, thetas) -> tuple[float, float]:
-    top = args.tau_max
-    if top is None:
-        anchor = max([*thetas, args.o or 0.0])
-        top = poisson.default_tau_max(anchor)
-    return 1e-9, top
-
-
-@dataclass(frozen=True)
-class _Discrete:
-    """How the commands build one discrete family from its flags.
-
-    ``family`` is the proposed membership, anchored at a reference point;
-    ``comparison`` is the crisp method any other ``--method`` names.  Both
-    take ``gamma`` and the ``flags`` by name.  ``quadrature_range`` gives
-    the tau range the expected lengths integrate over.
-    """
-
-    family: type
-    comparison: type
-    flags: tuple[str, ...]
-    quadrature_range: Callable[..., tuple[float, float]]
-
-    def membership(self, args, proposed: bool):
-        """The family anchored at --o, or the comparison method."""
-        params = {"gamma": args.gamma}
-        for flag in self.flags:
-            if getattr(args, flag) is None:
-                raise UsageError(f"{args.family} family requires --{flag}")
-            params[flag] = getattr(args, flag)
-        if not proposed:
-            return self.comparison(**params)
-        if args.o is None:
-            raise UsageError(f"the proposed {args.family} method requires --o")
-        return self.family(o=args.o, **params)
-
-    def quadrature(self, args, thetas) -> QuadratureSpec:
-        return QuadratureSpec(*self.quadrature_range(args, thetas), rel_tol=args.rel_tol)
-
-
-_DISCRETE = {
-    "binomial": _Discrete(
-        binomial.BinomialFamily, binomial.AgrestiCoull, ("n",),
-        lambda args, thetas: (0.0, 1.0),
-    ),
-    "poisson": _Discrete(
-        poisson.PoissonFamily, poisson.ScoreInterval, (), _poisson_range
-    ),
-}
-
-
-def _normal_family(args, need_o: bool) -> normal.NormalFamily:
-    if args.sigma is None:
-        raise UsageError("normal family requires --sigma")
+def _normal_params(args) -> dict:
+    sigma = _require(args, "sigma")
     if (args.a is None) != (args.b is None):
         raise UsageError("provide both --a and --b, or neither")
     if args.method == "truncated_standard" and args.a is None:
         raise UsageError("truncated_standard requires --a and --b")
-    bounds = (args.a, args.b) if args.a is not None else None
-    o = args.o
-    if o is None:
-        if need_o:
-            raise UsageError("the proposed normal method requires --o")
-        # Commands that never evaluate at o (the lower bound is o-free).
-        o = 0.5 * (args.a + args.b) if bounds else 0.0
-    return normal.NormalFamily(o=o, gamma=args.gamma, sigma=args.sigma, bounds=bounds)
+    return {"sigma": sigma, "bounds": None if args.a is None else (args.a, args.b)}
 
 
-def _family(args, need_o: bool):
+def _counts(args, fam, taus) -> range:
+    """Counts omega = 0..--omega-max, by default to the support bound."""
+    omega_max = args.omega_max
+    if omega_max is None:
+        omega_max = fam.support_upper(max(taus + [args.o or 1.0]))
+    if omega_max < 0:
+        raise UsageError(f"--omega-max must be nonnegative, got {omega_max}")
+    return range(omega_max + 1)
+
+
+def _sample_means(args, fam, taus) -> list[float]:
+    if args.x_grid is None:
+        raise UsageError("normal membership requires --x-grid")
+    return parse_grid(args.x_grid)
+
+
+def _poisson_range(args, fam, thetas) -> tuple[float, float]:
+    top = args.tau_max
+    if top is None:
+        # The range must hold every theta and the o of a proposed family.
+        top = poisson.default_tau_max(max([*thetas, getattr(fam, "o", 0.0)]))
+    return 1e-9, top
+
+
+def _quadrature(tau_range):
+    """Expected lengths from the quadrature engine over tau_range(args, fam, thetas)."""
+
+    def curves(args, fam, thetas):
+        quad = QuadratureSpec(*tau_range(args, fam, thetas), rel_tol=args.rel_tol)
+        return (
+            lambda: el_curve(fam, thetas, quad),
+            lambda: lower_bound_curve(fam, thetas, quad),
+        )
+
+    return curves
+
+
+def _closed_forms(args, fam, thetas):
+    """Expected lengths from the normal closed forms, which need bounds."""
+    if fam.bounds is None:
+        raise UsageError(f"{args.family} {args.command} requires --a and --b")
+    return (
+        lambda: [fam.expected_length(theta) for theta in thetas],
+        lambda: [fam.lower_bound(theta) for theta in thetas],
+    )
+
+
+@dataclass(frozen=True)
+class _Family:
+    """How the commands build and evaluate one family from its flags.
+
+    ``proposed`` is the membership anchored at --o; ``comparison`` is the
+    method every other name in ``comparisons`` selects, and the one the
+    lower-bound command builds, since the envelope needs no o.  Both take
+    ``gamma`` and the keywords ``params(args)`` returns.
+    ``observations(args, fam, taus)`` is what a membership grid ranges
+    over, and ``curves(args, fam, thetas)`` returns the expected-length
+    and the lower-bound curve, each as a function of no arguments.
+    """
+
+    proposed: type
+    comparison: type
+    comparisons: tuple[str, ...]
+    params: Callable[..., dict]
+    observations: Callable
+    curves: Callable
+
+    @property
+    def methods(self) -> tuple[str, ...]:
+        return ("proposed", *self.comparisons)
+
+    def build(self, args, proposed: bool):
+        params = {"gamma": args.gamma, **self.params(args)}
+        if not proposed:
+            return self.comparison(**params)
+        if args.o is None:
+            raise UsageError(f"the proposed {args.family} method requires --o")
+        return self.proposed(o=args.o, **params)
+
+
+_FAMILIES = {
+    "binomial": _Family(
+        binomial.BinomialFamily, binomial.AgrestiCoull, ("agresti_coull",),
+        lambda args: {"n": _require(args, "n")}, _counts,
+        _quadrature(lambda args, fam, thetas: (0.0, 1.0)),
+    ),
+    "poisson": _Family(
+        poisson.PoissonFamily, poisson.ScoreInterval, ("score",),
+        lambda args: {}, _counts,
+        _quadrature(_poisson_range),
+    ),
+    "normal": _Family(
+        normal.NormalFamily, normal.TwoSidedInterval,
+        ("standard", "truncated_standard"),
+        _normal_params, _sample_means, _closed_forms,
+    ),
+}
+
+
+def _family(args, proposed: bool):
     """The family object a command evaluates, built from the flags.
 
-    Building it checks every parameter's domain.  A discrete family is the
-    proposed membership anchored at --o when ``need_o``, else the comparison
+    Building it checks every parameter's domain.  It is the proposed
+    membership anchored at --o when ``proposed``, else the comparison
     method, which needs no --o.
     """
-    if args.method not in _METHODS[args.family]:
+    entry = _FAMILIES[args.family]
+    if args.method not in entry.methods:
         raise UsageError(
             f"method {args.method!r} is not available for family {args.family!r}; "
-            f"choose from {_METHODS[args.family]}"
+            f"choose from {entry.methods}"
         )
-    if args.family == "normal":
-        return _normal_family(args, need_o)
-    return _DISCRETE[args.family].membership(args, need_o)
+    return entry, entry.build(args, proposed)
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -180,94 +219,48 @@ def emit(columns, rows, args, comments=()):
         handle.write(text)
 
 
-def _discrete_grid(spec: str, name: str, args, membership) -> list[float]:
+def _parameter_grid(spec: str, name: str, args, fam) -> list[float]:
     grid = parse_grid(spec)
     for value in grid:
-        if not 0.0 < value < membership.tau_upper:
+        if not fam.tau_lower < value < fam.tau_upper:
             raise UsageError(
                 f"{args.family} {name} grid must stay in "
-                f"(0, {membership.tau_upper:g}), got {value}"
+                f"({fam.tau_lower:g}, {fam.tau_upper:g}), got {value}"
             )
     return grid
 
 
 def cmd_membership(args) -> int:
-    proposed = args.method == "proposed"
-    fam = _family(args, need_o=proposed)
-    if args.family == "normal":
-        taus = parse_grid(args.tau_grid)
-        if args.x_grid is None:
-            raise UsageError("normal membership requires --x-grid")
-        psi = normal.psi_o if proposed else normal.psi_standard
-        xs = parse_grid(args.x_grid)
-        rows = [(tau, x, psi(x, tau, fam)) for x in xs for tau in taus]
-    else:
-        taus = _discrete_grid(args.tau_grid, "tau", args, fam)
-        omega_max = args.omega_max
-        if omega_max is None:
-            omega_max = fam.support_upper(max(taus + [args.o or 1.0]))
-        rows = [(tau, w, fam.psi(w, tau)) for w in range(omega_max + 1) for tau in taus]
+    entry, fam = _family(args, proposed=args.method == "proposed")
+    taus = _parameter_grid(args.tau_grid, "tau", args, fam)
+    observations = entry.observations(args, fam, taus)
+    rows = [(tau, w, fam.psi(w, tau)) for w in observations for tau in taus]
     emit(("tau", "omega", "psi"), rows, args)
     return 0
 
 
 def cmd_coverage(args) -> int:
-    proposed = args.method == "proposed"
-    fam = _family(args, need_o=proposed)
-    if args.family == "normal":
-        taus = parse_grid(args.tau_grid)
-        for tau in taus:
-            if args.a is not None and not args.a <= tau <= args.b:
-                raise UsageError(
-                    f"normal tau grid must stay in [{args.a}, {args.b}], got {tau}"
-                )
-        # Crisp normal intervals have analytic coverage; see README.
-        at_o = 2.0 * args.gamma - 1.0 if proposed else args.gamma
-        rows = [(tau, at_o if tau == args.o else args.gamma) for tau in taus]
-    else:
-        taus = _discrete_grid(args.tau_grid, "tau", args, fam)
-        rows = [(tau, discrete.coverage(tau, fam)) for tau in taus]
+    _, fam = _family(args, proposed=args.method == "proposed")
+    taus = _parameter_grid(args.tau_grid, "tau", args, fam)
+    rows = [(tau, fam.coverage(tau)) for tau in taus]
     emit(("tau", "coverage"), rows, args)
     return 0
 
 
 def cmd_el_curve(args) -> int:
-    proposed = args.method == "proposed"
-    fam = _family(args, need_o=proposed)
-    if args.family == "normal":
-        thetas = parse_grid(args.theta_grid)
-        if args.a is None:
-            raise UsageError("normal el-curve requires --a and --b")
-        if args.method == "standard":
-            raise UsageError(
-                "normal el-curve supports methods 'proposed' and 'truncated_standard'"
-            )
-        el = normal.el_psi_o_closed if proposed else normal.el_psi_nl_closed
-        rows = [
-            (theta, el(theta, fam), normal.el_lower_bound(theta, fam))
-            for theta in thetas
-        ]
-    else:
-        thetas = _discrete_grid(args.theta_grid, "theta", args, fam)
-        quad = _DISCRETE[args.family].quadrature(args, thetas)
-        rows = list(zip(
-            thetas, el_curve(fam, thetas, quad), lower_bound_curve(fam, thetas, quad)
-        ))
+    entry, fam = _family(args, proposed=args.method == "proposed")
+    thetas = _parameter_grid(args.theta_grid, "theta", args, fam)
+    el, bound = entry.curves(args, fam, thetas)
+    rows = list(zip(thetas, el(), bound()))
     emit(("theta", "el", "lower_bound"), rows, args)
     return 0
 
 
 def cmd_lower_bound(args) -> int:
-    fam = _family(args, need_o=False)
-    if args.family == "normal":
-        thetas = parse_grid(args.theta_grid)
-        if args.a is None:
-            raise UsageError("normal lower-bound requires --a and --b")
-        rows = [(theta, normal.el_lower_bound(theta, fam)) for theta in thetas]
-    else:
-        thetas = _discrete_grid(args.theta_grid, "theta", args, fam)
-        quad = _DISCRETE[args.family].quadrature(args, thetas)
-        rows = list(zip(thetas, lower_bound_curve(fam, thetas, quad)))
+    entry, fam = _family(args, proposed=False)
+    thetas = _parameter_grid(args.theta_grid, "theta", args, fam)
+    _, bound = entry.curves(args, fam, thetas)
+    rows = list(zip(thetas, bound()))
     emit(("theta", "lower_bound"), rows, args)
     return 0
 
@@ -301,71 +294,35 @@ def _read_knapsack_rows(source: str):
 
 def cmd_knapsack(args) -> int:
     weights, values = _read_knapsack_rows(args.input)
-    try:
-        instance = KnapsackInstance(tuple(weights), tuple(values), args.capacity)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    instance = KnapsackInstance(tuple(weights), tuple(values), args.capacity)
     if args.mode == "dp":
-        try:
-            subset, value = solve_01_dp(instance)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        subset, total_value = solve_01_dp(instance)
         chosen = set(subset)
-        rows = [
-            (i, w, v, 1.0 if i in chosen else 0.0, "A" if i in chosen else "B")
-            for i, (w, v) in enumerate(zip(weights, values))
-        ]
-        total_w = math.fsum(weights[i] for i in subset)
-        emit(
-            ("item", "weight", "value", "x", "partition"),
-            rows,
-            args,
-            comments=(f"total_weight,{total_w:.17g}", f"total_value,{value:.17g}"),
-        )
-        return 0
-    solution = solve_fractional(instance)
-    if args.mode == "fractional":
-        rows = [
-            (i, w, v, x, label)
-            for i, (w, v, x, label) in enumerate(
-                zip(weights, values, solution.x, solution.partition)
-            )
-        ]
-        emit(
-            ("item", "weight", "value", "x", "partition"),
-            rows,
-            args,
-            comments=(
-                f"total_weight,{solution.total_weight:.17g}",
-                f"total_value,{solution.total_value:.17g}",
-            ),
-        )
+        x = [1.0 if i in chosen else 0.0 for i in range(len(weights))]
+        partition = ["A" if i in chosen else "B" for i in range(len(weights))]
+        total_weight = math.fsum(weights[i] for i in subset)
+    else:
+        solution = solve_fractional(instance)
+        x, partition = solution.x, solution.partition
+        total_weight, total_value = solution.total_weight, solution.total_value
+    totals = (f"total_weight,{total_weight:.17g}", f"total_value,{total_value:.17g}")
+    if args.mode != "roundtrip":
+        rows = [(i, *row) for i, row in enumerate(zip(weights, values, x, partition))]
+        emit(("item", "weight", "value", "x", "partition"), rows, args, comments=totals)
         return 0
     # roundtrip: solve through the measure problem and compare.
-    try:
-        mu, nu, gamma = to_measure_problem(instance)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    mu, nu, gamma = to_measure_problem(instance)
     membership = construct_psi_star(mu, nu, gamma)
-    gap = max(
-        abs(x - (1.0 - p)) for x, p in zip(solution.x, membership.psi)
-    )
+    gap = max(abs(xi - (1.0 - p)) for xi, p in zip(x, membership.psi))
     rows = [
-        (i, w, v, mu.mass[i], nu.mass[i], membership.psi[i], x, label)
-        for i, (w, v, x, label) in enumerate(
-            zip(weights, values, solution.x, solution.partition)
-        )
+        (i, w, v, mu.mass[i], nu.mass[i], membership.psi[i], xi, label)
+        for i, (w, v, xi, label) in enumerate(zip(weights, values, x, partition))
     ]
     emit(
         ("item", "weight", "value", "mu", "nu", "psi", "x", "partition"),
         rows,
         args,
-        comments=(
-            f"gamma,{gamma:.17g}",
-            f"total_weight,{solution.total_weight:.17g}",
-            f"total_value,{solution.total_value:.17g}",
-            f"max_roundtrip_gap,{gap:.17g}",
-        ),
+        comments=(f"gamma,{gamma:.17g}", *totals, f"max_roundtrip_gap,{gap:.17g}"),
     )
     return 0
 
@@ -396,7 +353,7 @@ def cmd_recipe(args) -> int:
 
 
 def _selftest_checks():
-    from .specfun import binom_pmf, reg_inc_beta
+    from .specfun import binom_pmf, normal_quantile, reg_inc_beta
 
     yield "beta identity", lambda: abs(reg_inc_beta(0.6, 2, 1) - 0.36) < 1e-12
 
@@ -436,13 +393,22 @@ def _selftest_checks():
 
     yield "knapsack roundtrip", _knapsack_roundtrip
 
-    def _normal_tangency():
-        nfam = normal.NormalFamily(o=0.5, gamma=0.95, sigma=1 / 3, bounds=(0.0, 1.0))
-        return abs(
-            normal.el_psi_o_closed(0.5, nfam) - normal.el_lower_bound(0.5, nfam)
-        ) < 1e-9
+    def _normal_envelope():
+        # An independent route to the envelope at theta: the Gaussian mean
+        # of the length of the interval anchored at o = theta, clipped to
+        # [0, 1], by the trapezoid rule over +-10 standard errors.
+        theta, s, gamma = 0.2, 1 / 3, 0.95
+        c = normal_quantile(gamma) * s
+        x, h = np.linspace(theta - 10.0 * s, theta + 10.0 * s, 200_001, retstep=True)
+        hi = np.minimum(1.0, np.maximum(theta, x + c))
+        lo = np.maximum(0.0, np.minimum(theta, x - c))
+        density = np.exp(-0.5 * ((x - theta) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+        f = np.maximum(0.0, hi - lo) * density
+        quadrature = h * (f.sum() - 0.5 * (f[0] + f[-1]))
+        nfam = normal.TwoSidedInterval(gamma=gamma, sigma=s, bounds=(0.0, 1.0))
+        return abs(nfam.lower_bound(theta) - quadrature) < 1e-8
 
-    yield "normal tangency", _normal_tangency
+    yield "normal envelope", _normal_envelope
 
 
 def cmd_selftest(args) -> int:
@@ -457,13 +423,15 @@ def cmd_selftest(args) -> int:
 
 def _add_family_options(parser, include_method=True):
     parser.add_argument(
-        "--family", required=True, choices=tuple(_METHODS)
+        "--family", required=True, choices=tuple(_FAMILIES)
     )
     if include_method:
         parser.add_argument(
             "--method",
             default="proposed",
-            choices=tuple(dict.fromkeys(m for ms in _METHODS.values() for m in ms)),
+            choices=tuple(dict.fromkeys(
+                m for entry in _FAMILIES.values() for m in entry.methods
+            )),
         )
     parser.add_argument("--gamma", type=float, required=True)
     parser.add_argument("--n", type=int, help="binomial trial count")

@@ -33,7 +33,8 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
 - ``psi_column(tau, p)``: ``psi`` at the same omegas, given the mass column
   ``p``, without domain checks;
 - ``reference(theta)``: the proposed family anchored at o = theta, whose
-  expected length at theta is the envelope value there.
+  expected length at theta is the envelope value there;
+- ``coverage(tau)``: exact coverage at tau, by :func:`coverage`.
 
 :class:`Randomized` builds ``psi``, ``psi_column`` and ``breakpoints`` of a
 proposed family from what differs between the families:
@@ -58,7 +59,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Randomized", "Crisp", "psi_lower", "coverage"]
+__all__ = ["Randomized", "Crisp", "coverage"]
 
 
 def _randomized(slack: float, omega: int, tau: float, fam) -> float:
@@ -86,15 +87,17 @@ def _psi_above(omega: int, tau: float, fam) -> float:
     return _randomized(fam.slack_above(omega, tau), omega, tau, fam)
 
 
-def psi_lower(omega: int, tau: float, fam) -> float:
-    """One-sided membership for tau strictly below the reference point."""
-    fam.check(omega, tau)
-    if tau >= fam.o:
-        raise ValueError(f"psi_lower requires tau < o, got tau={tau}, o={fam.o}")
-    return _psi_below(omega, tau, fam)
+class _Membership:
+    """What the proposed and the crisp memberships share."""
+
+    tau_lower = 0.0
+
+    def coverage(self, tau: float) -> float:
+        """Probability mass the membership assigns to the truth at tau."""
+        return coverage(tau, self)
 
 
-class Randomized:
+class Randomized(_Membership):
     """The proposed membership of a discrete family anchored at ``o``."""
 
     def psi(self, omega: int, tau: float) -> float:
@@ -132,7 +135,7 @@ class Randomized:
         return tuple(sorted(p for p in points if 0.0 < p < self.tau_upper))
 
 
-class Crisp:
+class Crisp(_Membership):
     """The indicator membership of a comparison method's interval.
 
     Inside the parameter space (0, tau_upper), comparing tau with the raw

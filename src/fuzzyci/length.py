@@ -48,6 +48,11 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(
+                f"quadrature range must be finite, got lower={self.lower}, "
+                f"upper={self.upper}"
+            )
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
         if not 0.0 < self.rel_tol <= 1e-4:

@@ -141,8 +141,8 @@ class PoissonFamily(_Poisson, Randomized):
     gamma: float
 
     def __post_init__(self):
-        if not self.o > 0.0:
-            raise ValueError(f"o must be positive, got {self.o}")
+        if not 0.0 < self.o < math.inf:
+            raise ValueError(f"o must be positive and finite, got {self.o}")
         super().__post_init__()
 
     def thresholds(self, omega: int):

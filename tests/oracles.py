@@ -43,7 +43,7 @@ def quadrature_el(length_fn, theta, stderr, kinks):
 def oracle_el_psi_o(theta, fam):
     """Expected length of the o-anchored normal membership, by quadrature."""
     a, b = fam.bounds
-    c = normal_quantile(fam.gamma) * fam.stderr
+    c = normal_quantile(fam.gamma) * fam.sigma
     o = fam.o
 
     def length(x):
@@ -51,18 +51,43 @@ def oracle_el_psi_o(theta, fam):
         hi = min(b, max(o, x + c))
         return max(0.0, hi - lo)
 
-    return quadrature_el(length, theta, fam.stderr, [a + c, o + c, o - c, b - c])
+    return quadrature_el(length, theta, fam.sigma, [a + c, o + c, o - c, b - c])
+
+
+def mp_el_anchored(o, theta, fam, dps=40):
+    """Expected length at theta of the membership anchored at o, by mpmath.
+
+    The interval is the one the library evaluates, with the same float
+    c = z * sigma.  The Gaussian expectation of its length runs in ``dps``
+    digits over theta +- 40 sigma (the rest weighs below 1e-340), split at
+    the length's kinks.
+    """
+    import mpmath
+
+    a, b = fam.bounds
+    c = normal_quantile(fam.gamma) * fam.sigma
+    with mpmath.workdps(dps):
+        a, b, c, o, theta, s = (mpmath.mpf(v) for v in (a, b, c, o, theta, fam.sigma))
+
+        def integrand(x):
+            lo = max(a, min(o, x - c))
+            hi = min(b, max(o, x + c))
+            return max(mpmath.mpf(0), hi - lo) * mpmath.npdf(x, theta, s)
+
+        lo, hi = theta - 40 * s, theta + 40 * s
+        kinks = [k for k in (a + c, o + c, o - c, b - c) if lo < k < hi]
+        return float(mpmath.quad(integrand, sorted({lo, hi, *kinks})))
 
 
 def oracle_el_nl(theta, fam):
     """Expected length of the truncated two-sided interval, by quadrature."""
     a, b = fam.bounds
-    d = normal_quantile(0.5 * (1.0 + fam.gamma)) * fam.stderr
+    d = normal_quantile(0.5 * (1.0 + fam.gamma)) * fam.sigma
 
     def length(x):
         return max(0.0, min(b, x + d) - max(a, x - d))
 
-    return quadrature_el(length, theta, fam.stderr, [a - d, a + d, b - d, b + d])
+    return quadrature_el(length, theta, fam.sigma, [a - d, a + d, b - d, b + d])
 
 
 def riemann_mass(psi, lo, hi, n_points, split=()):

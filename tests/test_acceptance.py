@@ -261,21 +261,22 @@ def test_criterion_6_normal_closed_forms_vs_quadrature():
     grid = [float(t) for t in np.linspace(0.0, 1.0, 101)]
     for se in (0.1, 1 / 6, 1 / 3, 1.0):
         fam = normal.NormalFamily(o=0.5, gamma=0.95, sigma=se, bounds=(0.0, 1.0))
+        standard = normal.TwoSidedInterval(gamma=0.95, sigma=se, bounds=(0.0, 1.0))
         for theta in grid:
             worst["psi_o"] = max(
                 worst["psi_o"],
-                abs(normal.el_psi_o_closed(theta, fam) - oracle_el_psi_o(theta, fam)),
+                abs(fam.expected_length(theta) - oracle_el_psi_o(theta, fam)),
             )
             worst["psi_nl"] = max(
                 worst["psi_nl"],
-                abs(normal.el_psi_nl_closed(theta, fam) - oracle_el_nl(theta, fam)),
+                abs(standard.expected_length(theta) - oracle_el_nl(theta, standard)),
             )
             fam_theta = normal.NormalFamily(
                 o=theta, gamma=0.95, sigma=se, bounds=(0.0, 1.0)
             )
             worst["lower_bound"] = max(
                 worst["lower_bound"],
-                abs(normal.el_lower_bound(theta, fam) - oracle_el_psi_o(theta, fam_theta)),
+                abs(standard.lower_bound(theta) - oracle_el_psi_o(theta, fam_theta)),
             )
     ok = all(v < 1e-6 for v in worst.values())
     report(
@@ -321,13 +322,10 @@ def test_criterion_7_lower_bound_dominance_and_tangency():
             fam = normal.NormalFamily(o=o, gamma=0.95, sigma=se, bounds=(0.0, 1.0))
             for theta in np.linspace(0.0, 1.0, 41):
                 theta = float(theta)
-                gap = normal.el_lower_bound(theta, fam) - normal.el_psi_o_closed(
-                    theta, fam
-                )
+                gap = fam.lower_bound(theta) - fam.expected_length(theta)
                 worst_viol = max(worst_viol, gap)
             worst_tangency = max(
-                worst_tangency,
-                abs(normal.el_psi_o_closed(o, fam) - normal.el_lower_bound(o, fam)),
+                worst_tangency, abs(fam.expected_length(o) - fam.lower_bound(o))
             )
     report(
         "criterion 7 (lower-bound dominance and tangency)",
@@ -374,9 +372,10 @@ def test_criterion_8_qualitative_figure_shapes():
         )
 
     fam = normal.NormalFamily(o=0.5, gamma=0.95, sigma=1.0, bounds=(0.0, 1.0))
+    standard = normal.TwoSidedInterval(gamma=0.95, sigma=1.0, bounds=(0.0, 1.0))
     grid = [float(t) for t in np.linspace(0.0, 1.0, 101)]
-    dominance_ok = max(normal.el_psi_o_closed(t, fam) for t in grid) <= max(
-        normal.el_psi_nl_closed(t, fam) for t in grid
+    dominance_ok = max(fam.expected_length(t) for t in grid) <= max(
+        standard.expected_length(t) for t in grid
     )
     report(
         "criterion 8 (qualitative figure shapes)",

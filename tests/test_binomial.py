@@ -8,10 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyci.binomial import AgrestiCoull, BinomialFamily
-from fuzzyci.discrete import (
-    coverage,
-    psi_lower,
-)
+from fuzzyci.discrete import coverage
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.specfun import binom_pmf, inv_reg_inc_beta, normal_quantile
 
@@ -22,22 +19,15 @@ def binomial_measure(n, theta):
 
 
 class TestPsiLower:
-    def test_requires_tau_below_o(self):
-        fam = BinomialFamily(10, 0.5, 0.95)
-        with pytest.raises(ValueError):
-            psi_lower(3, 0.6, fam)
-        with pytest.raises(ValueError):
-            psi_lower(3, 0.5, fam)
-
     def test_rejected_region(self):
         fam = BinomialFamily(10, 0.5, 0.95)
         threshold = inv_reg_inc_beta(0.05, 3, 8)
         assert 0.05 < threshold
-        assert psi_lower(3, 0.05, fam) == 0.0
+        assert fam.psi(3, 0.05) == 0.0
 
     def test_randomized_region_matches_constructor(self):
         fam = BinomialFamily(10, 0.5, 0.95)
-        value = psi_lower(3, 0.3, fam)
+        value = fam.psi(3, 0.3)
         assert 0.0 < value <= 1.0
         mu = binomial_measure(10, 0.3)
         nu = binomial_measure(10, 0.5)
@@ -50,10 +40,10 @@ class TestPsiLower:
         fam = BinomialFamily(10, 0.5, 0.95)
         upper = inv_reg_inc_beta(0.05, 1, 10)
         for tau in (1e-6, 1e-3, 0.9 * upper):
-            assert psi_lower(0, tau, fam) == pytest.approx(
+            assert fam.psi(0, tau) == pytest.approx(
                 0.95 / (1.0 - tau) ** 10, rel=1e-9
             )
-        assert psi_lower(0, 1.1 * upper, fam) == 1.0
+        assert fam.psi(0, 1.1 * upper) == 1.0
 
 
 class TestPsiO:

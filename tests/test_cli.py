@@ -297,6 +297,113 @@ class TestElCurveCommand:
         assert len(rows) == 5
 
 
+_FAMILY_ARGS = {
+    "binomial": ("--n", "10", "--gamma", "0.95", "--o", "0.5"),
+    "poisson": ("--gamma", "0.95", "--o", "3"),
+    "normal": ("--gamma", "0.95", "--o", "0.5", "--sigma", "0.3", "--a", "0", "--b", "1"),
+}
+_COMMAND_ARGS = {
+    "membership": ("--tau-grid", "0.2:0.8:3"),
+    "coverage": ("--tau-grid", "0.2:0.8:3"),
+    "el-curve": ("--theta-grid", "0.2:0.8:3"),
+    "lower-bound": ("--theta-grid", "0.2:0.8:3"),
+}
+
+
+def _without(argv, flag):
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("command", tuple(_COMMAND_ARGS))
+    @pytest.mark.parametrize(
+        "family, flag",
+        [("binomial", "--n"), ("poisson", "--o"), ("normal", "--sigma")],
+    )
+    def test_missing_family_flag(self, capsys, family, flag, command):
+        if (family, command) == ("poisson", "lower-bound"):
+            flag = "--gamma"  # the only family flag the Poisson envelope needs
+        argv = (command, "--family", family, *_FAMILY_ARGS[family],
+                *_COMMAND_ARGS[command])
+        if (family, command) == ("normal", "membership"):
+            argv += ("--x-grid", "0:1:3")
+        assert run_cli(capsys, *argv)[0] == 0
+        status, out = run_cli(capsys, *_without(argv, flag))
+        assert status == 2
+        assert out == ""
+
+    def test_normal_standard_with_bounds_is_truncated(self, capsys):
+        argv = ("el-curve", "--family", "normal", "--gamma", "0.95", "--sigma", "0.3",
+                "--a", "0", "--b", "1", "--theta-grid", "0:1:5")
+        status, standard = run_cli(capsys, *argv, "--method", "standard")
+        assert status == 0
+        assert (status, standard) == run_cli(
+            capsys, *argv, "--method", "truncated_standard"
+        )
+        unbounded = _without(_without(argv, "--a"), "--b")
+        status, out = run_cli(capsys, *unbounded, "--method", "standard")
+        assert (status, out) == (2, "")  # the closed forms need --a and --b
+
+    def test_lower_bound_ignores_o(self, capsys):
+        for family in _FAMILY_ARGS:
+            argv = ("lower-bound", "--family", family, *_FAMILY_ARGS[family],
+                    *_COMMAND_ARGS["lower-bound"])
+            status, out = run_cli(capsys, *argv)
+            assert status == 0
+            i = argv.index("--o")
+            far = {"binomial": "0.99", "poisson": "9000", "normal": "7"}[family]
+            assert run_cli(capsys, *argv[:i + 1], far, *argv[i + 2:]) == (0, out)
+
+
+class TestNonFiniteParameters:
+    """Each rejection exits 2, prints nothing and names the parameter."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("el-curve", "--family", "normal", "--gamma", "0.95", "--o", "0.5",
+              "--sigma", "inf", "--a", "0", "--b", "1", "--theta-grid", "0:1:3"),
+             "sigma"),
+            (("el-curve", "--family", "normal", "--gamma", "0.95", "--o", "0.5",
+              "--sigma", "0.3", "--a=-inf", "--b", "1", "--theta-grid", "0:1:3"),
+             "bounds"),
+            (("lower-bound", "--family", "normal", "--gamma", "0.95",
+              "--sigma", "0.3", "--a", "0", "--b", "inf", "--theta-grid", "0:1:3"),
+             "bounds"),
+            (("membership", "--family", "normal", "--gamma", "0.95", "--o", "nan",
+              "--sigma", "1", "--tau-grid", "0:1:3", "--x-grid", "0:1:3"),
+             "o must"),
+            (("coverage", "--family", "normal", "--gamma", "0.95", "--o", "nan",
+              "--sigma", "1", "--tau-grid", "0:1:3"),
+             "o must"),
+            (("coverage", "--family", "poisson", "--gamma", "0.95", "--o", "inf",
+              "--tau-grid", "1:5:3"),
+             "o must"),
+            (("el-curve", "--family", "poisson", "--gamma", "0.95", "--o", "inf",
+              "--theta-grid", "1:5:3"),
+             "o must"),
+            (("el-curve", "--family", "poisson", "--gamma", "0.95", "--o", "3",
+              "--tau-max", "inf", "--theta-grid", "1:5:3"),
+             "upper=inf"),
+            (("membership", "--family", "poisson", "--gamma", "0.95", "--o", "3",
+              "--tau-grid", "1:5:3", "--omega-max", "-1"),
+             "--omega-max"),
+        ],
+        ids=[
+            "normal-sigma-inf", "normal-a-inf", "normal-b-inf", "membership-o-nan",
+            "coverage-o-nan", "poisson-coverage-o-inf", "poisson-el-o-inf",
+            "poisson-tau-max-inf", "omega-max-negative",
+        ],
+    )
+    def test_rejected(self, capsys, argv, name):
+        status = main(list(argv))
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert name in captured.err
+
+
 class TestKnapsackCommand:
     def test_fractional_from_stdin(self, capsys, monkeypatch):
         import io

@@ -5,31 +5,29 @@ import math
 import numpy as np
 import pytest
 
-from oracles import oracle_el_nl, oracle_el_psi_o
+from oracles import mp_el_anchored, oracle_el_nl, oracle_el_psi_o
 
-from fuzzyci.normal import (
-    NormalFamily,
-    el_lower_bound,
-    el_psi_nl_closed,
-    el_psi_o_closed,
-    psi_o,
-    psi_standard,
-)
+from fuzzyci.normal import NormalFamily, TwoSidedInterval
 from fuzzyci.specfun import normal_cdf, normal_quantile
+
+
+def two_sided(fam):
+    """The comparison interval with the same gamma, sigma and bounds."""
+    return TwoSidedInterval(gamma=fam.gamma, sigma=fam.sigma, bounds=fam.bounds)
 
 
 class TestMembership:
     def test_tau_at_sample_mean_is_covered(self):
         fam = NormalFamily(o=0.0, gamma=0.95, sigma=1.0)
         for x in (-3.0, 0.0, 0.7, 4.2):
-            assert psi_o(x, x, fam) == 1.0
-            assert psi_standard(x, x, fam) == 1.0
+            assert fam.psi(x, x) == 1.0
+            assert two_sided(fam).psi(x, x) == 1.0
 
     def test_outside_upper_endpoint(self):
         fam = NormalFamily(o=0.0, gamma=0.95, sigma=1.0)
         # Upper endpoint max(0, 1 + 1.6449) = 2.6449 < 2.7.
-        assert psi_o(1.0, 2.7, fam) == 0.0
-        assert psi_o(1.0, 2.6, fam) == 1.0
+        assert fam.psi(1.0, 2.7) == 0.0
+        assert fam.psi(1.0, 2.6) == 1.0
 
     def test_one_sided_coverage_identity(self):
         # P_tau(psi_o = 1) = gamma exactly for tau != o (unbounded case):
@@ -48,19 +46,26 @@ class TestMembership:
                     else:
                         prob = 1.0 - normal_cdf((tau - z * se - tau) / se)
                     assert prob == pytest.approx(gamma, abs=1e-10)
+                    assert fam.coverage(tau) == gamma
                     # Spot-check the indicator against the probability event.
-                    assert psi_o(tau + 0.5 * z * se, tau, fam) == 1.0
+                    assert fam.psi(tau + 0.5 * z * se, tau) == 1.0
+                assert fam.coverage(fam.o) == 2.0 * gamma - 1.0
 
     def test_two_sided_coverage_identity(self):
         for gamma in (0.9, 0.95, 0.99):
             z = normal_quantile(0.5 * (1.0 + gamma))
             assert normal_cdf(z) - normal_cdf(-z) == pytest.approx(gamma, abs=1e-10)
+            assert TwoSidedInterval(gamma=gamma, sigma=1.0).coverage(0.3) == gamma
 
     def test_bounds_truncate_membership(self):
         fam = NormalFamily(o=0.5, gamma=0.95, sigma=1.0, bounds=(0.0, 1.0))
-        assert psi_o(0.5, 1.5, fam) == 0.0
-        assert psi_standard(0.5, 1.5, fam) == 0.0
-        assert psi_standard(0.5, 0.9, fam) == 1.0
+        assert fam.psi(0.5, 1.5) == 0.0
+        assert two_sided(fam).psi(0.5, 1.5) == 0.0
+        assert two_sided(fam).psi(0.5, 0.9) == 1.0
+        for method in (fam, two_sided(fam)):
+            assert method.coverage(1.0) == 0.95
+            with pytest.raises(ValueError, match="tau"):
+                method.coverage(1.5)
 
     def test_overlap_region_grid(self):
         # The overlap of the two acceptance regions is where both intervals
@@ -69,31 +74,31 @@ class TestMembership:
         for x in np.linspace(-3, 3, 13):
             for tau in np.linspace(-3, 3, 13):
                 x, tau = float(x), float(tau)
-                both = psi_o(x, tau, fam) * psi_standard(x, tau, fam)
+                both = fam.psi(x, tau) * two_sided(fam).psi(x, tau)
                 assert both in (0.0, 1.0)
-                assert both <= psi_o(x, tau, fam)
+                assert both <= fam.psi(x, tau)
 
 
 class TestExpectedLengthClosedForms:
     def test_far_left_theta_with_tiny_stderr(self):
         fam = NormalFamily(o=0.5, gamma=0.95, sigma=1e-3, bounds=(0.0, 1.0))
-        assert el_psi_o_closed(-0.5, fam) == pytest.approx(0.5, abs=1e-12)
+        assert fam.expected_length(-0.5) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("se", [0.1, 1 / 6, 1 / 3, 1.0])
     def test_el_psi_o_matches_quadrature(self, se):
         fam = NormalFamily(o=0.5, gamma=0.95, sigma=se, bounds=(0.0, 1.0))
         for theta in np.linspace(0.0, 1.0, 41):
             theta = float(theta)
-            assert el_psi_o_closed(theta, fam) == pytest.approx(
+            assert fam.expected_length(theta) == pytest.approx(
                 oracle_el_psi_o(theta, fam), abs=1e-6
             )
 
     @pytest.mark.parametrize("se", [0.1, 1 / 6, 1 / 3, 1.0])
     def test_el_psi_nl_matches_quadrature(self, se):
-        fam = NormalFamily(o=0.5, gamma=0.95, sigma=se, bounds=(0.0, 1.0))
+        fam = TwoSidedInterval(gamma=0.95, sigma=se, bounds=(0.0, 1.0))
         for theta in np.linspace(0.0, 1.0, 41):
             theta = float(theta)
-            assert el_psi_nl_closed(theta, fam) == pytest.approx(
+            assert fam.expected_length(theta) == pytest.approx(
                 oracle_el_nl(theta, fam), abs=1e-6
             )
 
@@ -103,34 +108,44 @@ class TestExpectedLengthClosedForms:
         for theta in np.linspace(0.0, 1.0, 41):
             theta = float(theta)
             fam_theta = NormalFamily(o=theta, gamma=0.95, sigma=se, bounds=(0.0, 1.0))
-            assert el_lower_bound(theta, fam) == pytest.approx(
+            assert fam.lower_bound(theta) == pytest.approx(
                 oracle_el_psi_o(theta, fam_theta), abs=1e-6
             )
 
+    @pytest.mark.parametrize("sigma", [1e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("gamma", [0.9, 0.99])
+    def test_lower_bound_matches_high_precision_quadrature(self, sigma, gamma):
+        fam = TwoSidedInterval(gamma=gamma, sigma=sigma, bounds=(0.0, 1.0))
+        for theta in np.linspace(0.0, 1.0, 11):
+            theta = float(theta)
+            assert abs(fam.lower_bound(theta) - mp_el_anchored(theta, theta, fam)) <= 1e-14
+
     def test_lower_bound_is_substitution_identity(self):
+        # The envelope is the membership anchored at o = theta, whatever
+        # method or reference point the envelope is asked of.
         fam = NormalFamily(o=0.5, gamma=0.9, sigma=1 / 6, bounds=(0.0, 1.0))
         for theta in np.linspace(0.0, 1.0, 21):
             theta = float(theta)
             fam_theta = NormalFamily(o=theta, gamma=0.9, sigma=1 / 6, bounds=(0.0, 1.0))
-            assert el_lower_bound(theta, fam) == pytest.approx(
-                el_psi_o_closed(theta, fam_theta), abs=1e-9
-            )
+            expected = fam_theta.expected_length(theta)
+            assert fam.lower_bound(theta) == expected
+            assert two_sided(fam).lower_bound(theta) == expected
 
     def test_wide_bounds_recover_fixed_width(self):
-        fam = NormalFamily(o=0.0, gamma=0.95, sigma=1.0, bounds=(-1e5, 1e5))
+        fam = TwoSidedInterval(gamma=0.95, sigma=1.0, bounds=(-1e5, 1e5))
         d = normal_quantile(0.975)
-        assert el_psi_nl_closed(0.0, fam) == pytest.approx(2.0 * d, abs=1e-9)
+        assert fam.expected_length(0.0) == pytest.approx(2.0 * d, abs=1e-9)
 
     def test_case_boundary_continuity(self):
         z = normal_quantile(0.975)
         s_star = 1.0 / (2.0 * z)
-        fam1 = NormalFamily(o=0.5, gamma=0.95, sigma=s_star, bounds=(0.0, 1.0))
-        fam2 = NormalFamily(
-            o=0.5, gamma=0.95, sigma=s_star * (1.0 + 1e-12), bounds=(0.0, 1.0)
+        fam1 = TwoSidedInterval(gamma=0.95, sigma=s_star, bounds=(0.0, 1.0))
+        fam2 = TwoSidedInterval(
+            gamma=0.95, sigma=s_star * (1.0 + 1e-12), bounds=(0.0, 1.0)
         )
         for theta in (0.0, 0.25, 0.5, 0.8, 1.0):
-            assert el_psi_nl_closed(theta, fam1) == pytest.approx(
-                el_psi_nl_closed(theta, fam2), abs=1e-9
+            assert fam1.expected_length(theta) == pytest.approx(
+                fam2.expected_length(theta), abs=1e-9
             )
 
     def test_tangency_and_dominance(self):
@@ -138,10 +153,11 @@ class TestExpectedLengthClosedForms:
             fam = NormalFamily(o=0.5, gamma=0.95, sigma=se, bounds=(0.0, 1.0))
             for theta in np.linspace(0.0, 1.0, 41):
                 theta = float(theta)
-                assert el_psi_o_closed(theta, fam) >= el_lower_bound(theta, fam) - 1e-9
-                assert el_psi_nl_closed(theta, fam) >= el_lower_bound(theta, fam) - 1e-9
-            assert el_psi_o_closed(fam.o, fam) == pytest.approx(
-                el_lower_bound(fam.o, fam), abs=1e-9
+                bound = fam.lower_bound(theta)
+                assert fam.expected_length(theta) >= bound - 1e-9
+                assert two_sided(fam).expected_length(theta) >= bound - 1e-9
+            assert fam.expected_length(fam.o) == pytest.approx(
+                fam.lower_bound(fam.o), abs=1e-9
             )
 
     def test_large_stderr_dominance(self):
@@ -149,18 +165,18 @@ class TestExpectedLengthClosedForms:
         # membership has the smaller worst-case expected length.
         fam = NormalFamily(o=0.5, gamma=0.95, sigma=1.0, bounds=(0.0, 1.0))
         grid = [float(t) for t in np.linspace(0.0, 1.0, 101)]
-        max_proposed = max(el_psi_o_closed(t, fam) for t in grid)
-        max_standard = max(el_psi_nl_closed(t, fam) for t in grid)
+        max_proposed = max(fam.expected_length(t) for t in grid)
+        max_standard = max(two_sided(fam).expected_length(t) for t in grid)
         assert max_proposed <= max_standard
 
     def test_requires_bounds(self):
         fam = NormalFamily(o=0.0, gamma=0.95, sigma=1.0)
         with pytest.raises(ValueError):
-            el_psi_o_closed(0.0, fam)
+            fam.expected_length(0.0)
         with pytest.raises(ValueError):
-            el_psi_nl_closed(0.0, fam)
+            two_sided(fam).expected_length(0.0)
         with pytest.raises(ValueError):
-            el_lower_bound(0.0, fam)
+            fam.lower_bound(0.0)
 
 
 class TestFamilyValidation:
@@ -170,8 +186,25 @@ class TestFamilyValidation:
         with pytest.raises(ValueError):
             NormalFamily(o=0.0, gamma=1.0, sigma=1.0)
         with pytest.raises(ValueError):
-            NormalFamily(o=0.0, gamma=0.95, sigma=1.0, n=0)
-        with pytest.raises(ValueError):
             NormalFamily(o=2.0, gamma=0.95, sigma=1.0, bounds=(0.0, 1.0))
         with pytest.raises(ValueError):
             NormalFamily(o=0.5, gamma=0.95, sigma=1.0, bounds=(1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"sigma": math.inf}, "sigma"),
+            ({"o": math.nan}, "o"),
+            ({"o": math.inf}, "o"),
+            ({"bounds": (-math.inf, 1.0)}, "bounds"),
+            ({"bounds": (0.0, math.inf)}, "bounds"),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, kwargs, name):
+        params = {"o": 0.5, "gamma": 0.95, "sigma": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            NormalFamily(**params)
+        if "o" not in kwargs:
+            del params["o"]
+            with pytest.raises(ValueError, match=name):
+                TwoSidedInterval(**params)

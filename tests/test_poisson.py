@@ -8,10 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
-from fuzzyci.discrete import (
-    coverage,
-    psi_lower,
-)
+from fuzzyci.discrete import coverage
 from fuzzyci.poisson import TRUNCATION_MASS, PoissonFamily, ScoreInterval, support_bound
 from fuzzyci.specfun import chisq_quantile, normal_quantile, pois_cdf, pois_pmf
 
@@ -25,11 +22,6 @@ def poisson_measures(tau, o):
 
 
 class TestPsiLower:
-    def test_requires_tau_below_o(self):
-        fam = PoissonFamily(8.0, 0.95)
-        with pytest.raises(ValueError):
-            psi_lower(3, 9.0, fam)
-
     def test_omega_zero_middle_branch(self):
         # Empty partial sum: psi = gamma * exp(tau) up to tau = -ln(gamma),
         # where it reaches exactly 1; full membership beyond.
@@ -37,20 +29,20 @@ class TestPsiLower:
         boundary = -math.log(0.95)
         assert boundary == pytest.approx(0.5 * chisq_quantile(0.05, 2), abs=1e-9)
         for tau in (1e-6, 0.01, 0.9 * boundary):
-            assert psi_lower(0, tau, fam) == pytest.approx(
+            assert fam.psi(0, tau) == pytest.approx(
                 0.95 * math.exp(tau), rel=1e-9
             )
-        assert psi_lower(0, 1.01 * boundary, fam) == 1.0
+        assert fam.psi(0, 1.01 * boundary) == 1.0
 
     def test_rejected_region(self):
         fam = PoissonFamily(8.0, 0.95)
         threshold = 0.5 * chisq_quantile(0.05, 6)
         assert 0.5 < threshold
-        assert psi_lower(3, 0.5, fam) == 0.0
+        assert fam.psi(3, 0.5) == 0.0
 
     def test_randomized_region_matches_constructor(self):
         fam = PoissonFamily(8.0, 0.95)
-        value = psi_lower(3, 2.5, fam)
+        value = fam.psi(3, 2.5)
         assert 0.0 < value <= 1.0
         mu, nu = poisson_measures(2.5, 8.0)
         res = construct_psi_star(mu, nu, 0.95)
