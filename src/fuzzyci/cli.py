@@ -91,8 +91,8 @@ def _quadrature(tau_range):
     return curves
 
 
-def _closed_forms(args, fam, thetas):
-    """Expected lengths from the normal closed forms, which need bounds."""
+def _own_lengths(args, fam, thetas):
+    """Expected lengths from the family's own methods, which need bounds."""
     if fam.bounds is None:
         raise UsageError(f"{args.family} {args.command} requires --a and --b")
     return (
@@ -148,7 +148,7 @@ _FAMILIES = {
     "normal": _Family(
         normal.NormalFamily, normal.TwoSidedInterval,
         ("standard", "truncated_standard"),
-        _normal_params, _sample_means, _closed_forms,
+        _normal_params, _sample_means, _own_lengths,
     ),
 }
 

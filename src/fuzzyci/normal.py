@@ -6,10 +6,12 @@ sigma.  The one-sided construction anchored at the reference point o gives
 the indicator of ``(min(o, x - z_g*sigma), max(o, x + z_g*sigma))`` where
 z_g is the one-sided normal quantile at gamma.  For comparison, the usual
 two-sided interval (truncated to the parameter bounds when they are given)
-is also provided.  With bounds present, the expected lengths of both
-memberships have closed forms in Phi and Gaussian exponentials.  The
-lower-bound envelope is the anchored closed form with o set to the true
-mean; each is cross-checked against independent quadrature in the tests.
+is also provided.  With bounds [a, b] present, both expected lengths come
+from Pratt's identity: the expected length at theta is the integral over
+[a, b] of the probability that the interval covers tau, for either
+membership an integral of Phi.  The lower-bound envelope is the anchored
+expected length with o set to the true mean; each is cross-checked
+against independent quadrature in the tests.
 
 Both classes offer ``psi(x, tau)``, ``coverage(tau)``,
 ``expected_length(theta)`` and ``lower_bound(theta)``.
@@ -21,11 +23,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .specfun import normal_cdf, normal_quantile, two_sided_z
+from .length import _gauss_legendre
+from .specfun import normal_cdf, normal_pdf, normal_quantile, two_sided_z
 
 __all__ = ["NormalFamily", "TwoSidedInterval"]
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @lru_cache(maxsize=1024)
@@ -33,9 +34,25 @@ def _one_sided_z(gamma: float) -> float:
     return normal_quantile(gamma)
 
 
-def _gauss(t: float, s: float) -> float:
-    """s * phi(t / s): the Gaussian exponential terms of the closed forms."""
-    return s * _INV_SQRT_2PI * math.exp(-0.5 * (t / s) ** 2)
+def _mass(lo: float, hi: float, theta: float, z: float, sigma: float) -> float:
+    """Integral of Phi((tau - theta) / sigma + z) over tau in [lo, hi].
+
+    Over a span of at least sigma it is the difference of the
+    antiderivative sigma * G(u), G(u) = u Phi(u) + phi(u), written in tau
+    units so that no product overflows.  Over a shorter span that
+    difference would cancel; there the 10-node Gauss-Legendre rule
+    integrates the smooth Phi to rounding accuracy.  Taking z rather than
+    z * sigma keeps a huge sigma finite.
+    """
+    lo, hi = lo - theta, hi - theta
+    if hi - lo < sigma:
+        return _gauss_legendre(lambda t: normal_cdf(t / sigma + z), lo, hi)
+
+    u_lo, u_hi, d = lo / sigma + z, hi / sigma + z, z * sigma
+    return (
+        (hi + d) * normal_cdf(u_hi) + sigma * normal_pdf(u_hi)
+        - ((lo + d) * normal_cdf(u_lo) + sigma * normal_pdf(u_lo))
+    )
 
 
 class _Normal:
@@ -66,7 +83,7 @@ class _Normal:
 
     def _require_bounds(self) -> tuple[float, float]:
         if self.bounds is None:
-            raise ValueError("expected-length closed forms require bounds")
+            raise ValueError("expected lengths require bounds")
         return self.bounds
 
     def coverage(self, tau: float) -> float:
@@ -85,22 +102,14 @@ class _Normal:
         return self._el_anchored(theta, theta)
 
     def _el_anchored(self, o: float, theta: float) -> float:
-        """Expected length at theta of the membership anchored at o."""
+        """Expected length at theta of the membership anchored at o.
+
+        Below o the interval covers tau when x < tau + z sigma, above o
+        when x > tau - z sigma, the same event mirrored through zero.
+        """
         a, b = self._require_bounds()
-        s = self.sigma
-        c = _one_sided_z(self.gamma) * s
-
-        def cdf(t):
-            return normal_cdf(t / s)
-
-        return (
-            (b - o) * (1.0 - cdf(b - c - theta))
-            + (o - a) * cdf(a + c - theta)
-            + (theta - (o - c)) * (cdf(b - c - theta) - cdf(o - c - theta))
-            + (_gauss(o - c - theta, s) - _gauss(b - c - theta, s))
-            + (o + c - theta) * (cdf(o + c - theta) - cdf(a + c - theta))
-            - (_gauss(a + c - theta, s) - _gauss(o + c - theta, s))
-        )
+        z = _one_sided_z(self.gamma)
+        return _mass(a, o, theta, z, self.sigma) + _mass(-b, -o, -theta, z, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -151,29 +160,8 @@ class TwoSidedInterval(_Normal):
     def expected_length(self, theta: float) -> float:
         """Expected length of the truncated two-sided membership at theta.
 
-        Two regimes: when the interval half-width is small enough that a full
-        untruncated interval fits inside [a, b], and when it is not.  The
-        boundary case belongs to the first regime; both expressions agree there.
+        The interval covers tau when tau - d <= x <= tau + d, d = z sigma.
         """
         a, b = self._require_bounds()
-        s = self.sigma
-        d = two_sided_z(self.gamma) * s
-
-        def cdf(t):
-            return normal_cdf(t / s)
-
-        if a + d <= b - d:
-            return (
-                (theta - a + d) * (cdf(a + d - theta) - cdf(a - d - theta))
-                + (_gauss(a - d - theta, s) - _gauss(a + d - theta, s))
-                + 2.0 * d * (cdf(b - d - theta) - cdf(a + d - theta))
-                + (b + d - theta) * (cdf(b + d - theta) - cdf(b - d - theta))
-                - (_gauss(b - d - theta, s) - _gauss(b + d - theta, s))
-            )
-        return (
-            (theta - a + d) * (cdf(b - d - theta) - cdf(a - d - theta))
-            + (_gauss(a - d - theta, s) - _gauss(b - d - theta, s))
-            + (b - a) * (cdf(a + d - theta) - cdf(b - d - theta))
-            + (b + d - theta) * (cdf(b + d - theta) - cdf(a + d - theta))
-            - (_gauss(a + d - theta, s) - _gauss(b + d - theta, s))
-        )
+        z = two_sided_z(self.gamma)
+        return _mass(a, b, theta, z, self.sigma) - _mass(a, b, theta, -z, self.sigma)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from fuzzyci.core import _align
-from fuzzyci.specfun import binom_pmf, normal_quantile
+from fuzzyci.specfun import binom_pmf, normal_quantile, two_sided_z
 
 _ORACLE_MAX_SUPPORT = 25
 
@@ -54,29 +54,63 @@ def oracle_el_psi_o(theta, fam):
     return quadrature_el(length, theta, fam.sigma, [a + c, o + c, o - c, b - c])
 
 
-def mp_el_anchored(o, theta, fam, dps=40):
-    """Expected length at theta of the membership anchored at o, by mpmath.
+def _mp_el(length, kinks, theta, sigma):
+    """Gaussian expectation at theta of a piecewise-linear interval length.
 
-    The interval is the one the library evaluates, with the same float
-    c = z * sigma.  The Gaussian expectation of its length runs in ``dps``
-    digits over theta +- 40 sigma (the rest weighs below 1e-340), split at
-    the length's kinks.
+    ``length(x)`` and ``kinks`` take and hold mpmath numbers.  The integral
+    runs at the working precision over theta +- 40 sigma (the rest weighs
+    below 1e-340), split at the kinks inside that range.
     """
     import mpmath
 
-    a, b = fam.bounds
+    theta, s = mpmath.mpf(theta), mpmath.mpf(sigma)
+    scale = 1 / (s * mpmath.sqrt(2))
+
+    def integrand(x):
+        return max(0, length(x)) * mpmath.exp(-(((x - theta) * scale) ** 2))
+
+    lo, hi = theta - 40 * s, theta + 40 * s
+    cuts = [k for k in kinks if lo < k < hi]
+    edges = sorted({lo, hi, *cuts})
+    return float(
+        mpmath.quad(integrand, edges, method="gauss-legendre") * scale / mpmath.sqrt(mpmath.pi)
+    )
+
+
+def mp_el_anchored(o, theta, fam, dps=40):
+    """Expected length at theta of the membership anchored at o, in dps digits.
+
+    The interval is the one the library evaluates, with the same float
+    c = z * sigma.
+    """
+    import mpmath
+
     c = normal_quantile(fam.gamma) * fam.sigma
     with mpmath.workdps(dps):
-        a, b, c, o, theta, s = (mpmath.mpf(v) for v in (a, b, c, o, theta, fam.sigma))
+        a, b, c, o = (mpmath.mpf(v) for v in (*fam.bounds, c, o))
 
-        def integrand(x):
-            lo = max(a, min(o, x - c))
-            hi = min(b, max(o, x + c))
-            return max(mpmath.mpf(0), hi - lo) * mpmath.npdf(x, theta, s)
+        def length(x):
+            return min(b, max(o, x + c)) - max(a, min(o, x - c))
 
-        lo, hi = theta - 40 * s, theta + 40 * s
-        kinks = [k for k in (a + c, o + c, o - c, b - c) if lo < k < hi]
-        return float(mpmath.quad(integrand, sorted({lo, hi, *kinks})))
+        return _mp_el(length, (a + c, o + c, o - c, b - c), theta, fam.sigma)
+
+
+def mp_el_two_sided(theta, fam, dps=40):
+    """Expected length at theta of the truncated two-sided interval, in dps digits.
+
+    The interval is the one the library evaluates, with the same float
+    d = z * sigma.
+    """
+    import mpmath
+
+    d = two_sided_z(fam.gamma) * fam.sigma
+    with mpmath.workdps(dps):
+        a, b, d = (mpmath.mpf(v) for v in (*fam.bounds, d))
+
+        def length(x):
+            return min(b, x + d) - max(a, x - d)
+
+        return _mp_el(length, (a - d, a + d, b - d, b + d), theta, fam.sigma)
 
 
 def oracle_el_nl(theta, fam):

@@ -20,7 +20,7 @@ from oracles import (
 from fuzzyci import binomial, discrete, normal, poisson
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.knapsack import KnapsackInstance, solve_01_dp, solve_fractional, to_measure_problem
-from fuzzyci.length import QuadratureSpec, el_curve, lower_bound_curve
+from fuzzyci.length import QuadratureSpec, el_curve, expected_length, lower_bound_curve
 from fuzzyci.specfun import (
     binom_pmf,
     chisq_cdf,
@@ -418,4 +418,59 @@ def test_criterion_9_special_function_identities():
         identities_ok and worst_rt < 1e-9,
         f"closed-form identities {identities_ok}, "
         f"max inverse round-trip residual = {worst_rt:.3g} (tol 1e-9)",
+    )
+
+
+def bernoulli_minimax(gamma):
+    """Minimal maximum expected length for one Bernoulli trial.
+
+    The pointwise linear program: minimize psi(0 | tau) + psi(1 | tau)
+    subject to coverage >= gamma at tau, integrated over tau in [0, 1].
+    """
+    return (
+        2.0 * gamma - 1.0 - gamma * math.log(gamma)
+        + (1.0 - gamma) * math.log(2.0 * (1.0 - gamma))
+    )
+
+
+def test_criterion_10_minimax_expected_length():
+    # If a family's expected-length curve peaks at its reference point o,
+    # it is minimax: any membership with coverage >= gamma has expected
+    # length at o no smaller than the family's (criterion 7), which is
+    # the family's maximum.  The certificate is that peak on a dense grid.
+    unit = QuadratureSpec(0.0, 1.0)
+    grid = [k / 1000.0 for k in range(1, 1000)]
+    formula_gap = abs(bernoulli_minimax(0.95) - 0.833599375018)
+    worst_value = worst_peak = 0.0
+    off_centre_larger = True
+    for gamma in (0.8, 0.9, 0.95, 0.99):
+        fam = binomial.BinomialFamily(1, 0.5, gamma)
+        minimax = bernoulli_minimax(gamma)
+        worst_value = max(worst_value, abs(expected_length(fam, 0.5, unit) - minimax))
+        worst_peak = max(worst_peak, max(el_curve(fam, grid, unit)) - minimax)
+        off_centre = max(el_curve(binomial.BinomialFamily(1, 0.3, gamma), grid, unit))
+        off_centre_larger &= off_centre > minimax + 1e-3
+
+    # Normal mean on [0, 1] with o = 1/2: the peak sits at o for sigma >= 1/3
+    # and moves to an end of the bounds at sigma = 0.1.
+    thetas = np.linspace(0.0, 1.0, 2001).tolist()
+    normal_peak = -math.inf
+    low_sigma_at_end = True
+    for gamma in (0.8, 0.9, 0.95, 0.99):
+        for sigma in (1 / 3, 0.5, 1.0, 3.0, 0.1):
+            fam = normal.NormalFamily(o=0.5, gamma=gamma, sigma=sigma, bounds=(0.0, 1.0))
+            curve = [fam.expected_length(theta) for theta in thetas]
+            if sigma == 0.1:
+                low_sigma_at_end &= int(np.argmax(curve)) in (0, len(thetas) - 1)
+            else:
+                normal_peak = max(normal_peak, max(curve) - fam.expected_length(0.5))
+    report(
+        "criterion 10 (minimax expected length)",
+        formula_gap < 5e-13 and worst_value <= 1e-10 and worst_peak <= 1e-12
+        and off_centre_larger and normal_peak <= 1e-12 and low_sigma_at_end,
+        f"M(0.95) - 0.833599375018 = {formula_gap:.2g}, "
+        f"Bernoulli max |EL(1/2) - M(gamma)| = {worst_value:.3g} (tol 1e-10), "
+        f"curve above M by {worst_peak:.3g} (tol 1e-12), o = 0.3 larger "
+        f"{off_centre_larger}; normal curve above EL(1/2) by {normal_peak:.3g} "
+        f"(tol 1e-12), peak at an end at sigma = 0.1 {low_sigma_at_end}",
     )

@@ -1,6 +1,7 @@
 """Tests for the command-line surface."""
 
 import json
+import math
 import os
 import warnings
 
@@ -231,6 +232,19 @@ class TestElCurveCommand:
         for _, el, bound in rows:
             assert el >= bound - 1e-9
 
+    def test_normal_huge_sigma(self, capsys):
+        base = ("el-curve", "--family", "normal", "--gamma", "0.95",
+                "--a", "0", "--b", "1", "--theta-grid", "0:1:3")
+        status, out = run_cli(capsys, *base, "--method", "truncated_standard",
+                              "--sigma", "1e308")
+        assert status == 0
+        assert all(math.isfinite(v) for row in parse_csv(out)[1] for v in row)
+        for method in (("--o", "0.5"), ("--method", "truncated_standard")):
+            status, out = run_cli(capsys, *base, *method, "--sigma", "1e15")
+            assert status == 0
+            for _, el, bound in parse_csv(out)[1]:
+                assert bound - 1e-9 <= el <= 1.0
+
     def test_json_and_csv_encode_identical_values(self, capsys):
         argv = (
             "el-curve", "--family", "binomial", "--n", "5",
@@ -343,7 +357,7 @@ class TestFamilyTable:
         )
         unbounded = _without(_without(argv, "--a"), "--b")
         status, out = run_cli(capsys, *unbounded, "--method", "standard")
-        assert (status, out) == (2, "")  # the closed forms need --a and --b
+        assert (status, out) == (2, "")  # the expected lengths need --a and --b
 
     def test_lower_bound_ignores_o(self, capsys):
         for family in _FAMILY_ARGS:

@@ -1,11 +1,13 @@
-"""Tests for the normal-mean membership and expected-length closed forms."""
+"""Tests for the normal-mean membership and its expected lengths."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import mp_el_anchored, oracle_el_nl, oracle_el_psi_o
+from oracles import mp_el_anchored, mp_el_two_sided, oracle_el_nl, oracle_el_psi_o
 
 from fuzzyci.normal import NormalFamily, TwoSidedInterval
 from fuzzyci.specfun import normal_cdf, normal_quantile
@@ -112,13 +114,20 @@ class TestExpectedLengthClosedForms:
                 oracle_el_psi_o(theta, fam_theta), abs=1e-6
             )
 
-    @pytest.mark.parametrize("sigma", [1e-3, 0.1, 1.0])
-    @pytest.mark.parametrize("gamma", [0.9, 0.99])
+    @pytest.mark.parametrize("sigma", [1e-3, 0.1, 1 / 3, 1.0, 3.0, 1e6, 1e8, 1e15])
+    @pytest.mark.parametrize("gamma", [0.9, 0.95, 0.99])
     def test_lower_bound_matches_high_precision_quadrature(self, sigma, gamma):
+        # The expected lengths of both classes too, up to a sigma so large
+        # that the whole interval hardly depends on the sample mean.
         fam = TwoSidedInterval(gamma=gamma, sigma=sigma, bounds=(0.0, 1.0))
+        anchored = NormalFamily(o=0.3, gamma=gamma, sigma=sigma, bounds=(0.0, 1.0))
         for theta in np.linspace(0.0, 1.0, 11):
             theta = float(theta)
             assert abs(fam.lower_bound(theta) - mp_el_anchored(theta, theta, fam)) <= 1e-14
+            assert abs(
+                anchored.expected_length(theta) - mp_el_anchored(0.3, theta, anchored)
+            ) <= 1e-14
+            assert abs(fam.expected_length(theta) - mp_el_two_sided(theta, fam)) <= 1e-14
 
     def test_lower_bound_is_substitution_identity(self):
         # The envelope is the membership anchored at o = theta, whatever
@@ -168,6 +177,32 @@ class TestExpectedLengthClosedForms:
         max_proposed = max(fam.expected_length(t) for t in grid)
         max_standard = max(two_sided(fam).expected_length(t) for t in grid)
         assert max_proposed <= max_standard
+
+    @given(
+        a=st.floats(-1e6, 1e6),
+        log_width=st.floats(-3.0, 6.0),
+        log_sigma=st.floats(-3.0, 308.0),
+        gamma=st.floats(0.5, 0.999),
+        u=st.floats(0.0, 1.0),
+        v=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lengths_finite_and_ordered(self, a, log_width, log_sigma, gamma, u, v):
+        # 0 <= envelope <= EL <= b - a for every sigma up to 1e308.  The
+        # envelope may exceed EL by the 1e-9 dominance tolerance, and EL may
+        # exceed b - a by the rounding of the two quantile solves.
+        b = a + 10.0 ** log_width
+        bounds = (a, b)
+        sigma = 10.0 ** log_sigma
+        o, theta = min(b, a + u * (b - a)), a + v * (b - a)
+        for fam in (
+            NormalFamily(o=o, gamma=gamma, sigma=sigma, bounds=bounds),
+            TwoSidedInterval(gamma=gamma, sigma=sigma, bounds=bounds),
+        ):
+            el, bound = fam.expected_length(theta), fam.lower_bound(theta)
+            assert math.isfinite(el) and math.isfinite(bound)
+            assert 0.0 <= bound <= el + 1e-9 * (b - a)
+            assert el <= (b - a) * (1.0 + 1e-12)
 
     def test_requires_bounds(self):
         fam = NormalFamily(o=0.0, gamma=0.95, sigma=1.0)
