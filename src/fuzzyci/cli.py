@@ -25,7 +25,7 @@ import numpy as np
 from . import binomial, discrete, normal, poisson
 from .core import construct_psi_star
 from .knapsack import KnapsackInstance, solve_01_dp, solve_fractional, to_measure_problem
-from .length import QuadratureSpec, el_curve, lower_bound_curve
+from .length import QuadratureSpec, _breakpoint_mass, el_curve, lower_bound_curve
 from .specfun import ConvergenceError
 
 USAGE_ERROR = 2
@@ -409,6 +409,25 @@ def _selftest_checks():
         return abs(nfam.lower_bound(theta) - quadrature) < 1e-8
 
     yield "normal envelope", _normal_envelope
+
+    def _binomial_envelope():
+        # The envelope's band route against the breakpoint quadrature of
+        # each reference family.  The range leaves out theta = 0.2 and 0.8,
+        # so their reference points must be clipped to it.
+        grid = (0.2, 0.5, 0.8)
+        quad = QuadratureSpec(0.3, 0.7)
+
+        def generic(theta):
+            ref = fam.reference(theta)
+            return math.fsum(
+                math.exp(ref.log_pmf(w, theta)) * _breakpoint_mass(ref, w, quad)
+                for w in range(ref.support_upper(theta) + 1)
+            )
+
+        bound = lower_bound_curve(fam, grid, quad)
+        return all(abs(b - generic(t)) < 1e-12 for t, b in zip(grid, bound))
+
+    yield "binomial envelope", _binomial_envelope
 
 
 def cmd_selftest(args) -> int:

@@ -8,11 +8,15 @@ after observing omega is
     clip((gamma - P[X < omega]) / p(omega), 0, 1)   for tau below o,
     clip((gamma - P[X > omega]) / p(omega), 0, 1)   for tau above o,
 
-and the larger of the two at tau = o.  Per omega, each side has two
-thresholds on the tau axis where the membership leaves 0 and reaches 1;
-they come from quantiles of the family's conjugate distribution and short-
-circuit the clamped regions of the scalar ``psi``, so the ratio is evaluated
-only between them.  The thresholds serve only ``psi`` and ``breakpoints``.
+and the larger of the two at tau = o.  Neither branch depends on o; only
+the switch between them does.  Per omega, each branch has two thresholds on
+the tau axis where it leaves 0 and reaches 1 (its randomized band); they
+come from quantiles of the family's conjugate distribution and short-circuit
+the clamped regions of the scalar ``psi``, so the ratio is evaluated only
+inside the bands.  The thresholds serve ``psi``, ``breakpoints`` and the
+band integrals of the expected-length engine, which integrates each branch
+over its band once and shares the result among all o (see
+:mod:`fuzzyci.length`); coverage needs none of them.
 
 Coverage at tau needs the whole column omega = 0, 1, ... at once, and there
 the numerators are partial sums of the same mass column p (Geyer & Meeden's
@@ -36,8 +40,9 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
   expected length at theta is the envelope value there;
 - ``coverage(tau)``: exact coverage at tau, by :func:`coverage`.
 
-:class:`Randomized` builds ``psi``, ``psi_column`` and ``breakpoints`` of a
-proposed family from what differs between the families:
+:class:`Randomized` builds ``psi``, its two branches ``psi_below`` and
+``psi_above``, ``psi_column`` and ``breakpoints`` of a proposed family from
+what differs between the families:
 
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
@@ -69,24 +74,6 @@ def _randomized(slack: float, omega: int, tau: float, fam) -> float:
     return min(1.0, max(0.0, math.exp(math.log(slack) - fam.log_pmf(omega, tau))))
 
 
-def _psi_below(omega: int, tau: float, fam) -> float:
-    zero, one, _, _ = fam.thresholds(omega)
-    if tau <= zero:
-        return 0.0
-    if tau > one:
-        return 1.0
-    return _randomized(fam.slack_below(omega, tau), omega, tau, fam)
-
-
-def _psi_above(omega: int, tau: float, fam) -> float:
-    _, _, one, zero = fam.thresholds(omega)
-    if tau <= one:
-        return 1.0
-    if tau > zero:
-        return 0.0
-    return _randomized(fam.slack_above(omega, tau), omega, tau, fam)
-
-
 class _Membership:
     """What the proposed and the crisp memberships share."""
 
@@ -108,10 +95,28 @@ class Randomized(_Membership):
         """
         self.check(omega, tau)
         if tau < self.o:
-            return _psi_below(omega, tau, self)
+            return self.psi_below(omega, tau)
         if tau > self.o:
-            return _psi_above(omega, tau, self)
-        return max(_psi_below(omega, tau, self), _psi_above(omega, tau, self))
+            return self.psi_above(omega, tau)
+        return max(self.psi_below(omega, tau), self.psi_above(omega, tau))
+
+    def psi_below(self, omega: int, tau: float) -> float:
+        """The membership's branch below o, at any tau: 0, the ratio, then 1."""
+        zero, one, _, _ = self.thresholds(omega)
+        if tau <= zero:
+            return 0.0
+        if tau > one:
+            return 1.0
+        return _randomized(self.slack_below(omega, tau), omega, tau, self)
+
+    def psi_above(self, omega: int, tau: float) -> float:
+        """The membership's branch above o, at any tau: 1, the ratio, then 0."""
+        _, _, one, zero = self.thresholds(omega)
+        if tau <= one:
+            return 1.0
+        if tau > zero:
+            return 0.0
+        return _randomized(self.slack_above(omega, tau), omega, tau, self)
 
     def psi_column(self, tau: float, p: np.ndarray) -> np.ndarray:
         """Clamp form of ``psi(omega, tau)`` over the mass column p at tau.

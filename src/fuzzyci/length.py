@@ -2,11 +2,24 @@
 
 The expected length at a true parameter theta is the outer expectation,
 under the sampling distribution at theta, of the Lebesgue mass each
-observation's membership assigns over the parameter axis.  The inner
-integral runs on adaptive Gauss-Legendre quadrature with panels pre-split
-at the family's breakpoints (adaptive bisection converges poorly across
-kinks, and open nodes keep jump points harmless).  The outer sum is an
-exact pmf summation over the (truncated) support.
+observation's membership assigns over the parameter axis (Pratt, 1961).
+The outer sum is an exact pmf summation over the (truncated) support; the
+inner integrals run on adaptive Gauss-Legendre quadrature.
+
+For a proposed (:class:`~fuzzyci.discrete.Randomized`) family the inner
+mass comes from band integrals.  The membership of omega is its branch
+``psi_below`` below o and ``psi_above`` above it, and neither branch depends
+on o.  Each branch is 0 or 1 outside its randomized band, between two of the
+family's thresholds, so the mass at any anchor o is flat lengths plus the
+full-band integrals, except for the band that contains o, which needs one
+partial integral.  The full-band integrals are cached on the family's
+parameters other than o, so every reference family of an envelope, and every
+curve of one figure, reads the same entries.
+
+Any other family, a crisp comparison method for one, takes the generic
+route: panels pre-split at the family's breakpoints (adaptive bisection
+converges poorly across kinks, and open nodes keep jump points harmless).
+That route is also the independent check on the band route.
 
 A family is the model: the engine reads its ``psi(omega, tau)``,
 ``breakpoints(omega)``, ``log_pmf(omega, theta)`` and
@@ -19,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
+from .discrete import Randomized
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -81,8 +95,8 @@ def _refine(f, a, b, whole, tol, depth):
     )
 
 
-def interval_mass(fam, omega: int, quad: QuadratureSpec) -> float:
-    """Lebesgue mass of tau -> psi(omega | tau) over the quadrature range."""
+def _breakpoint_mass(fam, omega: int, quad: QuadratureSpec) -> float:
+    """Mass of tau -> psi(omega | tau), on panels split at the breakpoints."""
     edges = sorted(
         {quad.lower, quad.upper,
          *(p for p in fam.breakpoints(omega) if quad.lower < p < quad.upper)}
@@ -97,6 +111,81 @@ def interval_mass(fam, omega: int, quad: QuadratureSpec) -> float:
         tol = quad.rel_tol * scale * (b - a) / width_total
         parts.append(_refine(f, a, b, whole, tol, 0))
     return max(0.0, math.fsum(parts))
+
+
+def _band_integral(f, a: float, b: float, rel_tol: float) -> float:
+    """Integral of 0 <= f <= 1 over [a, b], to rel_tol times its largest value."""
+    if not a < b:
+        return 0.0
+    return _refine(f, a, b, _gauss_legendre(f, a, b), rel_tol * (b - a), 0)
+
+
+class _AllButO:
+    """A proposed family, compared and hashed on its fields other than o."""
+
+    __slots__ = ("fam",)
+
+    def __init__(self, fam):
+        self.fam = fam
+
+    def _key(self):
+        return (type(self.fam), *(v for k, v in vars(self.fam).items() if k != "o"))
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __eq__(self, other):
+        return self._key() == other._key()
+
+
+def _clipped_thresholds(fam, omega: int, quad: QuadratureSpec):
+    lo, hi = quad.lower, quad.upper
+    return tuple(min(max(t, lo), hi) for t in fam.thresholds(omega))
+
+
+# An entry is about 300 bytes.  One curve reads one entry per omega of its
+# support, so the bound must hold the largest such support (binomial n + 1)
+# or every theta evicts what the next one needs.
+@lru_cache(maxsize=4096)
+def _bands(family: _AllButO, omega: int, quad: QuadratureSpec):
+    """Integrals of omega's two branches across their bands, clipped to the range.
+
+    ``psi_below`` rises from 0 to 1 across [below_zero, below_one] and
+    ``psi_above`` falls from 1 to 0 across [above_one, above_zero].
+    """
+    fam = family.fam
+    z0, z1, a1, a0 = _clipped_thresholds(fam, omega, quad)
+    below = _band_integral(partial(fam.psi_below, omega), z0, z1, quad.rel_tol)
+    above = _band_integral(partial(fam.psi_above, omega), a1, a0, quad.rel_tol)
+    return below, above
+
+
+def _band_mass(fam, omega: int, quad: QuadratureSpec) -> float:
+    """Mass of a proposed family's membership: psi_below up to o, psi_above on."""
+    fam.check(omega, fam.o)
+    below, above = _bands(_AllButO(fam), omega, quad)
+    z0, z1, a1, a0 = _clipped_thresholds(fam, omega, quad)
+    o = min(max(fam.o, quad.lower), quad.upper)
+    if o <= z0:
+        up_to_o = 0.0
+    elif o < z1:
+        up_to_o = _band_integral(partial(fam.psi_below, omega), z0, o, quad.rel_tol)
+    else:
+        up_to_o = below + (o - z1)
+    if o >= a0:
+        from_o = 0.0
+    elif o > a1:
+        from_o = _band_integral(partial(fam.psi_above, omega), o, a0, quad.rel_tol)
+    else:
+        from_o = (a1 - o) + above
+    return up_to_o + from_o
+
+
+def interval_mass(fam, omega: int, quad: QuadratureSpec) -> float:
+    """Lebesgue mass of tau -> psi(omega | tau) over the quadrature range."""
+    if isinstance(fam, Randomized):
+        return _band_mass(fam, omega, quad)
+    return _breakpoint_mass(fam, omega, quad)
 
 
 def _el_values(fam, thetas: list[float], quad: QuadratureSpec) -> list[float]:

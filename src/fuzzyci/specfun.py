@@ -298,13 +298,22 @@ def normal_pdf(z: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile: z with normal_cdf(z) = p, for p in (0, 1)."""
+    """Standard normal quantile: z with normal_cdf(z) = p, for p in (0, 1).
+
+    The solver stops at a residual of ``_ABS_TOL``, up to about 1e-12 off
+    in z; one more Newton step brings z to within rounding.  Above p = 1/2
+    the lower tail is solved at 1 - p, which is exact there, since the CDF
+    near 1 is too coarse for that step.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    return _rtsafe(
+    if p > 0.5:
+        return -normal_quantile(1.0 - p)
+    z = _rtsafe(
         normal_cdf, normal_pdf, p, 0.0, -40.0, 40.0,
         f"normal quantile failed for p={p}",
     )
+    return z - (normal_cdf(z) - p) / normal_pdf(z)
 
 
 @lru_cache(maxsize=1024)

@@ -451,6 +451,21 @@ def test_criterion_10_minimax_expected_length():
         off_centre = max(el_curve(binomial.BinomialFamily(1, 0.3, gamma), grid, unit))
         off_centre_larger &= off_centre > minimax + 1e-3
 
+    # Binomial with o = 1/2: the peak sits at o for 2 <= n <= N(gamma) and
+    # moves to an end of the grid at n = N(gamma) + 1.
+    binomial_peak = -math.inf
+    past_n_at_end = True
+    for gamma, last in ((0.8, 2), (0.9, 5), (0.95, 8), (0.99, 17)):
+        for n in range(2, last + 2):
+            fam = binomial.BinomialFamily(n, 0.5, gamma)
+            curve = el_curve(fam, grid, unit)
+            if n == last + 1:
+                past_n_at_end &= int(np.argmax(curve)) in (0, len(grid) - 1)
+            else:
+                binomial_peak = max(
+                    binomial_peak, max(curve) - expected_length(fam, 0.5, unit)
+                )
+
     # Normal mean on [0, 1] with o = 1/2: the peak sits at o for sigma >= 1/3
     # and moves to an end of the bounds at sigma = 0.1.
     thetas = np.linspace(0.0, 1.0, 2001).tolist()
@@ -467,10 +482,13 @@ def test_criterion_10_minimax_expected_length():
     report(
         "criterion 10 (minimax expected length)",
         formula_gap < 5e-13 and worst_value <= 1e-10 and worst_peak <= 1e-12
-        and off_centre_larger and normal_peak <= 1e-12 and low_sigma_at_end,
+        and off_centre_larger and binomial_peak <= 1e-12 and past_n_at_end
+        and normal_peak <= 1e-12 and low_sigma_at_end,
         f"M(0.95) - 0.833599375018 = {formula_gap:.2g}, "
         f"Bernoulli max |EL(1/2) - M(gamma)| = {worst_value:.3g} (tol 1e-10), "
         f"curve above M by {worst_peak:.3g} (tol 1e-12), o = 0.3 larger "
-        f"{off_centre_larger}; normal curve above EL(1/2) by {normal_peak:.3g} "
+        f"{off_centre_larger}; binomial n <= N(gamma) curve above EL(1/2) by "
+        f"{binomial_peak:.3g} (tol 1e-12), peak at an end at N(gamma) + 1 "
+        f"{past_n_at_end}; normal curve above EL(1/2) by {normal_peak:.3g} "
         f"(tol 1e-12), peak at an end at sigma = 0.1 {low_sigma_at_end}",
     )

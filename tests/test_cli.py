@@ -272,6 +272,37 @@ class TestElCurveCommand:
         for _, el, bound in rows:
             assert el >= bound - 1e-9
 
+    def test_poisson_o_above_tau_max(self, capsys):
+        # Over [0, tau-max] the membership anchored above the range is its
+        # below branch alone; the values are those of the breakpoint
+        # quadrature, which the band route must match.
+        status, out = run_cli(
+            capsys,
+            "el-curve", "--family", "poisson", "--gamma", "0.95", "--o", "50",
+            "--tau-max", "30", "--theta-grid", "5:20:2",
+        )
+        assert status == 0
+        expected = [
+            (5.0, 27.668524593595066, 7.579977848341537),
+            (20.0, 16.319224142190951, 13.516308737303639),
+        ]
+        for row, want in zip(parse_csv(out)[1], expected, strict=True):
+            assert row == pytest.approx(want, rel=1e-12)
+
+    def test_poisson_band_of_tiny_mass_converges(self, capsys):
+        # The breakpoint quadrature scales its tolerance by the total mass;
+        # at o = 40.47 the mass of omega = 53 below tau-max is 2.6e-4, and
+        # that tolerance sank below the noise in psi (exit 3).
+        status, out = run_cli(
+            capsys,
+            "el-curve", "--family", "poisson", "--gamma", "0.9772361769965767",
+            "--o", "40.469622765153176", "--tau-max", "39.4822041639816",
+            "--theta-grid", "30:39:2",
+        )
+        assert status == 0
+        for _, el, bound in parse_csv(out)[1]:
+            assert bound - 1e-9 <= el <= 39.4822041639816
+
     def test_library_domain_error_maps_to_usage_exit(self, capsys):
         # The quadrature spec rejects the tolerance inside the library; the
         # CLI must turn that into the usage exit code.

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuzzyci import binomial, poisson
+from fuzzyci import binomial, length, poisson
 from fuzzyci.length import (
     QuadratureSpec,
+    _breakpoint_mass,
     el_curve,
     expected_length,
     interval_mass,
@@ -120,6 +123,111 @@ class TestIntervalMass:
         # Bisection cannot resolve an unadvertised jump within its depth budget.
         with pytest.raises(ConvergenceError):
             interval_mass(Sneaky(), 0, UNIT)
+
+
+def _assert_band_route_matches_breakpoints(fam, quad, omegas, rel=1e-13):
+    for w in omegas:
+        band = interval_mass(fam, w, quad)
+        generic = _breakpoint_mass(fam, w, quad)
+        assert band == pytest.approx(generic, rel=rel, abs=1e-300), (fam, w)
+
+
+FIG08_RANGE = QuadratureSpec(1e-9, 60.0)
+
+
+class TestBandRoute:
+    """Proposed families take the band route; the breakpoint route checks it."""
+
+    @pytest.mark.parametrize("gamma", [0.8, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [1, 10, 40])
+    def test_binomial_matches_breakpoint_quadrature(self, n, gamma):
+        for o in (0.01, 0.3, 0.5, 0.97):
+            fam = binomial.BinomialFamily(n, o, gamma)
+            _assert_band_route_matches_breakpoints(fam, UNIT, range(n + 1))
+
+    @pytest.mark.parametrize("gamma", [0.8, 0.95, 0.99])
+    def test_poisson_matches_breakpoint_quadrature(self, gamma):
+        top = poisson.support_bound(FIG08_RANGE.upper)
+        for o in (1e-6, 5.0, 10.0):
+            fam = poisson.PoissonFamily(o, gamma)
+            _assert_band_route_matches_breakpoints(fam, FIG08_RANGE, range(top + 1))
+
+    @pytest.mark.parametrize("o", [1e-12, 0.003, 0.997, 1.0 - 1e-12])
+    def test_binomial_o_near_the_ends(self, o):
+        fam = binomial.BinomialFamily(10, o, 0.95)
+        _assert_band_route_matches_breakpoints(fam, UNIT, range(11))
+        # On a range that excludes o, the membership over it is one branch
+        # alone, as it is for the family anchored at the nearer end.
+        inner = QuadratureSpec(0.2, 0.8)
+        _assert_band_route_matches_breakpoints(fam, inner, range(11))
+        end = binomial.BinomialFamily(10, 0.2 if o < 0.5 else 0.8, 0.95)
+        for w in range(11):
+            assert interval_mass(fam, w, inner) == interval_mass(end, w, inner)
+
+    def test_poisson_o_above_the_range(self):
+        # Anchored above the range, the mass is the below branch's alone,
+        # never more than the range is wide.
+        quad = QuadratureSpec(1e-9, 30.0)
+        fam = poisson.PoissonFamily(50.0, 0.95)
+        _assert_band_route_matches_breakpoints(fam, quad, range(60))
+        assert all(0.0 <= interval_mass(fam, w, quad) <= 30.0 for w in range(60))
+
+    @given(
+        n=st.integers(0, 60),
+        gamma=st.floats(0.5, 0.999),
+        u=st.floats(1e-6, 1.0 - 1e-6),
+        v=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_breakpoint_quadrature(self, n, gamma, u, v):
+        # n = 0 draws a Poisson family on the fig08 range.  Both routes meet
+        # rel_tol = 1e-9 and stop refining at different points; at n <= 3 a
+        # band can end near the pole of psi at tau = 0 or 1, where they part
+        # by up to 4e-13 (worst of 40 000 random draws).
+        if n:
+            fam, quad = binomial.BinomialFamily(n, u, gamma), UNIT
+            w = round(v * n)
+        else:
+            fam, quad = poisson.PoissonFamily(70.0 * u, gamma), FIG08_RANGE
+            w = round(v * poisson.support_bound(quad.upper))
+        _assert_band_route_matches_breakpoints(fam, quad, [w], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "first, second, quad",
+        [
+            (
+                binomial.BinomialFamily(12, 0.3, 0.9371),
+                binomial.BinomialFamily(12, 0.7, 0.9371),
+                UNIT,
+            ),
+            (
+                poisson.PoissonFamily(2.0, 0.9371),
+                poisson.PoissonFamily(9.0, 0.9371),
+                QuadratureSpec(1e-9, 25.0),
+            ),
+        ],
+        ids=["binomial", "poisson"],
+    )
+    def test_families_differing_only_in_o_share_band_cache(self, first, second, quad):
+        # The envelope builds one reference family per theta; its cost rests
+        # on the band integrals being keyed on everything but o.
+        omegas = range(first.support_upper(quad.upper) + 1)
+        for w in omegas:
+            interval_mass(first, w, quad)
+        before = length._bands.cache_info()
+        for w in omegas:
+            interval_mass(second, w, quad)
+        after = length._bands.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
+    def test_band_cache_is_bounded(self):
+        assert length._bands.cache_info().maxsize is not None
+
+    def test_rejects_omega_outside_the_support(self):
+        fam = binomial.BinomialFamily(10, 0.5, 0.95)
+        with pytest.raises(ValueError, match="omega"):
+            interval_mass(fam, 11, UNIT)
 
 
 class TestExpectedLength:

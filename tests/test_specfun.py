@@ -7,6 +7,7 @@ here as literals.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,18 @@ class TestNormal:
     def test_quantile_frozen(self):
         # sqrt(2) * erfinv(0.9) at 40 digits.
         assert normal_quantile(0.95) == pytest.approx(1.6448536269514722, abs=1e-9)
+
+    def test_quantile_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(17)
+        ps = [1e-6, 0.025, 0.2, 0.5, 0.8, 0.975, 1.0 - 1e-5]
+        ps += [rng.uniform(1e-6, 1.0 - 1e-5) for _ in range(300)]
+        ps += [10.0 ** rng.uniform(-6.0, -1.0) for _ in range(100)]
+        ps += [1.0 - 10.0 ** rng.uniform(-5.0, -1.0) for _ in range(100)]
+        with mpmath.workdps(40):
+            for p in ps:
+                exact = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+                assert abs(normal_quantile(p) - float(exact)) <= 1e-13, p
 
     def test_round_trip(self):
         for p in [0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999]:
