@@ -27,6 +27,14 @@ from .specfun import (
 __all__ = ["BinomialFamily", "AgrestiCoull"]
 
 
+# Thresholds are asked for omega by omega, so an edge is read again by the
+# next omega soon after its solve; a small bound keeps every such reuse.
+@lru_cache(maxsize=1024)
+def _edge(n: int, level: float, k: int) -> float:
+    """The level-quantile of Beta(k, n - k + 1): where P[X >= k | tau] = level."""
+    return inv_reg_inc_beta(level, k, n - k + 1)
+
+
 @lru_cache(maxsize=65536)
 def _thresholds(n: int, gamma: float, omega: int):
     """Branch boundaries in tau for fixed omega, both sides of o.
@@ -34,13 +42,17 @@ def _thresholds(n: int, gamma: float, omega: int):
     Below o the observed omega moves from the rejected region through the
     randomized region into full membership as tau grows past the
     (1-gamma)-quantile boundaries; above o the same happens mirrored with
-    gamma in place of 1-gamma.
+    gamma in place of 1-gamma.  Each boundary is a band edge of omega and
+    of a neighbour: omega's full-membership edge below o is omega + 1's
+    rejection edge, and likewise above o.  ``_edge`` solves each once.
     """
-    below_zero = inv_reg_inc_beta(1.0 - gamma, omega, n - omega + 1)
-    below_one = inv_reg_inc_beta(1.0 - gamma, omega + 1, n - omega)
-    above_one = inv_reg_inc_beta(gamma, omega, n - omega + 1)
-    above_zero = inv_reg_inc_beta(gamma, omega + 1, n - omega)
-    return below_zero, below_one, above_one, above_zero
+    below, above = 1.0 - gamma, gamma
+    return (
+        _edge(n, below, omega),
+        _edge(n, below, omega + 1),
+        _edge(n, above, omega),
+        _edge(n, above, omega + 1),
+    )
 
 
 class _Binomial:

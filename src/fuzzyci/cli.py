@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -468,7 +469,9 @@ def _add_output_options(parser):
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="fuzzyci",
         description="Fuzzy confidence intervals, expected lengths and knapsack duals.",

@@ -47,7 +47,9 @@ what differs between the families:
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
 - ``thresholds(omega)``: ``(below_zero, below_one, above_one, above_zero)``,
-  cached on the parameters other than o;
+  cached on the parameters other than o.  ``below_one`` of omega is
+  ``below_zero`` of omega + 1, and ``above_zero`` of omega is ``above_one``
+  of omega + 1, so each of these band edges is solved once;
 - ``slack_below(omega, tau)`` and ``slack_above(omega, tau)``: the two
   numerators above, each from whichever tail the family computes accurately;
 - ``slack_columns(p)``: both numerators over a mass column, each from the

@@ -14,7 +14,9 @@ family's thresholds, so the mass at any anchor o is flat lengths plus the
 full-band integrals, except for the band that contains o, which needs one
 partial integral.  The full-band integrals are cached on the family's
 parameters other than o, so every reference family of an envelope, and every
-curve of one figure, reads the same entries.
+curve of one figure, reads the same entries.  Envelope points are cached too,
+on the reference family, theta and the quadrature spec, so the commands of a
+figure that share an envelope compute each point once.
 
 Any other family, a crisp comparison method for one, takes the generic
 route: panels pre-split at the family's breakpoints (adaptive bisection
@@ -208,14 +210,24 @@ def el_curve(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> list[flo
     return _el_values(fam, [float(t) for t in theta_grid], quad)
 
 
+# An entry is a few hundred bytes.  The bound holds the envelope of a
+# figure's largest grid several times over, so every command of the figure
+# after the first reads its points here.
+@lru_cache(maxsize=4096)
+def _envelope(reference, theta: float, quad: QuadratureSpec) -> float:
+    """Envelope value at theta, keyed on its reference family."""
+    return expected_length(reference, theta, quad)
+
+
 def lower_bound_curve(
     fam, theta_grid: Sequence[float], quad: QuadratureSpec
 ) -> list[float]:
     """Envelope at each grid point: the proposed family tuned to it.
 
-    Any family of the same sampling model serves, a comparison method too.
+    Any family of the same sampling model serves, a comparison method too;
+    their reference families are equal, so they share cached points.
     """
     return [
-        expected_length(fam.reference(theta), theta, quad)
+        _envelope(fam.reference(theta), theta, quad)
         for theta in map(float, theta_grid)
     ]

@@ -37,20 +37,35 @@ __all__ = [
 TRUNCATION_MASS = 1e-12
 
 
+# Thresholds are asked for omega by omega, so an edge is read again by the
+# next omega soon after its solve; a small bound keeps every such reuse.
+@lru_cache(maxsize=1024)
+def _edge(level: float, k: int) -> float:
+    """Half the level-quantile of chi-square with 2k degrees of freedom.
+
+    Zero degrees of freedom is the point mass at zero.
+    """
+    return 0.5 * chisq_quantile(level, 2 * k) if k > 0 else 0.0
+
+
 @lru_cache(maxsize=65536)
 def _thresholds(gamma: float, omega: int):
     """Branch boundaries in tau for fixed omega.
 
     Half chi-square quantiles: the tail identity maps the count quantile
     condition onto the chi-square scale at 2*tau, so the boundaries on the
-    tau axis sit at half the quantile.  Zero degrees of freedom is the
-    point mass at zero, so the rejected branch never fires for omega = 0.
+    tau axis sit at half the quantile.  The rejected branch never fires for
+    omega = 0.  Each boundary is a band edge of omega and of a neighbour:
+    omega's full-membership edge below o is omega + 1's rejection edge, and
+    likewise above o.  ``_edge`` solves each once.
     """
-    below_zero = 0.5 * chisq_quantile(1.0 - gamma, 2 * omega) if omega > 0 else 0.0
-    below_one = 0.5 * chisq_quantile(1.0 - gamma, 2 * omega + 2)
-    above_one = 0.5 * chisq_quantile(gamma, 2 * omega) if omega > 0 else 0.0
-    above_zero = 0.5 * chisq_quantile(gamma, 2 * omega + 2)
-    return below_zero, below_one, above_one, above_zero
+    below, above = 1.0 - gamma, gamma
+    return (
+        _edge(below, omega),
+        _edge(below, omega + 1),
+        _edge(above, omega),
+        _edge(above, omega + 1),
+    )
 
 
 def support_bound(tau_max: float) -> int:

@@ -5,7 +5,8 @@ code paths: plain Gauss-Legendre panels for normal expectations (with the
 interval length taken straight from the interval endpoints), midpoint
 Riemann sums for memberships over the parameter axis, a greedy fill for
 the optimal-membership linear program, the binomial CDF by direct
-summation, and coverage as a sum of scalar memberships.
+summation, coverage as a sum of scalar memberships, and branch thresholds
+from four root solves per omega.
 """
 
 import math
@@ -13,7 +14,13 @@ import math
 import numpy as np
 
 from fuzzyci.core import _align
-from fuzzyci.specfun import binom_pmf, normal_quantile, two_sided_z
+from fuzzyci.specfun import (
+    binom_pmf,
+    chisq_quantile,
+    inv_reg_inc_beta,
+    normal_quantile,
+    two_sided_z,
+)
 
 _ORACLE_MAX_SUPPORT = 25
 
@@ -207,3 +214,21 @@ def scalar_coverage(tau, fam):
         math.exp(fam.log_pmf(w, tau)) * fam.psi(w, tau)
         for w in range(fam.support_upper(tau) + 1)
     )
+
+
+def binomial_thresholds(n, gamma, omega):
+    """Binomial branch thresholds, each from its own inverse-beta solve."""
+    below_zero = inv_reg_inc_beta(1.0 - gamma, omega, n - omega + 1)
+    below_one = inv_reg_inc_beta(1.0 - gamma, omega + 1, n - omega)
+    above_one = inv_reg_inc_beta(gamma, omega, n - omega + 1)
+    above_zero = inv_reg_inc_beta(gamma, omega + 1, n - omega)
+    return below_zero, below_one, above_one, above_zero
+
+
+def poisson_thresholds(gamma, omega):
+    """Poisson branch thresholds, each from its own chi-square solve."""
+    below_zero = 0.5 * chisq_quantile(1.0 - gamma, 2 * omega) if omega > 0 else 0.0
+    below_one = 0.5 * chisq_quantile(1.0 - gamma, 2 * omega + 2)
+    above_one = 0.5 * chisq_quantile(gamma, 2 * omega) if omega > 0 else 0.0
+    above_zero = 0.5 * chisq_quantile(gamma, 2 * omega + 2)
+    return below_zero, below_one, above_one, above_zero

@@ -492,3 +492,60 @@ def test_criterion_10_minimax_expected_length():
         f"{past_n_at_end}; normal curve above EL(1/2) by {normal_peak:.3g} "
         f"(tol 1e-12), peak at an end at sigma = 0.1 {low_sigma_at_end}",
     )
+
+
+def _discretized_minimax(n, gamma, cells=600, thetas=400):
+    """Minimal maximum expected length of a binomial membership, by LP.
+
+    The membership psi(omega | tau) is a free value in [0, 1] at each cell
+    midpoint tau_i of [0, 1] (so the mass is the midpoint sum); coverage
+    must reach gamma at every midpoint, and the expected length at each
+    of ``thetas`` midpoint thetas must stay under the objective t.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    def pmf(x):
+        w = np.arange(n + 1)
+        comb = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+        return comb * x[:, None] ** w * (1.0 - x[:, None]) ** (n - w)
+
+    h = 1.0 / cells
+    tau = (np.arange(cells) + 0.5) * h
+    theta = (np.arange(thetas) + 0.5) / thetas
+    size = (n + 1) * cells  # psi[omega, i] at omega * cells + i, then t
+    lengths = np.hstack(
+        [np.repeat(pmf(theta) * h, cells, axis=1), -np.ones((thetas, 1))]
+    )
+    rows = np.repeat(np.arange(cells), n + 1)
+    cols = (np.arange(n + 1)[None, :] * cells + np.arange(cells)[:, None]).ravel()
+    cover = sparse.csr_matrix(
+        (-pmf(tau).ravel(), (rows, cols)), shape=(cells, size + 1)
+    )
+    result = linprog(
+        np.append(np.zeros(size), 1.0),
+        A_ub=sparse.vstack([sparse.csr_matrix(lengths), cover]),
+        b_ub=np.append(np.zeros(thetas), np.full(cells, -gamma)),
+        bounds=[(0.0, 1.0)] * size + [(0.0, None)],
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return result.fun
+
+
+def test_criterion_10_minimax_matches_discretized_lp():
+    # An independent route to the minimax value: no membership of any form
+    # is assumed.  The discretization leaves it about 3e-6 above the
+    # family's expected length at o = 1/2.
+    pytest.importorskip("scipy")
+    unit = QuadratureSpec(0.0, 1.0)
+    gaps = []
+    for n in (1, 2, 3):
+        family = expected_length(binomial.BinomialFamily(n, 0.5, 0.95), 0.5, unit)
+        gaps.append(abs(_discretized_minimax(n, 0.95) - family))
+    report(
+        "criterion 10 (discretized LP cross-check)",
+        max(gaps) <= 1e-5,
+        "n = 1, 2, 3 at gamma = 0.95: |LP - EL(1/2)| = "
+        + ", ".join(f"{g:.3g}" for g in gaps) + " (tol 1e-5)",
+    )

@@ -7,8 +7,8 @@ import warnings
 
 import pytest
 
-from fuzzyci import binomial, poisson
-from fuzzyci.cli import main, parse_grid, UsageError
+from fuzzyci import binomial, length, poisson
+from fuzzyci.cli import build_parser, main, parse_grid, UsageError
 from fuzzyci.specfun import ConvergenceError
 
 
@@ -553,6 +553,19 @@ class TestOutputHandling:
         _, second = run_cli(capsys, *argv)
         assert first == second
 
+    def test_output_flags_do_not_leak_into_the_next_command(self, capsys, tmp_path):
+        argv = (
+            "coverage", "--family", "binomial", "--n", "5", "--gamma", "0.9",
+            "--o", "0.3", "--tau-grid", "0.2:0.8:3",
+        )
+        target = tmp_path / "cov.json"
+        status, out = run_cli(capsys, *argv, "--output", str(target), "--format", "json")
+        assert (status, out) == (0, "")
+        assert json.loads(target.read_text())["columns"] == ["tau", "coverage"]
+        status, out = run_cli(capsys, *argv)
+        assert status == 0
+        assert out.startswith("tau,coverage\n")
+
     def test_numerical_error_exit_code(self, capsys, monkeypatch):
         def boom(tau, fam):
             raise ConvergenceError("forced failure")
@@ -630,6 +643,47 @@ class TestRecipeCommand:
                 assert run["command"] in {
                     "membership", "coverage", "el-curve", "lower-bound", "knapsack"
                 }
+
+
+class TestParserReuse:
+    """One parser serves every command of a process, recipes included."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_rel_tol_does_not_leak_into_the_next_command(self, capsys):
+        argv = [
+            "el-curve", "--family", "binomial", "--n", "4", "--gamma", "0.9",
+            "--o", "0.5", "--theta-grid", "0.2:0.8:3",
+        ]
+        assert main([*argv, "--rel-tol", "1e-3"]) == 2
+        assert main(argv) == 0
+        capsys.readouterr()
+
+    def test_warm_figure_recipes_equal_cold(self, capsys, tmp_path, monkeypatch):
+        # The second pass reads every envelope point from the cache and must
+        # write the very bytes the cold pass wrote.
+        recipe_dir = os.path.join(os.path.dirname(__file__), "..", "recipes")
+        for cache in (
+            binomial._edge, binomial._thresholds, poisson._edge,
+            poisson._thresholds, length._bands, length._envelope,
+        ):
+            cache.cache_clear()
+        outputs, misses = [], []
+        for name in ("cold", "warm"):
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            monkeypatch.setenv("FUZZYCI_OUTPUT_DIR", str(out_dir))
+            before = length._envelope.cache_info().misses
+            for recipe in ("fig04_binomial_el", "fig08_poisson_el"):
+                path = os.path.join(recipe_dir, f"{recipe}.json")
+                assert main(["recipe", path]) == 0
+            misses.append(length._envelope.cache_info().misses - before)
+            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+        assert capsys.readouterr().out == ""
+        assert len(outputs[0]) == 8
+        assert outputs[0] == outputs[1]
+        assert misses[0] > 0 and misses[1] == 0
 
 
 class TestSelftest:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_coverage
+from oracles import binomial_thresholds, poisson_thresholds, scalar_coverage
 
 from fuzzyci import binomial, poisson
 from fuzzyci.discrete import coverage
@@ -64,6 +64,35 @@ def test_coverage_leaves_threshold_caches_untouched():
         for tau in (0.2, fam.o, 0.7 if fam.tau_upper == 1.0 else 11.0):
             assert 0.0 < coverage(tau, fam) < 1.0
     assert [m._thresholds.cache_info() for m in (binomial, poisson)] == before
+
+
+@pytest.mark.parametrize("gamma", [0.8, 0.95, 0.99])
+def test_shared_band_edges_give_the_four_solve_thresholds(gamma):
+    # Each band edge is solved once and read by two neighbouring omegas; the
+    # thresholds must be the very floats four separate solves give.
+    for n in (1, 2, 10, 40, 300):
+        for w in range(n + 1):
+            assert binomial._thresholds(n, gamma, w) == binomial_thresholds(n, gamma, w)
+    for w in range(151):
+        assert poisson._thresholds(gamma, w) == poisson_thresholds(gamma, w)
+
+
+@pytest.mark.parametrize(
+    "module, thresholds",
+    [
+        (binomial, lambda gamma, w: binomial._thresholds(40, gamma, w)),
+        (poisson, poisson._thresholds),
+    ],
+    ids=["binomial", "poisson"],
+)
+def test_each_band_edge_is_solved_once(module, thresholds):
+    # A gamma no other test uses: omega = 0..40 has 42 edges per level.
+    gamma = 0.9073515
+    before = module._edge.cache_info()
+    for w in range(41):
+        thresholds(gamma, w)
+    assert module._edge.cache_info().misses - before.misses == 2 * (40 + 2)
+    assert module._edge.cache_info().maxsize is not None
 
 
 def test_log_factorials_are_lgamma_values():

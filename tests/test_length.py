@@ -308,6 +308,49 @@ class TestCurves:
         for fam in families:
             assert lower_bound_curve(fam, grid, quad) == bound
 
+    @pytest.mark.parametrize(
+        "method, proposed, grid, quad",
+        [
+            (
+                binomial.AgrestiCoull(10, 0.9462),
+                binomial.BinomialFamily(10, 0.35, 0.9462),
+                [0.1, 0.35, 0.6, 0.85],
+                UNIT,
+            ),
+            (
+                poisson.ScoreInterval(0.9462),
+                poisson.PoissonFamily(4.0, 0.9462),
+                [0.5, 2.0, 4.0, 7.0],
+                QuadratureSpec(1e-9, poisson.default_tau_max(7.0)),
+            ),
+        ],
+        ids=["binomial", "poisson"],
+    )
+    def test_envelope_points_are_cached_on_the_reference_family(
+        self, method, proposed, grid, quad
+    ):
+        length._envelope.cache_clear()
+        first = lower_bound_curve(proposed, grid, quad)
+        assert length._envelope.cache_info().misses == len(grid)
+        # Each cold point is the reference family's own expected length.
+        assert first == [
+            expected_length(proposed.reference(th), th, quad) for th in grid
+        ]
+        # The comparison method's reference families are the proposed
+        # family's, whatever its o, so its envelope is all hits.
+        before = length._envelope.cache_info()
+        assert lower_bound_curve(method, grid, quad) == first
+        after = length._envelope.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + len(grid)
+        # The tolerance is part of the key.
+        looser = QuadratureSpec(quad.lower, quad.upper, rel_tol=1e-8)
+        lower_bound_curve(method, grid, looser)
+        assert length._envelope.cache_info().misses == after.misses + len(grid)
+
+    def test_envelope_cache_is_bounded(self):
+        assert length._envelope.cache_info().maxsize is not None
+
     def test_poisson_tangency(self):
         quad = QuadratureSpec(1e-9, poisson.default_tau_max(8.0))
         fam = poisson.PoissonFamily(8.0, 0.95)
