@@ -2,8 +2,8 @@
 
 The membership is built by :mod:`fuzzyci.discrete`; this module supplies
 what is binomial about it.  Both tail masses are regularized incomplete
-betas (upper tails, summed from the top over a mass column), and the branch
-thresholds are the matching inverse beta quantiles.
+betas (upper tails, summed from the top over a mass column), and the band
+edges are the matching inverse beta quantiles.
 The Agresti-Coull interval is the crisp comparison method.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,34 +24,6 @@ from .specfun import (
 )
 
 __all__ = ["BinomialFamily", "AgrestiCoull"]
-
-
-# Thresholds are asked for omega by omega, so an edge is read again by the
-# next omega soon after its solve; a small bound keeps every such reuse.
-@lru_cache(maxsize=1024)
-def _edge(n: int, level: float, k: int) -> float:
-    """The level-quantile of Beta(k, n - k + 1): where P[X >= k | tau] = level."""
-    return inv_reg_inc_beta(level, k, n - k + 1)
-
-
-@lru_cache(maxsize=65536)
-def _thresholds(n: int, gamma: float, omega: int):
-    """Branch boundaries in tau for fixed omega, both sides of o.
-
-    Below o the observed omega moves from the rejected region through the
-    randomized region into full membership as tau grows past the
-    (1-gamma)-quantile boundaries; above o the same happens mirrored with
-    gamma in place of 1-gamma.  Each boundary is a band edge of omega and
-    of a neighbour: omega's full-membership edge below o is omega + 1's
-    rejection edge, and likewise above o.  ``_edge`` solves each once.
-    """
-    below, above = 1.0 - gamma, gamma
-    return (
-        _edge(n, below, omega),
-        _edge(n, below, omega + 1),
-        _edge(n, above, omega),
-        _edge(n, above, omega + 1),
-    )
 
 
 class _Binomial:
@@ -98,8 +69,9 @@ class BinomialFamily(_Binomial, Randomized):
         if not 0.0 < self.o < 1.0:
             raise ValueError(f"o must lie in (0, 1), got {self.o}")
 
-    def thresholds(self, omega: int):
-        return _thresholds(self.n, self.gamma, omega)
+    def solve_edge(self, level: float, k: int) -> float:
+        """The level-quantile of Beta(k, n - k + 1): where P[X >= k | tau] = level."""
+        return inv_reg_inc_beta(level, k, self.n - k + 1)
 
     def slack_below(self, omega: int, tau: float) -> float:
         # gamma - P[X < omega]; the beta gives the upper tail P[X >= omega].

@@ -18,6 +18,10 @@ band integrals of the expected-length engine, which integrates each branch
 over its band once and shares the result among all o (see
 :mod:`fuzzyci.length`); coverage needs none of them.
 
+As no branch depends on o, all anchors of one model (the family's type and
+its fields but o) share one memo of band edges, thresholds, band integrals
+and envelope points; one LRU over models holds the memos.
+
 Coverage at tau needs the whole column omega = 0, 1, ... at once, and there
 the numerators are partial sums of the same mass column p (Geyer & Meeden's
 clamp form): psi * p = clip(gamma - 1 + P[X >= omega], 0, p) below o and
@@ -41,15 +45,13 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
 - ``coverage(tau)``: exact coverage at tau, by :func:`coverage`.
 
 :class:`Randomized` builds ``psi``, its two branches ``psi_below`` and
-``psi_above``, ``psi_column`` and ``breakpoints`` of a proposed family from
-what differs between the families:
+``psi_above``, ``psi_column``, ``breakpoints`` and ``thresholds`` of a
+proposed family from what differs between the families:
 
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
-- ``thresholds(omega)``: ``(below_zero, below_one, above_one, above_zero)``,
-  cached on the parameters other than o.  ``below_one`` of omega is
-  ``below_zero`` of omega + 1, and ``above_zero`` of omega is ``above_one``
-  of omega + 1, so each of these band edges is solved once;
+- ``solve_edge(level, k)``: the band edge where P[X >= k | tau] = level,
+  from the family's conjugate quantile;
 - ``slack_below(omega, tau)`` and ``slack_above(omega, tau)``: the two
   numerators above, each from whichever tail the family computes accurately;
 - ``slack_columns(p)``: both numerators over a mass column, each from the
@@ -63,10 +65,26 @@ omega may be an array when ``sqrt`` is ``numpy.sqrt``.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
+from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 __all__ = ["Randomized", "Crisp", "coverage"]
+
+
+# Bounded in models, not entries: a figure or a command reads one model, so
+# no support or grid size evicts what its next evaluation reads.
+@lru_cache(maxsize=8)
+def _memo(model) -> SimpleNamespace:
+    """What every anchor o of one model shares, each entry computed once.
+
+    ``edges[level, k]`` and ``thresholds[omega]`` serve the memberships;
+    ``bands[quad, omega]`` and ``envelope[quad, theta]`` the expected-length
+    engine.  An entry is stored only once its computation has returned.
+    """
+    return SimpleNamespace(edges={}, thresholds={}, bands={}, envelope={})
 
 
 def _randomized(slack: float, omega: int, tau: float, fam) -> float:
@@ -88,6 +106,32 @@ class _Membership:
 
 class Randomized(_Membership):
     """The proposed membership of a discrete family anchored at ``o``."""
+
+    @cached_property
+    def memo(self) -> SimpleNamespace:
+        """The memo of this family's model: its type and every field but o."""
+        return _memo(
+            (type(self), *(getattr(self, f.name) for f in fields(self) if f.name != "o"))
+        )
+
+    def thresholds(self, omega: int):
+        """``(below_zero, below_one, above_one, above_zero)``: omega's band edges.
+
+        omega's full-membership edge below o is omega + 1's rejection edge,
+        and likewise above o, so each edge is solved once per model.
+        """
+        memo = self.memo
+        try:
+            return memo.thresholds[omega]
+        except KeyError:  # one lookup on the hot path, psi's every call
+            pass
+        levels = (1.0 - self.gamma, self.gamma)
+        keys = [(level, k) for level in levels for k in (omega, omega + 1)]
+        for key in keys:
+            if key not in memo.edges:
+                memo.edges[key] = self.solve_edge(*key)
+        memo.thresholds[omega] = tuple(memo.edges[key] for key in keys)
+        return memo.thresholds[omega]
 
     def psi(self, omega: int, tau: float) -> float:
         """Membership of tau after observing omega.

@@ -12,11 +12,12 @@ mass comes from band integrals.  The membership of omega is its branch
 on o.  Each branch is 0 or 1 outside its randomized band, between two of the
 family's thresholds, so the mass at any anchor o is flat lengths plus the
 full-band integrals, except for the band that contains o, which needs one
-partial integral.  The full-band integrals are cached on the family's
-parameters other than o, so every reference family of an envelope, and every
-curve of one figure, reads the same entries.  Envelope points are cached too,
-on the reference family, theta and the quadrature spec, so the commands of a
-figure that share an envelope compute each point once.
+partial integral.  The full-band integrals are kept per quadrature spec in
+the memo of the family's o-free model (see :mod:`fuzzyci.discrete`), so every
+reference family of an envelope, and every curve of one figure, reads the
+same entries.  Envelope points are kept there too, per quadrature spec and
+theta, so the commands of a figure that share an envelope compute each point
+once.
 
 Any other family, a crisp comparison method for one, takes the generic
 route: panels pre-split at the family's breakpoints (adaptive bisection
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -122,51 +123,28 @@ def _band_integral(f, a: float, b: float, rel_tol: float) -> float:
     return _refine(f, a, b, _gauss_legendre(f, a, b), rel_tol * (b - a), 0)
 
 
-class _AllButO:
-    """A proposed family, compared and hashed on its fields other than o."""
-
-    __slots__ = ("fam",)
-
-    def __init__(self, fam):
-        self.fam = fam
-
-    def _key(self):
-        return (type(self.fam), *(v for k, v in vars(self.fam).items() if k != "o"))
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __eq__(self, other):
-        return self._key() == other._key()
-
-
-def _clipped_thresholds(fam, omega: int, quad: QuadratureSpec):
-    lo, hi = quad.lower, quad.upper
-    return tuple(min(max(t, lo), hi) for t in fam.thresholds(omega))
-
-
-# An entry is about 300 bytes.  One curve reads one entry per omega of its
-# support, so the bound must hold the largest such support (binomial n + 1)
-# or every theta evicts what the next one needs.
-@lru_cache(maxsize=4096)
-def _bands(family: _AllButO, omega: int, quad: QuadratureSpec):
-    """Integrals of omega's two branches across their bands, clipped to the range.
+def _bands(fam, omega: int, quad: QuadratureSpec):
+    """omega's thresholds clipped to the range, then its two full-band integrals.
 
     ``psi_below`` rises from 0 to 1 across [below_zero, below_one] and
     ``psi_above`` falls from 1 to 0 across [above_one, above_zero].
     """
-    fam = family.fam
-    z0, z1, a1, a0 = _clipped_thresholds(fam, omega, quad)
-    below = _band_integral(partial(fam.psi_below, omega), z0, z1, quad.rel_tol)
-    above = _band_integral(partial(fam.psi_above, omega), a1, a0, quad.rel_tol)
-    return below, above
+    bands = fam.memo.bands
+    if (quad, omega) not in bands:
+        lo, hi = quad.lower, quad.upper
+        z0, z1, a1, a0 = (min(max(t, lo), hi) for t in fam.thresholds(omega))
+        bands[quad, omega] = (
+            z0, z1, a1, a0,
+            _band_integral(partial(fam.psi_below, omega), z0, z1, quad.rel_tol),
+            _band_integral(partial(fam.psi_above, omega), a1, a0, quad.rel_tol),
+        )
+    return bands[quad, omega]
 
 
 def _band_mass(fam, omega: int, quad: QuadratureSpec) -> float:
     """Mass of a proposed family's membership: psi_below up to o, psi_above on."""
     fam.check(omega, fam.o)
-    below, above = _bands(_AllButO(fam), omega, quad)
-    z0, z1, a1, a0 = _clipped_thresholds(fam, omega, quad)
+    z0, z1, a1, a0, below, above = _bands(fam, omega, quad)
     o = min(max(fam.o, quad.lower), quad.upper)
     if o <= z0:
         up_to_o = 0.0
@@ -210,24 +188,19 @@ def el_curve(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> list[flo
     return _el_values(fam, [float(t) for t in theta_grid], quad)
 
 
-# An entry is a few hundred bytes.  The bound holds the envelope of a
-# figure's largest grid several times over, so every command of the figure
-# after the first reads its points here.
-@lru_cache(maxsize=4096)
-def _envelope(reference, theta: float, quad: QuadratureSpec) -> float:
-    """Envelope value at theta, keyed on its reference family."""
-    return expected_length(reference, theta, quad)
-
-
 def lower_bound_curve(
     fam, theta_grid: Sequence[float], quad: QuadratureSpec
 ) -> list[float]:
     """Envelope at each grid point: the proposed family tuned to it.
 
     Any family of the same sampling model serves, a comparison method too;
-    their reference families are equal, so they share cached points.
+    their reference families share one memo, which keeps each point.
     """
-    return [
-        _envelope(fam.reference(theta), theta, quad)
-        for theta in map(float, theta_grid)
-    ]
+    values = []
+    for theta in map(float, theta_grid):
+        reference = fam.reference(theta)
+        points = reference.memo.envelope
+        if (quad, theta) not in points:
+            points[quad, theta] = expected_length(reference, theta, quad)
+        values.append(points[quad, theta])
+    return values

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,37 +34,6 @@ __all__ = [
 ]
 
 TRUNCATION_MASS = 1e-12
-
-
-# Thresholds are asked for omega by omega, so an edge is read again by the
-# next omega soon after its solve; a small bound keeps every such reuse.
-@lru_cache(maxsize=1024)
-def _edge(level: float, k: int) -> float:
-    """Half the level-quantile of chi-square with 2k degrees of freedom.
-
-    Zero degrees of freedom is the point mass at zero.
-    """
-    return 0.5 * chisq_quantile(level, 2 * k) if k > 0 else 0.0
-
-
-@lru_cache(maxsize=65536)
-def _thresholds(gamma: float, omega: int):
-    """Branch boundaries in tau for fixed omega.
-
-    Half chi-square quantiles: the tail identity maps the count quantile
-    condition onto the chi-square scale at 2*tau, so the boundaries on the
-    tau axis sit at half the quantile.  The rejected branch never fires for
-    omega = 0.  Each boundary is a band edge of omega and of a neighbour:
-    omega's full-membership edge below o is omega + 1's rejection edge, and
-    likewise above o.  ``_edge`` solves each once.
-    """
-    below, above = 1.0 - gamma, gamma
-    return (
-        _edge(below, omega),
-        _edge(below, omega + 1),
-        _edge(above, omega),
-        _edge(above, omega + 1),
-    )
 
 
 def support_bound(tau_max: float) -> int:
@@ -160,8 +128,12 @@ class PoissonFamily(_Poisson, Randomized):
             raise ValueError(f"o must be positive and finite, got {self.o}")
         super().__post_init__()
 
-    def thresholds(self, omega: int):
-        return _thresholds(self.gamma, omega)
+    def solve_edge(self, level: float, k: int) -> float:
+        """Half the level-quantile of chi-square with 2k degrees of freedom.
+
+        Zero degrees of freedom is the point mass at zero.
+        """
+        return 0.5 * chisq_quantile(level, 2 * k) if k > 0 else 0.0
 
     def slack_below(self, omega: int, tau: float) -> float:
         return self.gamma - pois_cdf(omega - 1, tau)

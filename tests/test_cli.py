@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from fuzzyci import binomial, length, poisson
+from fuzzyci import binomial, discrete, length, poisson
 from fuzzyci.cli import build_parser, main, parse_grid, UsageError
 from fuzzyci.specfun import ConvergenceError
 
@@ -661,27 +661,35 @@ class TestParserReuse:
         capsys.readouterr()
 
     def test_warm_figure_recipes_equal_cold(self, capsys, tmp_path, monkeypatch):
-        # The second pass reads every envelope point from the cache and must
+        # The second pass reads every envelope point from the memos and must
         # write the very bytes the cold pass wrote.
         recipe_dir = os.path.join(os.path.dirname(__file__), "..", "recipes")
-        for cache in (
-            binomial._edge, binomial._thresholds, poisson._edge,
-            poisson._thresholds, length._bands, length._envelope,
-        ):
-            cache.cache_clear()
-        outputs, misses = [], []
+        recipes = sorted(
+            name for name in os.listdir(recipe_dir)
+            if name.startswith("fig") and name.endswith(".json")
+        )
+        assert len(recipes) == 10
+        discrete._memo.cache_clear()
+        misses = []
+        compute = length.expected_length
+
+        def counted(fam, theta, quad):
+            misses[-1] += 1
+            return compute(fam, theta, quad)
+
+        monkeypatch.setattr(length, "expected_length", counted)
+        outputs = []
         for name in ("cold", "warm"):
             out_dir = tmp_path / name
             out_dir.mkdir()
             monkeypatch.setenv("FUZZYCI_OUTPUT_DIR", str(out_dir))
-            before = length._envelope.cache_info().misses
-            for recipe in ("fig04_binomial_el", "fig08_poisson_el"):
-                path = os.path.join(recipe_dir, f"{recipe}.json")
-                assert main(["recipe", path]) == 0
-            misses.append(length._envelope.cache_info().misses - before)
-            outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
-        assert capsys.readouterr().out == ""
-        assert len(outputs[0]) == 8
+            misses.append(0)
+            for recipe in recipes:
+                assert main(["recipe", os.path.join(recipe_dir, recipe)]) == 0
+            files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            outputs.append((files, capsys.readouterr()))
+        assert len(outputs[0][0]) == 30
+        assert outputs[0][1].out.startswith("tau,omega,psi")
         assert outputs[0] == outputs[1]
         assert misses[0] > 0 and misses[1] == 0
 

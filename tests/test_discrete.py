@@ -9,22 +9,33 @@ from hypothesis import strategies as st
 
 from oracles import binomial_thresholds, poisson_thresholds, scalar_coverage
 
-from fuzzyci import binomial, poisson
+from fuzzyci import binomial, discrete, poisson
 from fuzzyci.discrete import coverage
-from fuzzyci.specfun import log_factorials
+from fuzzyci.specfun import ConvergenceError, log_factorials
+
+
+def count_solves(monkeypatch, cls):
+    """Record the (level, k) of every band-edge solve of ``cls`` from now on."""
+    solves = []
+    solve = cls.solve_edge
+
+    def counted(self, level, k):
+        solves.append((level, k))
+        return solve(self, level, k)
+
+    monkeypatch.setattr(cls, "solve_edge", counted)
+    return solves
 
 
 @pytest.mark.parametrize(
-    "module, first, second, taus",
+    "first, second, taus",
     [
         (
-            binomial,
             binomial.BinomialFamily(12, 0.3, 0.9371),
             binomial.BinomialFamily(12, 0.7, 0.9371),
             (0.05, 0.3, 0.5, 0.7, 0.95),
         ),
         (
-            poisson,
             poisson.PoissonFamily(2.0, 0.9371),
             poisson.PoissonFamily(9.0, 0.9371),
             (0.5, 2.0, 6.0, 9.0, 14.0),
@@ -32,38 +43,40 @@ from fuzzyci.specfun import log_factorials
     ],
     ids=["binomial", "poisson"],
 )
-def test_families_differing_only_in_o_share_threshold_cache(module, first, second, taus):
+def test_families_differing_only_in_o_share_one_memo(first, second, taus, monkeypatch):
     # The envelope builds one reference family per theta; its cost rests on
-    # the thresholds being keyed on everything but o.
+    # the thresholds being kept on everything but o.
+    assert first.memo is second.memo
     top = first.support_upper(max(taus))
     for tau in taus:
         for w in range(top + 1):
             first.psi(w, tau)
     for w in range(top + 1):
         first.breakpoints(w)
-    before = module._thresholds.cache_info()
+    before = dict(first.memo.thresholds)
+    solves = count_solves(monkeypatch, type(first))
     for tau in taus:
         for w in range(top + 1):
             second.psi(w, tau)
     for w in range(top + 1):
         second.breakpoints(w)
-    after = module._thresholds.cache_info()
-    assert after.misses == before.misses
-    assert after.hits > before.hits
+    assert solves == []
+    assert second.memo.thresholds == before
 
 
-def test_coverage_leaves_threshold_caches_untouched():
-    # A gamma no other test uses: any lookup would be a miss.
+def test_coverage_leaves_the_memos_untouched():
+    # A gamma no other test uses: any lookup would add a model.
     gamma = 0.9182736
     families = (
         binomial.BinomialFamily(40, 0.4, gamma),
         poisson.PoissonFamily(6.0, gamma),
     )
-    before = [m._thresholds.cache_info() for m in (binomial, poisson)]
+    before = discrete._memo.cache_info()
     for fam in families:
         for tau in (0.2, fam.o, 0.7 if fam.tau_upper == 1.0 else 11.0):
             assert 0.0 < coverage(tau, fam) < 1.0
-    assert [m._thresholds.cache_info() for m in (binomial, poisson)] == before
+    assert discrete._memo.cache_info() == before
+    assert all("memo" not in vars(fam) for fam in families)
 
 
 @pytest.mark.parametrize("gamma", [0.8, 0.95, 0.99])
@@ -71,28 +84,61 @@ def test_shared_band_edges_give_the_four_solve_thresholds(gamma):
     # Each band edge is solved once and read by two neighbouring omegas; the
     # thresholds must be the very floats four separate solves give.
     for n in (1, 2, 10, 40, 300):
+        fam = binomial.BinomialFamily(n, 0.5, gamma)
         for w in range(n + 1):
-            assert binomial._thresholds(n, gamma, w) == binomial_thresholds(n, gamma, w)
+            assert fam.thresholds(w) == binomial_thresholds(n, gamma, w)
+    fam = poisson.PoissonFamily(1.0, gamma)
     for w in range(151):
-        assert poisson._thresholds(gamma, w) == poisson_thresholds(gamma, w)
+        assert fam.thresholds(w) == poisson_thresholds(gamma, w)
 
 
 @pytest.mark.parametrize(
-    "module, thresholds",
-    [
-        (binomial, lambda gamma, w: binomial._thresholds(40, gamma, w)),
-        (poisson, poisson._thresholds),
-    ],
+    "fam",
+    [binomial.BinomialFamily(40, 0.5, 0.9073515), poisson.PoissonFamily(1.0, 0.9073515)],
     ids=["binomial", "poisson"],
 )
-def test_each_band_edge_is_solved_once(module, thresholds):
+def test_each_band_edge_is_solved_once(fam, monkeypatch):
     # A gamma no other test uses: omega = 0..40 has 42 edges per level.
-    gamma = 0.9073515
-    before = module._edge.cache_info()
+    solves = count_solves(monkeypatch, type(fam))
     for w in range(41):
-        thresholds(gamma, w)
-    assert module._edge.cache_info().misses - before.misses == 2 * (40 + 2)
-    assert module._edge.cache_info().maxsize is not None
+        fam.thresholds(w)
+    assert len(solves) == len(set(solves)) == len(fam.memo.edges) == 2 * (40 + 2)
+    for w in range(41):
+        fam.thresholds(w)
+    assert len(solves) == 2 * (40 + 2)
+
+
+def test_a_failed_solve_stores_nothing(monkeypatch):
+    # A gamma no other test uses, so the memo starts empty.
+    gamma = 0.9361728
+    fam = binomial.BinomialFamily(10, 0.5, gamma)
+    solve = binomial.BinomialFamily.solve_edge
+
+    def failing(self, level, k):
+        if k == 4:
+            raise ConvergenceError("no root")
+        return solve(self, level, k)
+
+    monkeypatch.setattr(binomial.BinomialFamily, "solve_edge", failing)
+    with pytest.raises(ConvergenceError):
+        fam.thresholds(3)
+    assert 3 not in fam.memo.thresholds
+    assert all(k != 4 for _, k in fam.memo.edges)
+    monkeypatch.undo()
+    assert fam.thresholds(3) == binomial_thresholds(10, gamma, 3)
+
+
+def test_memos_are_bounded_in_models():
+    limit = discrete._memo.cache_info().maxsize
+    assert limit is not None
+    # Gammas no other test uses: each family is a model of its own.
+    families = [binomial.BinomialFamily(3, 0.5, 0.8 + 1e-7 * i) for i in range(limit + 1)]
+    memos = [fam.memo for fam in families]
+    assert len(set(map(id, memos))) == limit + 1
+    assert discrete._memo.cache_info().currsize == limit
+    # The least recently used model was dropped: a new anchor starts afresh.
+    assert binomial.BinomialFamily(3, 0.2, families[0].gamma).memo is not memos[0]
+    assert binomial.BinomialFamily(3, 0.2, families[-1].gamma).memo is memos[-1]
 
 
 def test_log_factorials_are_lgamma_values():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyci import binomial, length, poisson
+from fuzzyci import binomial, discrete, length, poisson
 from fuzzyci.length import (
     QuadratureSpec,
     _breakpoint_mass,
@@ -20,6 +20,32 @@ from fuzzyci.specfun import ConvergenceError
 from oracles import riemann_mass
 
 UNIT = QuadratureSpec(0.0, 1.0)
+
+
+def count_band_integrals(monkeypatch):
+    """Record the span of every band integral computed from now on."""
+    spans = []
+    integrate = length._band_integral
+
+    def counted(f, a, b, rel_tol):
+        spans.append((a, b))
+        return integrate(f, a, b, rel_tol)
+
+    monkeypatch.setattr(length, "_band_integral", counted)
+    return spans
+
+
+def count_envelope_points(monkeypatch):
+    """Record the theta of every envelope point computed from now on."""
+    thetas = []
+    compute = length.expected_length
+
+    def counted(fam, theta, quad):
+        thetas.append(theta)
+        return compute(fam, theta, quad)
+
+    monkeypatch.setattr(length, "expected_length", counted)
+    return thetas
 
 
 class Uniform:
@@ -208,21 +234,22 @@ class TestBandRoute:
         ],
         ids=["binomial", "poisson"],
     )
-    def test_families_differing_only_in_o_share_band_cache(self, first, second, quad):
+    def test_families_differing_only_in_o_share_band_memo(
+        self, first, second, quad, monkeypatch
+    ):
         # The envelope builds one reference family per theta; its cost rests
-        # on the band integrals being keyed on everything but o.
+        # on the band integrals being kept on everything but o.
         omegas = range(first.support_upper(quad.upper) + 1)
         for w in omegas:
             interval_mass(first, w, quad)
-        before = length._bands.cache_info()
+        bands = dict(first.memo.bands)
+        assert {(quad, w) for w in omegas} <= bands.keys()
+        integrals = count_band_integrals(monkeypatch)
         for w in omegas:
             interval_mass(second, w, quad)
-        after = length._bands.cache_info()
-        assert after.misses == before.misses
-        assert after.hits > before.hits
-
-    def test_band_cache_is_bounded(self):
-        assert length._bands.cache_info().maxsize is not None
+        assert second.memo.bands == bands
+        # Only the partial integrals of the two bands that hold o remain.
+        assert len(integrals) <= 2
 
     def test_rejects_omega_outside_the_support(self):
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
@@ -326,30 +353,50 @@ class TestCurves:
         ],
         ids=["binomial", "poisson"],
     )
-    def test_envelope_points_are_cached_on_the_reference_family(
-        self, method, proposed, grid, quad
+    def test_envelope_points_are_kept_in_the_reference_memo(
+        self, method, proposed, grid, quad, monkeypatch
     ):
-        length._envelope.cache_clear()
+        discrete._memo.cache_clear()
+        misses = count_envelope_points(monkeypatch)
         first = lower_bound_curve(proposed, grid, quad)
-        assert length._envelope.cache_info().misses == len(grid)
+        assert len(misses) == len(grid)
+        assert len(proposed.reference(grid[0]).memo.envelope) == len(grid)
         # Each cold point is the reference family's own expected length.
         assert first == [
             expected_length(proposed.reference(th), th, quad) for th in grid
         ]
         # The comparison method's reference families are the proposed
-        # family's, whatever its o, so its envelope is all hits.
-        before = length._envelope.cache_info()
+        # family's, whatever its o, so its envelope is read, not computed.
+        del misses[:]
         assert lower_bound_curve(method, grid, quad) == first
-        after = length._envelope.cache_info()
-        assert after.misses == before.misses
-        assert after.hits == before.hits + len(grid)
+        assert misses == []
         # The tolerance is part of the key.
         looser = QuadratureSpec(quad.lower, quad.upper, rel_tol=1e-8)
         lower_bound_curve(method, grid, looser)
-        assert length._envelope.cache_info().misses == after.misses + len(grid)
+        assert len(misses) == len(grid)
 
-    def test_envelope_cache_is_bounded(self):
-        assert length._envelope.cache_info().maxsize is not None
+    def test_band_integrals_of_more_than_4096_counts_outlive_a_theta(
+        self, monkeypatch
+    ):
+        # One model's band integrals must all survive from one theta to the
+        # next, however many counts it has.  The narrow range keeps most
+        # bands empty, so the cost is the 2(n + 2) edge solves.
+        fam = binomial.BinomialFamily(4097, 0.5, 0.95)
+        quad = QuadratureSpec(0.499, 0.501)
+        lower_bound_curve(fam, [0.3], quad)
+        integrals = count_band_integrals(monkeypatch)
+        lower_bound_curve(fam, [0.7], quad)
+        assert integrals == []
+
+    def test_envelope_of_more_than_4096_points_is_computed_once(self, monkeypatch):
+        # One model's envelope points must all survive a repeat of the grid.
+        fam = binomial.BinomialFamily(1, 0.5, 0.95)
+        grid = np.linspace(0.001, 0.999, 4100)
+        quad = QuadratureSpec(0.0, 1.0, rel_tol=1e-6)
+        first = lower_bound_curve(fam, grid, quad)
+        misses = count_envelope_points(monkeypatch)
+        assert lower_bound_curve(fam, grid, quad) == first
+        assert misses == []
 
     def test_poisson_tangency(self):
         quad = QuadratureSpec(1e-9, poisson.default_tau_max(8.0))
