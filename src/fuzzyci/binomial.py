@@ -17,9 +17,11 @@ import numpy as np
 from .discrete import Crisp, Randomized
 from .specfun import (
     binom_log_pmf,
+    binom_log_pmf_array,
     binom_log_pmf_column,
     inv_reg_inc_beta,
     reg_inc_beta,
+    reg_inc_beta_array,
     two_sided_z,
 )
 
@@ -48,6 +50,9 @@ class _Binomial:
 
     def log_pmf_column(self, tau: float) -> np.ndarray:
         return binom_log_pmf_column(self.n, tau)
+
+    def log_pmf_array(self, omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        return binom_log_pmf_array(omega, self.n, tau)
 
     def support_upper(self, tau: float) -> int:
         return self.n
@@ -80,6 +85,12 @@ class BinomialFamily(_Binomial, Randomized):
     def slack_above(self, omega: int, tau: float) -> float:
         # gamma - P[X > omega], with P[X >= omega + 1] from the beta.
         return self.gamma - reg_inc_beta(tau, omega + 1, self.n - omega)
+
+    def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):
+        # Both slacks from the upper tail P[X >= k], k = omega or omega + 1.
+        k = omega + above
+        upper = reg_inc_beta_array(tau, k, self.n - k + 1)
+        return np.where(above, self.gamma - upper, self.gamma - 1.0 + upper)
 
     def slack_columns(self, p: np.ndarray):
         # Upper tails P[X >= omega], as the betas give them; the forward

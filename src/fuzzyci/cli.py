@@ -26,7 +26,7 @@ import numpy as np
 from . import binomial, discrete, normal, poisson
 from .core import construct_psi_star
 from .knapsack import KnapsackInstance, solve_01_dp, solve_fractional, to_measure_problem
-from .length import QuadratureSpec, _breakpoint_mass, el_curve, lower_bound_curve
+from .length import QuadratureSpec, el_curve, lower_bound_curve
 from .specfun import ConvergenceError
 
 USAGE_ERROR = 2
@@ -412,16 +412,32 @@ def _selftest_checks():
     yield "normal envelope", _normal_envelope
 
     def _binomial_envelope():
-        # The envelope's band route against the breakpoint quadrature of
-        # each reference family.  The range leaves out theta = 0.2 and 0.8,
-        # so their reference points must be clipped to it.
+        # An independent route to the envelope: each reference family's
+        # scalar psi under a fixed rule, 20 Gauss-Legendre nodes on each of
+        # 8 equal panels between consecutive kinks (its thresholds and o).
+        # The range leaves out theta = 0.2 and 0.8, so their reference
+        # points must be clipped to it.
         grid = (0.2, 0.5, 0.8)
         quad = QuadratureSpec(0.3, 0.7)
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+
+        def mass(ref, w):
+            kinks = {*ref.thresholds(w), ref.o}
+            edges = sorted({quad.lower, quad.upper,
+                            *(k for k in kinks if quad.lower < k < quad.upper)})
+            cuts = np.concatenate(
+                [np.linspace(a, b, 9)[:-1] for a, b in zip(edges, edges[1:])]
+                + [[quad.upper]]
+            )
+            half = 0.5 * np.diff(cuts)
+            taus = (0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half[:, None] * nodes
+            values = np.array([[ref.psi(w, t) for t in row] for row in taus.tolist()])
+            return math.fsum((half[:, None] * weights * values).ravel().tolist())
 
         def generic(theta):
             ref = fam.reference(theta)
             return math.fsum(
-                math.exp(ref.log_pmf(w, theta)) * _breakpoint_mass(ref, w, quad)
+                math.exp(ref.log_pmf(w, theta)) * mass(ref, w)
                 for w in range(ref.support_upper(theta) + 1)
             )
 

@@ -13,10 +13,10 @@ the switch between them does.  Per omega, each branch has two thresholds on
 the tau axis where it leaves 0 and reaches 1 (its randomized band); they
 come from quantiles of the family's conjugate distribution and short-circuit
 the clamped regions of the scalar ``psi``, so the ratio is evaluated only
-inside the bands.  The thresholds serve ``psi``, ``breakpoints`` and the
-band integrals of the expected-length engine, which integrates each branch
-over its band once and shares the result among all o (see
-:mod:`fuzzyci.length`); coverage needs none of them.
+inside the bands.  The thresholds serve ``psi`` and the band integrals of
+the expected-length engine, which integrates each branch over its band once
+and shares the result among all o (see :mod:`fuzzyci.length`); coverage
+needs none of them.
 
 As no branch depends on o, all anchors of one model (the family's type and
 its fields but o) share one memo of band edges, thresholds, band integrals
@@ -32,8 +32,10 @@ Every family object, proposed or crisp, offers the protocol the coverage
 sums and the expected-length engine (:mod:`fuzzyci.length`) use:
 
 - ``psi(omega, tau)``: the membership, after checking the domain;
-- ``breakpoints(omega)``: where ``tau -> psi(omega, tau)`` may kink or jump
-  inside the domain;
+- ``interval_masses(omegas, quad)``: the Lebesgue mass of each
+  ``tau -> psi(omega, tau)`` over a quadrature range: the clipped interval
+  length of a crisp method, the band route of :mod:`fuzzyci.length` for a
+  proposed family;
 - ``log_pmf(omega, tau)``, the log mass function, and ``support_upper(tau)``,
   the last omega a sum at tau needs;
 - ``log_pmf_column(tau)``: ``log_pmf`` at omega = 0..support_upper(tau), as
@@ -45,8 +47,9 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
 - ``coverage(tau)``: exact coverage at tau, by :func:`coverage`.
 
 :class:`Randomized` builds ``psi``, its two branches ``psi_below`` and
-``psi_above``, ``psi_column``, ``breakpoints`` and ``thresholds`` of a
-proposed family from what differs between the families:
+``psi_above`` and their array form ``branch_array``, ``psi_column``,
+``interval_masses`` and ``thresholds`` of a proposed family from what
+differs between the families:
 
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
@@ -55,7 +58,10 @@ proposed family from what differs between the families:
 - ``slack_below(omega, tau)`` and ``slack_above(omega, tau)``: the two
   numerators above, each from whichever tail the family computes accurately;
 - ``slack_columns(p)``: both numerators over a mass column, each from the
-  partial sums of the tail its scalar counterpart uses.
+  partial sums of the tail its scalar counterpart uses;
+- ``slack_array(omega, above, tau)`` and ``log_pmf_array(omega, tau)``: the
+  scalar numerators and log mass function elementwise over arrays, from the
+  array kernels of :mod:`fuzzyci.specfun`.
 
 :class:`Crisp` builds them for a comparison method from ``check`` and
 ``endpoints(omega, sqrt)``, the endpoints of its interval written so that
@@ -71,6 +77,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .length import band_masses
+
 __all__ = ["Randomized", "Crisp", "coverage"]
 
 
@@ -81,10 +89,11 @@ def _memo(model) -> SimpleNamespace:
     """What every anchor o of one model shares, each entry computed once.
 
     ``edges[level, k]`` and ``thresholds[omega]`` serve the memberships;
-    ``bands[quad, omega]`` and ``envelope[quad, theta]`` the expected-length
-    engine.  An entry is stored only once its computation has returned.
+    ``bands[quad, omega]``, ``partials[quad, omega, above, o]`` and
+    ``envelope[quad, theta]`` the expected-length engine.  An entry is
+    stored only once its computation has returned.
     """
-    return SimpleNamespace(edges={}, thresholds={}, bands={}, envelope={})
+    return SimpleNamespace(edges={}, thresholds={}, bands={}, partials={}, envelope={})
 
 
 def _randomized(slack: float, omega: int, tau: float, fam) -> float:
@@ -164,6 +173,24 @@ class Randomized(_Membership):
             return 0.0
         return _randomized(self.slack_above(omega, tau), omega, tau, self)
 
+    def branch_array(self, omega, above, tau, low, high) -> np.ndarray:
+        """``psi_above`` where ``above``, else ``psi_below``, over arrays.
+
+        ``low`` and ``high`` are each element's band edges from
+        ``thresholds``: below_zero and below_one, or above_one and
+        above_zero.  Between them the ratio comes from ``slack_array`` and
+        ``log_pmf_array`` as the scalar branches take it from their slack
+        and ``log_pmf``.
+        """
+        slack = self.slack_array(omega, above, tau)
+        positive = slack > 0.0
+        with np.errstate(over="ignore"):
+            ratio = np.exp(
+                np.log(np.where(positive, slack, 1.0)) - self.log_pmf_array(omega, tau)
+            )
+        inside = np.where(positive, np.minimum(1.0, np.maximum(0.0, ratio)), 0.0)
+        return np.where(tau <= low, above, np.where(tau > high, ~above, inside))
+
     def psi_column(self, tau: float, p: np.ndarray) -> np.ndarray:
         """Clamp form of ``psi(omega, tau)`` over the mass column p at tau.
 
@@ -180,10 +207,9 @@ class Randomized(_Membership):
         with np.errstate(all="ignore"):
             return np.where(slack > 0.0, np.minimum(1.0, slack / p), 0.0)
 
-    def breakpoints(self, omega: int) -> tuple[float, ...]:
-        points = set(self.thresholds(omega))
-        points.add(self.o)
-        return tuple(sorted(p for p in points if 0.0 < p < self.tau_upper))
+    def interval_masses(self, omegas, quad) -> list[float]:
+        """Flat lengths plus band integrals: see :func:`fuzzyci.length.band_masses`."""
+        return band_masses(self, omegas, quad)
 
 
 class Crisp(_Membership):
@@ -207,8 +233,15 @@ class Crisp(_Membership):
         lo, hi = self.endpoints(np.arange(len(p)), np.sqrt)
         return ((lo <= tau) & (tau <= hi)).astype(float)
 
-    def breakpoints(self, omega: int) -> tuple[float, ...]:
-        return tuple(p for p in self.endpoints(omega) if 0.0 < p < self.tau_upper)
+    def interval_masses(self, omegas, quad) -> list[float]:
+        """Length of each omega's interval inside the range, in closed form."""
+        middle = 0.5 * (quad.lower + quad.upper)
+        for w in omegas:
+            self.check(w, middle)  # checks omega; any tau in the range would do
+        lo, hi = self.endpoints(np.asarray(omegas, dtype=float), np.sqrt)
+        lo = np.maximum(np.maximum(lo, 0.0), quad.lower)
+        hi = np.minimum(np.minimum(hi, self.tau_upper), quad.upper)
+        return np.maximum(0.0, hi - lo).tolist()
 
 
 def coverage(tau: float, fam) -> float:

@@ -20,7 +20,9 @@ from .discrete import Crisp, Randomized
 from .specfun import (
     chisq_quantile,
     pois_cdf,
+    pois_cdf_array,
     pois_log_pmf,
+    pois_log_pmf_array,
     pois_log_pmf_column,
     two_sided_z,
 )
@@ -109,6 +111,9 @@ class _Poisson:
     def log_pmf_column(self, tau: float) -> np.ndarray:
         return pois_log_pmf_column(self.support_upper(tau), tau)
 
+    def log_pmf_array(self, omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        return pois_log_pmf_array(omega, tau)
+
     def support_upper(self, tau: float) -> int:
         return support_bound(tau)
 
@@ -141,6 +146,11 @@ class PoissonFamily(_Poisson, Randomized):
     def slack_above(self, omega: int, tau: float) -> float:
         # gamma - P[X > omega], through the CDF P[X <= omega].
         return self.gamma - 1.0 + pois_cdf(omega, tau)
+
+    def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):
+        # Both slacks from the CDF P[X <= k], k = omega - 1 or omega.
+        cdf = pois_cdf_array(omega - 1 + above, tau)
+        return np.where(above, self.gamma - 1.0 + cdf, self.gamma - cdf)
 
     def slack_columns(self, p: np.ndarray):
         # The CDF P[X <= omega], as pois_cdf gives it; summing the upper

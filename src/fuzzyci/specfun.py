@@ -4,7 +4,10 @@ Everything the distribution families need lives here: the regularized
 incomplete beta function and its inverse, chi-square CDF/quantile for even
 degrees of freedom, the standard normal CDF/quantile, and binomial/Poisson
 mass and distribution functions evaluated in log space, per point or as a
-whole column over the support.
+whole column over the support.  The ``*_array`` kernels evaluate the
+scalar ones elementwise over arrays of points, in the same operation order,
+with numpy's ``log`` and ``exp`` in place of ``math``'s; each element's value
+depends on its own arguments only, not on the rest of the array.
 
 All functions are pure and reentrant.  The root solves meet the absolute
 residual ``_ABS_TOL`` within ``_MAX_ITER`` iterations or raise
@@ -21,6 +24,7 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "reg_inc_beta",
+    "reg_inc_beta_array",
     "inv_reg_inc_beta",
     "chisq_cdf",
     "chisq_quantile",
@@ -31,11 +35,14 @@ __all__ = [
     "log_factorials",
     "binom_log_pmf",
     "binom_log_pmf_column",
+    "binom_log_pmf_array",
     "binom_pmf",
     "pois_log_pmf",
     "pois_log_pmf_column",
+    "pois_log_pmf_array",
     "pois_pmf",
     "pois_cdf",
+    "pois_cdf_array",
 ]
 
 _EPS = 1e-15
@@ -126,6 +133,77 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
+def _floor(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
+
+
+def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`_betacf` elementwise; each element leaves once it converges."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 / _floor(1.0 - qab * x / qap)
+    h = d
+    out = np.empty_like(x)
+    index = np.arange(len(x))
+    for m in range(1, 400):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _floor(1.0 + aa * d)
+        c = _floor(1.0 + aa / c)
+        h = h * (d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _floor(1.0 + aa * d)
+        c = _floor(1.0 + aa / c)
+        de = d * c
+        h = h * de
+        done = np.abs(de - 1.0) < _EPS
+        if done.any():
+            out[index[done]] = h[done]
+            keep = ~done
+            if not keep.any():
+                return out
+            a, b, x, qab, qap, qam, c, d, h, index = (
+                v[keep] for v in (a, b, x, qab, qap, qam, c, d, h, index)
+            )
+    raise ConvergenceError(
+        f"incomplete beta continued fraction failed for a={a[0]}, b={b[0]}, x={x[0]}"
+    )
+
+
+def reg_inc_beta_array(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`reg_inc_beta` elementwise, for integer shapes.
+
+    ``a`` and ``b`` are integer arrays, nonnegative and never both zero, and
+    x lies in [0, 1]; none of this is checked.  The log-gamma prefactor is
+    read from :func:`log_factorials`, which holds the scalar's ``lgamma``
+    values, and the continued fraction runs in the scalar's operation order.
+    """
+    out = np.where(a == 0, x > 0.0, x >= 1.0).astype(float)
+    inner = np.flatnonzero((a > 0) & (b > 0) & (x > 0.0) & (x < 1.0))
+    if not inner.size:
+        return out
+    x, a, b = x[inner], a[inner], b[inner]
+    log_fact = log_factorials(int((a + b).max()))
+    ln_front = (
+        log_fact[a + b - 1]
+        - log_fact[a - 1]
+        - log_fact[b - 1]
+        + a * np.log(x)
+        + b * np.log1p(-x)
+    )
+    front = np.exp(ln_front)
+    direct = x < (a + 1.0) / (a + b + 2.0)
+    cf = _betacf_array(
+        np.where(direct, a, b).astype(float),
+        np.where(direct, b, a).astype(float),
+        np.where(direct, x, 1.0 - x),
+    )
+    out[inner] = np.where(direct, front * cf / a, 1.0 - front * cf / b)
+    return out
 
 
 def _rtsafe(cdf, pdf, p, x, lo, hi, failure: str) -> float:
@@ -356,15 +434,23 @@ def binom_log_pmf(omega: int, n: int, tau: float) -> float:
     return ln_choose + omega * math.log(tau) + (n - omega) * math.log1p(-tau)
 
 
+def _binom_log_pmf(omega, n: int, log_tau, log1m_tau) -> np.ndarray:
+    log_fact = log_factorials(n)
+    ln_choose = log_fact[n] - log_fact[omega] - log_fact[n - omega]
+    return ln_choose + omega * log_tau + (n - omega) * log1m_tau
+
+
 def binom_log_pmf_column(n: int, tau: float) -> np.ndarray:
     """:func:`binom_log_pmf` at omega = 0..n, same expression and order.
 
     The caller checks the domain.
     """
-    omega = np.arange(n + 1)
-    log_fact = log_factorials(n)
-    ln_choose = log_fact[n] - log_fact - log_fact[::-1]
-    return ln_choose + omega * math.log(tau) + (n - omega) * math.log1p(-tau)
+    return _binom_log_pmf(np.arange(n + 1), n, math.log(tau), math.log1p(-tau))
+
+
+def binom_log_pmf_array(omega: np.ndarray, n: int, tau: np.ndarray) -> np.ndarray:
+    """:func:`binom_log_pmf` elementwise over arrays of omega and tau, unchecked."""
+    return _binom_log_pmf(omega, n, np.log(tau), np.log1p(-tau))
 
 
 def binom_pmf(omega: int, n: int, tau: float) -> float:
@@ -388,6 +474,11 @@ def pois_log_pmf_column(m: int, tau: float) -> np.ndarray:
     return -tau + np.arange(m + 1) * math.log(tau) - log_factorials(m)
 
 
+def pois_log_pmf_array(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """:func:`pois_log_pmf` elementwise over arrays of omega and tau, unchecked."""
+    return -tau + omega * np.log(tau) - log_factorials(int(omega.max()))[omega]
+
+
 def pois_pmf(omega: int, tau: float) -> float:
     return math.exp(pois_log_pmf(omega, tau))
 
@@ -407,3 +498,32 @@ def pois_cdf(omega: int, tau: float) -> float:
         term *= tau / i
         total += term
     return min(1.0, total)
+
+
+def pois_cdf_array(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """:func:`pois_cdf` elementwise over arrays of omega and positive tau.
+
+    Below tau = 700 every element runs the scalar's term recurrence, all of
+    them at once: with the elements sorted by omega, step i updates the
+    prefix whose omega is at least i.  Above it each element takes the
+    scalar's log-space sum.
+    """
+    out = np.zeros(len(tau))
+    log_space = np.flatnonzero((tau > 700.0) & (omega >= 0))
+    for i in log_space:
+        out[i] = pois_cdf(int(omega[i]), float(tau[i]))
+    small = np.flatnonzero((tau <= 700.0) & (omega >= 0))
+    if not small.size:
+        return out
+    order = small[np.argsort(-omega[small], kind="stable")]
+    tau = tau[order]
+    # at_least[i]: how many of the sorted elements have omega >= i.
+    at_least = np.cumsum(np.bincount(omega[order])[::-1])[::-1]
+    term = np.exp(-tau)
+    total = term.copy()
+    for i in range(1, len(at_least)):
+        m = at_least[i]
+        term[:m] *= tau[:m] / i
+        total[:m] += term[:m]
+    out[order] = np.minimum(1.0, total)
+    return out

@@ -5,15 +5,21 @@ code paths: plain Gauss-Legendre panels for normal expectations (with the
 interval length taken straight from the interval endpoints), midpoint
 Riemann sums for memberships over the parameter axis, a greedy fill for
 the optimal-membership linear program, the binomial CDF by direct
-summation, coverage as a sum of scalar memberships, and branch thresholds
-from four root solves per omega.
+summation, coverage as a sum of scalar memberships, branch thresholds
+from four root solves per omega, and interval masses by scalar adaptive
+Gauss-Legendre quadrature on panels split at a membership's breakpoints,
+with the fake families that test it.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
 from fuzzyci.core import _align
+from fuzzyci.discrete import Crisp, Randomized
+from fuzzyci.length import _gauss_legendre
+from fuzzyci.specfun import ConvergenceError
 from fuzzyci.specfun import (
     binom_pmf,
     chisq_quantile,
@@ -232,3 +238,119 @@ def poisson_thresholds(gamma, omega):
     above_one = 0.5 * chisq_quantile(gamma, 2 * omega) if omega > 0 else 0.0
     above_zero = 0.5 * chisq_quantile(gamma, 2 * omega + 2)
     return below_zero, below_one, above_one, above_zero
+
+
+_MAX_DEPTH = 30
+
+
+def refine(f, a, b, whole, tol, depth):
+    """Adaptive bisection of the 10-point rule, one panel at a time."""
+    mid = 0.5 * (a + b)
+    left = _gauss_legendre(f, a, mid)
+    right = _gauss_legendre(f, mid, b)
+    err = abs(left + right - whole)
+    if err <= tol or (b - a) <= 1e-14 * max(abs(a), abs(b), 1.0):
+        return left + right
+    if depth >= _MAX_DEPTH:
+        raise ConvergenceError(
+            f"quadrature did not converge on [{a}, {b}] at depth {depth}"
+        )
+    return refine(f, a, mid, left, 0.5 * tol, depth + 1) + refine(
+        f, mid, b, right, 0.5 * tol, depth + 1
+    )
+
+
+def band_integral(f, a, b, rel_tol):
+    """Integral of 0 <= f <= 1 over [a, b], to rel_tol times its largest value."""
+    if not a < b:
+        return 0.0
+    return refine(f, a, b, _gauss_legendre(f, a, b), rel_tol * (b - a), 0)
+
+
+def breakpoints(fam, omega):
+    """Where tau -> psi(omega, tau) may kink or jump inside the domain.
+
+    A proposed family's thresholds and o, a crisp method's endpoints, or
+    what a fake family advertises.
+    """
+    if isinstance(fam, Randomized):
+        points = {*fam.thresholds(omega), fam.o}
+    elif isinstance(fam, Crisp):
+        points = set(fam.endpoints(omega))
+    else:
+        return fam.breakpoints(omega)
+    return tuple(sorted(p for p in points if 0.0 < p < fam.tau_upper))
+
+
+def breakpoint_mass(fam, omega, quad):
+    """Mass of tau -> psi(omega | tau), on panels split at the breakpoints.
+
+    Adaptive bisection converges poorly across kinks, and open nodes keep
+    jump points harmless.
+    """
+    edges = sorted(
+        {quad.lower, quad.upper,
+         *(p for p in breakpoints(fam, omega) if quad.lower < p < quad.upper)}
+    )
+    f = partial(fam.psi, omega)
+    panels = list(zip(edges, edges[1:]))
+    first_pass = [_gauss_legendre(f, a, b) for a, b in panels]
+    scale = max(math.fsum(abs(v) for v in first_pass), 1e-12)
+    width_total = quad.upper - quad.lower
+    parts = []
+    for (a, b), whole in zip(panels, first_pass):
+        tol = quad.rel_tol * scale * (b - a) / width_total
+        parts.append(refine(f, a, b, whole, tol, 0))
+    return max(0.0, math.fsum(parts))
+
+
+def breakpoint_el(fam, theta, quad):
+    """Expected length at theta from the breakpoint masses."""
+    return math.fsum(
+        math.exp(fam.log_pmf(w, theta)) * breakpoint_mass(fam, w, quad)
+        for w in range(fam.support_upper(theta) + 1)
+    )
+
+
+class Uniform:
+    """Observations 0..n equally likely at every theta; psi fixed per class."""
+
+    def __init__(self, n=0):
+        self.n = n
+
+    def log_pmf(self, omega, theta):
+        return -math.log(self.n + 1)
+
+    def support_upper(self, theta):
+        return self.n
+
+    def breakpoints(self, omega):
+        return ()
+
+
+class Constant(Uniform):
+    def __init__(self, level, n=4):
+        super().__init__(n)
+        self.level = level
+
+    def psi(self, omega, tau):
+        return self.level
+
+
+class Indicator(Uniform):
+    def __init__(self, lo, hi):
+        super().__init__()
+        self.lo, self.hi = lo, hi
+
+    def psi(self, omega, tau):
+        return 1.0 if self.lo < tau < self.hi else 0.0
+
+    def breakpoints(self, omega):
+        return (self.lo, self.hi)
+
+
+class Sneaky(Uniform):
+    """A jump at 0.37 that ``breakpoints`` does not advertise."""
+
+    def psi(self, omega, tau):
+        return 1.0 if tau < 0.37 else 0.0

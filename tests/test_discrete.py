@@ -52,14 +52,14 @@ def test_families_differing_only_in_o_share_one_memo(first, second, taus, monkey
         for w in range(top + 1):
             first.psi(w, tau)
     for w in range(top + 1):
-        first.breakpoints(w)
+        first.thresholds(w)
     before = dict(first.memo.thresholds)
     solves = count_solves(monkeypatch, type(first))
     for tau in taus:
         for w in range(top + 1):
             second.psi(w, tau)
     for w in range(top + 1):
-        second.breakpoints(w)
+        second.thresholds(w)
     assert solves == []
     assert second.memo.thresholds == before
 

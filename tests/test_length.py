@@ -1,37 +1,43 @@
 """Tests for the expected-length engine."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyci import binomial, discrete, length, poisson
+from fuzzyci import binomial, cli, discrete, length, poisson
 from fuzzyci.length import (
     QuadratureSpec,
-    _breakpoint_mass,
     el_curve,
     expected_length,
     interval_mass,
     lower_bound_curve,
 )
 from fuzzyci.specfun import ConvergenceError
-from oracles import riemann_mass
+from oracles import (
+    Constant,
+    Indicator,
+    Sneaky,
+    band_integral,
+    breakpoint_el,
+    breakpoint_mass,
+    riemann_mass,
+)
 
 UNIT = QuadratureSpec(0.0, 1.0)
+FIG08_RANGE = QuadratureSpec(1e-9, 60.0)
 
 
 def count_band_integrals(monkeypatch):
     """Record the span of every band integral computed from now on."""
     spans = []
-    integrate = length._band_integral
+    integrate = length._integrate
 
-    def counted(f, a, b, rel_tol):
-        spans.append((a, b))
-        return integrate(f, a, b, rel_tol)
+    def counted(psi, lo, hi, rel_tol):
+        spans.extend(zip(lo.tolist(), hi.tolist()))
+        return integrate(psi, lo, hi, rel_tol)
 
-    monkeypatch.setattr(length, "_band_integral", counted)
+    monkeypatch.setattr(length, "_integrate", counted)
     return spans
 
 
@@ -48,50 +54,6 @@ def count_envelope_points(monkeypatch):
     return thetas
 
 
-class Uniform:
-    """Observations 0..n equally likely at every theta; psi fixed per class."""
-
-    def __init__(self, n=0):
-        self.n = n
-
-    def log_pmf(self, omega, theta):
-        return -math.log(self.n + 1)
-
-    def support_upper(self, theta):
-        return self.n
-
-    def breakpoints(self, omega):
-        return ()
-
-
-class Constant(Uniform):
-    def __init__(self, level, n=4):
-        super().__init__(n)
-        self.level = level
-
-    def psi(self, omega, tau):
-        return self.level
-
-
-class Indicator(Uniform):
-    def __init__(self, lo, hi):
-        super().__init__()
-        self.lo, self.hi = lo, hi
-
-    def psi(self, omega, tau):
-        return 1.0 if self.lo < tau < self.hi else 0.0
-
-    def breakpoints(self, omega):
-        return (self.lo, self.hi)
-
-
-class Sneaky(Uniform):
-    """A jump at 0.37 that ``breakpoints`` does not advertise."""
-
-    def psi(self, omega, tau):
-        return 1.0 if tau < 0.37 else 0.0
-
-
 class TestQuadratureSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -100,17 +62,31 @@ class TestQuadratureSpec:
             QuadratureSpec(0.0, 1.0, rel_tol=1e-3)
 
 
-class TestIntervalMass:
+class TestBreakpointOracle:
+    """The scalar breakpoint quadrature the band route is checked against."""
+
     def test_constant_membership(self):
-        assert interval_mass(Constant(0.95), 0, UNIT) == pytest.approx(
+        assert breakpoint_mass(Constant(0.95), 0, UNIT) == pytest.approx(
             0.95, abs=1e-12
         )
 
     def test_crisp_indicator(self):
-        assert interval_mass(Indicator(0.2, 0.7), 0, UNIT) == pytest.approx(
+        assert breakpoint_mass(Indicator(0.2, 0.7), 0, UNIT) == pytest.approx(
             0.5, abs=1e-12
         )
 
+    def test_constant_membership_any_theta(self):
+        fam = Constant(0.95)
+        for theta in (0.1, 0.5, 0.9):
+            assert breakpoint_el(fam, theta, UNIT) == pytest.approx(0.95, abs=1e-12)
+
+    def test_reports_nonconvergence(self):
+        # Bisection cannot resolve an unadvertised jump within its depth budget.
+        with pytest.raises(ConvergenceError):
+            breakpoint_mass(Sneaky(), 0, UNIT)
+
+
+class TestIntervalMass:
     def test_binomial_against_fine_riemann_oracle(self):
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
         mass = interval_mass(fam, 5, UNIT)
@@ -146,19 +122,53 @@ class TestIntervalMass:
             assert mass == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
     def test_reports_nonconvergence(self):
-        # Bisection cannot resolve an unadvertised jump within its depth budget.
-        with pytest.raises(ConvergenceError):
-            interval_mass(Sneaky(), 0, UNIT)
+        # Batched bisection cannot resolve an unadvertised jump within its
+        # depth budget, nor meet a tolerance below rounding on a band.
+        def jump(i, tau):
+            return (tau < 0.37).astype(float)
+
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            length._integrate(jump, np.array([0.0]), np.array([1.0]), 1e-9)
+        fam = binomial.BinomialFamily(10, 0.5, 0.95)
+        with pytest.raises(ConvergenceError, match="at depth 30"):
+            interval_mass(fam, 5, QuadratureSpec(0.0, 1.0, rel_tol=1e-300))
+
+    def test_cli_exits_3_when_bisection_runs_out_of_depth(self, capsys):
+        # Every panel fails, so the batches must deepen, not widen, to
+        # reach the depth limit quickly.
+        status = cli.main([
+            "lower-bound", "--family", "binomial", "--n", "10", "--gamma", "0.95",
+            "--theta-grid", "0.5:0.5:1", "--rel-tol", "1e-300",
+        ])
+        assert status == cli.NUMERICAL_ERROR
+        assert "did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [1, 5, 10, 40, 400])
+    def test_agresti_coull_is_the_clipped_interval_length(self, n):
+        method = binomial.AgrestiCoull(n, 0.95)
+        masses = method.interval_masses(range(n + 1), UNIT)
+        for w in range(n + 1):
+            assert masses[w] == pytest.approx(
+                breakpoint_mass(method, w, UNIT), rel=0.0, abs=1e-14
+            )
+            lo, hi = method.interval(w)
+            assert masses[w] == hi - lo
+
+    @pytest.mark.parametrize("gamma", [0.9, 0.95, 0.99])
+    def test_score_interval_is_the_clipped_interval_length(self, gamma):
+        method = poisson.ScoreInterval(gamma)
+        masses = method.interval_masses(range(200), FIG08_RANGE)
+        for w in range(200):
+            assert masses[w] == pytest.approx(
+                breakpoint_mass(method, w, FIG08_RANGE), rel=0.0, abs=1e-14
+            )
 
 
 def _assert_band_route_matches_breakpoints(fam, quad, omegas, rel=1e-13):
     for w in omegas:
         band = interval_mass(fam, w, quad)
-        generic = _breakpoint_mass(fam, w, quad)
+        generic = breakpoint_mass(fam, w, quad)
         assert band == pytest.approx(generic, rel=rel, abs=1e-300), (fam, w)
-
-
-FIG08_RANGE = QuadratureSpec(1e-9, 60.0)
 
 
 class TestBandRoute:
@@ -219,6 +229,89 @@ class TestBandRoute:
         _assert_band_route_matches_breakpoints(fam, quad, [w], rel=1e-12)
 
     @pytest.mark.parametrize(
+        "fam, quad",
+        [
+            (binomial.BinomialFamily(1, 0.4, 0.8), UNIT),
+            (binomial.BinomialFamily(10, 0.4, 0.95), UNIT),
+            (binomial.BinomialFamily(40, 0.4, 0.99), UNIT),
+            (binomial.BinomialFamily(300, 0.4, 0.95), QuadratureSpec(0.3, 0.6)),
+            (poisson.PoissonFamily(5.0, 0.95), FIG08_RANGE),
+            # Bands that straddle tau = 700, where the CDF goes to log space.
+            (poisson.PoissonFamily(5.0, 0.8), QuadratureSpec(698.0, 703.0)),
+        ],
+        ids=["binomial-1", "binomial-10", "binomial-40", "binomial-300",
+             "poisson", "poisson-above-700"],
+    )
+    def test_batched_bands_match_scalar_bisection(self, fam, quad):
+        # Every full band of a model, degenerate shapes (omega = 0, omega = n,
+        # Poisson omega = 0) included, against one scalar bisection per band
+        # over the scalar branches.
+        discrete._memo.cache_clear()
+        top = fam.support_upper(quad.upper)
+        fam.interval_masses(range(top + 1), quad)
+        for w in range(top + 1):
+            z0, z1, a1, a0, below, above = fam.memo.bands[quad, w]
+            scalar_below = band_integral(
+                lambda t: fam.psi_below(w, t), z0, z1, quad.rel_tol
+            )
+            scalar_above = band_integral(
+                lambda t: fam.psi_above(w, t), a1, a0, quad.rel_tol
+            )
+            assert below == pytest.approx(scalar_below, rel=1e-13, abs=1e-300), w
+            assert above == pytest.approx(scalar_above, rel=1e-13, abs=1e-300), w
+
+    @pytest.mark.parametrize(
+        "fam, quad",
+        [
+            (binomial.BinomialFamily(1, 0.3, 0.9), UNIT),
+            (binomial.BinomialFamily(12, 0.3, 0.9), UNIT),
+            (poisson.PoissonFamily(6.0, 0.9), QuadratureSpec(1e-9, 30.0)),
+        ],
+        ids=["binomial-1", "binomial-12", "poisson"],
+    )
+    def test_band_values_do_not_depend_on_the_batch(self, fam, quad):
+        # One count at a time, through interval_mass, or all counts of the
+        # model and their partial integrals in one el_curve batch: the same
+        # bits.  The degenerate bands of omega = 0 and omega = top are in
+        # both.
+        top = fam.support_upper(quad.upper)
+        one_by_one = {}
+        for w in range(top + 1):
+            discrete._memo.cache_clear()
+            mass = interval_mass(fam, w, quad)
+            one_by_one[w] = (mass, fam.memo.bands[quad, w])
+        discrete._memo.cache_clear()
+        masses = fam.interval_masses(range(top + 1), quad)
+        el_curve(fam, [0.5 * (quad.lower + quad.upper)], quad)
+        for w in range(top + 1):
+            assert (masses[w], fam.memo.bands[quad, w]) == one_by_one[w], w
+
+    @pytest.mark.parametrize(
+        "family, anchors, quad",
+        [
+            (lambda o: binomial.BinomialFamily(10, o, 0.95), (0.05, 0.5, 0.9), UNIT),
+            (lambda o: binomial.BinomialFamily(40, o, 0.9), (0.3, 0.77), UNIT),
+            (
+                lambda o: poisson.PoissonFamily(o, 0.95),
+                (0.5, 8.0, 20.0),
+                QuadratureSpec(1e-9, poisson.default_tau_max(20.0)),
+            ),
+        ],
+        ids=["binomial-10", "binomial-40", "poisson"],
+    )
+    def test_el_curve_touches_the_envelope_exactly(self, family, anchors, quad):
+        # At theta = o the proposed family is its own reference family, so
+        # the two curves are one computation, whichever comes first.
+        for o in anchors:
+            fam = family(o)
+            discrete._memo.cache_clear()
+            el_first = el_curve(fam, [o], quad)
+            assert el_first == lower_bound_curve(fam, [o], quad)
+            discrete._memo.cache_clear()
+            bound_first = lower_bound_curve(fam, [o], quad)
+            assert bound_first == el_curve(fam, [o], quad) == el_first
+
+    @pytest.mark.parametrize(
         "first, second, quad",
         [
             (
@@ -258,13 +351,6 @@ class TestBandRoute:
 
 
 class TestExpectedLength:
-    def test_constant_membership_any_theta(self):
-        fam = Constant(0.95)
-        for theta in (0.1, 0.5, 0.9):
-            assert expected_length(fam, theta, UNIT) == pytest.approx(
-                0.95, abs=1e-12
-            )
-
     def test_binomial_curves_are_positive_and_bounded(self):
         for o in (0.1, 0.5, 0.9):
             fam = binomial.BinomialFamily(10, o, 0.95)

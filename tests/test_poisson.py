@@ -11,6 +11,7 @@ from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.discrete import coverage
 from fuzzyci.poisson import TRUNCATION_MASS, PoissonFamily, ScoreInterval, support_bound
 from fuzzyci.specfun import chisq_quantile, normal_quantile, pois_cdf, pois_pmf
+from oracles import breakpoints
 
 
 def poisson_measures(tau, o):
@@ -141,7 +142,7 @@ class TestPsiO:
 
     def test_breakpoints(self):
         fam = PoissonFamily(8.0, 0.95)
-        points = fam.breakpoints(3)
+        points = breakpoints(fam, 3)
         assert fam.o in points
         assert points == tuple(sorted(points))
         assert all(p > 0.0 for p in points)
