@@ -25,7 +25,11 @@ from .specfun import (
     two_sided_z,
 )
 
-__all__ = ["BinomialFamily", "AgrestiCoull"]
+__all__ = ["BinomialFamily", "AgrestiCoull", "MAX_N"]
+
+# Columns and the log-factorial table hold n + 1 entries, so a larger n
+# would exhaust memory before any sum ran.
+MAX_N = 10**6
 
 
 class _Binomial:
@@ -34,8 +38,8 @@ class _Binomial:
     tau_upper = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must be an integer in [1, {MAX_N}], got {self.n}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
 
@@ -78,16 +82,15 @@ class BinomialFamily(_Binomial, Randomized):
         """The level-quantile of Beta(k, n - k + 1): where P[X >= k | tau] = level."""
         return inv_reg_inc_beta(level, k, self.n - k + 1)
 
-    def slack_below(self, omega: int, tau: float) -> float:
-        # gamma - P[X < omega]; the beta gives the upper tail P[X >= omega].
-        return self.gamma - 1.0 + reg_inc_beta(tau, omega, self.n - omega + 1)
-
-    def slack_above(self, omega: int, tau: float) -> float:
-        # gamma - P[X > omega], with P[X >= omega + 1] from the beta.
-        return self.gamma - reg_inc_beta(tau, omega + 1, self.n - omega)
+    def slack(self, omega: int, above: bool, tau: float) -> float:
+        # gamma - P[X < omega] below o and gamma - P[X > omega] above it, both
+        # from the beta's upper tail P[X >= k], k = omega or omega + 1.
+        k = omega + above
+        upper = reg_inc_beta(tau, k, self.n - k + 1)
+        return self.gamma - upper if above else self.gamma - 1.0 + upper
 
     def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):
-        # Both slacks from the upper tail P[X >= k], k = omega or omega + 1.
+        # slack's expressions, elementwise.
         k = omega + above
         upper = reg_inc_beta_array(tau, k, self.n - k + 1)
         return np.where(above, self.gamma - upper, self.gamma - 1.0 + upper)

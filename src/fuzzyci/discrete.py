@@ -46,8 +46,9 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
   expected length at theta is the envelope value there;
 - ``coverage(tau)``: exact coverage at tau, by :func:`coverage`.
 
-:class:`Randomized` builds ``psi``, its two branches ``psi_below`` and
-``psi_above`` and their array form ``branch_array``, ``psi_column``,
+:class:`Randomized` builds ``psi``, its branch ``branch(omega, above,
+tau)`` (above o if ``above``, else below) and the branch's array form
+``branch_array`` for points inside a band, ``psi_column``,
 ``interval_masses`` and ``thresholds`` of a proposed family from what
 differs between the families:
 
@@ -55,13 +56,13 @@ differs between the families:
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
 - ``solve_edge(level, k)``: the band edge where P[X >= k | tau] = level,
   from the family's conjugate quantile;
-- ``slack_below(omega, tau)`` and ``slack_above(omega, tau)``: the two
-  numerators above, each from whichever tail the family computes accurately;
+- ``slack(omega, above, tau)``: the numerator above o if ``above``, else
+  below, each from whichever tail the family computes accurately;
 - ``slack_columns(p)``: both numerators over a mass column, each from the
-  partial sums of the tail its scalar counterpart uses;
-- ``slack_array(omega, above, tau)`` and ``log_pmf_array(omega, tau)``: the
-  scalar numerators and log mass function elementwise over arrays, from the
-  array kernels of :mod:`fuzzyci.specfun`.
+  partial sums of the tail ``slack`` uses;
+- ``slack_array(omega, above, tau)`` and ``log_pmf_array(omega, tau)``:
+  ``slack`` and ``log_pmf`` elementwise over arrays, in the same
+  expressions, from the array kernels of :mod:`fuzzyci.specfun`.
 
 :class:`Crisp` builds them for a comparison method from ``check`` and
 ``endpoints(omega, sqrt)``, the endpoints of its interval written so that
@@ -94,13 +95,6 @@ def _memo(model) -> SimpleNamespace:
     stored only once its computation has returned.
     """
     return SimpleNamespace(edges={}, thresholds={}, bands={}, partials={}, envelope={})
-
-
-def _randomized(slack: float, omega: int, tau: float, fam) -> float:
-    if slack <= 0.0:
-        return 0.0
-    # The clamp absorbs float dust only; the ratio already lands in [0, 1].
-    return min(1.0, max(0.0, math.exp(math.log(slack) - fam.log_pmf(omega, tau))))
 
 
 class _Membership:
@@ -150,37 +144,34 @@ class Randomized(_Membership):
         """
         self.check(omega, tau)
         if tau < self.o:
-            return self.psi_below(omega, tau)
+            return self.branch(omega, False, tau)
         if tau > self.o:
-            return self.psi_above(omega, tau)
-        return max(self.psi_below(omega, tau), self.psi_above(omega, tau))
+            return self.branch(omega, True, tau)
+        return max(self.branch(omega, False, tau), self.branch(omega, True, tau))
 
-    def psi_below(self, omega: int, tau: float) -> float:
-        """The membership's branch below o, at any tau: 0, the ratio, then 1."""
-        zero, one, _, _ = self.thresholds(omega)
-        if tau <= zero:
+    def branch(self, omega: int, above: bool, tau: float) -> float:
+        """The membership's branch above o if ``above``, else below, at any tau.
+
+        Below o it is 0, the ratio, then 1; above o, 1, the ratio, then 0.
+        """
+        edges = self.thresholds(omega)
+        low, high = edges[2:] if above else edges[:2]
+        if tau <= low:
+            return float(above)
+        if tau > high:
+            return float(not above)
+        slack = self.slack(omega, above, tau)
+        if slack <= 0.0:
             return 0.0
-        if tau > one:
-            return 1.0
-        return _randomized(self.slack_below(omega, tau), omega, tau, self)
+        # The clamp absorbs float dust only; the ratio already lands in [0, 1].
+        return min(1.0, max(0.0, math.exp(math.log(slack) - self.log_pmf(omega, tau))))
 
-    def psi_above(self, omega: int, tau: float) -> float:
-        """The membership's branch above o, at any tau: 1, the ratio, then 0."""
-        _, _, one, zero = self.thresholds(omega)
-        if tau <= one:
-            return 1.0
-        if tau > zero:
-            return 0.0
-        return _randomized(self.slack_above(omega, tau), omega, tau, self)
+    def branch_array(self, omega, above, tau) -> np.ndarray:
+        """``branch`` over arrays, for tau strictly inside each element's band.
 
-    def branch_array(self, omega, above, tau, low, high) -> np.ndarray:
-        """``psi_above`` where ``above``, else ``psi_below``, over arrays.
-
-        ``low`` and ``high`` are each element's band edges from
-        ``thresholds``: below_zero and below_one, or above_one and
-        above_zero.  Between them the ratio comes from ``slack_array`` and
-        ``log_pmf_array`` as the scalar branches take it from their slack
-        and ``log_pmf``.
+        The ratio comes from ``slack_array`` and ``log_pmf_array`` as the
+        scalar's from ``slack`` and ``log_pmf``.  Every quadrature node lies
+        strictly inside its band, so the 0 and 1 outside it are not needed.
         """
         slack = self.slack_array(omega, above, tau)
         positive = slack > 0.0
@@ -188,8 +179,7 @@ class Randomized(_Membership):
             ratio = np.exp(
                 np.log(np.where(positive, slack, 1.0)) - self.log_pmf_array(omega, tau)
             )
-        inside = np.where(positive, np.minimum(1.0, np.maximum(0.0, ratio)), 0.0)
-        return np.where(tau <= low, above, np.where(tau > high, ~above, inside))
+        return np.where(positive, np.minimum(1.0, np.maximum(0.0, ratio)), 0.0)
 
     def psi_column(self, tau: float, p: np.ndarray) -> np.ndarray:
         """Clamp form of ``psi(omega, tau)`` over the mass column p at tau.
@@ -209,20 +199,11 @@ class Randomized(_Membership):
 
     def interval_masses(self, omegas, quad) -> list[float]:
         """Flat lengths plus band integrals: see :func:`fuzzyci.length.band_masses`."""
-        return band_masses(self, omegas, quad)
+        return band_masses([(self, omegas)], quad)[0]
 
 
 class Crisp(_Membership):
-    """The indicator membership of a comparison method's interval.
-
-    Inside the parameter space (0, tau_upper), comparing tau with the raw
-    endpoints gives the same answer as comparing it with :meth:`interval`.
-    """
-
-    def interval(self, omega: int) -> tuple[float, float]:
-        """Endpoints of the interval, clipped to the parameter space."""
-        lo, hi = self.endpoints(omega)
-        return max(0.0, lo), min(self.tau_upper, hi)
+    """The indicator membership of a comparison method's interval."""
 
     def psi(self, omega: int, tau: float) -> float:
         self.check(omega, tau)

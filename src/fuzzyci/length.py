@@ -9,8 +9,8 @@ crisp comparison method's mass is the length of its interval clipped to the
 range, in closed form (see :mod:`fuzzyci.discrete`); a proposed family's
 comes from the band integrals computed here.
 
-The membership of omega is its branch ``psi_below`` below o and
-``psi_above`` above it, and neither branch depends on o.  Each branch is 0
+The membership of omega is its branch below o up to o and its branch
+above o from there on, and neither branch depends on o.  Each branch is 0
 or 1 outside its randomized band, between two of the family's thresholds,
 so the mass at any anchor o is flat lengths plus the full-band integrals,
 except for the band that contains o, which needs one partial integral.
@@ -20,17 +20,19 @@ of an envelope, and every curve of one figure, reads the same entries.
 Envelope points are kept there too, per quadrature spec and theta, so the
 commands of a figure that share an envelope compute each point once.
 
-Whatever integrals a request lacks are computed as one batch: the missing
-full bands of its counts and its partial integrals, and for an envelope
-those of every reference family.  The batch evaluates the branches
-(``branch_array``, over the vectorized kernels of :mod:`fuzzyci.specfun`) at
-the 30 Gauss-Legendre nodes of each band, 10 on the band and 10 on each
-half, in one array pass, then refines in further passes only the panels
-whose halves disagree with the whole: adaptive bisection with the
-tolerance halved per level, a floor on the panel width, and a
-:class:`~fuzzyci.specfun.ConvergenceError` for a panel that fails at depth
-30.  An integral is the sum of its accepted panels over its own bisection
-tree, so its bits do not depend on the batch that computed it.
+:func:`band_masses` returns the masses of proposed families of one model,
+each at its own counts.  Whatever integrals they lack are computed as one
+batch: the missing full bands of the counts and the partial integrals at
+each family's o.  An envelope asks once for every point it lacks, with the
+reference families anchored at those points.  The batch evaluates the
+branches (``branch_array``, over the vectorized kernels of
+:mod:`fuzzyci.specfun`) at the 30 Gauss-Legendre nodes of each band, 10 on
+the band and 10 on each half, in one array pass, then refines in further
+passes only the panels whose halves disagree with the whole: adaptive
+bisection with the tolerance halved per level, a floor on the panel width,
+and a :class:`~fuzzyci.specfun.ConvergenceError` for a panel that fails at
+depth 30.  An integral is the sum of its accepted panels in order of their
+left ends, so its bits do not depend on the batch that computed it.
 
 The envelope no admissible membership's curve can undercut is the expected
 length at theta of ``reference(theta)``, the proposed family anchored at
@@ -115,7 +117,7 @@ def _pairs(x, y) -> np.ndarray:
 
 
 def _integrate(psi, lo, hi, rel_tol: float) -> np.ndarray:
-    """Integral of 0 <= psi(i, .) <= 1 over [lo[i], hi[i]] for every i.
+    """Integral of 0 <= psi(i, .) <= 1 over [lo[i], hi[i]] for every i; lo < hi.
 
     ``psi(i, tau)`` evaluates integrand ``i[k]`` at ``tau[k]`` over arrays.
     Each integral meets rel_tol times its width.  A panel is accepted when
@@ -123,27 +125,22 @@ def _integrate(psi, lo, hi, rel_tol: float) -> np.ndarray:
     the floor; otherwise each half is refined to half the tolerance.  Panels
     are evaluated newest first, up to ``_BATCH_NODES`` nodes a pass, so a
     failing panel's depth grows by a level every pass and reaches the limit
-    however many panels fail with it.
+    however many panels fail with it.  An integral is the sum of its
+    accepted panels in order of their left ends, so its bits do not depend
+    on the batch.
     """
-    out = np.zeros(len(lo))
-    roots = np.flatnonzero(lo < hi)
-    count = len(roots)
-    if not count:
-        return out
-    values = np.empty(2 * count)  # per node of the bisection trees, by id
-    next_id = count
-    splits = []  # (node, its left child, depth); the right child is left + 1
+    elem = np.arange(len(lo))
     # A panel: integrand, ends, whole-panel rule (None before the first
-    # pass), tolerance, depth, node id.
-    stack = [(roots, lo[roots], hi[roots], None, rel_tol * (hi[roots] - lo[roots]),
-              np.zeros(count, dtype=int), np.arange(count))]
+    # pass), tolerance, depth.
+    stack = [(elem, lo, hi, None, rel_tol * (hi - lo), np.zeros(len(lo), dtype=int))]
+    accepted = []  # (integrand, left end, value) of every accepted panel
     while stack:
         panels = stack.pop()
         limit = _BATCH_NODES // (30 if panels[3] is None else 20)
         if len(panels[0]) > limit:
             stack.append(tuple(None if v is None else v[:-limit] for v in panels))
             panels = tuple(None if v is None else v[-limit:] for v in panels)
-        elem, a, b, whole, tol, depth, node = panels
+        elem, a, b, whole, tol, depth = panels
         mid = 0.5 * (a + b)
         if whole is None:
             whole, left, right = np.split(
@@ -154,9 +151,10 @@ def _integrate(psi, lo, hi, rel_tol: float) -> np.ndarray:
                 _rules(psi, np.tile(elem, 2), np.concatenate((a, mid)),
                        np.concatenate((mid, b))), 2)
         total = left + right
-        values[node] = total
         floor = (b - a) <= 1e-14 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-        split = np.flatnonzero(~((np.abs(total - whole) <= tol) | floor))
+        done = (np.abs(total - whole) <= tol) | floor
+        accepted.append((elem[done], a[done], total[done]))
+        split = np.flatnonzero(~done)
         if not split.size:
             continue
         deep = split[depth[split] >= _MAX_DEPTH]
@@ -165,54 +163,35 @@ def _integrate(psi, lo, hi, rel_tol: float) -> np.ndarray:
             raise ConvergenceError(
                 f"quadrature did not converge on [{a[i]}, {b[i]}] at depth {depth[i]}"
             )
-        children = next_id + np.arange(2 * len(split))
-        next_id += len(children)
-        if next_id > len(values):
-            values = np.concatenate((values, np.empty(max(len(values), len(children)))))
-        splits.append((node[split], children[::2], depth[split]))
         stack.append((
             np.repeat(elem[split], 2), _pairs(a[split], mid[split]),
             _pairs(mid[split], b[split]), _pairs(left[split], right[split]),
-            np.repeat(0.5 * tol[split], 2), np.repeat(depth[split] + 1, 2), children,
+            np.repeat(0.5 * tol[split], 2), np.repeat(depth[split] + 1, 2),
         ))
-    if splits:
-        node, left, depth = (np.concatenate(v) for v in zip(*splits))
-        for level in range(depth.max(), -1, -1):  # children before their parents
-            at = depth == level
-            values[node[at]] = values[left[at]] + values[left[at] + 1]
-    out[roots] = values[:count]
-    return out
+    elem, a, value = (np.concatenate(v) for v in zip(*accepted))
+    order = np.lexsort((a, elem))
+    # bincount adds in array order: each integral's panels, left to right.
+    return np.bincount(elem[order], weights=value[order], minlength=len(lo))
 
 
-def _branch_integrals(fam, jobs, rel_tol: float) -> list[float]:
-    """Integrals of fam's branches: ``(omega, above, lo, hi)`` per job."""
-    omega, above, lo, hi = (np.array(v) for v in zip(*jobs))
-    edges = np.array([fam.thresholds(w) for w in omega.tolist()])
-    low = np.where(above, edges[:, 2], edges[:, 0])
-    high = np.where(above, edges[:, 3], edges[:, 1])
+def band_masses(requests, quad: QuadratureSpec) -> list[list[float]]:
+    """Masses of proposed families of one model: the branch below o up to o, above on.
 
-    def psi(i, tau):
-        return fam.branch_array(omega[i], above[i], tau, low[i], high[i])
-
-    return _integrate(psi, lo, hi, rel_tol).tolist()
-
-
-def _fill_bands(requests, quad: QuadratureSpec):
-    """Compute, in one batch, the band integrals ``requests`` need and lack.
-
-    ``requests`` pairs proposed families of one model with the counts whose
-    masses each needs.  A new band is stored as omega's thresholds clipped to
-    the range, then its two full-band integrals: ``psi_below`` rises from 0
-    to 1 across [below_zero, below_one] and ``psi_above`` falls from 1 to 0
-    across [above_one, above_zero].
+    ``requests`` pairs families with the counts whose masses each needs.
+    Whatever band integrals they lack are computed in one batch and kept
+    in the model's memo.  A new band is stored as omega's thresholds
+    clipped to the range, then its two full-band integrals: the branch
+    below rises from 0 to 1 across [below_zero, below_one] and the branch
+    above falls from 1 to 0 across [above_one, above_zero].  A band that
+    contains o also needs the partial integral from o to its end.
     """
     model = requests[0][0]
     memo = model.memo
     lower, upper = quad.lower, quad.upper
+    anchors = [min(max(fam.o, lower), upper) for fam, _ in requests]
     edges = {}  # omega -> clipped thresholds, for bands the memo lacks
     jobs = {}  # (omega, above, o or None for the full band) -> span
-    for fam, omegas in requests:
-        o = min(max(fam.o, lower), upper)
+    for (fam, omegas), o in zip(requests, anchors):
         for w in omegas:
             fam.check(w, fam.o)
             band = memo.bands.get((quad, w)) or edges.get(w)
@@ -228,8 +207,14 @@ def _fill_bands(requests, quad: QuadratureSpec):
     keys = [key for key, (a, b) in jobs.items() if a < b]
     values = {}
     if keys:
-        spans = [(w, above, *jobs[w, above, o]) for w, above, o in keys]
-        values = dict(zip(keys, _branch_integrals(model, spans, quad.rel_tol)))
+        omega, above_o, lo, hi = (
+            np.array(v) for v in zip(*((w, up, *jobs[w, up, o]) for w, up, o in keys))
+        )
+        integrals = _integrate(
+            lambda i, tau: model.branch_array(omega[i], above_o[i], tau),
+            lo, hi, quad.rel_tol,
+        )
+        values = dict(zip(keys, integrals.tolist()))
     for w, band in edges.items():
         memo.bands[quad, w] = (
             *band, values.get((w, False, None), 0.0), values.get((w, True, None), 0.0)
@@ -237,29 +222,25 @@ def _fill_bands(requests, quad: QuadratureSpec):
     for (w, above, o), value in values.items():
         if o is not None:
             memo.partials[quad, w, above, o] = value
-
-
-def band_masses(fam, omegas: Sequence[int], quad: QuadratureSpec) -> list[float]:
-    """Masses of a proposed family's memberships: psi_below up to o, psi_above on."""
-    _fill_bands([(fam, omegas)], quad)
-    bands, partials = fam.memo.bands, fam.memo.partials
-    o = min(max(fam.o, quad.lower), quad.upper)
     masses = []
-    for w in omegas:
-        z0, z1, a1, a0, below, above = bands[quad, w]
-        if o <= z0:
-            up_to_o = 0.0
-        elif o < z1:
-            up_to_o = partials[quad, w, False, o]
-        else:
-            up_to_o = below + (o - z1)
-        if o >= a0:
-            from_o = 0.0
-        elif o > a1:
-            from_o = partials[quad, w, True, o]
-        else:
-            from_o = (a1 - o) + above
-        masses.append(up_to_o + from_o)
+    for (fam, omegas), o in zip(requests, anchors):
+        row = []
+        for w in omegas:
+            z0, z1, a1, a0, below, above = memo.bands[quad, w]
+            if o <= z0:
+                up_to_o = 0.0
+            elif o < z1:
+                up_to_o = memo.partials[quad, w, False, o]
+            else:
+                up_to_o = below + (o - z1)
+            if o >= a0:
+                from_o = 0.0
+            elif o > a1:
+                from_o = memo.partials[quad, w, True, o]
+            else:
+                from_o = (a1 - o) + above
+            row.append(up_to_o + from_o)
+        masses.append(row)
     return masses
 
 
@@ -268,13 +249,17 @@ def interval_mass(fam, omega: int, quad: QuadratureSpec) -> float:
     return fam.interval_masses([omega], quad)[0]
 
 
+def _pratt_sum(fam, theta: float, masses) -> float:
+    """Expected length at theta: ``masses[w]`` weighted by the pmf, over every w."""
+    return math.fsum(math.exp(fam.log_pmf(w, theta)) * m for w, m in enumerate(masses))
+
+
 def _el_values(fam, thetas: list[float], quad: QuadratureSpec) -> list[float]:
     """Expected lengths at each theta, reusing the theta-free inner masses."""
     uppers = [fam.support_upper(theta) for theta in thetas]
     masses = fam.interval_masses(range(max(uppers, default=-1) + 1), quad)
     return [
-        math.fsum(math.exp(fam.log_pmf(w, theta)) * masses[w] for w in range(upper + 1))
-        for theta, upper in zip(thetas, uppers)
+        _pratt_sum(fam, theta, masses[:upper + 1]) for theta, upper in zip(thetas, uppers)
     ]
 
 
@@ -295,22 +280,19 @@ def lower_bound_curve(
 
     Any family of the same sampling model serves, a comparison method too;
     their reference families share one memo, which keeps each point.  The
-    band integrals of every point not yet kept are computed as one batch.
+    masses of every point not yet kept come from one :func:`band_masses`
+    batch.
     """
     thetas = [float(t) for t in theta_grid]
     references = {theta: fam.reference(theta) for theta in thetas}
     cold = [
-        (ref, range(ref.support_upper(theta) + 1))
-        for theta, ref in references.items()
-        if (quad, theta) not in ref.memo.envelope
+        theta for theta, ref in references.items() if (quad, theta) not in ref.memo.envelope
     ]
     if cold:
-        _fill_bands(cold, quad)
-    values = []
-    for theta in thetas:
-        reference = references[theta]
-        points = reference.memo.envelope
-        if (quad, theta) not in points:
-            points[quad, theta] = expected_length(reference, theta, quad)
-        values.append(points[quad, theta])
-    return values
+        requests = [
+            (references[theta], range(references[theta].support_upper(theta) + 1))
+            for theta in cold
+        ]
+        for theta, (ref, _), masses in zip(cold, requests, band_masses(requests, quad)):
+            ref.memo.envelope[quad, theta] = _pratt_sum(ref, theta, masses)
+    return [references[theta].memo.envelope[quad, theta] for theta in thetas]

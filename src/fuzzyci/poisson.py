@@ -140,15 +140,14 @@ class PoissonFamily(_Poisson, Randomized):
         """
         return 0.5 * chisq_quantile(level, 2 * k) if k > 0 else 0.0
 
-    def slack_below(self, omega: int, tau: float) -> float:
-        return self.gamma - pois_cdf(omega - 1, tau)
-
-    def slack_above(self, omega: int, tau: float) -> float:
-        # gamma - P[X > omega], through the CDF P[X <= omega].
-        return self.gamma - 1.0 + pois_cdf(omega, tau)
+    def slack(self, omega: int, above: bool, tau: float) -> float:
+        # gamma - P[X < omega] below o and gamma - P[X > omega] above it, both
+        # through the CDF P[X <= k], k = omega - 1 or omega.
+        cdf = pois_cdf(omega - 1 + above, tau)
+        return self.gamma - 1.0 + cdf if above else self.gamma - cdf
 
     def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):
-        # Both slacks from the CDF P[X <= k], k = omega - 1 or omega.
+        # slack's expressions, elementwise.
         cdf = pois_cdf_array(omega - 1 + above, tau)
         return np.where(above, self.gamma - 1.0 + cdf, self.gamma - cdf)
 

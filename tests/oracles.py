@@ -6,9 +6,10 @@ interval length taken straight from the interval endpoints), midpoint
 Riemann sums for memberships over the parameter axis, a greedy fill for
 the optimal-membership linear program, the binomial CDF by direct
 summation, coverage as a sum of scalar memberships, branch thresholds
-from four root solves per omega, and interval masses by scalar adaptive
-Gauss-Legendre quadrature on panels split at a membership's breakpoints,
-with the fake families that test it.
+from four root solves per omega, a crisp method's clipped interval from
+its endpoints, and interval masses by scalar adaptive Gauss-Legendre
+quadrature on panels split at a membership's breakpoints, with the fake
+families that test it.
 """
 
 import math
@@ -280,6 +281,16 @@ def breakpoints(fam, omega):
     else:
         return fam.breakpoints(omega)
     return tuple(sorted(p for p in points if 0.0 < p < fam.tau_upper))
+
+
+def interval(method, omega):
+    """A crisp method's interval for omega, clipped to the parameter space.
+
+    Inside the space, comparing tau with the raw endpoints gives the same
+    answer as comparing it with these.
+    """
+    lo, hi = method.endpoints(omega)
+    return max(0.0, lo), min(method.tau_upper, hi)
 
 
 def breakpoint_mass(fam, omega, quad):

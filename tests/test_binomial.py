@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyci.binomial import AgrestiCoull, BinomialFamily
+from fuzzyci.binomial import MAX_N, AgrestiCoull, BinomialFamily
 from fuzzyci.discrete import coverage
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.specfun import binom_pmf, inv_reg_inc_beta, normal_quantile
-from oracles import breakpoints
+from oracles import breakpoints, interval
 
 
 def binomial_measure(n, theta):
@@ -117,7 +117,7 @@ class TestPsiO:
 
 class TestAgrestiCoull:
     def test_center_is_inside(self):
-        lo, hi = AgrestiCoull(10, 0.95).interval(5)
+        lo, hi = interval(AgrestiCoull(10, 0.95), 5)
         center = 0.5 * (lo + hi)
         assert AgrestiCoull(10, 0.95).psi(5, center) == 1.0
 
@@ -129,7 +129,7 @@ class TestAgrestiCoull:
         # closed-form endpoints.
         n, gamma, w = 10, 0.95, 3
         method = AgrestiCoull(n, gamma)
-        lo, hi = method.interval(w)
+        lo, hi = interval(method, w)
 
         def bisect_jump(a, b):
             fa = method.psi(w, a)
@@ -145,7 +145,7 @@ class TestAgrestiCoull:
         assert bisect_jump((lo + hi) / 2, 1.0 - 1e-6) == pytest.approx(hi, abs=1e-12)
 
     def test_expected_z_value(self):
-        lo, hi = AgrestiCoull(10, 0.95).interval(3)
+        lo, hi = interval(AgrestiCoull(10, 0.95), 3)
         z = normal_quantile(0.975)
         n_tilde = 10 + z * z
         p_tilde = (3 + z * z / 2) / n_tilde
@@ -192,3 +192,12 @@ class TestFamilyValidation:
             BinomialFamily(10, 0.0, 0.95)
         with pytest.raises(ValueError):
             BinomialFamily(10, 0.5, 1.0)
+
+    def test_rejects_n_above_the_cap(self):
+        # Only builds the families: nothing n-sized is allocated.
+        assert BinomialFamily(MAX_N, 0.5, 0.95).n == MAX_N
+        for n in (MAX_N + 1, 10**9):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                BinomialFamily(n, 0.5, 0.95)
+            with pytest.raises(ValueError, match="n must be an integer"):
+                AgrestiCoull(n, 0.95)

@@ -449,6 +449,25 @@ class TestNonFiniteParameters:
         assert name in captured.err
 
 
+class TestOversizedBinomial:
+    """An n past the cap exits 2 when the family is built, before any work."""
+
+    @pytest.mark.parametrize(
+        "command, grid",
+        [("coverage", "--tau-grid"), ("el-curve", "--theta-grid"),
+         ("membership", "--tau-grid")],
+    )
+    def test_rejected(self, capsys, command, grid):
+        status = main([
+            command, "--family", "binomial", "--n", "1000000000", "--gamma", "0.95",
+            "--o", "0.5", grid, "0.1:0.9:3",
+        ])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert f"n must be an integer in [1, {binomial.MAX_N}]" in captured.err
+
+
 class TestKnapsackCommand:
     def test_fractional_from_stdin(self, capsys, monkeypatch):
         import io
@@ -671,13 +690,14 @@ class TestParserReuse:
         assert len(recipes) == 10
         discrete._memo.cache_clear()
         misses = []
-        compute = length.expected_length
+        compute = length.band_masses
 
-        def counted(fam, theta, quad):
-            misses[-1] += 1
-            return compute(fam, theta, quad)
+        def counted(requests, quad):
+            # Only lower_bound_curve's batches: discrete binds its own name.
+            misses[-1] += len(requests)
+            return compute(requests, quad)
 
-        monkeypatch.setattr(length, "expected_length", counted)
+        monkeypatch.setattr(length, "band_masses", counted)
         outputs = []
         for name in ("cold", "warm"):
             out_dir = tmp_path / name

@@ -184,6 +184,36 @@ def test_psi_column_matches_scalar_psi(fam, taus):
 
 
 @pytest.mark.parametrize(
+    "fam, omegas, around_700",
+    [
+        (binomial.BinomialFamily(1, 0.4, 0.8), range(2), False),
+        (binomial.BinomialFamily(10, 0.4, 0.95), range(11), False),
+        (binomial.BinomialFamily(40, 0.4, 0.99), range(41), False),
+        (poisson.PoissonFamily(5.0, 0.95), range(60), False),
+        # Where the array CDF hands over to the log-space scalar.
+        (poisson.PoissonFamily(5.0, 0.8), range(640, 760), True),
+    ],
+    ids=["binomial-1", "binomial-10", "binomial-40", "poisson", "poisson-700"],
+)
+def test_branch_array_matches_scalar_branch_inside_the_bands(fam, omegas, around_700):
+    # omega = 0 and omega = n are among the counts.  Kernels and log masses
+    # differ by up to 1.4e-14 in the slack psi * p, the ratio's numerator.
+    straddling = 0
+    for w in omegas:
+        z0, z1, a1, a0 = fam.thresholds(w)
+        for above, a, b in ((False, z0, z1), (True, a1, a0)):
+            if not a < b:
+                continue
+            straddling += a < 700.0 < b
+            taus = np.linspace(a, b, 41)[1:-1]
+            array = fam.branch_array(np.full(len(taus), w), np.full(len(taus), above), taus)
+            for tau, value in zip(taus.tolist(), array.tolist()):
+                p = math.exp(fam.log_pmf(w, tau))
+                assert abs(value - fam.branch(w, above, tau)) * p <= 1.4e-14, (w, tau)
+    assert bool(straddling) == around_700
+
+
+@pytest.mark.parametrize(
     "method, taus",
     [
         (binomial.AgrestiCoull(10, 0.95), np.linspace(0.005, 0.995, 199)),

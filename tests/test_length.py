@@ -21,6 +21,7 @@ from oracles import (
     band_integral,
     breakpoint_el,
     breakpoint_mass,
+    interval,
     riemann_mass,
 )
 
@@ -42,15 +43,21 @@ def count_band_integrals(monkeypatch):
 
 
 def count_envelope_points(monkeypatch):
-    """Record the theta of every envelope point computed from now on."""
+    """Record the theta of every envelope point computed from now on.
+
+    ``lower_bound_curve`` asks ``length.band_masses`` for the masses of
+    each cold point's reference family, whose o is the point's theta.
+    ``discrete`` binds its own name for the function, so the masses of
+    other curves are not counted.
+    """
     thetas = []
-    compute = length.expected_length
+    compute = length.band_masses
 
-    def counted(fam, theta, quad):
-        thetas.append(theta)
-        return compute(fam, theta, quad)
+    def counted(requests, quad):
+        thetas.extend(fam.o for fam, _ in requests)
+        return compute(requests, quad)
 
-    monkeypatch.setattr(length, "expected_length", counted)
+    monkeypatch.setattr(length, "band_masses", counted)
     return thetas
 
 
@@ -151,7 +158,7 @@ class TestIntervalMass:
             assert masses[w] == pytest.approx(
                 breakpoint_mass(method, w, UNIT), rel=0.0, abs=1e-14
             )
-            lo, hi = method.interval(w)
+            lo, hi = interval(method, w)
             assert masses[w] == hi - lo
 
     @pytest.mark.parametrize("gamma", [0.9, 0.95, 0.99])
@@ -252,13 +259,34 @@ class TestBandRoute:
         for w in range(top + 1):
             z0, z1, a1, a0, below, above = fam.memo.bands[quad, w]
             scalar_below = band_integral(
-                lambda t: fam.psi_below(w, t), z0, z1, quad.rel_tol
+                lambda t: fam.branch(w, False, t), z0, z1, quad.rel_tol
             )
             scalar_above = band_integral(
-                lambda t: fam.psi_above(w, t), a1, a0, quad.rel_tol
+                lambda t: fam.branch(w, True, t), a1, a0, quad.rel_tol
             )
             assert below == pytest.approx(scalar_below, rel=1e-13, abs=1e-300), w
             assert above == pytest.approx(scalar_above, rel=1e-13, abs=1e-300), w
+
+    def test_band_values_do_not_depend_on_the_pass_size(self, monkeypatch):
+        # A kink inside each span makes bisection refine about 20 levels
+        # deep; small passes then take the panels in other groups and order.
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(0.0, 0.5, 40)
+        hi = lo + rng.uniform(0.1, 0.5, 40)
+        kink = lo + (hi - lo) * rng.uniform(0.1, 0.9, 40)
+        calls = []
+
+        def psi(i, tau):
+            calls.append(len(tau))
+            return np.minimum(1.0, 2.0 * np.abs(tau - kink[i]))
+
+        whole = length._integrate(psi, lo, hi, 1e-10).tolist()
+        passes = len(calls)
+        for nodes in (300, 30):  # ten panels a pass, then one
+            del calls[:]
+            monkeypatch.setattr(length, "_BATCH_NODES", nodes)
+            assert length._integrate(psi, lo, hi, 1e-10).tolist() == whole
+            assert max(calls) == nodes and len(calls) > 5 * passes
 
     @pytest.mark.parametrize(
         "fam, quad",

@@ -11,7 +11,7 @@ from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.discrete import coverage
 from fuzzyci.poisson import TRUNCATION_MASS, PoissonFamily, ScoreInterval, support_bound
 from fuzzyci.specfun import chisq_quantile, normal_quantile, pois_cdf, pois_pmf
-from oracles import breakpoints
+from oracles import breakpoints, interval
 
 
 def poisson_measures(tau, o):
@@ -159,7 +159,7 @@ class TestScoreMembership:
 
     def test_endpoints_direct_formula(self):
         z = normal_quantile(0.975)
-        lo, hi = ScoreInterval(0.95).interval(4)
+        lo, hi = interval(ScoreInterval(0.95), 4)
         assert lo == pytest.approx(4 + z * z / 2 - z * math.sqrt(4 + z * z / 4))
         assert hi == pytest.approx(4 + z * z / 2 + z * math.sqrt(4 + z * z / 4))
 
