@@ -34,6 +34,11 @@ NUMERICAL_ERROR = 3
 
 OUTPUT_DIR_ENV = "FUZZYCI_OUTPUT_DIR"
 
+# The most points a grid may have: a thousand times the largest recipe grid.
+MAX_GRID_COUNT = 10**6
+# What a recipe run may replay; a recipe itself may not.
+_DATA_COMMANDS = ("membership", "coverage", "el-curve", "lower-bound", "knapsack")
+
 
 class UsageError(ValueError):
     """Invalid flag combination or out-of-domain parameter."""
@@ -55,13 +60,19 @@ def _normal_params(args) -> dict:
     return {"sigma": sigma, "bounds": None if args.a is None else (args.a, args.b)}
 
 
-def _counts(args, fam, taus) -> range:
-    """Counts omega = 0..--omega-max, by default to the support bound."""
+def _counts(args, fam, taus, cap=math.inf) -> range:
+    """Counts omega = 0..--omega-max, by default to the support bound.
+
+    An --omega-max above ``cap`` is refused before any membership is
+    evaluated, since every count costs root solves and a row per tau.
+    """
     omega_max = args.omega_max
     if omega_max is None:
         omega_max = fam.support_upper(max(taus + [args.o or 1.0]))
     if omega_max < 0:
         raise UsageError(f"--omega-max must be nonnegative, got {omega_max}")
+    if omega_max > cap:
+        raise UsageError(f"--omega-max must be at most {cap}, got {omega_max}")
     return range(omega_max + 1)
 
 
@@ -143,7 +154,8 @@ _FAMILIES = {
     ),
     "poisson": _Family(
         poisson.PoissonFamily, poisson.ScoreInterval, ("score",),
-        lambda args: {}, _counts,
+        lambda args: {},
+        lambda args, fam, taus: _counts(args, fam, taus, poisson.MAX_OMEGA),
         _quadrature(_poisson_range),
     ),
     "normal": _Family(
@@ -184,10 +196,8 @@ def parse_grid(spec: str) -> list[float]:
         raise UsageError(f"grid endpoints must be finite, got {spec!r}")
     if count < 0:
         raise UsageError(f"grid count must be nonnegative, got {count}")
-    if count == 0:
-        return []
-    if count == 1:
-        return [start]
+    if count > MAX_GRID_COUNT:
+        raise UsageError(f"grid {spec!r} has more than {MAX_GRID_COUNT} points")
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -337,9 +347,22 @@ def cmd_recipe(args) -> int:
         raise UsageError(f"cannot read recipe {args.file!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"recipe {args.file!r} is not valid JSON: {exc}") from None
+    if not isinstance(recipe, dict):
+        raise UsageError(f"recipe {args.file!r} must be a JSON object")
     runs = recipe.get("runs")
     if runs is None:
         runs = [recipe]
+    if not isinstance(runs, list):
+        raise UsageError(f"recipe {args.file!r}: runs must be a list")
+    for i, run in enumerate(runs):
+        where = f"recipe {args.file!r}, run {i}"
+        if not isinstance(run, dict) or run.get("command") not in _DATA_COMMANDS:
+            raise UsageError(f"{where}: command must be one of {_DATA_COMMANDS}")
+        extra = run.get("args", [])
+        if not (isinstance(extra, list) and all(isinstance(a, str) for a in extra)):
+            raise UsageError(f"{where}: args must be a list of strings")
+        if not isinstance(run.get("output") or "", str):
+            raise UsageError(f"{where}: output must be a string")
     status = 0
     for run in runs:
         argv = [run["command"]] + list(run.get("args", []))
@@ -411,40 +434,19 @@ def _selftest_checks():
 
     yield "normal envelope", _normal_envelope
 
-    def _binomial_envelope():
-        # An independent route to the envelope: each reference family's
-        # scalar psi under a fixed rule, 20 Gauss-Legendre nodes on each of
-        # 8 equal panels between consecutive kinks (its thresholds and o).
-        # The range leaves out theta = 0.2 and 0.8, so their reference
-        # points must be clipped to it.
-        grid = (0.2, 0.5, 0.8)
-        quad = QuadratureSpec(0.3, 0.7)
-        nodes, weights = np.polynomial.legendre.leggauss(20)
+    def _bernoulli_minimax():
+        # The whole band route against a closed form: for one Bernoulli
+        # trial the family anchored at 1/2 is minimax, and its expected
+        # length there, which is also the envelope's, is the minimax value
+        # (0.833599375018 at g = 0.95).
+        g = 0.95
+        minimax = 2 * g - 1 - g * math.log(g) + (1 - g) * math.log(2 * (1 - g))
+        bfam = binomial.BinomialFamily(1, 0.5, g)
+        quad = QuadratureSpec(0.0, 1.0)
+        curves = (el_curve(bfam, [0.5], quad), lower_bound_curve(bfam, [0.5], quad))
+        return all(abs(value - minimax) < 1e-10 for (value,) in curves)
 
-        def mass(ref, w):
-            kinks = {*ref.thresholds(w), ref.o}
-            edges = sorted({quad.lower, quad.upper,
-                            *(k for k in kinks if quad.lower < k < quad.upper)})
-            cuts = np.concatenate(
-                [np.linspace(a, b, 9)[:-1] for a, b in zip(edges, edges[1:])]
-                + [[quad.upper]]
-            )
-            half = 0.5 * np.diff(cuts)
-            taus = (0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half[:, None] * nodes
-            values = np.array([[ref.psi(w, t) for t in row] for row in taus.tolist()])
-            return math.fsum((half[:, None] * weights * values).ravel().tolist())
-
-        def generic(theta):
-            ref = fam.reference(theta)
-            return math.fsum(
-                math.exp(ref.log_pmf(w, theta)) * mass(ref, w)
-                for w in range(ref.support_upper(theta) + 1)
-            )
-
-        bound = lower_bound_curve(fam, grid, quad)
-        return all(abs(b - generic(t)) < 1e-12 for t, b in zip(grid, bound))
-
-    yield "binomial envelope", _binomial_envelope
+    yield "bernoulli minimax", _bernoulli_minimax
 
 
 def cmd_selftest(args) -> int:

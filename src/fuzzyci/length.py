@@ -51,8 +51,7 @@ from .specfun import ConvergenceError
 
 __all__ = [
     "QuadratureSpec",
-    "interval_mass",
-    "expected_length",
+    "band_masses",
     "el_curve",
     "lower_bound_curve",
 ]
@@ -244,33 +243,23 @@ def band_masses(requests, quad: QuadratureSpec) -> list[list[float]]:
     return masses
 
 
-def interval_mass(fam, omega: int, quad: QuadratureSpec) -> float:
-    """Lebesgue mass of tau -> psi(omega | tau) over the quadrature range."""
-    return fam.interval_masses([omega], quad)[0]
-
-
 def _pratt_sum(fam, theta: float, masses) -> float:
     """Expected length at theta: ``masses[w]`` weighted by the pmf, over every w."""
     return math.fsum(math.exp(fam.log_pmf(w, theta)) * m for w, m in enumerate(masses))
 
 
-def _el_values(fam, thetas: list[float], quad: QuadratureSpec) -> list[float]:
-    """Expected lengths at each theta, reusing the theta-free inner masses."""
+def el_curve(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> list[float]:
+    """Expected length of one method at each grid point.
+
+    The inner masses do not depend on theta, so every point reads one list
+    of them, up to the largest support bound of the grid.
+    """
+    thetas = [float(t) for t in theta_grid]
     uppers = [fam.support_upper(theta) for theta in thetas]
     masses = fam.interval_masses(range(max(uppers, default=-1) + 1), quad)
     return [
         _pratt_sum(fam, theta, masses[:upper + 1]) for theta, upper in zip(thetas, uppers)
     ]
-
-
-def expected_length(fam, theta: float, quad: QuadratureSpec) -> float:
-    """Outer pmf-weighted sum of the per-observation interval masses."""
-    return _el_values(fam, [theta], quad)[0]
-
-
-def el_curve(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> list[float]:
-    """Expected length of one method at each grid point."""
-    return _el_values(fam, [float(t) for t in theta_grid], quad)
 
 
 def lower_bound_curve(

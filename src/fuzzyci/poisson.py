@@ -31,11 +31,14 @@ __all__ = [
     "PoissonFamily",
     "ScoreInterval",
     "TRUNCATION_MASS",
+    "MAX_OMEGA",
     "support_bound",
     "default_tau_max",
 ]
 
 TRUNCATION_MASS = 1e-12
+# support_bound(1e4): no count past it is in the support of an accepted mean.
+MAX_OMEGA = 10711
 
 
 def support_bound(tau_max: float) -> int:

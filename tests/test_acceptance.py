@@ -20,7 +20,7 @@ from oracles import (
 from fuzzyci import binomial, discrete, normal, poisson
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.knapsack import KnapsackInstance, solve_01_dp, solve_fractional, to_measure_problem
-from fuzzyci.length import QuadratureSpec, el_curve, expected_length, lower_bound_curve
+from fuzzyci.length import QuadratureSpec, el_curve, lower_bound_curve
 from fuzzyci.specfun import (
     binom_pmf,
     chisq_cdf,
@@ -446,7 +446,7 @@ def test_criterion_10_minimax_expected_length():
     for gamma in (0.8, 0.9, 0.95, 0.99):
         fam = binomial.BinomialFamily(1, 0.5, gamma)
         minimax = bernoulli_minimax(gamma)
-        worst_value = max(worst_value, abs(expected_length(fam, 0.5, unit) - minimax))
+        worst_value = max(worst_value, abs(el_curve(fam, [0.5], unit)[0] - minimax))
         worst_peak = max(worst_peak, max(el_curve(fam, grid, unit)) - minimax)
         off_centre = max(el_curve(binomial.BinomialFamily(1, 0.3, gamma), grid, unit))
         off_centre_larger &= off_centre > minimax + 1e-3
@@ -463,7 +463,7 @@ def test_criterion_10_minimax_expected_length():
                 past_n_at_end &= int(np.argmax(curve)) in (0, len(grid) - 1)
             else:
                 binomial_peak = max(
-                    binomial_peak, max(curve) - expected_length(fam, 0.5, unit)
+                    binomial_peak, max(curve) - el_curve(fam, [0.5], unit)[0]
                 )
 
     # Normal mean on [0, 1] with o = 1/2: the peak sits at o for sigma >= 1/3
@@ -541,7 +541,7 @@ def test_criterion_10_minimax_matches_discretized_lp():
     unit = QuadratureSpec(0.0, 1.0)
     gaps = []
     for n in (1, 2, 3):
-        family = expected_length(binomial.BinomialFamily(n, 0.5, 0.95), 0.5, unit)
+        family = el_curve(binomial.BinomialFamily(n, 0.5, 0.95), [0.5], unit)[0]
         gaps.append(abs(_discretized_minimax(n, 0.95) - family))
     report(
         "criterion 10 (discretized LP cross-check)",

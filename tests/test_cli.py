@@ -5,9 +5,10 @@ import math
 import os
 import warnings
 
+import numpy as np
 import pytest
 
-from fuzzyci import binomial, discrete, length, poisson
+from fuzzyci import binomial, cli, discrete, length, poisson
 from fuzzyci.cli import build_parser, main, parse_grid, UsageError
 from fuzzyci.specfun import ConvergenceError
 
@@ -468,6 +469,65 @@ class TestOversizedBinomial:
         assert f"n must be an integer in [1, {binomial.MAX_N}]" in captured.err
 
 
+class TestOversizedInput:
+    """A grid or a count past its cap exits 2 before any work.
+
+    The stubs make a missing cap fail at once, where the command would
+    otherwise allocate a huge grid or run far past any test timeout.
+    """
+
+    @pytest.fixture(autouse=True)
+    def refuse_oversized_work(self, monkeypatch):
+        linspace = np.linspace
+
+        def capped(start, stop, num, **kwargs):
+            assert num <= cli.MAX_GRID_COUNT, f"np.linspace asked for {num} points"
+            return linspace(start, stop, num, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("a Poisson membership was evaluated")
+
+        monkeypatch.setattr(np, "linspace", capped)
+        monkeypatch.setattr(poisson.PoissonFamily, "solve_edge", refuse)
+        monkeypatch.setattr(poisson.ScoreInterval, "endpoints", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("membership", "--family", "binomial", "--n", "5", "--o", "0.5",
+             "--tau-grid"),
+            ("coverage", "--family", "poisson", "--o", "3", "--tau-grid"),
+            ("el-curve", "--family", "binomial", "--n", "5", "--o", "0.5",
+             "--theta-grid"),
+            ("lower-bound", "--family", "poisson", "--theta-grid"),
+            ("membership", "--family", "normal", "--sigma", "1", "--o", "0.5",
+             "--tau-grid", "0.2:0.8:3", "--x-grid"),
+        ],
+        ids=["tau-grid", "poisson-tau-grid", "theta-grid", "poisson-theta-grid",
+             "x-grid"],
+    )
+    def test_grid_count_rejected(self, capsys, argv):
+        spec = f"0.1:0.9:{cli.MAX_GRID_COUNT + 1}"
+        status = main([*argv, spec, "--gamma", "0.95"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert f"grid {spec!r} has more than {cli.MAX_GRID_COUNT} points" in captured.err
+
+    @pytest.mark.parametrize(
+        "method, omega_max", [("proposed", poisson.MAX_OMEGA + 1), ("score", 10**8)]
+    )
+    def test_poisson_omega_max_rejected(self, capsys, method, omega_max):
+        status = main([
+            "membership", "--family", "poisson", "--method", method, "--gamma", "0.95",
+            "--o", "3", "--tau-grid", "0.1:0.5:2", "--omega-max", str(omega_max),
+        ])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert f"--omega-max must be at most {poisson.MAX_OMEGA}" in captured.err
+
+
 class TestKnapsackCommand:
     def test_fractional_from_stdin(self, capsys, monkeypatch):
         import io
@@ -598,6 +658,13 @@ class TestOutputHandling:
         assert status == 3
 
 
+_COVERAGE_RUN = {
+    "command": "coverage",
+    "args": ["--family", "binomial", "--n", "5", "--gamma", "0.9", "--o", "0.3",
+             "--tau-grid", "0.2:0.8:3"],
+}
+
+
 class TestRecipeCommand:
     def test_single_command_recipe(self, capsys, tmp_path):
         recipe = tmp_path / "recipe.json"
@@ -648,6 +715,36 @@ class TestRecipeCommand:
         assert status == 0
         assert (tmp_path / "a.csv").exists()
         assert (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize(
+        "recipe, message",
+        [
+            ([{"command": "coverage"}], "must be a JSON object"),
+            ({"args": ["--family", "binomial"]}, "run 0: command must be one of"),
+            ({"command": "recipe", "args": ["self.json"]}, "run 0: command must be one of"),
+            ({"runs": {"command": "coverage"}}, "runs must be a list"),
+            ({"runs": [_COVERAGE_RUN, "coverage"]}, "run 1: command must be one of"),
+            ({"runs": [_COVERAGE_RUN, {"command": "coverage", "args": "--n 5"}]},
+             "run 1: args must be a list of strings"),
+            ({"command": "coverage", "args": ["--n", 5]},
+             "run 0: args must be a list of strings"),
+            ({"runs": [_COVERAGE_RUN, {**_COVERAGE_RUN, "output": ["a.csv"]}]},
+             "run 1: output must be a string"),
+        ],
+        ids=["array", "no-command", "replays-itself", "runs-object", "run-not-object",
+             "args-string", "args-number", "output-list"],
+    )
+    def test_malformed_recipe_rejected_before_any_run(
+        self, capsys, tmp_path, monkeypatch, recipe, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "self.json").write_text(json.dumps(recipe))
+        status = main(["recipe", "self.json"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: recipe 'self.json'")
+        assert message in captured.err
 
     def test_shipped_recipes_are_wellformed(self):
         recipe_dir = os.path.join(os.path.dirname(__file__), "..", "recipes")
@@ -718,4 +815,10 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         status, out = run_cli(capsys, "selftest")
         assert status == 0
-        assert "FAIL" not in out
+        assert out.splitlines() == [
+            f"PASS  {name}" for name in (
+                "beta identity", "binomial coverage", "poisson coverage",
+                "constructor equivalence", "knapsack roundtrip", "normal envelope",
+                "bernoulli minimax",
+            )
+        ]

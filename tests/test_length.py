@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyci import binomial, cli, discrete, length, poisson
-from fuzzyci.length import (
-    QuadratureSpec,
-    el_curve,
-    expected_length,
-    interval_mass,
-    lower_bound_curve,
-)
+from fuzzyci.length import QuadratureSpec, el_curve, lower_bound_curve
 from fuzzyci.specfun import ConvergenceError
 from oracles import (
     Constant,
@@ -96,7 +90,7 @@ class TestBreakpointOracle:
 class TestIntervalMass:
     def test_binomial_against_fine_riemann_oracle(self):
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
-        mass = interval_mass(fam, 5, UNIT)
+        mass = fam.interval_masses([5], UNIT)[0]
         oracle = riemann_mass(
             lambda t: fam.psi(5, t), 0.0, 1.0, 10**6, split=(fam.o,)
         )
@@ -124,7 +118,7 @@ class TestIntervalMass:
                 # step, so the wide range needs proportionally more points.
                 points = 40000
                 psi = lambda t: fam.psi(w, t)
-            mass = interval_mass(fam, w, quad)
+            mass = fam.interval_masses([w], quad)[0]
             oracle = riemann_mass(psi, quad.lower, quad.upper, points, split=(fam.o,))
             assert mass == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
@@ -138,7 +132,7 @@ class TestIntervalMass:
             length._integrate(jump, np.array([0.0]), np.array([1.0]), 1e-9)
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
         with pytest.raises(ConvergenceError, match="at depth 30"):
-            interval_mass(fam, 5, QuadratureSpec(0.0, 1.0, rel_tol=1e-300))
+            fam.interval_masses([5], QuadratureSpec(0.0, 1.0, rel_tol=1e-300))[0]
 
     def test_cli_exits_3_when_bisection_runs_out_of_depth(self, capsys):
         # Every panel fails, so the batches must deepen, not widen, to
@@ -173,7 +167,7 @@ class TestIntervalMass:
 
 def _assert_band_route_matches_breakpoints(fam, quad, omegas, rel=1e-13):
     for w in omegas:
-        band = interval_mass(fam, w, quad)
+        band = fam.interval_masses([w], quad)[0]
         generic = breakpoint_mass(fam, w, quad)
         assert band == pytest.approx(generic, rel=rel, abs=1e-300), (fam, w)
 
@@ -205,7 +199,7 @@ class TestBandRoute:
         _assert_band_route_matches_breakpoints(fam, inner, range(11))
         end = binomial.BinomialFamily(10, 0.2 if o < 0.5 else 0.8, 0.95)
         for w in range(11):
-            assert interval_mass(fam, w, inner) == interval_mass(end, w, inner)
+            assert fam.interval_masses([w], inner)[0] == end.interval_masses([w], inner)[0]
 
     def test_poisson_o_above_the_range(self):
         # Anchored above the range, the mass is the below branch's alone,
@@ -213,7 +207,7 @@ class TestBandRoute:
         quad = QuadratureSpec(1e-9, 30.0)
         fam = poisson.PoissonFamily(50.0, 0.95)
         _assert_band_route_matches_breakpoints(fam, quad, range(60))
-        assert all(0.0 <= interval_mass(fam, w, quad) <= 30.0 for w in range(60))
+        assert all(0.0 <= fam.interval_masses([w], quad)[0] <= 30.0 for w in range(60))
 
     @given(
         n=st.integers(0, 60),
@@ -298,7 +292,7 @@ class TestBandRoute:
         ids=["binomial-1", "binomial-12", "poisson"],
     )
     def test_band_values_do_not_depend_on_the_batch(self, fam, quad):
-        # One count at a time, through interval_mass, or all counts of the
+        # One count at a time, through interval_masses, or all counts of the
         # model and their partial integrals in one el_curve batch: the same
         # bits.  The degenerate bands of omega = 0 and omega = top are in
         # both.
@@ -306,7 +300,7 @@ class TestBandRoute:
         one_by_one = {}
         for w in range(top + 1):
             discrete._memo.cache_clear()
-            mass = interval_mass(fam, w, quad)
+            mass = fam.interval_masses([w], quad)[0]
             one_by_one[w] = (mass, fam.memo.bands[quad, w])
         discrete._memo.cache_clear()
         masses = fam.interval_masses(range(top + 1), quad)
@@ -362,12 +356,12 @@ class TestBandRoute:
         # on the band integrals being kept on everything but o.
         omegas = range(first.support_upper(quad.upper) + 1)
         for w in omegas:
-            interval_mass(first, w, quad)
+            first.interval_masses([w], quad)[0]
         bands = dict(first.memo.bands)
         assert {(quad, w) for w in omegas} <= bands.keys()
         integrals = count_band_integrals(monkeypatch)
         for w in omegas:
-            interval_mass(second, w, quad)
+            second.interval_masses([w], quad)[0]
         assert second.memo.bands == bands
         # Only the partial integrals of the two bands that hold o remain.
         assert len(integrals) <= 2
@@ -375,7 +369,7 @@ class TestBandRoute:
     def test_rejects_omega_outside_the_support(self):
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
         with pytest.raises(ValueError, match="omega"):
-            interval_mass(fam, 11, UNIT)
+            fam.interval_masses([11], UNIT)[0]
 
 
 class TestExpectedLength:
@@ -383,15 +377,15 @@ class TestExpectedLength:
         for o in (0.1, 0.5, 0.9):
             fam = binomial.BinomialFamily(10, o, 0.95)
             for theta in (0.2, 0.5, 0.8):
-                value = expected_length(fam, theta, UNIT)
+                value = el_curve(fam, [theta], UNIT)[0]
                 assert 0.0 < value < 1.0
 
     def test_poisson_tail_insensitivity(self):
         fam = poisson.PoissonFamily(8.0, 0.95)
         tau_max = poisson.default_tau_max(8.0)
         for theta in (3.0, 8.0):
-            base = expected_length(fam, theta, QuadratureSpec(1e-9, tau_max))
-            doubled = expected_length(fam, theta, QuadratureSpec(1e-9, 2 * tau_max))
+            base = el_curve(fam, [theta], QuadratureSpec(1e-9, tau_max))[0]
+            doubled = el_curve(fam, [theta], QuadratureSpec(1e-9, 2 * tau_max))[0]
             assert abs(base - doubled) < 1e-8
 
 
@@ -418,7 +412,7 @@ class TestCurves:
         grid = [0.2, 0.5, 0.8]
         bound = lower_bound_curve(binomial.BinomialFamily(10, 0.5, 0.95), grid, UNIT)
         assert bound == [
-            expected_length(binomial.BinomialFamily(10, th, 0.95), th, UNIT)
+            el_curve(binomial.BinomialFamily(10, th, 0.95), [th], UNIT)[0]
             for th in grid
         ]
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
@@ -477,7 +471,7 @@ class TestCurves:
         assert len(proposed.reference(grid[0]).memo.envelope) == len(grid)
         # Each cold point is the reference family's own expected length.
         assert first == [
-            expected_length(proposed.reference(th), th, quad) for th in grid
+            el_curve(proposed.reference(th), [th], quad)[0] for th in grid
         ]
         # The comparison method's reference families are the proposed
         # family's, whatever its o, so its envelope is read, not computed.

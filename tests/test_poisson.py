@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.discrete import coverage
-from fuzzyci.poisson import TRUNCATION_MASS, PoissonFamily, ScoreInterval, support_bound
+from fuzzyci.poisson import (
+    MAX_OMEGA,
+    TRUNCATION_MASS,
+    PoissonFamily,
+    ScoreInterval,
+    support_bound,
+)
 from fuzzyci.specfun import chisq_quantile, normal_quantile, pois_cdf, pois_pmf
 from oracles import breakpoints, interval
 
@@ -191,6 +197,11 @@ class TestSupportBound:
             support_bound(0.0)
         with pytest.raises(ValueError):
             support_bound(math.inf)
+
+    def test_max_omega_is_the_support_of_the_largest_mean(self):
+        assert MAX_OMEGA == support_bound(1e4)
+        with pytest.raises(ValueError):
+            support_bound(math.nextafter(1e4, math.inf))
 
 
 class TestFamilyValidation:
