@@ -149,7 +149,8 @@ class _Family:
 _FAMILIES = {
     "binomial": _Family(
         binomial.BinomialFamily, binomial.AgrestiCoull, ("agresti_coull",),
-        lambda args: {"n": _require(args, "n")}, _counts,
+        lambda args: {"n": _require(args, "n")},
+        lambda args, fam, taus: _counts(args, fam, taus, fam.n),
         _quadrature(lambda args, fam, thetas: (0.0, 1.0)),
     ),
     "poisson": _Family(
@@ -226,8 +227,11 @@ def emit(columns, rows, args, comments=()):
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from None
 
 
 def _parameter_grid(spec: str, name: str, args, fam) -> list[float]:

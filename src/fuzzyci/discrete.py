@@ -19,8 +19,9 @@ and shares the result among all o (see :mod:`fuzzyci.length`); coverage
 needs none of them.
 
 As no branch depends on o, all anchors of one model (the family's type and
-its fields but o) share one memo of band edges, thresholds, band integrals
-and envelope points; one LRU over models holds the memos.
+its fields but o) share one memo of band edges, thresholds, clipped bands
+and branch integrals per quadrature spec, and envelope points; one LRU
+over models holds the memos.
 
 Coverage at tau needs the whole column omega = 0, 1, ... at once, and there
 the numerators are partial sums of the same mass column p (Geyer & Meeden's
@@ -89,12 +90,16 @@ __all__ = ["Randomized", "Crisp", "coverage"]
 def _memo(model) -> SimpleNamespace:
     """What every anchor o of one model shares, each entry computed once.
 
-    ``edges[level, k]`` and ``thresholds[omega]`` serve the memberships;
-    ``bands[quad, omega]``, ``partials[quad, omega, above, o]`` and
-    ``envelope[quad, theta]`` the expected-length engine.  An entry is
-    stored only once its computation has returned.
+    ``edges[level, k]`` and ``thresholds[omega]`` serve the memberships.
+    The expected-length engine keeps, per quadrature spec, omega's clipped
+    band edges in ``bands[quad][omega]`` and its branch integrals in
+    ``integrals[quad][omega, above, end]`` (see
+    :func:`fuzzyci.length.band_masses`), and envelope points in
+    ``envelope[quad, theta]``.  An entry is stored only once its
+    computation has returned, a band only once its full-band integrals
+    are stored.
     """
-    return SimpleNamespace(edges={}, thresholds={}, bands={}, partials={}, envelope={})
+    return SimpleNamespace(edges={}, thresholds={}, bands={}, integrals={}, envelope={})
 
 
 class _Membership:

@@ -12,19 +12,23 @@ comes from the band integrals computed here.
 The membership of omega is its branch below o up to o and its branch
 above o from there on, and neither branch depends on o.  Each branch is 0
 or 1 outside its randomized band, between two of the family's thresholds,
-so the mass at any anchor o is flat lengths plus the full-band integrals,
-except for the band that contains o, which needs one partial integral.
-Full-band integrals are kept per quadrature spec, and partial ones per spec
-and o, in the memo of the family's o-free model, so every reference family
-of an envelope, and every curve of one figure, reads the same entries.
-Envelope points are kept there too, per quadrature spec and theta, so the
-commands of a figure that share an envelope compute each point once.
+so the mass at any anchor o is flat lengths plus one integral per branch:
+the branch below from its band's lower edge to o clipped into the band,
+the branch above from o so clipped to its band's upper edge.  That is the
+full band when the band lies wholly on its branch's side of o, a partial
+integral when the band holds o, and nothing otherwise.  One table per
+quadrature spec, in the memo of the family's o-free model, keeps both
+kinds under omega, the branch and the clipped end, so every reference
+family of an envelope, and every curve of one figure, reads the same
+entries.  Envelope points are kept there too, per quadrature spec and
+theta, so the commands of a figure that share an envelope compute each
+point once.
 
 :func:`band_masses` returns the masses of proposed families of one model,
 each at its own counts.  Whatever integrals they lack are computed as one
-batch: the missing full bands of the counts and the partial integrals at
-each family's o.  An envelope asks once for every point it lacks, with the
-reference families anchored at those points.  The batch evaluates the
+batch: both full bands of each count not seen before and the integrals up
+to each family's o.  An envelope asks once for every point it lacks, with
+the reference families anchored at those points.  The batch evaluates the
 branches (``branch_array``, over the vectorized kernels of
 :mod:`fuzzyci.specfun`) at the 30 Gauss-Legendre nodes of each band, 10 on
 the band and 10 on each half, in one array pass, then refines in further
@@ -177,70 +181,59 @@ def band_masses(requests, quad: QuadratureSpec) -> list[list[float]]:
     """Masses of proposed families of one model: the branch below o up to o, above on.
 
     ``requests`` pairs families with the counts whose masses each needs.
-    Whatever band integrals they lack are computed in one batch and kept
-    in the model's memo.  A new band is stored as omega's thresholds
-    clipped to the range, then its two full-band integrals: the branch
-    below rises from 0 to 1 across [below_zero, below_one] and the branch
-    above falls from 1 to 0 across [above_one, above_zero].  A band that
-    contains o also needs the partial integral from o to its end.
+    A band is omega's thresholds clipped to the range: the branch below
+    rises from 0 to 1 across [z0, z1] and the branch above falls from 1 to
+    0 across [a1, a0].  The integral below runs from z0 to its ``end``, the
+    nearer of o and z1, and the one above from its end, the farther of o
+    and a1, to a0: the full band when the end is z1 or a1, a partial
+    integral when it is o.  An empty span's integral is never stored and
+    reads 0.  Both full bands of each band not seen before and whatever
+    partial integrals the requests lack are computed in one batch and kept
+    in the model's memo; a band is kept once its full bands are.
     """
     model = requests[0][0]
-    memo = model.memo
+    bands = model.memo.bands.setdefault(quad, {})
+    integrals = model.memo.integrals.setdefault(quad, {})
     lower, upper = quad.lower, quad.upper
     anchors = [min(max(fam.o, lower), upper) for fam, _ in requests]
-    edges = {}  # omega -> clipped thresholds, for bands the memo lacks
-    jobs = {}  # (omega, above, o or None for the full band) -> span
+    new = {}  # omega -> clipped band, for bands the memo lacks
+    jobs = {}  # (omega, above, end) -> span, for integrals the memo lacks
     for (fam, omegas), o in zip(requests, anchors):
         for w in omegas:
             fam.check(w, fam.o)
-            band = memo.bands.get((quad, w)) or edges.get(w)
+            band = bands.get(w) or new.get(w)
             if band is None:
-                band = edges[w] = tuple(min(max(t, lower), upper) for t in fam.thresholds(w))
-                jobs[w, False, None] = band[0], band[1]
-                jobs[w, True, None] = band[2], band[3]
-            z0, z1, a1, a0 = band[:4]
-            if z0 < o < z1 and (quad, w, False, o) not in memo.partials:
+                band = tuple(min(max(t, lower), upper) for t in fam.thresholds(w))
+                new[w] = band
+                jobs[w, False, band[1]] = band[:2]
+                jobs[w, True, band[2]] = band[2:]
+            z0, z1, a1, a0 = band
+            if z0 < o < z1 and (w, False, o) not in integrals:
                 jobs[w, False, o] = z0, o
-            if a1 < o < a0 and (quad, w, True, o) not in memo.partials:
+            if a1 < o < a0 and (w, True, o) not in integrals:
                 jobs[w, True, o] = o, a0
     keys = [key for key, (a, b) in jobs.items() if a < b]
-    values = {}
     if keys:
         omega, above_o, lo, hi = (
-            np.array(v) for v in zip(*((w, up, *jobs[w, up, o]) for w, up, o in keys))
+            np.array(v) for v in zip(*((*key[:2], *jobs[key]) for key in keys))
         )
-        integrals = _integrate(
+        values = _integrate(
             lambda i, tau: model.branch_array(omega[i], above_o[i], tau),
             lo, hi, quad.rel_tol,
         )
-        values = dict(zip(keys, integrals.tolist()))
-    for w, band in edges.items():
-        memo.bands[quad, w] = (
-            *band, values.get((w, False, None), 0.0), values.get((w, True, None), 0.0)
-        )
-    for (w, above, o), value in values.items():
-        if o is not None:
-            memo.partials[quad, w, above, o] = value
-    masses = []
-    for (fam, omegas), o in zip(requests, anchors):
-        row = []
-        for w in omegas:
-            z0, z1, a1, a0, below, above = memo.bands[quad, w]
-            if o <= z0:
-                up_to_o = 0.0
-            elif o < z1:
-                up_to_o = memo.partials[quad, w, False, o]
-            else:
-                up_to_o = below + (o - z1)
-            if o >= a0:
-                from_o = 0.0
-            elif o > a1:
-                from_o = memo.partials[quad, w, True, o]
-            else:
-                from_o = (a1 - o) + above
-            row.append(up_to_o + from_o)
-        masses.append(row)
-    return masses
+        integrals.update(zip(keys, values.tolist()))
+    bands.update(new)
+
+    def mass(w, o):
+        z0, z1, a1, a0 = bands[w]
+        below = integrals.get((w, False, o if o < z1 else z1), 0.0)
+        above = integrals.get((w, True, o if o > a1 else a1), 0.0)
+        # The flat lengths, where a branch is 1: [z1, o] below o, [o, a1] above.
+        flat_below = o - z1 if o > z1 else 0.0
+        flat_above = a1 - o if a1 > o else 0.0
+        return (below + flat_below) + (flat_above + above)
+
+    return [[mass(w, o) for w in omegas] for (_, omegas), o in zip(requests, anchors)]
 
 
 def _pratt_sum(fam, theta: float, masses) -> float:

@@ -485,11 +485,13 @@ class TestOversizedInput:
             return linspace(start, stop, num, **kwargs)
 
         def refuse(*args):
-            raise AssertionError("a Poisson membership was evaluated")
+            raise AssertionError("a membership was evaluated")
 
         monkeypatch.setattr(np, "linspace", capped)
         monkeypatch.setattr(poisson.PoissonFamily, "solve_edge", refuse)
         monkeypatch.setattr(poisson.ScoreInterval, "endpoints", refuse)
+        monkeypatch.setattr(binomial.BinomialFamily, "solve_edge", refuse)
+        monkeypatch.setattr(binomial.AgrestiCoull, "endpoints", refuse)
 
     @pytest.mark.parametrize(
         "argv",
@@ -515,17 +517,25 @@ class TestOversizedInput:
         assert f"grid {spec!r} has more than {cli.MAX_GRID_COUNT} points" in captured.err
 
     @pytest.mark.parametrize(
-        "method, omega_max", [("proposed", poisson.MAX_OMEGA + 1), ("score", 10**8)]
+        "family, method, omega_max, cap",
+        [
+            (("poisson",), "proposed", poisson.MAX_OMEGA + 1, poisson.MAX_OMEGA),
+            (("poisson",), "score", 10**8, poisson.MAX_OMEGA),
+            (("binomial", "--n", "2000"), "proposed", 2001, 2000),
+            (("binomial", "--n", "20"), "agresti_coull", 10**8, 20),
+        ],
+        ids=["poisson-proposed", "poisson-score", "binomial-proposed",
+             "binomial-agresti-coull"],
     )
-    def test_poisson_omega_max_rejected(self, capsys, method, omega_max):
+    def test_omega_max_rejected(self, capsys, family, method, omega_max, cap):
         status = main([
-            "membership", "--family", "poisson", "--method", method, "--gamma", "0.95",
-            "--o", "3", "--tau-grid", "0.1:0.5:2", "--omega-max", str(omega_max),
+            "membership", "--family", *family, "--method", method, "--gamma", "0.95",
+            "--o", "0.3", "--tau-grid", "0.1:0.5:2", "--omega-max", str(omega_max),
         ])
         captured = capsys.readouterr()
         assert status == 2
         assert captured.out == ""
-        assert f"--omega-max must be at most {poisson.MAX_OMEGA}" in captured.err
+        assert f"--omega-max must be at most {cap}, got {omega_max}" in captured.err
 
 
 class TestKnapsackCommand:
@@ -622,6 +632,20 @@ class TestOutputHandling:
         assert status == 0
         assert out == ""
         assert (tmp_path / "cov.csv").exists()
+
+    @pytest.mark.parametrize(
+        "target", ["missing/cov.csv", "."], ids=["missing-dir", "directory"]
+    )
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        status = main([
+            "coverage", "--family", "binomial", "--n", "5", "--gamma", "0.9",
+            "--o", "0.3", "--tau-grid", "0.2:0.8:3", "--output", path,
+        ])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path!r}")
 
     def test_repeated_runs_identical(self, capsys):
         argv = (
@@ -745,6 +769,16 @@ class TestRecipeCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: recipe 'self.json'")
         assert message in captured.err
+
+    def test_unwritable_run_output_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FUZZYCI_OUTPUT_DIR", str(tmp_path))
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(json.dumps({**_COVERAGE_RUN, "output": "missing/a.csv"}))
+        status = main(["recipe", str(recipe)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert f"cannot write {str(tmp_path / 'missing' / 'a.csv')!r}" in captured.err
 
     def test_shipped_recipes_are_wellformed(self):
         recipe_dir = os.path.join(os.path.dirname(__file__), "..", "recipes")

@@ -1,5 +1,7 @@
 """Tests for the expected-length engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,20 @@ def count_band_integrals(monkeypatch):
 
     monkeypatch.setattr(length, "_integrate", counted)
     return spans
+
+
+def band_record(fam, quad, w):
+    """``(z0, z1, a1, a0, full_below, full_above)``: omega's band in the memo.
+
+    The clipped edges, then the integrals of the branch below over [z0, z1]
+    and of the branch above over [a1, a0]; an empty band's integral is 0,
+    and a nonempty band's must be in the memo.
+    """
+    z0, z1, a1, a0 = fam.memo.bands[quad][w]
+    integrals = fam.memo.integrals[quad]
+    full_below = integrals[w, False, z1] if z0 < z1 else 0.0
+    full_above = integrals[w, True, a1] if a1 < a0 else 0.0
+    return z0, z1, a1, a0, full_below, full_above
 
 
 def count_envelope_points(monkeypatch):
@@ -209,6 +225,37 @@ class TestBandRoute:
         _assert_band_route_matches_breakpoints(fam, quad, range(60))
         assert all(0.0 <= fam.interval_masses([w], quad)[0] <= 30.0 for w in range(60))
 
+    @pytest.mark.parametrize(
+        "family, w, quad",
+        [
+            (lambda o: binomial.BinomialFamily(3, o, 0.8), 1, UNIT),
+            (lambda o: binomial.BinomialFamily(10, o, 0.95), 4, UNIT),
+            (lambda o: poisson.PoissonFamily(o, 0.95), 6, QuadratureSpec(1e-9, 30.0)),
+        ],
+        ids=["binomial-3", "binomial-10", "poisson"],
+    )
+    def test_o_on_a_band_edge(self, family, w, quad):
+        # Anchored exactly on z0, z1, a1 or a0 of omega, that band's end is
+        # its near edge (an empty integral) or its far edge (the full band).
+        for edge in family(0.5).thresholds(w):
+            fam = family(edge)
+            top = fam.support_upper(quad.upper)
+            _assert_band_route_matches_breakpoints(fam, quad, range(top + 1))
+
+    @pytest.mark.parametrize(
+        "fam, quad",
+        [
+            (binomial.BinomialFamily(10, 0.1, 0.95), QuadratureSpec(0.2, 0.8)),
+            (binomial.BinomialFamily(10, 0.9, 0.95), QuadratureSpec(0.2, 0.8)),
+            (poisson.PoissonFamily(1.0, 0.95), QuadratureSpec(3.0, 30.0)),
+            (poisson.PoissonFamily(40.0, 0.95), QuadratureSpec(1e-9, 30.0)),
+        ],
+        ids=["binomial-below", "binomial-above", "poisson-below", "poisson-above"],
+    )
+    def test_o_outside_the_range(self, fam, quad):
+        top = fam.support_upper(quad.upper)
+        _assert_band_route_matches_breakpoints(fam, quad, range(top + 1))
+
     @given(
         n=st.integers(0, 60),
         gamma=st.floats(0.5, 0.999),
@@ -251,7 +298,7 @@ class TestBandRoute:
         top = fam.support_upper(quad.upper)
         fam.interval_masses(range(top + 1), quad)
         for w in range(top + 1):
-            z0, z1, a1, a0, below, above = fam.memo.bands[quad, w]
+            z0, z1, a1, a0, below, above = band_record(fam, quad, w)
             scalar_below = band_integral(
                 lambda t: fam.branch(w, False, t), z0, z1, quad.rel_tol
             )
@@ -295,18 +342,21 @@ class TestBandRoute:
         # One count at a time, through interval_masses, or all counts of the
         # model and their partial integrals in one el_curve batch: the same
         # bits.  The degenerate bands of omega = 0 and omega = top are in
-        # both.
+        # both.  A family keeps the memo it first read, so each cold memo
+        # is read through a fresh copy of the family.
         top = fam.support_upper(quad.upper)
         one_by_one = {}
         for w in range(top + 1):
             discrete._memo.cache_clear()
-            mass = fam.interval_masses([w], quad)[0]
-            one_by_one[w] = (mass, fam.memo.bands[quad, w])
+            fresh = dataclasses.replace(fam)
+            mass = fresh.interval_masses([w], quad)[0]
+            one_by_one[w] = (mass, band_record(fresh, quad, w))
         discrete._memo.cache_clear()
+        fam = dataclasses.replace(fam)
         masses = fam.interval_masses(range(top + 1), quad)
         el_curve(fam, [0.5 * (quad.lower + quad.upper)], quad)
         for w in range(top + 1):
-            assert (masses[w], fam.memo.bands[quad, w]) == one_by_one[w], w
+            assert (masses[w], band_record(fam, quad, w)) == one_by_one[w], w
 
     @pytest.mark.parametrize(
         "family, anchors, quad",
@@ -357,14 +407,31 @@ class TestBandRoute:
         omegas = range(first.support_upper(quad.upper) + 1)
         for w in omegas:
             first.interval_masses([w], quad)[0]
-        bands = dict(first.memo.bands)
-        assert {(quad, w) for w in omegas} <= bands.keys()
+        bands = {w: band_record(first, quad, w) for w in first.memo.bands[quad]}
+        assert set(omegas) <= bands.keys()
         integrals = count_band_integrals(monkeypatch)
         for w in omegas:
             second.interval_masses([w], quad)[0]
-        assert second.memo.bands == bands
+        assert {w: band_record(second, quad, w) for w in second.memo.bands[quad]} == bands
         # Only the partial integrals of the two bands that hold o remain.
         assert len(integrals) <= 2
+
+    def test_a_failed_call_keeps_no_band(self):
+        # A band is kept once its full-band integrals are: after a call that
+        # fails, a later one integrates the band again, and fails again
+        # where the first failed.  With o = 0.9 omega = 3's mass needs its
+        # full band below o.
+        discrete._memo.cache_clear()
+        fam = binomial.BinomialFamily(10, 0.9, 0.95)
+        with pytest.raises(ValueError, match="omega"):
+            fam.interval_masses([3, 11], UNIT)
+        mass = fam.interval_masses([3], UNIT)[0]
+        discrete._memo.cache_clear()
+        assert mass == dataclasses.replace(fam).interval_masses([3], UNIT)[0]
+        tight = QuadratureSpec(0.0, 1.0, rel_tol=1e-300)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="at depth 30"):
+                fam.interval_masses([5], tight)
 
     def test_rejects_omega_outside_the_support(self):
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
