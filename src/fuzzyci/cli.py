@@ -13,6 +13,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -208,6 +209,34 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _output_path(args):
+    """``--output`` resolved against ``$FUZZYCI_OUTPUT_DIR``; None for stdout."""
+    path = args.output
+    out_dir = os.environ.get(OUTPUT_DIR_ENV)
+    if path is not None and out_dir and not os.path.isabs(path):
+        path = os.path.join(out_dir, path)
+    return path
+
+
+def _check_output(args):
+    """Refuse an output path that is a directory or lies in no directory.
+
+    Runs before a data command computes anything, and creates nothing: a
+    failed command leaves an existing file alone.  Other failures, such as
+    permissions, surface when :func:`emit` writes.
+    """
+    path = _output_path(args)
+    if path is None:
+        return
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write {path!r}: {OSError(code, os.strerror(code), path)}")
+
+
 def emit(columns, rows, args, comments=()):
     """Write rows as CSV or JSON to stdout or the configured output path."""
     if args.format == "csv":
@@ -220,13 +249,10 @@ def emit(columns, rows, args, comments=()):
         if comments:
             payload["notes"] = list(comments)
         text = json.dumps(payload, indent=2) + "\n"
-    if args.output is None:
+    path = _output_path(args)
+    if path is None:
         sys.stdout.write(text)
         return
-    path = args.output
-    out_dir = os.environ.get(OUTPUT_DIR_ENV)
-    if out_dir and not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -559,6 +585,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        if args.command in _DATA_COMMANDS:
+            _check_output(args)
         return args.handler(args)
     except ValueError as exc:
         # UsageError plus any domain error raised by the library layer.

@@ -54,12 +54,6 @@ class DiscreteMeasure:
             raise ValueError("weights must have positive total")
         return cls(tuple(support), tuple(w / total for w in weights))
 
-    def __getitem__(self, point: Hashable) -> float:
-        try:
-            return self.mass[self.support.index(point)]
-        except ValueError:
-            return 0.0
-
 
 @dataclass(frozen=True)
 class PsiStar:

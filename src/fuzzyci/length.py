@@ -125,34 +125,29 @@ def _integrate(psi, lo, hi, rel_tol: float) -> np.ndarray:
     ``psi(i, tau)`` evaluates integrand ``i[k]`` at ``tau[k]`` over arrays.
     Each integral meets rel_tol times its width.  A panel is accepted when
     its halves' sum is within its tolerance of its whole or its width is at
-    the floor; otherwise each half is refined to half the tolerance.  Panels
-    are evaluated newest first, up to ``_BATCH_NODES`` nodes a pass, so a
-    failing panel's depth grows by a level every pass and reaches the limit
-    however many panels fail with it.  An integral is the sum of its
-    accepted panels in order of their left ends, so its bits do not depend
-    on the batch.
+    the floor; otherwise each half is refined to half the tolerance.  A pass
+    evaluates the whole rule and both half rules of each panel it takes,
+    newest first, up to ``_BATCH_NODES`` nodes a pass, so a failing panel's
+    depth grows by a level every pass and reaches the limit however many
+    panels fail with it.  A rule's value depends only on its integrand and
+    its ends, and an integral is the sum of its accepted panels in order of
+    their left ends, so its bits do not depend on the batch.
     """
     elem = np.arange(len(lo))
-    # A panel: integrand, ends, whole-panel rule (None before the first
-    # pass), tolerance, depth.
-    stack = [(elem, lo, hi, None, rel_tol * (hi - lo), np.zeros(len(lo), dtype=int))]
+    # A panel: integrand, ends, tolerance, depth.
+    stack = [(elem, lo, hi, rel_tol * (hi - lo), np.zeros(len(lo), dtype=int))]
     accepted = []  # (integrand, left end, value) of every accepted panel
+    limit = _BATCH_NODES // 30  # three rules of 10 nodes a panel
     while stack:
         panels = stack.pop()
-        limit = _BATCH_NODES // (30 if panels[3] is None else 20)
         if len(panels[0]) > limit:
-            stack.append(tuple(None if v is None else v[:-limit] for v in panels))
-            panels = tuple(None if v is None else v[-limit:] for v in panels)
-        elem, a, b, whole, tol, depth = panels
+            stack.append(tuple(v[:-limit] for v in panels))
+            panels = tuple(v[-limit:] for v in panels)
+        elem, a, b, tol, depth = panels
         mid = 0.5 * (a + b)
-        if whole is None:
-            whole, left, right = np.split(
-                _rules(psi, np.tile(elem, 3), np.concatenate((a, a, mid)),
-                       np.concatenate((b, mid, b))), 3)
-        else:
-            left, right = np.split(
-                _rules(psi, np.tile(elem, 2), np.concatenate((a, mid)),
-                       np.concatenate((mid, b))), 2)
+        whole, left, right = np.split(
+            _rules(psi, np.tile(elem, 3), np.concatenate((a, a, mid)),
+                   np.concatenate((b, mid, b))), 3)
         total = left + right
         floor = (b - a) <= 1e-14 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
         done = (np.abs(total - whole) <= tol) | floor
@@ -168,8 +163,8 @@ def _integrate(psi, lo, hi, rel_tol: float) -> np.ndarray:
             )
         stack.append((
             np.repeat(elem[split], 2), _pairs(a[split], mid[split]),
-            _pairs(mid[split], b[split]), _pairs(left[split], right[split]),
-            np.repeat(0.5 * tol[split], 2), np.repeat(depth[split] + 1, 2),
+            _pairs(mid[split], b[split]), np.repeat(0.5 * tol[split], 2),
+            np.repeat(depth[split] + 1, 2),
         ))
     elem, a, value = (np.concatenate(v) for v in zip(*accepted))
     order = np.lexsort((a, elem))

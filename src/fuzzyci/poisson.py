@@ -4,8 +4,9 @@ The membership is built by :mod:`fuzzyci.discrete`; this module supplies
 what is Poisson about it.  The branch thresholds come from the chi-square
 tail identity ``P[X <= i-1 | tau] = 1 - F_chisq(2 tau; 2 i)``: the
 membership for omega switches branches at half the chi-square quantiles.
-Sums over omega run over a truncated support whose omitted tail mass is
-certified below ``TRUNCATION_MASS``.  The score (Wilson-type) interval is
+Sums over omega run over a truncated support, 0..support_bound(tau): one
+algorithm for every accepted mean 0 < tau <= 1e4, whose omitted tail mass
+is at most ``TRUNCATION_MASS``.  The score (Wilson-type) interval is
 the crisp comparison method.
 """
 
@@ -42,50 +43,45 @@ MAX_OMEGA = 10711
 
 
 def support_bound(tau_max: float) -> int:
-    """Smallest m with P[X <= m | tau_max] >= 1 - TRUNCATION_MASS."""
+    """Smallest m with P[X > m | tau_max] <= TRUNCATION_MASS.
+
+    One algorithm for every accepted mean, 0 < tau_max <= 1e4: every sum over
+    omega from 0 to this bound omits a mass of at most ``TRUNCATION_MASS``.
+    """
     if not tau_max > 0.0:
         raise ValueError(f"tau_max must be positive, got {tau_max}")
     if tau_max > 1e4:
         # Sums run over about tau terms; larger means are out of range.
         raise ValueError("support bound only implemented for tau_max <= 1e4")
-    if tau_max > 700.0:
-        return _support_bound_from_mode(tau_max)
-    term = math.exp(-tau_max)
-    total = term
-    m = 0
-    target = 1.0 - TRUNCATION_MASS
-    while total < target:
+    # The masses fall from the mode upward, and the mode's exceeds the
+    # truncation mass, so every count below the first small mass is in the
+    # support.  Climb to that mass from the mode's, which stays representable
+    # where exp(-tau_max) underflows.
+    m = math.floor(tau_max)
+    term = math.exp(pois_log_pmf(m, tau_max))
+    while term > TRUNCATION_MASS:
         m += 1
         term *= tau_max / m
-        total += term
-    return m
-
-
-def _support_bound_from_mode(tau: float) -> int:
-    """:func:`support_bound` where exp(-tau) underflows.
-
-    Masses relative to the mode's stay representable.  Sum them out from
-    the mode to where they vanish, then drop upper-tail terms from the top
-    while their share stays within the truncation mass.
-    """
-    mode = math.floor(tau)
-    lower = [1.0]
-    for k in range(mode, 0, -1):
-        lower.append(lower[-1] * k / tau)
-        if lower[-1] < 1e-300:
-            break
-    upper = [tau / (mode + 1)]
-    while upper[-1] >= 1e-300:
-        upper.append(upper[-1] * tau / (mode + 1 + len(upper)))
-    m = mode + len(upper)
-    total = math.fsum(lower + upper)
+    # Keep the masses down to the cutoff.  From the first small mass on each
+    # is less than 0.937 times the one before (the ratio tau_max / m, at every
+    # accepted mean), so the masses below the cutoff sum to under 16e-32:
+    # less than a thousandth of an ulp of TRUNCATION_MASS.
+    kept = []
+    cutoff = TRUNCATION_MASS * 1e-20
+    while term >= cutoff:
+        kept.append(term)
+        m += 1
+        term *= tau_max / m
+    # m is now the first count below the cutoff, so P[X > m - 1] is nil.  Drop
+    # kept masses from the small end while their sum stays within the
+    # truncation mass, lowering the bound by one with each.
     tail = 0.0
-    for term in reversed(upper):
-        if (tail + term) / total > TRUNCATION_MASS:
-            break
+    for term in reversed(kept):
         tail += term
+        if tail > TRUNCATION_MASS:
+            break
         m -= 1
-    return m
+    return m - 1
 
 
 def default_tau_max(o: float) -> float:

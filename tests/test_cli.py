@@ -647,6 +647,61 @@ class TestOutputHandling:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {path!r}")
 
+    @pytest.fixture
+    def no_solves(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("computed rows for an output that cannot be written")
+
+        for owner, name in [
+            (discrete._Membership, "coverage"),
+            (discrete.Randomized, "psi"),
+            (discrete.Randomized, "psi_column"),
+            (discrete.Randomized, "branch_array"),
+            (discrete.Crisp, "psi"),
+            (discrete.Crisp, "psi_column"),
+            (cli, "solve_fractional"),
+            (cli, "solve_01_dp"),
+            (cli, "construct_psi_star"),
+        ]:
+            monkeypatch.setattr(owner, name, fail)
+
+    @pytest.mark.parametrize(
+        "target", ["missing/out.csv", "."], ids=["missing-dir", "directory"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coverage", "--family", "binomial", "--n", "40", "--gamma", "0.9",
+             "--o", "0.3", "--tau-grid", "0.2:0.8:3"),
+            ("lower-bound", "--family", "poisson", "--gamma", "0.9",
+             "--theta-grid", "1:3:3"),
+            ("knapsack", "ITEMS", "--capacity", "2", "--mode", "roundtrip"),
+        ],
+        ids=["coverage", "lower-bound", "knapsack"],
+    )
+    def test_unwritable_output_refused_before_any_row(
+        self, capsys, tmp_path, no_solves, argv, target
+    ):
+        items = tmp_path / "items.csv"
+        items.write_text("1,2\n3,4\n")
+        path = str(tmp_path / target)
+        argv = [str(items) if a == "ITEMS" else a for a in argv]
+        status = main([*argv, "--output", path])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path!r}")
+
+    def test_failed_command_leaves_existing_output_alone(self, capsys, tmp_path):
+        path = tmp_path / "cov.csv"
+        path.write_text("kept\n")
+        status = main([
+            "coverage", "--family", "binomial", "--n", "5", "--gamma", "1.5",
+            "--o", "0.3", "--tau-grid", "0.2:0.8:3", "--output", str(path),
+        ])
+        assert status == 2
+        assert path.read_text() == "kept\n"
+
     def test_repeated_runs_identical(self, capsys):
         argv = (
             "membership", "--family", "poisson", "--gamma", "0.95",

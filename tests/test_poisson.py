@@ -192,6 +192,23 @@ class TestSupportBound:
             m = support_bound(tau)
             assert tail(m, tau) <= TRUNCATION_MASS < tail(m - 1, tau)
 
+    def test_is_the_smallest_certified_bound(self):
+        # P[X > m | tau] is the regularized lower incomplete gamma P(m + 1, tau).
+        # 22.12 and 41.64 are near-ties that a running sum of masses compared
+        # with 1 - TRUNCATION_MASS decides wrongly.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(15)
+        taus = [22.12, 41.64, 1e-9, 700.0, 1e4, *(10.0 ** rng.uniform(-9, 4, 2000))]
+
+        def tail(m, tau):
+            return mpmath.gammainc(m + 1, 0, tau, regularized=True)
+
+        with mpmath.workdps(40):
+            for tau in taus:
+                m = support_bound(float(tau))
+                assert tail(m, tau) <= TRUNCATION_MASS
+                assert m == 0 or tail(m - 1, tau) > TRUNCATION_MASS, tau
+
     def test_domain(self):
         with pytest.raises(ValueError):
             support_bound(0.0)
