@@ -1,9 +1,9 @@
 """Binomial family: omega successes in n trials with success probability tau.
 
 The membership is built by :mod:`fuzzyci.discrete`; this module supplies
-what is binomial about it.  Both tail masses are regularized incomplete
-betas (upper tails, summed from the top over a mass column), and the band
-edges are the matching inverse beta quantiles.
+what is binomial about it.  The upper tail P[X >= k | tau] is the
+regularized incomplete beta I(tau; k, n - k + 1); it gives both slacks and
+the band edges, and over a mass column it is summed from the top.
 The Agresti-Coull interval is the crisp comparison method.
 """
 
@@ -19,7 +19,6 @@ from .specfun import (
     binom_log_pmf,
     binom_log_pmf_array,
     binom_log_pmf_column,
-    inv_reg_inc_beta,
     reg_inc_beta,
     reg_inc_beta_array,
     two_sided_z,
@@ -78,15 +77,14 @@ class BinomialFamily(_Binomial, Randomized):
         if not 0.0 < self.o < 1.0:
             raise ValueError(f"o must lie in (0, 1), got {self.o}")
 
-    def solve_edge(self, level: float, k: int) -> float:
-        """The level-quantile of Beta(k, n - k + 1): where P[X >= k | tau] = level."""
-        return inv_reg_inc_beta(level, k, self.n - k + 1)
+    def tail(self, k: int, tau: float) -> float:
+        """P[X >= k | tau], the beta CDF I(tau; k, n - k + 1)."""
+        return reg_inc_beta(tau, k, self.n - k + 1)
 
     def slack(self, omega: int, above: bool, tau: float) -> float:
         # gamma - P[X < omega] below o and gamma - P[X > omega] above it, both
-        # from the beta's upper tail P[X >= k], k = omega or omega + 1.
-        k = omega + above
-        upper = reg_inc_beta(tau, k, self.n - k + 1)
+        # from the upper tail P[X >= k], k = omega or omega + 1.
+        upper = self.tail(omega + above, tau)
         return self.gamma - upper if above else self.gamma - 1.0 + upper
 
     def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):

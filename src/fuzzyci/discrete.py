@@ -11,17 +11,17 @@ after observing omega is
 and the larger of the two at tau = o.  Neither branch depends on o; only
 the switch between them does.  Per omega, each branch has two thresholds on
 the tau axis where it leaves 0 and reaches 1 (its randomized band); they
-come from quantiles of the family's conjugate distribution and short-circuit
-the clamped regions of the scalar ``psi``, so the ratio is evaluated only
-inside the bands.  The thresholds serve ``psi`` and the band integrals of
-the expected-length engine, which integrates each branch over its band once
-and shares the result among all o (see :mod:`fuzzyci.length`); coverage
-needs none of them.
+are the tau where an upper tail P[X >= k | tau] equals gamma or 1 - gamma,
+and they short-circuit the clamped regions of the scalar ``psi``, so the
+ratio is evaluated only inside the bands.  The thresholds serve ``psi``
+and the band integrals of the expected-length engine, which integrates
+each branch over its band once and shares the result among all o (see
+:mod:`fuzzyci.length`); coverage needs none of them.
 
 As no branch depends on o, all anchors of one model (the family's type and
 its fields but o) share one memo of band edges, thresholds, clipped bands
-and branch integrals per quadrature spec, and envelope points; one LRU
-over models holds the memos.
+with their full-band integrals per quadrature spec, and envelope points;
+one LRU over models holds the memos.
 
 Coverage at tau needs the whole column omega = 0, 1, ... at once, and there
 the numerators are partial sums of the same mass column p (Geyer & Meeden's
@@ -50,13 +50,13 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
 :class:`Randomized` builds ``psi``, its branch ``branch(omega, above,
 tau)`` (above o if ``above``, else below) and the branch's array form
 ``branch_array`` for points inside a band, ``psi_column``,
-``interval_masses`` and ``thresholds`` of a proposed family from what
-differs between the families:
+``interval_masses``, ``thresholds`` and their edges ``solve_edge(level,
+k)`` of a proposed family from what differs between the families:
 
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
-- ``solve_edge(level, k)``: the band edge where P[X >= k | tau] = level,
-  from the family's conjugate quantile;
+- ``tail(k, tau)``: the upper tail P[X >= k | tau] for k >= 1, whose
+  derivative in tau is k p(k | tau) / tau in both families;
 - ``slack(omega, above, tau)``: the numerator above o if ``above``, else
   below, each from whichever tail the family computes accurately;
 - ``slack_columns(p)``: both numerators over a mass column, each from the
@@ -80,6 +80,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .length import band_masses
+from .specfun import _rtsafe
 
 __all__ = ["Randomized", "Crisp", "coverage"]
 
@@ -92,14 +93,13 @@ def _memo(model) -> SimpleNamespace:
 
     ``edges[level, k]`` and ``thresholds[omega]`` serve the memberships.
     The expected-length engine keeps, per quadrature spec, omega's clipped
-    band edges in ``bands[quad][omega]`` and its branch integrals in
-    ``integrals[quad][omega, above, end]`` (see
-    :func:`fuzzyci.length.band_masses`), and envelope points in
-    ``envelope[quad, theta]``.  An entry is stored only once its
-    computation has returned, a band only once its full-band integrals
-    are stored.
+    band edges and the integrals of its two branches over them in
+    ``bands[quad][omega]`` (see :func:`fuzzyci.length.band_masses`), and
+    envelope points in ``envelope[quad, theta]``.  Every table grows with
+    the counts and points asked for, none with the anchors o.  An entry is
+    stored only once its computation has returned.
     """
-    return SimpleNamespace(edges={}, thresholds={}, bands={}, integrals={}, envelope={})
+    return SimpleNamespace(edges={}, thresholds={}, bands={}, envelope={})
 
 
 class _Membership:
@@ -140,6 +140,35 @@ class Randomized(_Membership):
                 memo.edges[key] = self.solve_edge(*key)
         memo.thresholds[omega] = tuple(memo.edges[key] for key in keys)
         return memo.thresholds[omega]
+
+    def solve_edge(self, level: float, k: int) -> float:
+        """The band edge: the tau in (0, tau_upper) where P[X >= k | tau] = level.
+
+        Safeguarded Newton steps on ``tail``.  The binomial's bounded space
+        starts at k / (n + 1), the mean of the beta whose CDF the tail is;
+        an unbounded one starts at tau = k and doubles the bracket's upper
+        end from there until the tail reaches the level.  P[X >= 0] is 1 at
+        every tau, so k = 0's edge is 0, and a k past the whole space's
+        support, the binomial's n + 1, has its edge at tau_upper.
+        """
+        if k == 0:
+            return 0.0
+        hi = self.tau_upper
+        if hi < math.inf:
+            top = self.support_upper(hi)
+            if k > top:
+                return hi
+            start = k / (top + 1)
+        else:
+            start = hi = float(k)
+            while self.tail(k, hi) < level:
+                hi *= 2.0
+        return _rtsafe(
+            lambda tau: self.tail(k, tau),
+            lambda tau: k * math.exp(self.log_pmf(k, tau)) / tau,
+            level, start, 0.0, hi,
+            f"band edge failed for level={level}, k={k}",
+        )
 
     def psi(self, omega: int, tau: float) -> float:
         """Membership of tau after observing omega.

@@ -17,12 +17,13 @@ the branch below from its band's lower edge to o clipped into the band,
 the branch above from o so clipped to its band's upper edge.  That is the
 full band when the band lies wholly on its branch's side of o, a partial
 integral when the band holds o, and nothing otherwise.  One table per
-quadrature spec, in the memo of the family's o-free model, keeps both
-kinds under omega, the branch and the clipped end, so every reference
+quadrature spec, in the memo of the family's o-free model, keeps each
+omega's clipped band with its two full integrals, so every reference
 family of an envelope, and every curve of one figure, reads the same
-entries.  Envelope points are kept there too, per quadrature spec and
-theta, so the commands of a figure that share an envelope compute each
-point once.
+entries.  A partial integral serves one anchor and is not kept; envelope
+points are, per quadrature spec and theta, so the commands of a figure
+that share an envelope compute each point, and its partial integrals,
+once.
 
 :func:`band_masses` returns the masses of proposed families of one model,
 each at its own counts.  Whatever integrals they lack are computed as one
@@ -181,18 +182,18 @@ def band_masses(requests, quad: QuadratureSpec) -> list[list[float]]:
     0 across [a1, a0].  The integral below runs from z0 to its ``end``, the
     nearer of o and z1, and the one above from its end, the farther of o
     and a1, to a0: the full band when the end is z1 or a1, a partial
-    integral when it is o.  An empty span's integral is never stored and
-    reads 0.  Both full bands of each band not seen before and whatever
-    partial integrals the requests lack are computed in one batch and kept
-    in the model's memo; a band is kept once its full bands are.
+    integral when it is o.  An empty span's integral is 0.  Both full
+    bands of each band not seen before and the partial integrals of every
+    request are computed in one batch.  The model's memo keeps each band
+    with its two full integrals, once both are computed; a partial
+    integral serves one anchor and is kept for this call only.
     """
     model = requests[0][0]
     bands = model.memo.bands.setdefault(quad, {})
-    integrals = model.memo.integrals.setdefault(quad, {})
     lower, upper = quad.lower, quad.upper
     anchors = [min(max(fam.o, lower), upper) for fam, _ in requests]
-    new = {}  # omega -> clipped band, for bands the memo lacks
-    jobs = {}  # (omega, above, end) -> span, for integrals the memo lacks
+    new = {}  # omega -> clipped edges, for bands the memo lacks
+    jobs = {}  # (omega, above, end) -> span, for every integral to compute
     for (fam, omegas), o in zip(requests, anchors):
         for w in omegas:
             fam.check(w, fam.o)
@@ -202,11 +203,12 @@ def band_masses(requests, quad: QuadratureSpec) -> list[list[float]]:
                 new[w] = band
                 jobs[w, False, band[1]] = band[:2]
                 jobs[w, True, band[2]] = band[2:]
-            z0, z1, a1, a0 = band
-            if z0 < o < z1 and (w, False, o) not in integrals:
+            z0, z1, a1, a0 = band[:4]
+            if z0 < o < z1:
                 jobs[w, False, o] = z0, o
-            if a1 < o < a0 and (w, True, o) not in integrals:
+            if a1 < o < a0:
                 jobs[w, True, o] = o, a0
+    integrals = dict.fromkeys(jobs, 0.0)
     keys = [key for key, (a, b) in jobs.items() if a < b]
     if keys:
         omega, above_o, lo, hi = (
@@ -217,12 +219,13 @@ def band_masses(requests, quad: QuadratureSpec) -> list[list[float]]:
             lo, hi, quad.rel_tol,
         )
         integrals.update(zip(keys, values.tolist()))
-    bands.update(new)
+    for w, (z0, z1, a1, a0) in new.items():
+        bands[w] = z0, z1, a1, a0, integrals[w, False, z1], integrals[w, True, a1]
 
     def mass(w, o):
-        z0, z1, a1, a0 = bands[w]
-        below = integrals.get((w, False, o if o < z1 else z1), 0.0)
-        above = integrals.get((w, True, o if o > a1 else a1), 0.0)
+        z0, z1, a1, a0, full_below, full_above = bands[w]
+        below = full_below if o >= z1 else integrals.get((w, False, o), 0.0)
+        above = full_above if o <= a1 else integrals.get((w, True, o), 0.0)
         # The flat lengths, where a branch is 1: [z1, o] below o, [o, a1] above.
         flat_below = o - z1 if o > z1 else 0.0
         flat_above = a1 - o if a1 > o else 0.0

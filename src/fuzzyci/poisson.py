@@ -1,9 +1,9 @@
 """Poisson family: one count omega with mean tau.
 
 The membership is built by :mod:`fuzzyci.discrete`; this module supplies
-what is Poisson about it.  The branch thresholds come from the chi-square
-tail identity ``P[X <= i-1 | tau] = 1 - F_chisq(2 tau; 2 i)``: the
-membership for omega switches branches at half the chi-square quantiles.
+what is Poisson about it.  The upper tail P[X >= k | tau] is the
+regularized lower incomplete gamma P(k, tau), from which the band edges
+are solved; the slacks come from the CDF.
 Sums over omega run over a truncated support, 0..support_bound(tau): one
 algorithm for every accepted mean 0 < tau <= 1e4, whose omitted tail mass
 is at most ``TRUNCATION_MASS``.  The score (Wilson-type) interval is
@@ -19,12 +19,12 @@ import numpy as np
 
 from .discrete import Crisp, Randomized
 from .specfun import (
-    chisq_quantile,
     pois_cdf,
     pois_cdf_array,
     pois_log_pmf,
     pois_log_pmf_array,
     pois_log_pmf_column,
+    reg_lower_gamma,
     two_sided_z,
 )
 
@@ -132,12 +132,9 @@ class PoissonFamily(_Poisson, Randomized):
             raise ValueError(f"o must be positive and finite, got {self.o}")
         super().__post_init__()
 
-    def solve_edge(self, level: float, k: int) -> float:
-        """Half the level-quantile of chi-square with 2k degrees of freedom.
-
-        Zero degrees of freedom is the point mass at zero.
-        """
-        return 0.5 * chisq_quantile(level, 2 * k) if k > 0 else 0.0
+    def tail(self, k: int, tau: float) -> float:
+        """P[X >= k | tau], the incomplete gamma P(k, tau), for k >= 1."""
+        return reg_lower_gamma(k, tau)
 
     def slack(self, omega: int, above: bool, tau: float) -> float:
         # gamma - P[X < omega] below o and gamma - P[X > omega] above it, both

@@ -1,17 +1,20 @@
 """Self-contained special-function kernels.
 
 Everything the distribution families need lives here: the regularized
-incomplete beta function and its inverse, chi-square CDF/quantile for even
-degrees of freedom, the standard normal CDF/quantile, and binomial/Poisson
-mass and distribution functions evaluated in log space, per point or as a
-whole column over the support.  The ``*_array`` kernels evaluate the
-scalar ones elementwise over arrays of points, in the same operation order,
-with numpy's ``log`` and ``exp`` in place of ``math``'s; each element's value
-depends on its own arguments only, not on the rest of the array.
+incomplete beta and lower incomplete gamma functions, whose values at
+integer shapes are the binomial and Poisson upper tails, the standard
+normal CDF/quantile, and binomial/Poisson mass and distribution functions
+evaluated in log space, per point or as a whole column over the support.
+The ``*_array`` kernels evaluate the scalar ones elementwise over arrays of
+points, in the same operation order, with numpy's ``log`` and ``exp`` in
+place of ``math``'s; each element's value depends on its own arguments
+only, not on the rest of the array.
 
-All functions are pure and reentrant.  The root solves meet the absolute
-residual ``_ABS_TOL`` within ``_MAX_ITER`` iterations or raise
-:class:`ConvergenceError` instead of returning an unconverged value.
+All functions are pure and reentrant.  The root solves, the normal
+quantile here and the band edges of :mod:`fuzzyci.discrete`, run through
+``_rtsafe``: they meet the absolute residual ``_ABS_TOL`` within
+``_MAX_ITER`` iterations or raise :class:`ConvergenceError` instead of
+returning an unconverged value.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ __all__ = [
     "ConvergenceError",
     "reg_inc_beta",
     "reg_inc_beta_array",
-    "inv_reg_inc_beta",
-    "chisq_cdf",
-    "chisq_quantile",
+    "reg_lower_gamma",
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
@@ -40,7 +41,6 @@ __all__ = [
     "pois_log_pmf",
     "pois_log_pmf_column",
     "pois_log_pmf_array",
-    "pois_pmf",
     "pois_cdf",
     "pois_cdf_array",
 ]
@@ -214,8 +214,9 @@ def _rtsafe(cdf, pdf, p, x, lo, hi, failure: str) -> float:
     falls back to bisection (Numerical Recipes ``rtsafe``).  Converged means
     the residual is within ``_ABS_TOL`` and the iteration has stalled in
     x: deep in a tail the CDF is nearly flat and the residual alone says
-    little.  Raises :class:`ConvergenceError` with ``failure`` when the
-    budget runs out.
+    little.  A Newton step that rounds to x itself has stalled too.
+    Raises :class:`ConvergenceError` with ``failure`` when the budget runs
+    out.
     """
     step = math.inf
     for _ in range(_MAX_ITER):
@@ -230,6 +231,8 @@ def _rtsafe(cdf, pdf, p, x, lo, hi, failure: str) -> float:
         newton_ok = dfdx > 0.0
         if newton_ok:
             x_new = x - f / dfdx
+            if x_new == x and abs(f) <= _ABS_TOL:
+                return x
             newton_ok = lo < x_new < hi
         if not newton_ok:
             x_new = 0.5 * (lo + hi)
@@ -241,50 +244,11 @@ def _rtsafe(cdf, pdf, p, x, lo, hi, failure: str) -> float:
     raise ConvergenceError(failure)
 
 
-def _beta_pdf(x: float, a: float, b: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    ln = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + (a - 1.0) * math.log(x)
-        + (b - 1.0) * math.log1p(-x)
-    )
-    return math.exp(ln) if ln > -745.0 else 0.0
+def reg_lower_gamma(s: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(s, x), series/continued fraction.
 
-
-def inv_reg_inc_beta(p: float, a: float, b: float) -> float:
-    """Inverse of :func:`reg_inc_beta` in its first argument.
-
-    Returns x with ``|reg_inc_beta(x, a, b) - p| <= _ABS_TOL``, found by
-    safeguarded Newton steps from the mean.  Degenerate shapes follow the
-    conventions ``inv(p, 0, b) = 0`` and ``inv(p, a, 0) = 1`` for p in (0, 1).
+    At an integer s = k it is the Poisson upper tail P[X >= k | mean x].
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if a < 0 or b < 0:
-        raise ValueError("shape parameters must be nonnegative")
-    if a == 0.0 and b == 0.0:
-        raise ValueError("shape parameters must not both be zero")
-    if a == 0.0:
-        return 0.0
-    if b == 0.0:
-        return 1.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    return _rtsafe(
-        lambda x: reg_inc_beta(x, a, b),
-        lambda x: _beta_pdf(x, a, b),
-        p, a / (a + b), 0.0, 1.0,
-        f"inverse incomplete beta failed for p={p}, a={a}, b={b}",
-    )
-
-
-def _reg_lower_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x), series/continued fraction."""
     if x < 0 or s <= 0:
         raise ValueError("requires x >= 0 and s > 0")
     if x == 0.0:
@@ -326,39 +290,6 @@ def _reg_lower_gamma(s: float, x: float) -> float:
             return 1.0 - h * math.exp(ln)
     raise ConvergenceError(
         f"incomplete gamma continued fraction failed for s={s}, x={x}"
-    )
-
-
-def chisq_cdf(x: float, k: int) -> float:
-    """Chi-square CDF with k degrees of freedom (k a positive even integer)."""
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"degrees of freedom must be a positive even integer, got {k}")
-    if x <= 0.0:
-        return 0.0
-    return _reg_lower_gamma(k / 2.0, x / 2.0)
-
-
-def chisq_quantile(p: float, k: int) -> float:
-    """Chi-square quantile: x with chisq_cdf(x, k) = p, for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"degrees of freedom must be a positive even integer, got {k}")
-    # Bracket: the mean is k; expand the upper end until the CDF crosses p.
-    lo, hi = 0.0, float(k)
-    while chisq_cdf(hi, k) < p:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConvergenceError(f"chi-square quantile bracket failed for p={p}, k={k}")
-    s = k / 2.0
-
-    def pdf(x):
-        ln_pdf = -x / 2.0 + (s - 1.0) * math.log(x) - s * math.log(2.0) - math.lgamma(s)
-        return math.exp(ln_pdf) if ln_pdf > -745.0 else 0.0
-
-    return _rtsafe(
-        lambda x: chisq_cdf(x, k), pdf, p, float(k), lo, hi,
-        f"chi-square quantile failed for p={p}, k={k}",
     )
 
 
@@ -479,19 +410,17 @@ def pois_log_pmf_array(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return -tau + omega * np.log(tau) - log_factorials(int(omega.max()))[omega]
 
 
-def pois_pmf(omega: int, tau: float) -> float:
-    return math.exp(pois_log_pmf(omega, tau))
-
-
 def pois_cdf(omega: int, tau: float) -> float:
-    """Poisson CDF P[X <= omega] by ascending term recurrence."""
+    """Poisson CDF P[X <= omega]: ascending term recurrence up to tau = 700.
+
+    Above it exp(-tau) underflows, and the CDF is 1 - P(omega + 1, tau).
+    """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if omega < 0:
         return 0.0
     if tau > 700.0:
-        # exp(-tau) underflows; sum the terms in log space instead.
-        return min(1.0, math.fsum(pois_pmf(i, tau) for i in range(omega + 1)))
+        return 1.0 - reg_lower_gamma(omega + 1, tau)
     term = math.exp(-tau)
     total = term
     for i in range(1, omega + 1):
@@ -506,11 +435,11 @@ def pois_cdf_array(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
     Below tau = 700 every element runs the scalar's term recurrence, all of
     them at once: with the elements sorted by omega, step i updates the
     prefix whose omega is at least i.  Above it each element takes the
-    scalar's log-space sum.
+    scalar's incomplete gamma.
     """
     out = np.zeros(len(tau))
-    log_space = np.flatnonzero((tau > 700.0) & (omega >= 0))
-    for i in log_space:
+    large = np.flatnonzero((tau > 700.0) & (omega >= 0))
+    for i in large:
         out[i] = pois_cdf(int(omega[i]), float(tau[i]))
     small = np.flatnonzero((tau <= 700.0) & (omega >= 0))
     if not small.size:

@@ -5,11 +5,11 @@ code paths: plain Gauss-Legendre panels for normal expectations (with the
 interval length taken straight from the interval endpoints), midpoint
 Riemann sums for memberships over the parameter axis, a greedy fill for
 the optimal-membership linear program, the binomial CDF by direct
-summation, coverage as a sum of scalar memberships, branch thresholds
-from four root solves per omega, a crisp method's clipped interval from
-its endpoints, and interval masses by scalar adaptive Gauss-Legendre
-quadrature on panels split at a membership's breakpoints, with the fake
-families that test it.
+summation, coverage as a sum of scalar memberships, the discrete
+families' upper tails in 40-digit mpmath, a crisp method's clipped
+interval from its endpoints, and interval masses by scalar adaptive
+Gauss-Legendre quadrature on panels split at a membership's breakpoints,
+with the fake families that test it.
 """
 
 import math
@@ -20,12 +20,11 @@ import numpy as np
 from fuzzyci.core import _align
 from fuzzyci.discrete import Crisp, Randomized
 from fuzzyci.length import _gauss_legendre
-from fuzzyci.specfun import ConvergenceError
 from fuzzyci.specfun import (
+    ConvergenceError,
     binom_pmf,
-    chisq_quantile,
-    inv_reg_inc_beta,
     normal_quantile,
+    pois_log_pmf,
     two_sided_z,
 )
 
@@ -223,22 +222,26 @@ def scalar_coverage(tau, fam):
     )
 
 
-def binomial_thresholds(n, gamma, omega):
-    """Binomial branch thresholds, each from its own inverse-beta solve."""
-    below_zero = inv_reg_inc_beta(1.0 - gamma, omega, n - omega + 1)
-    below_one = inv_reg_inc_beta(1.0 - gamma, omega + 1, n - omega)
-    above_one = inv_reg_inc_beta(gamma, omega, n - omega + 1)
-    above_zero = inv_reg_inc_beta(gamma, omega + 1, n - omega)
-    return below_zero, below_one, above_one, above_zero
+def pois_pmf(omega, tau):
+    """Poisson mass at omega with mean tau, from the library's log mass."""
+    return math.exp(pois_log_pmf(omega, tau))
 
 
-def poisson_thresholds(gamma, omega):
-    """Poisson branch thresholds, each from its own chi-square solve."""
-    below_zero = 0.5 * chisq_quantile(1.0 - gamma, 2 * omega) if omega > 0 else 0.0
-    below_one = 0.5 * chisq_quantile(1.0 - gamma, 2 * omega + 2)
-    above_one = 0.5 * chisq_quantile(gamma, 2 * omega) if omega > 0 else 0.0
-    above_zero = 0.5 * chisq_quantile(gamma, 2 * omega + 2)
-    return below_zero, below_one, above_one, above_zero
+def mp_tail_residual(fam, k, tau, level, dps=40):
+    """|P[X >= k | tau] - level| for a binomial or Poisson family, in dps digits.
+
+    The tail is the regularized incomplete beta I(tau; k, n - k + 1) or the
+    regularized lower incomplete gamma P(k, tau), both from mpmath.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        tau = mpmath.mpf(tau)
+        if fam.tau_upper == 1.0:
+            tail = mpmath.betainc(k, fam.n - k + 1, 0, tau, regularized=True)
+        else:
+            tail = mpmath.gammainc(k, 0, tau, regularized=True)
+        return float(abs(tail - mpmath.mpf(level)))
 
 
 _MAX_DEPTH = 30

@@ -14,6 +14,7 @@ from oracles import (
     feasible_optimum_oracle,
     oracle_el_nl,
     oracle_el_psi_o,
+    pois_pmf,
     scalar_coverage,
 )
 
@@ -21,16 +22,7 @@ from fuzzyci import binomial, discrete, normal, poisson
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.knapsack import KnapsackInstance, solve_01_dp, solve_fractional, to_measure_problem
 from fuzzyci.length import QuadratureSpec, el_curve, lower_bound_curve
-from fuzzyci.specfun import (
-    binom_pmf,
-    chisq_cdf,
-    chisq_quantile,
-    inv_reg_inc_beta,
-    normal_cdf,
-    normal_quantile,
-    pois_pmf,
-    reg_inc_beta,
-)
+from fuzzyci.specfun import binom_pmf, normal_cdf, normal_quantile, reg_inc_beta
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -390,8 +382,9 @@ def test_criterion_9_special_function_identities():
     checks.append(abs(reg_inc_beta(0.5, 1, 1) - 0.5) < 1e-12)
     checks.append(abs(reg_inc_beta(0.6, 2, 1) - 0.36) < 1e-12)
     checks.append(abs(reg_inc_beta(0.6, 1, 2) - 0.84) < 1e-12)
-    checks.append(abs(chisq_quantile(0.95, 2) + 2.0 * math.log(0.05)) < 1e-10)
-    checks.append(abs(chisq_quantile(0.5, 2) - 2.0 * math.log(2.0)) < 1e-10)
+    counts = poisson.PoissonFamily(1.0, 0.95)
+    checks.append(abs(counts.solve_edge(0.95, 1) + math.log(0.05)) < 1e-10)
+    checks.append(abs(counts.solve_edge(0.5, 1) - math.log(2.0)) < 1e-10)
     checks.append(abs(normal_cdf(0.0) - 0.5) < 1e-12)
     for z in (0.3, 1.7, 4.0):
         checks.append(abs(normal_cdf(z) + normal_cdf(-z) - 1.0) < 1e-12)
@@ -403,14 +396,14 @@ def test_criterion_9_special_function_identities():
     identities_ok = all(checks)
 
     worst_rt = 0.0
-    for a in (0.5, 2.0, 7.5, 20.0):
-        for b in (0.5, 2.0, 7.5, 20.0):
+    for n in (1, 2, 7, 20):
+        trials = binomial.BinomialFamily(n, 0.5, 0.95)
+        for k in (1, n // 2 + 1, n):
             for p in (0.01, 0.2, 0.5, 0.8, 0.99):
-                x = inv_reg_inc_beta(p, a, b)
-                worst_rt = max(worst_rt, abs(reg_inc_beta(x, a, b) - p))
-    for k in (2, 8, 20):
+                worst_rt = max(worst_rt, abs(trials.tail(k, trials.solve_edge(p, k)) - p))
+    for k in (1, 4, 10):
         for p in (0.05, 0.5, 0.95):
-            worst_rt = max(worst_rt, abs(chisq_cdf(chisq_quantile(p, k), k) - p))
+            worst_rt = max(worst_rt, abs(counts.tail(k, counts.solve_edge(p, k)) - p))
     for p in (0.01, 0.5, 0.975):
         worst_rt = max(worst_rt, abs(normal_cdf(normal_quantile(p)) - p))
     report(

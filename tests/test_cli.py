@@ -342,6 +342,20 @@ class TestElCurveCommand:
         assert header == ["theta", "lower_bound"]
         assert len(rows) == 5
 
+    def test_poisson_lower_bound_above_mean_700(self, capsys):
+        # Every band node above tau = 700 takes one incomplete gamma, not a
+        # sum of omega + 1 masses, so the command takes seconds, not a minute.
+        status, out = run_cli(
+            capsys,
+            "lower-bound", "--family", "poisson", "--gamma", "0.95",
+            "--theta-grid", "700:1000:3",
+        )
+        assert status == 0
+        header, rows = parse_csv(out)
+        assert [theta for theta, _ in rows] == [700.0, 850.0, 1000.0]
+        pinned = [88.154343336773394, 97.139154225008085, 105.36053488252392]
+        assert [value for _, value in rows] == pytest.approx(pinned, rel=1e-12)
+
 
 _FAMILY_ARGS = {
     "binomial": ("--n", "10", "--gamma", "0.95", "--o", "0.5"),

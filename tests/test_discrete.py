@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import binomial_thresholds, poisson_thresholds, scalar_coverage
+from oracles import mp_tail_residual, scalar_coverage
 
-from fuzzyci import binomial, discrete, poisson
+from fuzzyci import binomial, discrete, poisson, specfun
 from fuzzyci.discrete import coverage
 from fuzzyci.specfun import ConvergenceError, log_factorials
 
@@ -25,6 +25,17 @@ def count_solves(monkeypatch, cls):
 
     monkeypatch.setattr(cls, "solve_edge", counted)
     return solves
+
+
+def four_solves(fam, omega):
+    """omega's thresholds, each from its own band-edge solve."""
+    below, above = 1.0 - fam.gamma, fam.gamma
+    return (
+        fam.solve_edge(below, omega),
+        fam.solve_edge(below, omega + 1),
+        fam.solve_edge(above, omega),
+        fam.solve_edge(above, omega + 1),
+    )
 
 
 @pytest.mark.parametrize(
@@ -86,10 +97,10 @@ def test_shared_band_edges_give_the_four_solve_thresholds(gamma):
     for n in (1, 2, 10, 40, 300):
         fam = binomial.BinomialFamily(n, 0.5, gamma)
         for w in range(n + 1):
-            assert fam.thresholds(w) == binomial_thresholds(n, gamma, w)
+            assert fam.thresholds(w) == four_solves(fam, w)
     fam = poisson.PoissonFamily(1.0, gamma)
     for w in range(151):
-        assert fam.thresholds(w) == poisson_thresholds(gamma, w)
+        assert fam.thresholds(w) == four_solves(fam, w)
 
 
 @pytest.mark.parametrize(
@@ -125,7 +136,148 @@ def test_a_failed_solve_stores_nothing(monkeypatch):
     assert 3 not in fam.memo.thresholds
     assert all(k != 4 for _, k in fam.memo.edges)
     monkeypatch.undo()
-    assert fam.thresholds(3) == binomial_thresholds(10, gamma, 3)
+    assert fam.thresholds(3) == four_solves(fam, 3)
+
+
+def count_tails(monkeypatch, cls):
+    """Record the k of every ``tail`` evaluation of ``cls`` from now on."""
+    calls = []
+    tail = cls.tail
+
+    def counted(self, k, tau):
+        calls.append(k)
+        return tail(self, k, tau)
+
+    monkeypatch.setattr(cls, "tail", counted)
+    return calls
+
+
+class TestSolveEdge:
+    """Band edges: the tau where P[X >= k | tau] = level, in either family."""
+
+    def test_binomial_closed_forms(self):
+        # P[X >= n | tau] = tau^n.
+        fam = binomial.BinomialFamily(2, 0.5, 0.95)
+        assert fam.solve_edge(0.36, 2) == pytest.approx(0.6, abs=1e-9)
+        fam = binomial.BinomialFamily(1, 0.5, 0.95)
+        assert fam.solve_edge(0.5, 1) == pytest.approx(0.5, abs=1e-9)
+
+    def test_binomial_frozen_value(self):
+        # mpmath root of I(x; 5, 6) = 0.95 at 40 digits.
+        fam = binomial.BinomialFamily(10, 0.5, 0.95)
+        assert fam.solve_edge(0.95, 5) == pytest.approx(0.696462787435958, abs=1e-9)
+
+    def test_poisson_closed_form(self):
+        # P[X >= 1 | tau] = 1 - exp(-tau).
+        fam = poisson.PoissonFamily(1.0, 0.95)
+        assert fam.solve_edge(0.95, 1) == pytest.approx(-math.log(0.05), abs=1e-10)
+        assert fam.solve_edge(0.5, 1) == pytest.approx(math.log(2.0), abs=1e-10)
+
+    def test_poisson_frozen_value(self):
+        # mpmath root of P(4, tau) = 0.95 at 40 digits: half the 0.95
+        # quantile of chi-square with 8 degrees of freedom.
+        fam = poisson.PoissonFamily(1.0, 0.95)
+        assert fam.solve_edge(0.95, 4) == pytest.approx(15.507313055865454 / 2, abs=5e-9)
+
+    def test_conventions(self):
+        # P[X >= 0] = 1 and, for the binomial, P[X >= n + 1] = 0 at every tau.
+        fam = binomial.BinomialFamily(4, 0.5, 0.95)
+        assert fam.solve_edge(0.4, 0) == 0.0
+        assert fam.solve_edge(0.4, 5) == 1.0
+        assert poisson.PoissonFamily(1.0, 0.95).solve_edge(0.4, 0) == 0.0
+
+    def test_round_trip_in_level(self):
+        for n in (1, 2, 5, 10, 20, 40):
+            fam = binomial.BinomialFamily(n, 0.5, 0.95)
+            for k in range(1, n + 1):
+                for level in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+                    edge = fam.solve_edge(level, k)
+                    assert fam.tail(k, edge) == pytest.approx(level, abs=1e-9)
+        fam = poisson.PoissonFamily(1.0, 0.95)
+        for k in (1, 2, 4, 8, 20):
+            for level in (0.01, 0.05, 0.5, 0.9, 0.95, 0.99):
+                edge = fam.solve_edge(level, k)
+                assert fam.tail(k, edge) == pytest.approx(level, abs=1e-9)
+
+    def test_round_trip_in_tau(self):
+        # The edge at tail(k, tau) recovers tau wherever the tail is not flat
+        # in doubles: an ulp of the level maps to ulp / density in tau, so
+        # the 1e-9 target is only attainable where the density is not
+        # vanishing.
+        for n in (1, 4, 9, 19, 29):
+            fam = binomial.BinomialFamily(n, 0.5, 0.95)
+            for k in range(1, n + 1):
+                for j in range(1, 100):
+                    tau = j / 100.0
+                    if k * math.exp(fam.log_pmf(k, tau)) / tau < 1e-6:
+                        continue
+                    level = fam.tail(k, tau)
+                    if 0.0 < level < 1.0:
+                        assert fam.solve_edge(level, k) == pytest.approx(tau, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "fam",
+        [binomial.BinomialFamily(18, 0.5, 0.95), poisson.PoissonFamily(1.0, 0.95)],
+        ids=["binomial", "poisson"],
+    )
+    def test_reports_nonconvergence(self, fam, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="band edge"):
+            fam.solve_edge(0.731, 7)
+
+    def test_monotone_in_k(self):
+        fam = binomial.BinomialFamily(60, 0.5, 0.95)
+        edges = [fam.solve_edge(0.95, k) for k in range(62)]
+        assert all(u < v for u, v in zip(edges, edges[1:]))
+        fam = poisson.PoissonFamily(1.0, 0.95)
+        edges = [fam.solve_edge(0.95, k) for k in range(30)]
+        assert all(u < v for u, v in zip(edges, edges[1:]))
+
+    def test_large_k_against_mpmath(self):
+        # Near tau = k the incomplete-gamma expansions need about sqrt(70 k)
+        # terms: more than 500 from about k = 4000 on.
+        pytest.importorskip("mpmath")
+        fam = poisson.PoissonFamily(1.0, 0.95)
+        for k in (4000, 6000, 11000):
+            for level in (0.005, 0.05, 0.95, 0.995):
+                edge = fam.solve_edge(level, k)
+                assert mp_tail_residual(fam, k, edge, level) < 1e-10
+        fam = binomial.BinomialFamily(5000, 0.5, 0.95)
+        for k in (1, 50, 2500, 4990, 5000):
+            for level in (0.005, 0.05, 0.95, 0.995):
+                edge = fam.solve_edge(level, k)
+                assert mp_tail_residual(fam, k, edge, level) < 1e-10
+
+    def test_sampled_edges_meet_the_residual_at_40_digits(self):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(16)
+        for _ in range(150):
+            gamma = float(rng.uniform(0.5, 0.999))
+            level = gamma if rng.random() < 0.5 else 1.0 - gamma
+            if rng.random() < 0.5:
+                n = int(np.exp(rng.uniform(0.0, np.log(2000.0))))
+                fam = binomial.BinomialFamily(n, 0.5, gamma)
+                k = int(rng.integers(1, n + 1))
+            else:
+                fam = poisson.PoissonFamily(1.0, gamma)
+                k = int(np.exp(rng.uniform(0.0, np.log(11000.0))))
+            edge = fam.solve_edge(level, k)
+            assert mp_tail_residual(fam, k, edge, level) <= 1e-10, (fam, level, k)
+
+    @pytest.mark.parametrize(
+        "fam, top",
+        [(binomial.BinomialFamily(40, 0.5, 0.95), 41), (poisson.PoissonFamily(10.0, 0.95), 80)],
+        ids=["binomial", "poisson"],
+    )
+    def test_each_edge_takes_at_most_12_tail_evaluations(self, fam, top, monkeypatch):
+        # A Newton step that rounds to its own point has converged; it must
+        # not bisect the rest of the bracket.
+        calls = count_tails(monkeypatch, type(fam))
+        for level in (1.0 - fam.gamma, fam.gamma):
+            for k in range(top + 1):
+                del calls[:]
+                fam.solve_edge(level, k)
+                assert len(calls) <= 12, (level, k, len(calls))
 
 
 def test_memos_are_bounded_in_models():

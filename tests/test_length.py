@@ -42,14 +42,23 @@ def band_record(fam, quad, w):
     """``(z0, z1, a1, a0, full_below, full_above)``: omega's band in the memo.
 
     The clipped edges, then the integrals of the branch below over [z0, z1]
-    and of the branch above over [a1, a0]; an empty band's integral is 0,
-    and a nonempty band's must be in the memo.
+    and of the branch above over [a1, a0]; an empty band's integral is 0.
     """
-    z0, z1, a1, a0 = fam.memo.bands[quad][w]
-    integrals = fam.memo.integrals[quad]
-    full_below = integrals[w, False, z1] if z0 < z1 else 0.0
-    full_above = integrals[w, True, a1] if a1 < a0 else 0.0
-    return z0, z1, a1, a0, full_below, full_above
+    record = fam.memo.bands[quad][w]
+    z0, z1, a1, a0, full_below, full_above = record
+    assert (z0 < z1 or full_below == 0.0) and (a1 < a0 or full_above == 0.0)
+    return record
+
+
+def memo_entries(memo):
+    """The number of entries in each table of a model's memo.
+
+    A table kept per quadrature spec counts the entries of every spec.
+    """
+    return {
+        name: sum(len(v) if isinstance(v, dict) else 1 for v in table.values())
+        for name, table in vars(memo).items()
+    }
 
 
 def count_envelope_points(monkeypatch):
@@ -563,6 +572,18 @@ class TestCurves:
         integrals = count_band_integrals(monkeypatch)
         lower_bound_curve(fam, [0.7], quad)
         assert integrals == []
+
+    def test_memo_does_not_grow_with_the_anchors(self):
+        # A partial integral serves one anchor, so the memo keeps none: a
+        # process that asks one model for ever new anchors keeps its size.
+        # A gamma no other test uses, so the memo starts empty.
+        anchors = np.linspace(0.0005, 0.9995, 1000).tolist()
+        el_curve(binomial.BinomialFamily(40, anchors[0], 0.9517), [0.5], UNIT)
+        memo = binomial.BinomialFamily(40, 0.5, 0.9517).memo
+        first = memo_entries(memo)
+        for o in anchors[1:]:
+            el_curve(binomial.BinomialFamily(40, o, 0.9517), [0.5], UNIT)
+        assert memo_entries(memo) == first
 
     def test_envelope_of_more_than_4096_points_is_computed_once(self, monkeypatch):
         # One model's envelope points must all survive a repeat of the grid.

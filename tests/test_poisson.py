@@ -16,8 +16,8 @@ from fuzzyci.poisson import (
     ScoreInterval,
     support_bound,
 )
-from fuzzyci.specfun import chisq_quantile, normal_quantile, pois_cdf, pois_pmf
-from oracles import breakpoints, interval
+from fuzzyci.specfun import normal_quantile, pois_cdf
+from oracles import breakpoints, interval, pois_pmf
 
 
 def poisson_measures(tau, o):
@@ -34,7 +34,7 @@ class TestPsiLower:
         # where it reaches exactly 1; full membership beyond.
         fam = PoissonFamily(8.0, 0.95)
         boundary = -math.log(0.95)
-        assert boundary == pytest.approx(0.5 * chisq_quantile(0.05, 2), abs=1e-9)
+        assert boundary == pytest.approx(fam.solve_edge(0.05, 1), abs=1e-9)
         for tau in (1e-6, 0.01, 0.9 * boundary):
             assert fam.psi(0, tau) == pytest.approx(
                 0.95 * math.exp(tau), rel=1e-9
@@ -43,7 +43,7 @@ class TestPsiLower:
 
     def test_rejected_region(self):
         fam = PoissonFamily(8.0, 0.95)
-        threshold = 0.5 * chisq_quantile(0.05, 6)
+        threshold = fam.solve_edge(0.05, 3)
         assert 0.5 < threshold
         assert fam.psi(3, 0.5) == 0.0
 
@@ -141,10 +141,9 @@ class TestPsiO:
 
     def test_threshold_monotone_in_omega(self):
         for gamma in (0.9, 0.95, 0.99):
+            fam = PoissonFamily(8.0, gamma)
             for w in range(1, 30):
-                assert chisq_quantile(1 - gamma, 2 * w) < chisq_quantile(
-                    1 - gamma, 2 * w + 2
-                )
+                assert fam.solve_edge(1 - gamma, w) < fam.solve_edge(1 - gamma, w + 1)
 
     def test_breakpoints(self):
         fam = PoissonFamily(8.0, 0.95)

@@ -9,24 +9,22 @@ here as literals.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binom_cdf
+from oracles import binom_cdf, pois_pmf
 
-from fuzzyci import specfun
 from fuzzyci.specfun import (
-    ConvergenceError,
     binom_pmf,
-    chisq_cdf,
-    chisq_quantile,
-    inv_reg_inc_beta,
     normal_cdf,
     normal_quantile,
     pois_cdf,
-    pois_pmf,
+    pois_cdf_array,
+    pois_log_pmf,
     reg_inc_beta,
+    reg_lower_gamma,
 )
 
 
@@ -108,102 +106,22 @@ class TestRegIncBeta:
             assert all(u <= v for u, v in zip(values, values[1:]))
 
 
-class TestInvRegIncBeta:
-    def test_inverse_of_square(self):
-        assert inv_reg_inc_beta(0.36, 2, 1) == pytest.approx(0.6, abs=1e-9)
-
-    def test_uniform(self):
-        assert inv_reg_inc_beta(0.5, 1, 1) == pytest.approx(0.5, abs=1e-9)
-
-    def test_frozen_value(self):
-        # mpmath root of I(x, 5, 6) = 0.95 at 40 digits.
-        assert inv_reg_inc_beta(0.95, 5, 6) == pytest.approx(
-            0.696462787435958, abs=1e-9
-        )
-
-    def test_boundary_conventions(self):
-        assert inv_reg_inc_beta(0.4, 0, 5) == 0.0
-        assert inv_reg_inc_beta(0.4, 5, 0) == 1.0
-
-    def test_round_trip_grid(self):
-        shapes = [0.5, 1.0, 2.5, 5.0, 10.0, 20.0]
-        for a in shapes:
-            for b in shapes:
-                for p in [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]:
-                    x = inv_reg_inc_beta(p, a, b)
-                    assert reg_inc_beta(x, a, b) == pytest.approx(p, abs=1e-9)
-
-    def test_round_trip_in_x(self):
-        # inv(I(x)) recovers x wherever the CDF is not flat in doubles: an
-        # ulp of p maps to ulp/pdf in x, so the 1e-9 target is only
-        # attainable where the density is not vanishing.
-        from fuzzyci.specfun import _beta_pdf
-
-        shapes = [0.5, 1.0, 2.5, 5.0, 10.0, 20.0]
-        for a in shapes:
-            for b in shapes:
-                for k in range(1, 100):
-                    x = k / 100.0
-                    if _beta_pdf(x, a, b) < 1e-6:
-                        continue
-                    p = reg_inc_beta(x, a, b)
-                    if not 0.0 < p < 1.0:
-                        continue
-                    assert inv_reg_inc_beta(p, a, b) == pytest.approx(x, abs=1e-9)
-
-    def test_reports_nonconvergence(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_MAX_ITER", 2)
-        with pytest.raises(ConvergenceError):
-            inv_reg_inc_beta(0.731, 7.3, 11.9)
-
-
-class TestChiSquare:
-    def test_two_dof_closed_form(self):
-        assert chisq_quantile(0.95, 2) == pytest.approx(5.991464547107982, abs=1e-10)
-        assert chisq_quantile(0.5, 2) == pytest.approx(1.3862943611198906, abs=1e-10)
-
-    def test_frozen_eight_dof(self):
-        # mpmath root of P(4, q/2) = 0.95 at 40 digits.
-        assert chisq_quantile(0.95, 8) == pytest.approx(15.507313055865454, abs=1e-8)
-
-    def test_round_trip(self):
-        for k in [2, 4, 8, 16, 40]:
-            for p in [0.01, 0.05, 0.5, 0.9, 0.95, 0.99]:
-                q = chisq_quantile(p, k)
-                assert chisq_cdf(q, k) == pytest.approx(p, abs=1e-9)
-
+class TestRegLowerGamma:
     def test_poisson_tail_identity(self):
-        # pois_cdf(i-1, tau) = 1 - chisq_cdf(2 tau, 2 i)
+        # pois_cdf(i-1, tau) = 1 - P(i, tau)
         for i in range(1, 31):
             for tau in [0.05, 0.5, 1.0, 3.0, 7.5, 15.0, 30.0]:
                 lhs = pois_cdf(i - 1, tau)
-                rhs = 1.0 - chisq_cdf(2.0 * tau, 2 * i)
+                rhs = 1.0 - reg_lower_gamma(i, tau)
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            chisq_quantile(0.0, 2)
+            reg_lower_gamma(0, 1.0)
         with pytest.raises(ValueError):
-            chisq_quantile(0.5, 3)
-        with pytest.raises(ValueError):
-            chisq_quantile(0.5, 0)
+            reg_lower_gamma(2, -1.0)
 
-    def test_monotone_in_dof(self):
-        quantiles = [chisq_quantile(0.95, k) for k in range(2, 60, 2)]
-        assert all(u < v for u, v in zip(quantiles, quantiles[1:]))
-
-    def test_large_dof_quantiles_against_mpmath(self):
-        # Near x = s the incomplete-gamma expansions need about sqrt(70 s)
-        # terms: more than 500 from about k = 8000 on.
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            for k in (8000, 12000, 22000):
-                for p in (0.005, 0.05, 0.95, 0.995):
-                    q = chisq_quantile(p, k)
-                    exact = mpmath.gammainc(k // 2, 0, mpmath.mpf(q) / 2, regularized=True)
-                    assert abs(float(exact) - p) < 1e-10
-
-    def test_large_dof_cdf_against_mpmath(self):
+    def test_large_shape_against_mpmath(self):
         # Points on both sides of x = s + 1: the series and the continued
         # fraction.  The prefactor exp(-x + s log x - lgamma(s)) cancels
         # terms near 1e5 in size, which costs about 1e-11.
@@ -213,9 +131,7 @@ class TestChiSquare:
                 root = math.sqrt(s)
                 for x in (s - 2.0 * root, float(s), s + 1.5, s + 2.0 * root):
                     exact = mpmath.gammainc(s, 0, mpmath.mpf(x), regularized=True)
-                    assert chisq_cdf(2.0 * x, 2 * s) == pytest.approx(
-                        float(exact), abs=1e-10
-                    )
+                    assert reg_lower_gamma(s, x) == pytest.approx(float(exact), abs=1e-10)
 
 
 class TestNormal:
@@ -286,6 +202,26 @@ class TestDiscreteMass:
         for tau in [0.1, 1.0, 8.0]:
             assert pois_pmf(0, tau) == pytest.approx(math.exp(-tau), rel=1e-13)
 
+    def test_pois_cdf_above_700_against_mpmath(self):
+        # Above tau = 700 the CDF is one incomplete gamma.  Both bounds are
+        # set by the log mass prefactor exp(-tau + k log tau - lgamma(k)),
+        # whose error grows with tau.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(16)
+        taus = np.concatenate(([700.5, 2000.0, 1e4], rng.uniform(700.0, 1e4, 300)))
+        cases = []
+        with mpmath.workdps(40):
+            for tau in taus.tolist():
+                spread = 4.0 * math.sqrt(tau)
+                k = int(rng.integers(math.ceil(tau - spread), math.floor(tau + spread) + 1))
+                exact = mpmath.gammainc(k + 1, mpmath.mpf(tau), mpmath.inf, regularized=True)
+                error = abs(pois_cdf(k, tau) - float(exact))
+                assert error <= (1e-12 if tau <= 2000.0 else 6e-12), (k, tau)
+                cases.append((k, tau))
+        # The array form takes the scalar's value above 700.
+        omega, tau = (np.array(v) for v in zip(*cases))
+        assert pois_cdf_array(omega, tau).tolist() == [pois_cdf(k, t) for k, t in cases]
+
     def test_pois_truncated_sum_reaches_one(self):
         for tau in [0.5, 3.8, 8.0, 30.0]:
             m = 0
@@ -301,6 +237,6 @@ class TestDiscreteMass:
         with pytest.raises(ValueError):
             binom_pmf(3, 10, 0.0)
         with pytest.raises(ValueError):
-            pois_pmf(0, 0.0)
+            pois_log_pmf(0, 0.0)
         with pytest.raises(ValueError):
-            pois_pmf(-1, 2.0)
+            pois_log_pmf(-1, 2.0)
