@@ -35,7 +35,9 @@ NUMERICAL_ERROR = 3
 
 OUTPUT_DIR_ENV = "FUZZYCI_OUTPUT_DIR"
 
-# The most points a grid may have: a thousand times the largest recipe grid.
+# The most points a grid may have, about a thousand times the largest recipe
+# grid's, and the most rows a membership grid may have, about forty times the
+# largest recipe's (fig09: 161 x 161).
 MAX_GRID_COUNT = 10**6
 # What a recipe run may replay; a recipe itself may not.
 _DATA_COMMANDS = ("membership", "coverage", "el-curve", "lower-bound", "knapsack")
@@ -275,6 +277,12 @@ def cmd_membership(args) -> int:
     entry, fam = _family(args, proposed=args.method == "proposed")
     taus = _parameter_grid(args.tau_grid, "tau", args, fam)
     observations = entry.observations(args, fam, taus)
+    count = len(observations) * len(taus)
+    if count > MAX_GRID_COUNT:
+        raise UsageError(
+            f"membership grid has {count} rows (observations x tau), "
+            f"more than {MAX_GRID_COUNT}"
+        )
     rows = [(tau, w, fam.psi(w, tau)) for w in observations for tau in taus]
     emit(("tau", "omega", "psi"), rows, args)
     return 0
@@ -407,7 +415,7 @@ def cmd_recipe(args) -> int:
 
 
 def _selftest_checks():
-    from .specfun import binom_pmf, normal_quantile, reg_inc_beta
+    from .specfun import binom_log_pmf, normal_quantile, reg_inc_beta
 
     yield "beta identity", lambda: abs(reg_inc_beta(0.6, 2, 1) - 0.36) < 1e-12
 
@@ -429,8 +437,8 @@ def _selftest_checks():
         ids = tuple(range(11))
         from .core import DiscreteMeasure
 
-        mu = DiscreteMeasure(ids, tuple(binom_pmf(w, 10, 0.3) for w in ids))
-        nu = DiscreteMeasure(ids, tuple(binom_pmf(w, 10, 0.5) for w in ids))
+        mu = DiscreteMeasure(ids, tuple(math.exp(binom_log_pmf(w, 10, 0.3)) for w in ids))
+        nu = DiscreteMeasure(ids, tuple(math.exp(binom_log_pmf(w, 10, 0.5)) for w in ids))
         res = construct_psi_star(mu, nu, 0.95)
         return all(
             abs(fam.psi(w, 0.3) - res.psi[w]) < 1e-9 for w in ids

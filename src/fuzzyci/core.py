@@ -71,13 +71,6 @@ class PsiStar:
     q_gamma: float
     c_value: float
 
-    def expectation(self, measure: DiscreteMeasure) -> float:
-        """Integral of psi against a measure (0 mass off this support)."""
-        lookup = dict(zip(measure.support, measure.mass))
-        return math.fsum(
-            p * lookup.get(point, 0.0) for point, p in zip(self.support, self.psi)
-        )
-
 
 def _align(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Union support in deterministic order with aligned mass vectors."""

@@ -19,9 +19,12 @@ each branch over its band once and shares the result among all o (see
 :mod:`fuzzyci.length`); coverage needs none of them.
 
 As no branch depends on o, all anchors of one model (the family's type and
-its fields but o) share one memo of band edges, thresholds, clipped bands
-with their full-band integrals per quadrature spec, and envelope points;
-one LRU over models holds the memos.
+its fields but o) share one memo of band edges, each stored once and read
+by the two counts whose bands it bounds, clipped bands with their
+full-band integrals per quadrature spec, and envelope points; one LRU over
+models holds the memos.  Any family object of a model serves as the model:
+the band route of :mod:`fuzzyci.length` takes one, with the anchors o
+whose masses it wants.
 
 Coverage at tau needs the whole column omega = 0, 1, ... at once, and there
 the numerators are partial sums of the same mass column p (Geyer & Meeden's
@@ -91,15 +94,17 @@ __all__ = ["Randomized", "Crisp", "coverage"]
 def _memo(model) -> SimpleNamespace:
     """What every anchor o of one model shares, each entry computed once.
 
-    ``edges[level, k]`` and ``thresholds[omega]`` serve the memberships.
-    The expected-length engine keeps, per quadrature spec, omega's clipped
-    band edges and the integrals of its two branches over them in
-    ``bands[quad][omega]`` (see :func:`fuzzyci.length.band_masses`), and
-    envelope points in ``envelope[quad, theta]``.  Every table grows with
-    the counts and points asked for, none with the anchors o.  An entry is
-    stored only once its computation has returned.
+    ``edges[level, k]``, the tau where P[X >= k | tau] = level, serves the
+    memberships: omega's thresholds are the edges at k = omega and
+    omega + 1 at both levels.  The expected-length engine keeps, per
+    quadrature spec, omega's clipped band edges and the integrals of its
+    two branches over them in ``bands[quad][omega]`` (see
+    :func:`fuzzyci.length.band_masses`), and envelope points in
+    ``envelope[quad, theta]``.  Every table grows with the counts and
+    points asked for, none with the anchors o.  An entry is stored only
+    once its computation has returned.
     """
-    return SimpleNamespace(edges={}, thresholds={}, bands={}, envelope={})
+    return SimpleNamespace(edges={}, bands={}, envelope={})
 
 
 class _Membership:
@@ -126,20 +131,16 @@ class Randomized(_Membership):
         """``(below_zero, below_one, above_one, above_zero)``: omega's band edges.
 
         omega's full-membership edge below o is omega + 1's rejection edge,
-        and likewise above o, so each edge is solved once per model.
+        and likewise above o, so each edge is solved and stored once per
+        model; only the edges ``memo.edges`` lacks are solved.
         """
-        memo = self.memo
-        try:
-            return memo.thresholds[omega]
-        except KeyError:  # one lookup on the hot path, psi's every call
-            pass
+        edges = self.memo.edges
         levels = (1.0 - self.gamma, self.gamma)
         keys = [(level, k) for level in levels for k in (omega, omega + 1)]
         for key in keys:
-            if key not in memo.edges:
-                memo.edges[key] = self.solve_edge(*key)
-        memo.thresholds[omega] = tuple(memo.edges[key] for key in keys)
-        return memo.thresholds[omega]
+            if key not in edges:
+                edges[key] = self.solve_edge(*key)
+        return tuple(edges[key] for key in keys)
 
     def solve_edge(self, level: float, k: int) -> float:
         """The band edge: the tau in (0, tau_upper) where P[X >= k | tau] = level.
@@ -188,8 +189,12 @@ class Randomized(_Membership):
 
         Below o it is 0, the ratio, then 1; above o, 1, the ratio, then 0.
         """
-        edges = self.thresholds(omega)
-        low, high = edges[2:] if above else edges[:2]
+        edges = self.memo.edges
+        level = self.gamma if above else 1.0 - self.gamma
+        try:  # psi's every call: two lookups in the shared edges
+            low, high = edges[level, omega], edges[level, omega + 1]
+        except KeyError:
+            low, high = self.thresholds(omega)[2:] if above else self.thresholds(omega)[:2]
         if tau <= low:
             return float(above)
         if tau > high:
@@ -233,7 +238,7 @@ class Randomized(_Membership):
 
     def interval_masses(self, omegas, quad) -> list[float]:
         """Flat lengths plus band integrals: see :func:`fuzzyci.length.band_masses`."""
-        return band_masses([(self, omegas)], quad)[0]
+        return band_masses(self, [(self.o, omegas)], quad)[0]
 
 
 class Crisp(_Membership):

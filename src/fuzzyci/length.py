@@ -3,8 +3,9 @@
 The expected length at a true parameter theta is the outer expectation,
 under the sampling distribution at theta, of the Lebesgue mass each
 observation's membership assigns over the parameter axis (Pratt, 1961).
-The outer sum is an exact pmf summation over the (truncated) support; the
-inner masses come from the family's ``interval_masses(omegas, quad)``.  A
+The outer sum is an exact pmf summation over the (truncated) support,
+weighted by the family's mass column at theta; the inner masses come from
+the family's ``interval_masses(omegas, quad)``.  A
 crisp comparison method's mass is the length of its interval clipped to the
 range, in closed form (see :mod:`fuzzyci.discrete`); a proposed family's
 comes from the band integrals computed here.
@@ -16,20 +17,20 @@ so the mass at any anchor o is flat lengths plus one integral per branch:
 the branch below from its band's lower edge to o clipped into the band,
 the branch above from o so clipped to its band's upper edge.  That is the
 full band when the band lies wholly on its branch's side of o, a partial
-integral when the band holds o, and nothing otherwise.  One table per
-quadrature spec, in the memo of the family's o-free model, keeps each
-omega's clipped band with its two full integrals, so every reference
-family of an envelope, and every curve of one figure, reads the same
-entries.  A partial integral serves one anchor and is not kept; envelope
-points are, per quadrature spec and theta, so the commands of a figure
-that share an envelope compute each point, and its partial integrals,
-once.
+integral when the band holds o, and nothing otherwise.  So the unit of
+this route is the o-free model, and an anchor o is a number passed with
+the counts.  One table per quadrature spec, in the model's memo, keeps
+each omega's clipped band with its two full integrals, so every point of
+an envelope, and every curve of one figure, reads the same entries.  A
+partial integral serves one anchor and is not kept; envelope points are,
+per quadrature spec and theta, so the commands of a figure that share an
+envelope compute each point, and its partial integrals, once.
 
-:func:`band_masses` returns the masses of proposed families of one model,
-each at its own counts.  Whatever integrals they lack are computed as one
-batch: both full bands of each count not seen before and the integrals up
-to each family's o.  An envelope asks once for every point it lacks, with
-the reference families anchored at those points.  The batch evaluates the
+:func:`band_masses` returns the masses of one model at anchors o, each at
+its own counts.  Whatever integrals they lack are computed as one batch:
+both full bands of each count not seen before and the integrals up to each
+anchor.  A proposed family asks for its own o; an envelope asks once for
+every point it lacks, anchored at those points.  The batch evaluates the
 branches (``branch_array``, over the vectorized kernels of
 :mod:`fuzzyci.specfun`) at the 30 Gauss-Legendre nodes of each band, 10 on
 the band and 10 on each half, in one array pass, then refines in further
@@ -41,7 +42,8 @@ left ends, so its bits do not depend on the batch that computed it.
 
 The envelope no admissible membership's curve can undercut is the expected
 length at theta of ``reference(theta)``, the proposed family anchored at
-o = theta.
+o = theta: the model's masses at anchor theta, weighted by the pmf at
+theta.
 """
 
 from __future__ import annotations
@@ -173,41 +175,43 @@ def _integrate(psi, lo, hi, rel_tol: float) -> np.ndarray:
     return np.bincount(elem[order], weights=value[order], minlength=len(lo))
 
 
-def band_masses(requests, quad: QuadratureSpec) -> list[list[float]]:
-    """Masses of proposed families of one model: the branch below o up to o, above on.
+def band_masses(model, requests, quad: QuadratureSpec) -> list[list[float]]:
+    """Masses of one model's memberships: the branch below o up to o, above on.
 
-    ``requests`` pairs families with the counts whose masses each needs.
-    A band is omega's thresholds clipped to the range: the branch below
-    rises from 0 to 1 across [z0, z1] and the branch above falls from 1 to
-    0 across [a1, a0].  The integral below runs from z0 to its ``end``, the
-    nearer of o and z1, and the one above from its end, the farther of o
-    and a1, to a0: the full band when the end is z1 or a1, a partial
-    integral when it is o.  An empty span's integral is 0.  Both full
-    bands of each band not seen before and the partial integrals of every
-    request are computed in one batch.  The model's memo keeps each band
-    with its two full integrals, once both are computed; a partial
-    integral serves one anchor and is kept for this call only.
+    ``model`` is any proposed family of the model, whose memo, thresholds
+    and branches serve every anchor; its own o plays no part.  ``requests``
+    pairs anchors o with the counts whose masses each needs, and every
+    count is checked against its anchor.  A band is omega's thresholds
+    clipped to the range: the branch below rises from 0 to 1 across
+    [z0, z1] and the branch above falls from 1 to 0 across [a1, a0].  The
+    integral below runs from z0 to its ``end``, the nearer of o and z1, and
+    the one above from its end, the farther of o and a1, to a0: the full
+    band when the end is z1 or a1, a partial integral when it is o.  An
+    empty span's integral is 0.  Both full bands of each band not seen
+    before and the partial integrals of every request are computed in one
+    batch.  The model's memo keeps each band with its two full integrals,
+    once both are computed; a partial integral serves one anchor and is
+    kept for this call only.
     """
-    model = requests[0][0]
     bands = model.memo.bands.setdefault(quad, {})
     lower, upper = quad.lower, quad.upper
-    anchors = [min(max(fam.o, lower), upper) for fam, _ in requests]
+    anchors = [min(max(o, lower), upper) for o, _ in requests]
     new = {}  # omega -> clipped edges, for bands the memo lacks
     jobs = {}  # (omega, above, end) -> span, for every integral to compute
-    for (fam, omegas), o in zip(requests, anchors):
+    for (o, omegas), anchor in zip(requests, anchors):
         for w in omegas:
-            fam.check(w, fam.o)
+            model.check(w, o)
             band = bands.get(w) or new.get(w)
             if band is None:
-                band = tuple(min(max(t, lower), upper) for t in fam.thresholds(w))
+                band = tuple(min(max(t, lower), upper) for t in model.thresholds(w))
                 new[w] = band
                 jobs[w, False, band[1]] = band[:2]
                 jobs[w, True, band[2]] = band[2:]
             z0, z1, a1, a0 = band[:4]
-            if z0 < o < z1:
-                jobs[w, False, o] = z0, o
-            if a1 < o < a0:
-                jobs[w, True, o] = o, a0
+            if z0 < anchor < z1:
+                jobs[w, False, anchor] = z0, anchor
+            if a1 < anchor < a0:
+                jobs[w, True, anchor] = anchor, a0
     integrals = dict.fromkeys(jobs, 0.0)
     keys = [key for key, (a, b) in jobs.items() if a < b]
     if keys:
@@ -235,8 +239,14 @@ def band_masses(requests, quad: QuadratureSpec) -> list[list[float]]:
 
 
 def _pratt_sum(fam, theta: float, masses) -> float:
-    """Expected length at theta: ``masses[w]`` weighted by the pmf, over every w."""
-    return math.fsum(math.exp(fam.log_pmf(w, theta)) * m for w, m in enumerate(masses))
+    """Expected length at theta: ``masses[w]`` weighted by the pmf, over w's support.
+
+    The log masses are the column's, the very bits of ``log_pmf``; masses
+    past the support at theta are not read.
+    """
+    fam.check(0, theta)  # omega = 0 lies in every support
+    log_p = fam.log_pmf_column(theta).tolist()
+    return math.fsum(math.exp(lp) * m for lp, m in zip(log_p, masses))
 
 
 def el_curve(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> list[float]:
@@ -246,11 +256,9 @@ def el_curve(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> list[flo
     of them, up to the largest support bound of the grid.
     """
     thetas = [float(t) for t in theta_grid]
-    uppers = [fam.support_upper(theta) for theta in thetas]
-    masses = fam.interval_masses(range(max(uppers, default=-1) + 1), quad)
-    return [
-        _pratt_sum(fam, theta, masses[:upper + 1]) for theta, upper in zip(thetas, uppers)
-    ]
+    top = max((fam.support_upper(theta) for theta in thetas), default=-1)
+    masses = fam.interval_masses(range(top + 1), quad)
+    return [_pratt_sum(fam, theta, masses) for theta in thetas]
 
 
 def lower_bound_curve(
@@ -258,21 +266,20 @@ def lower_bound_curve(
 ) -> list[float]:
     """Envelope at each grid point: the proposed family tuned to it.
 
-    Any family of the same sampling model serves, a comparison method too;
-    their reference families share one memo, which keeps each point.  The
-    masses of every point not yet kept come from one :func:`band_masses`
-    batch.
+    Any family of the same sampling model serves, a comparison method too.
+    The envelope at theta is the expected length at theta of
+    ``reference(theta)``, the model anchored at o = theta, so one reference
+    family stands for the model: its memo keeps each point, and the masses
+    of every point not yet kept come from one :func:`band_masses` batch
+    with those points as anchors.
     """
     thetas = [float(t) for t in theta_grid]
-    references = {theta: fam.reference(theta) for theta in thetas}
-    cold = [
-        theta for theta, ref in references.items() if (quad, theta) not in ref.memo.envelope
-    ]
-    if cold:
-        requests = [
-            (references[theta], range(references[theta].support_upper(theta) + 1))
-            for theta in cold
-        ]
-        for theta, (ref, _), masses in zip(cold, requests, band_masses(requests, quad)):
-            ref.memo.envelope[quad, theta] = _pratt_sum(ref, theta, masses)
-    return [references[theta].memo.envelope[quad, theta] for theta in thetas]
+    if not thetas:
+        return []
+    model = fam.reference(thetas[0])
+    envelope = model.memo.envelope
+    cold = [theta for theta in dict.fromkeys(thetas) if (quad, theta) not in envelope]
+    requests = [(theta, range(model.support_upper(theta) + 1)) for theta in cold]
+    for theta, masses in zip(cold, band_masses(model, requests, quad)):
+        envelope[quad, theta] = _pratt_sum(model, theta, masses)
+    return [envelope[quad, theta] for theta in thetas]

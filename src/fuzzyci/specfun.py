@@ -37,7 +37,6 @@ __all__ = [
     "binom_log_pmf",
     "binom_log_pmf_column",
     "binom_log_pmf_array",
-    "binom_pmf",
     "pois_log_pmf",
     "pois_log_pmf_column",
     "pois_log_pmf_array",
@@ -382,10 +381,6 @@ def binom_log_pmf_column(n: int, tau: float) -> np.ndarray:
 def binom_log_pmf_array(omega: np.ndarray, n: int, tau: np.ndarray) -> np.ndarray:
     """:func:`binom_log_pmf` elementwise over arrays of omega and tau, unchecked."""
     return _binom_log_pmf(omega, n, np.log(tau), np.log1p(-tau))
-
-
-def binom_pmf(omega: int, n: int, tau: float) -> float:
-    return math.exp(binom_log_pmf(omega, n, tau))
 
 
 def pois_log_pmf(omega: int, tau: float) -> float:

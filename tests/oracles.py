@@ -4,8 +4,9 @@ These deliberately avoid the library's own integration and closed-form
 code paths: plain Gauss-Legendre panels for normal expectations (with the
 interval length taken straight from the interval endpoints), midpoint
 Riemann sums for memberships over the parameter axis, a greedy fill for
-the optimal-membership linear program, the binomial CDF by direct
-summation, coverage as a sum of scalar memberships, the discrete
+the optimal-membership linear program, the integral of a membership
+against a measure, the binomial mass and CDF by direct summation,
+coverage as a sum of scalar memberships, the discrete
 families' upper tails in 40-digit mpmath, a crisp method's clipped
 interval from its endpoints, and interval masses by scalar adaptive
 Gauss-Legendre quadrature on panels split at a membership's breakpoints,
@@ -22,7 +23,7 @@ from fuzzyci.discrete import Crisp, Randomized
 from fuzzyci.length import _gauss_legendre
 from fuzzyci.specfun import (
     ConvergenceError,
-    binom_pmf,
+    binom_log_pmf,
     normal_quantile,
     pois_log_pmf,
     two_sided_z,
@@ -193,6 +194,19 @@ def feasible_optimum_oracle(mu, nu, gamma):
         parts.append(take * nu_mass[i])
         remaining -= take * mu_mass[i]
     return math.fsum(parts)
+
+
+def expectation(psi_star, measure):
+    """Integral of a ``PsiStar``'s psi against a measure (0 mass off its support)."""
+    lookup = dict(zip(measure.support, measure.mass))
+    return math.fsum(
+        p * lookup.get(point, 0.0) for point, p in zip(psi_star.support, psi_star.psi)
+    )
+
+
+def binom_pmf(omega, n, tau):
+    """Binomial mass at omega for n trials, from the library's log mass."""
+    return math.exp(binom_log_pmf(omega, n, tau))
 
 
 def binom_cdf(omega, n, tau):

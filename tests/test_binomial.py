@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from fuzzyci.binomial import MAX_N, AgrestiCoull, BinomialFamily
 from fuzzyci.discrete import coverage
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
-from fuzzyci.specfun import binom_pmf, normal_quantile
-from oracles import breakpoints, interval
+from fuzzyci.specfun import normal_quantile
+from oracles import binom_pmf, breakpoints, interval
 
 
 def binomial_measure(n, theta):

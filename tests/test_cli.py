@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fuzzyci import binomial, cli, discrete, length, poisson
+from fuzzyci import binomial, cli, discrete, length, normal, poisson
 from fuzzyci.cli import build_parser, main, parse_grid, UsageError
 from fuzzyci.specfun import ConvergenceError
 
@@ -552,6 +552,43 @@ class TestOversizedInput:
         assert f"--omega-max must be at most {cap}, got {omega_max}" in captured.err
 
 
+class TestMembershipRowCap:
+    """A membership grid of more rows than the cap exits 2 before any psi."""
+
+    @pytest.fixture(autouse=True)
+    def no_psi(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("a membership was evaluated for an oversized grid")
+
+        for owner in (discrete.Randomized, discrete.Crisp, normal.NormalFamily,
+                      normal.TwoSidedInterval):
+            monkeypatch.setattr(owner, "psi", fail)
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (("--family", "normal", "--sigma", "1", "--o", "0.5",
+              "--x-grid=-1:1:1001", "--tau-grid=-1:1:1000"), 1001 * 1000),
+            (("--family", "normal", "--method", "standard", "--sigma", "1",
+              "--x-grid=-1:1:1000", "--tau-grid=-1:1:1001"), 1000 * 1001),
+            (("--family", "binomial", "--n", "1000000", "--o", "0.5",
+              "--tau-grid", "0.1:0.9:2"), 1000001 * 2),
+            (("--family", "binomial", "--n", "1000000", "--method", "agresti_coull",
+              "--tau-grid", "0.1:0.9:1000000"), 1000001 * 10**6),
+            (("--family", "poisson", "--o", "3", "--omega-max", "10711",
+              "--tau-grid", "1:100:100"), 10712 * 100),
+        ],
+        ids=["normal", "normal-standard", "binomial", "binomial-1e12", "poisson"],
+    )
+    def test_rows_past_the_cap_refused(self, capsys, argv, rows):
+        status = main(["membership", *argv, "--gamma", "0.95"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert f"membership grid has {rows} rows" in captured.err
+        assert f"more than {cli.MAX_GRID_COUNT}" in captured.err
+
+
 class TestKnapsackCommand:
     def test_fractional_from_stdin(self, capsys, monkeypatch):
         import io
@@ -892,10 +929,10 @@ class TestParserReuse:
         misses = []
         compute = length.band_masses
 
-        def counted(requests, quad):
+        def counted(model, requests, quad):
             # Only lower_bound_curve's batches: discrete binds its own name.
             misses[-1] += len(requests)
-            return compute(requests, quad)
+            return compute(model, requests, quad)
 
         monkeypatch.setattr(length, "band_masses", counted)
         outputs = []

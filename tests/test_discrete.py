@@ -55,8 +55,8 @@ def four_solves(fam, omega):
     ids=["binomial", "poisson"],
 )
 def test_families_differing_only_in_o_share_one_memo(first, second, taus, monkeypatch):
-    # The envelope builds one reference family per theta; its cost rests on
-    # the thresholds being kept on everything but o.
+    # Every anchor of a model reads one memo; its cost rests on the band
+    # edges being kept on everything but o.
     assert first.memo is second.memo
     top = first.support_upper(max(taus))
     for tau in taus:
@@ -64,7 +64,7 @@ def test_families_differing_only_in_o_share_one_memo(first, second, taus, monkey
             first.psi(w, tau)
     for w in range(top + 1):
         first.thresholds(w)
-    before = dict(first.memo.thresholds)
+    before = dict(first.memo.edges)
     solves = count_solves(monkeypatch, type(first))
     for tau in taus:
         for w in range(top + 1):
@@ -72,7 +72,7 @@ def test_families_differing_only_in_o_share_one_memo(first, second, taus, monkey
     for w in range(top + 1):
         second.thresholds(w)
     assert solves == []
-    assert second.memo.thresholds == before
+    assert second.memo.edges == before
 
 
 def test_coverage_leaves_the_memos_untouched():
@@ -109,10 +109,12 @@ def test_shared_band_edges_give_the_four_solve_thresholds(gamma):
     ids=["binomial", "poisson"],
 )
 def test_each_band_edge_is_solved_once(fam, monkeypatch):
-    # A gamma no other test uses: omega = 0..40 has 42 edges per level.
+    # A gamma no other test uses: omega = 0..40 has 42 edges per level,
+    # each stored once, in the memo's one table of edges.
     solves = count_solves(monkeypatch, type(fam))
     for w in range(41):
         fam.thresholds(w)
+    assert sorted(vars(fam.memo)) == ["bands", "edges", "envelope"]
     assert len(solves) == len(set(solves)) == len(fam.memo.edges) == 2 * (40 + 2)
     for w in range(41):
         fam.thresholds(w)
@@ -133,8 +135,8 @@ def test_a_failed_solve_stores_nothing(monkeypatch):
     monkeypatch.setattr(binomial.BinomialFamily, "solve_edge", failing)
     with pytest.raises(ConvergenceError):
         fam.thresholds(3)
-    assert 3 not in fam.memo.thresholds
-    assert all(k != 4 for _, k in fam.memo.edges)
+    # The edge solved before the failure is kept, the failed one is not.
+    assert list(fam.memo.edges) == [(1.0 - gamma, 3)]
     monkeypatch.undo()
     assert fam.thresholds(3) == four_solves(fam, 3)
 

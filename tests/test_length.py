@@ -65,16 +65,16 @@ def count_envelope_points(monkeypatch):
     """Record the theta of every envelope point computed from now on.
 
     ``lower_bound_curve`` asks ``length.band_masses`` for the masses of
-    each cold point's reference family, whose o is the point's theta.
+    its model at each cold point, with the point's theta as the anchor.
     ``discrete`` binds its own name for the function, so the masses of
     other curves are not counted.
     """
     thetas = []
     compute = length.band_masses
 
-    def counted(requests, quad):
-        thetas.extend(fam.o for fam, _ in requests)
-        return compute(requests, quad)
+    def counted(model, requests, quad):
+        thetas.extend(o for o, _ in requests)
+        return compute(model, requests, quad)
 
     monkeypatch.setattr(length, "band_masses", counted)
     return thetas
@@ -607,3 +607,58 @@ class TestCurves:
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
         assert el_curve(fam, [], UNIT) == []
         assert lower_bound_curve(fam, [], UNIT) == []
+
+    @pytest.mark.parametrize(
+        "fam, grid, quad",
+        [
+            (binomial.BinomialFamily(10, 0.5, 0.9624), np.linspace(0.1, 0.9, 8), UNIT),
+            (binomial.AgrestiCoull(10, 0.9624), np.linspace(0.1, 0.9, 8), UNIT),
+            (
+                poisson.PoissonFamily(3.0, 0.9624),
+                np.linspace(0.5, 8.0, 8),
+                QuadratureSpec(1e-9, poisson.default_tau_max(8.0)),
+            ),
+        ],
+        ids=["binomial", "agresti_coull", "poisson"],
+    )
+    def test_lower_bound_curve_builds_one_reference_family(
+        self, fam, grid, quad, monkeypatch
+    ):
+        # One reference family stands for the model at every point, cold
+        # or warm.
+        reference = type(fam).reference
+        anchors = []
+
+        def counted(self, theta):
+            anchors.append(theta)
+            return reference(self, theta)
+
+        monkeypatch.setattr(type(fam), "reference", counted)
+        first = lower_bound_curve(fam, grid, quad)
+        assert len(anchors) == 1
+        assert lower_bound_curve(fam, grid, quad) == first
+        assert len(anchors) == 2
+
+    @pytest.mark.parametrize(
+        "fam, theta",
+        [
+            (binomial.BinomialFamily(6, 0.5, 0.95), float("nan")),
+            (binomial.BinomialFamily(6, 0.5, 0.95), 0.0),
+            (binomial.BinomialFamily(6, 0.5, 0.95), 1.0),
+            (binomial.AgrestiCoull(6, 0.95), float("nan")),
+            (poisson.PoissonFamily(2.0, 0.95), float("nan")),
+            (poisson.ScoreInterval(0.95), float("nan")),
+        ],
+        ids=["binomial-nan", "binomial-0", "binomial-1", "agresti_coull-nan",
+             "poisson-nan", "score-nan"],
+    )
+    @pytest.mark.parametrize("first", [False, True], ids=["after", "first"])
+    def test_curves_refuse_theta_outside_the_space(self, fam, theta, first):
+        # A column Pratt sum without the family's check sums NaN masses, so
+        # the check must run wherever theta stands in the grid.
+        grid = [theta, 0.5] if first else [0.5, theta]
+        quad = UNIT if fam.tau_upper == 1.0 else QuadratureSpec(1e-9, 20.0)
+        with pytest.raises(ValueError):
+            el_curve(fam, grid, quad)
+        with pytest.raises(ValueError):
+            lower_bound_curve(fam, grid, quad)

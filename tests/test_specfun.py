@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binom_cdf, pois_pmf
+from oracles import binom_cdf, binom_pmf, pois_pmf
 
 from fuzzyci.specfun import (
-    binom_pmf,
+    binom_log_pmf,
     normal_cdf,
     normal_quantile,
     pois_cdf,
@@ -231,11 +231,11 @@ class TestDiscreteMass:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            binom_pmf(-1, 10, 0.5)
+            binom_log_pmf(-1, 10, 0.5)
         with pytest.raises(ValueError):
-            binom_pmf(11, 10, 0.5)
+            binom_log_pmf(11, 10, 0.5)
         with pytest.raises(ValueError):
-            binom_pmf(3, 10, 0.0)
+            binom_log_pmf(3, 10, 0.0)
         with pytest.raises(ValueError):
             pois_log_pmf(0, 0.0)
         with pytest.raises(ValueError):
