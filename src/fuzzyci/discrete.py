@@ -134,13 +134,24 @@ class Randomized(_Membership):
         and likewise above o, so each edge is solved and stored once per
         model; only the edges ``memo.edges`` lacks are solved.
         """
+        return self._edge_pair(omega, False) + self._edge_pair(omega, True)
+
+    def _edge_pair(self, omega: int, above: bool) -> tuple[float, float]:
+        """omega's two band edges of the branch above o if ``above``, else below.
+
+        They are the tails' level crossings of omega and omega + 1, at level
+        gamma above o and 1 - gamma below it.  An edge is solved only when
+        ``memo.edges`` lacks it, and stored once its solve returns.
+        """
         edges = self.memo.edges
-        levels = (1.0 - self.gamma, self.gamma)
-        keys = [(level, k) for level in levels for k in (omega, omega + 1)]
-        for key in keys:
-            if key not in edges:
-                edges[key] = self.solve_edge(*key)
-        return tuple(edges[key] for key in keys)
+        level = self.gamma if above else 1.0 - self.gamma
+        try:  # psi's every call: two lookups in the shared edges
+            return edges[level, omega], edges[level, omega + 1]
+        except KeyError:
+            for k in (omega, omega + 1):
+                if (level, k) not in edges:
+                    edges[level, k] = self.solve_edge(level, k)
+            return edges[level, omega], edges[level, omega + 1]
 
     def solve_edge(self, level: float, k: int) -> float:
         """The band edge: the tau in (0, tau_upper) where P[X >= k | tau] = level.
@@ -189,12 +200,7 @@ class Randomized(_Membership):
 
         Below o it is 0, the ratio, then 1; above o, 1, the ratio, then 0.
         """
-        edges = self.memo.edges
-        level = self.gamma if above else 1.0 - self.gamma
-        try:  # psi's every call: two lookups in the shared edges
-            low, high = edges[level, omega], edges[level, omega + 1]
-        except KeyError:
-            low, high = self.thresholds(omega)[2:] if above else self.thresholds(omega)[:2]
+        low, high = self._edge_pair(omega, above)
         if tau <= low:
             return float(above)
         if tau > high:

@@ -34,7 +34,7 @@ class A:
 
 
 def test_counts_the_package(capsys):
-    assert code_lines.main(["code_lines.py"]) == 0
+    assert code_lines.main() == 0
     lines = capsys.readouterr().out.splitlines()
     counts = [int(line.split()[0]) for line in lines]
     assert lines[-1].endswith(" total") and counts[-1] == sum(counts[:-1]) > 0

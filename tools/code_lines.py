@@ -4,7 +4,7 @@ A code line is a line that holds some token other than a comment and is
 not part of a docstring: the string literal that opens a module, class or
 function body.  Blank lines, comment lines and docstring lines are skipped.
 
-Usage: ``python tools/code_lines.py [package directory]``.  It prints one
+Usage: ``python tools/code_lines.py``.  It prints one
 ``<count> <module>`` line per module, sorted by name, then ``<count> total``.
 """
 
@@ -15,6 +15,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "fuzzyci"
 
 _NON_CODE = {
     tokenize.COMMENT,
@@ -54,10 +56,9 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src" / "fuzzyci"
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:5d} {path.name}")
@@ -66,4 +67,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
