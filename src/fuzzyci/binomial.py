@@ -2,8 +2,9 @@
 
 The membership is built by :mod:`fuzzyci.discrete`; this module supplies
 what is binomial about it.  The upper tail P[X >= k | tau] is the
-regularized incomplete beta I(tau; k, n - k + 1); it gives both slacks and
-the band edges, and over a mass column it is summed from the top.
+regularized incomplete beta I(tau; k, n - k + 1); it gives the slacks of
+the band integrals and the band edges.  Over a mass column each slack sums
+its small tail: the CDF from omega = 0 above o, the upper tail from n below.
 The Agresti-Coull interval is the crisp comparison method.
 """
 
@@ -51,7 +52,7 @@ class _Binomial:
     def log_pmf(self, omega: int, tau: float) -> float:
         return binom_log_pmf(omega, self.n, tau)
 
-    def log_pmf_column(self, tau: float) -> np.ndarray:
+    def log_pmf_column(self, tau: float, top=None) -> np.ndarray:
         return binom_log_pmf_column(self.n, tau)
 
     def log_pmf_array(self, omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -81,23 +82,19 @@ class BinomialFamily(_Binomial, Randomized):
         """P[X >= k | tau], the beta CDF I(tau; k, n - k + 1)."""
         return reg_inc_beta(tau, k, self.n - k + 1)
 
-    def slack(self, omega: int, above: bool, tau: float) -> float:
+    def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):
         # gamma - P[X < omega] below o and gamma - P[X > omega] above it, both
         # from the upper tail P[X >= k], k = omega or omega + 1.
-        upper = self.tail(omega + above, tau)
-        return self.gamma - upper if above else self.gamma - 1.0 + upper
-
-    def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):
-        # slack's expressions, elementwise.
         k = omega + above
         upper = reg_inc_beta_array(tau, k, self.n - k + 1)
         return np.where(above, self.gamma - upper, self.gamma - 1.0 + upper)
 
-    def slack_columns(self, p: np.ndarray):
-        # Upper tails P[X >= omega], as the betas give them; the forward
-        # CDF cancels below o (6e-11 in psi).
-        upper = np.cumsum(p[::-1])[::-1]
-        return self.gamma - 1.0 + upper, self.gamma - np.append(upper[1:], 0.0)
+    def slack_column(self, above: bool, tau: float, p: np.ndarray):
+        # Each side sums its small tail: the CDF P[X <= omega] from 0 above
+        # o, the upper tail P[X >= omega] from n below it.
+        if above:
+            return self.gamma - 1.0 + np.cumsum(p)
+        return self.gamma - 1.0 + np.cumsum(p[::-1])[::-1]
 
 
 @dataclass(frozen=True)

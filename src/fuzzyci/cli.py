@@ -63,11 +63,13 @@ def _normal_params(args) -> dict:
     return {"sigma": sigma, "bounds": None if args.a is None else (args.a, args.b)}
 
 
-def _counts(args, fam, taus, cap=math.inf) -> range:
+def _counts(args, fam, taus, cap=math.inf):
     """Counts omega = 0..--omega-max, by default to the support bound.
 
-    An --omega-max above ``cap`` is refused before any membership is
-    evaluated, since every count costs root solves and a row per tau.
+    Returns them with the function of tau that gives their memberships, one
+    ``psi_counts`` column per tau.  An --omega-max above ``cap`` is refused
+    before any membership is evaluated, since every count adds a row per
+    tau and lengthens every column.
     """
     omega_max = args.omega_max
     if omega_max is None:
@@ -76,13 +78,15 @@ def _counts(args, fam, taus, cap=math.inf) -> range:
         raise UsageError(f"--omega-max must be nonnegative, got {omega_max}")
     if omega_max > cap:
         raise UsageError(f"--omega-max must be at most {cap}, got {omega_max}")
-    return range(omega_max + 1)
+    return range(omega_max + 1), lambda tau: fam.psi_counts(omega_max, tau)
 
 
-def _sample_means(args, fam, taus) -> list[float]:
+def _sample_means(args, fam, taus):
+    """The --x-grid sample means, with the function of tau giving their memberships."""
     if args.x_grid is None:
         raise UsageError("normal membership requires --x-grid")
-    return parse_grid(args.x_grid)
+    means = parse_grid(args.x_grid)
+    return means, lambda tau: [fam.psi(x, tau) for x in means]
 
 
 def _poisson_range(args, fam, thetas) -> tuple[float, float]:
@@ -124,16 +128,17 @@ class _Family:
     method every other name in ``comparisons`` selects, and the one the
     lower-bound command builds, since the envelope needs no o.  Both take
     ``gamma`` and the keywords ``params(args)`` returns.
-    ``observations(args, fam, taus)`` is what a membership grid ranges
-    over, and ``curves(args, fam, thetas)`` returns the expected-length
-    and the lower-bound curve, each as a function of no arguments.
+    ``grid(args, fam, taus)`` returns the observations a membership grid
+    ranges over and the function of tau that gives all their memberships,
+    and ``curves(args, fam, thetas)`` returns the expected-length and the
+    lower-bound curve, each as a function of no arguments.
     """
 
     proposed: type
     comparison: type
     comparisons: tuple[str, ...]
     params: Callable[..., dict]
-    observations: Callable
+    grid: Callable
     curves: Callable
 
     @property
@@ -276,14 +281,17 @@ def _parameter_grid(spec: str, name: str, args, fam) -> list[float]:
 def cmd_membership(args) -> int:
     entry, fam = _family(args, proposed=args.method == "proposed")
     taus = _parameter_grid(args.tau_grid, "tau", args, fam)
-    observations = entry.observations(args, fam, taus)
+    observations, memberships = entry.grid(args, fam, taus)
     count = len(observations) * len(taus)
     if count > MAX_GRID_COUNT:
         raise UsageError(
             f"membership grid has {count} rows (observations x tau), "
             f"more than {MAX_GRID_COUNT}"
         )
-    rows = [(tau, w, fam.psi(w, tau)) for w in observations for tau in taus]
+    # One column of memberships per tau; the rows run omega-major.
+    psi = np.transpose([memberships(tau) for tau in taus]).ravel().tolist()
+    points = ((tau, w) for w in observations for tau in taus)
+    rows = [(tau, w, value) for (tau, w), value in zip(points, psi)]
     emit(("tau", "omega", "psi"), rows, args)
     return 0
 
@@ -415,36 +423,37 @@ def cmd_recipe(args) -> int:
 
 
 def _selftest_checks():
-    from .specfun import binom_log_pmf, normal_quantile, reg_inc_beta
+    from .core import DiscreteMeasure
+    from .specfun import normal_quantile, reg_inc_beta
 
     yield "beta identity", lambda: abs(reg_inc_beta(0.6, 2, 1) - 0.36) < 1e-12
 
-    def _coverage(tau, family):
-        # The scalar memberships are an independent route to the same sum.
-        scalar = math.fsum(
-            math.exp(family.log_pmf(w, tau)) * family.psi(w, tau)
-            for w in range(family.support_upper(tau) + 1)
+    def _constructed(tau, family):
+        # The generic constructor's most powerful test of tau against o: an
+        # independent route to the memberships at tau.
+        top = max(map(family.support_upper, (tau, family.o)))
+        mu, nu = (
+            DiscreteMeasure.from_weights(
+                range(top + 1), np.exp(family.log_pmf_column(t, top)).tolist()
+            )
+            for t in (tau, family.o)
         )
+        return construct_psi_star(mu, nu, family.gamma).psi
+
+    def _coverage(tau, family):
+        # The constructor's memberships, summed with the same masses.
+        p = np.exp(family.log_pmf_column(tau))
+        constructed = math.fsum((p * _constructed(tau, family)[: len(p)]).tolist())
         cov = discrete.coverage(tau, family)
-        return abs(cov - family.gamma) < 1e-8 and abs(cov - scalar) < 1e-11
+        return abs(cov - family.gamma) < 1e-8 and abs(cov - constructed) < 1e-11
 
     fam = binomial.BinomialFamily(10, 0.5, 0.95)
     yield "binomial coverage", lambda: _coverage(0.3, fam)
     pfam = poisson.PoissonFamily(8.0, 0.95)
     yield "poisson coverage", lambda: _coverage(3.0, pfam)
-
-    def _constructor_match():
-        ids = tuple(range(11))
-        from .core import DiscreteMeasure
-
-        mu = DiscreteMeasure(ids, tuple(math.exp(binom_log_pmf(w, 10, 0.3)) for w in ids))
-        nu = DiscreteMeasure(ids, tuple(math.exp(binom_log_pmf(w, 10, 0.5)) for w in ids))
-        res = construct_psi_star(mu, nu, 0.95)
-        return all(
-            abs(fam.psi(w, 0.3) - res.psi[w]) < 1e-9 for w in ids
-        )
-
-    yield "constructor equivalence", _constructor_match
+    yield "constructor equivalence", lambda: all(
+        abs(fam.psi(w, 0.3) - v) < 1e-9 for w, v in enumerate(_constructed(0.3, fam))
+    )
 
     def _knapsack_roundtrip():
         inst = KnapsackInstance((1.0, 1.0), (1.0, 2.0), 1.0)

@@ -8,15 +8,23 @@ after observing omega is
     clip((gamma - P[X < omega]) / p(omega), 0, 1)   for tau below o,
     clip((gamma - P[X > omega]) / p(omega), 0, 1)   for tau above o,
 
-and the larger of the two at tau = o.  Neither branch depends on o; only
-the switch between them does.  Per omega, each branch has two thresholds on
-the tau axis where it leaves 0 and reaches 1 (its randomized band); they
-are the tau where an upper tail P[X >= k | tau] equals gamma or 1 - gamma,
-and they short-circuit the clamped regions of the scalar ``psi``, so the
-ratio is evaluated only inside the bands.  The thresholds serve ``psi``
-and the band integrals of the expected-length engine, which integrates
-each branch over its band once and shares the result among all o (see
-:mod:`fuzzyci.length`); coverage needs none of them.
+and the larger of the two at tau = o.  At one tau the test covers every
+omega at once, and so does its evaluation: the numerators are partial sums
+of the mass column p at tau (Geyer & Meeden's clamp form), psi * p =
+clip(gamma - 1 + P[X >= omega], 0, p) below o and
+clip(gamma - 1 + P[X <= omega], 0, p) above o.  Each side sums its small
+tail, the one near 1 - gamma where the membership is randomized.  One mass
+column and one cumulative sum per tau give ``psi_column``, which serves
+coverage, membership grids and ``psi`` alike; a point ``psi`` is one entry
+of its column, so a grid should ask for whole columns.
+
+Neither branch depends on o; only the switch between them does.  Per
+omega, each branch has two thresholds on the tau axis where it leaves 0
+and reaches 1 (its randomized band); they are the tau where an upper tail
+P[X >= k | tau] equals gamma or 1 - gamma.  They serve the band integrals
+of the expected-length engine, which integrates each branch over its band
+once and shares the result among all o (see :mod:`fuzzyci.length`);
+memberships at a tau need none of them.
 
 As no branch depends on o, all anchors of one model (the family's type and
 its fields but o) share one memo of band edges, each stored once and read
@@ -25,12 +33,6 @@ full-band integrals per quadrature spec, and envelope points; one LRU over
 models holds the memos.  Any family object of a model serves as the model:
 the band route of :mod:`fuzzyci.length` takes one, with the anchors o
 whose masses it wants.
-
-Coverage at tau needs the whole column omega = 0, 1, ... at once, and there
-the numerators are partial sums of the same mass column p (Geyer & Meeden's
-clamp form): psi * p = clip(gamma - 1 + P[X >= omega], 0, p) below o and
-clip(gamma - 1 + P[X <= omega], 0, p) above o.  One pmf column and one
-cumulative sum per tau replace the root solves and special functions.
 
 Every family object, proposed or crisp, offers the protocol the coverage
 sums and the expected-length engine (:mod:`fuzzyci.length`) use:
@@ -42,31 +44,35 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
   proposed family;
 - ``log_pmf(omega, tau)``, the log mass function, and ``support_upper(tau)``,
   the last omega a sum at tau needs;
-- ``log_pmf_column(tau)``: ``log_pmf`` at omega = 0..support_upper(tau), as
-  an array;
+- ``log_pmf_column(tau, top=None)``: ``log_pmf`` at omega =
+  0..support_upper(tau), as an array.  Given ``top``, the column a
+  membership column reads up to omega = top instead: 0..n for the
+  binomial, whose upper tails are summed from n, and 0..top for the
+  Poisson, whose sums run up from 0;
 - ``psi_column(tau, p)``: ``psi`` at the same omegas, given the mass column
   ``p``, without domain checks;
+- ``psi_counts(top, tau)``: ``psi`` at omega = 0..top, checked, from one
+  column;
 - ``reference(theta)``: the proposed family anchored at o = theta, whose
   expected length at theta is the envelope value there;
 - ``coverage(tau)``: exact coverage at tau, by :func:`coverage`.
 
-:class:`Randomized` builds ``psi``, its branch ``branch(omega, above,
-tau)`` (above o if ``above``, else below) and the branch's array form
-``branch_array`` for points inside a band, ``psi_column``,
-``interval_masses``, ``thresholds`` and their edges ``solve_edge(level,
-k)`` of a proposed family from what differs between the families:
+:class:`Randomized` builds ``psi``, ``psi_column``, the branches' array
+form ``branch_array(omega, above, tau)`` (above o where ``above``, else
+below) for points inside a band, ``interval_masses``, ``thresholds`` and
+their edges ``solve_edge(level, k)`` of a proposed family from what
+differs between the families:
 
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
 - ``tail(k, tau)``: the upper tail P[X >= k | tau] for k >= 1, whose
   derivative in tau is k p(k | tau) / tau in both families;
-- ``slack(omega, above, tau)``: the numerator above o if ``above``, else
-  below, each from whichever tail the family computes accurately;
-- ``slack_columns(p)``: both numerators over a mass column, each from the
-  partial sums of the tail ``slack`` uses;
+- ``slack_column(above, tau, p)``: the numerator above o if ``above``,
+  else below, over the mass column p at tau, from the partial sums of its
+  small tail;
 - ``slack_array(omega, above, tau)`` and ``log_pmf_array(omega, tau)``:
-  ``slack`` and ``log_pmf`` elementwise over arrays, in the same
-  expressions, from the array kernels of :mod:`fuzzyci.specfun`.
+  the numerator and ``log_pmf`` elementwise over arrays, from the array
+  kernels of :mod:`fuzzyci.specfun`.
 
 :class:`Crisp` builds them for a comparison method from ``check`` and
 ``endpoints(omega, sqrt)``, the endpoints of its interval written so that
@@ -95,7 +101,7 @@ def _memo(model) -> SimpleNamespace:
     """What every anchor o of one model shares, each entry computed once.
 
     ``edges[level, k]``, the tau where P[X >= k | tau] = level, serves the
-    memberships: omega's thresholds are the edges at k = omega and
+    band route: omega's thresholds are the edges at k = omega and
     omega + 1 at both levels.  The expected-length engine keeps, per
     quadrature spec, omega's clipped band edges and the integrals of its
     two branches over them in ``bands[quad][omega]`` (see
@@ -111,6 +117,15 @@ class _Membership:
     """What the proposed and the crisp memberships share."""
 
     tau_lower = 0.0
+
+    def psi_counts(self, top: int, tau: float) -> np.ndarray:
+        """``psi(omega, tau)`` at omega = 0..top, from one mass column at tau.
+
+        The domain is checked at top and tau; the column is
+        ``log_pmf_column(tau, top)``.
+        """
+        self.check(top, tau)
+        return self.psi_column(tau, np.exp(self.log_pmf_column(tau, top)))[: top + 1]
 
     def coverage(self, tau: float) -> float:
         """Probability mass the membership assigns to the truth at tau."""
@@ -130,28 +145,19 @@ class Randomized(_Membership):
     def thresholds(self, omega: int):
         """``(below_zero, below_one, above_one, above_zero)``: omega's band edges.
 
-        omega's full-membership edge below o is omega + 1's rejection edge,
-        and likewise above o, so each edge is solved and stored once per
-        model; only the edges ``memo.edges`` lacks are solved.
-        """
-        return self._edge_pair(omega, False) + self._edge_pair(omega, True)
-
-    def _edge_pair(self, omega: int, above: bool) -> tuple[float, float]:
-        """omega's two band edges of the branch above o if ``above``, else below.
-
         They are the tails' level crossings of omega and omega + 1, at level
-        gamma above o and 1 - gamma below it.  An edge is solved only when
-        ``memo.edges`` lacks it, and stored once its solve returns.
+        1 - gamma below o and gamma above it.  omega's full-membership edge
+        below o is omega + 1's rejection edge, and likewise above o, so each
+        edge is solved once per model: only the edges ``memo.edges`` lacks
+        are solved, and each is stored once its solve returns.
         """
         edges = self.memo.edges
-        level = self.gamma if above else 1.0 - self.gamma
-        try:  # psi's every call: two lookups in the shared edges
-            return edges[level, omega], edges[level, omega + 1]
-        except KeyError:
-            for k in (omega, omega + 1):
-                if (level, k) not in edges:
-                    edges[level, k] = self.solve_edge(level, k)
-            return edges[level, omega], edges[level, omega + 1]
+        keys = [(level, k) for level in (1.0 - self.gamma, self.gamma)
+                for k in (omega, omega + 1)]
+        for key in keys:
+            if key not in edges:
+                edges[key] = self.solve_edge(*key)
+        return tuple(edges[key] for key in keys)
 
     def solve_edge(self, level: float, k: int) -> float:
         """The band edge: the tau in (0, tau_upper) where P[X >= k | tau] = level.
@@ -183,40 +189,36 @@ class Randomized(_Membership):
         )
 
     def psi(self, omega: int, tau: float) -> float:
-        """Membership of tau after observing omega.
+        """Membership of tau after observing omega: one entry of ``psi_counts``.
 
         At tau = o the two one-sided branch values are combined with max,
-        which keeps the coverage at o at or above gamma.
+        which keeps the coverage at o at or above gamma.  Each call builds
+        a whole column, so a grid should ask for whole columns instead.
         """
-        self.check(omega, tau)
-        if tau < self.o:
-            return self.branch(omega, False, tau)
-        if tau > self.o:
-            return self.branch(omega, True, tau)
-        return max(self.branch(omega, False, tau), self.branch(omega, True, tau))
+        return float(self.psi_counts(omega, tau)[omega])
 
-    def branch(self, omega: int, above: bool, tau: float) -> float:
-        """The membership's branch above o if ``above``, else below, at any tau.
+    def psi_column(self, tau: float, p: np.ndarray) -> np.ndarray:
+        """Clamp form of ``psi(omega, tau)`` over the mass column p at tau.
 
-        Below o it is 0, the ratio, then 1; above o, 1, the ratio, then 0.
+        Only the numerator of tau's side of o is summed, both at tau = o.
+        Where p underflows to 0 the membership is its limit: 1 where the
+        slack is positive, else 0.
         """
-        low, high = self._edge_pair(omega, above)
-        if tau <= low:
-            return float(above)
-        if tau > high:
-            return float(not above)
-        slack = self.slack(omega, above, tau)
-        if slack <= 0.0:
-            return 0.0
-        # The clamp absorbs float dust only; the ratio already lands in [0, 1].
-        return min(1.0, max(0.0, math.exp(math.log(slack) - self.log_pmf(omega, tau))))
+        if tau == self.o:
+            slack = np.maximum(
+                self.slack_column(False, tau, p), self.slack_column(True, tau, p)
+            )
+        else:
+            slack = self.slack_column(tau > self.o, tau, p)
+        with np.errstate(all="ignore"):
+            return np.where(slack > 0.0, np.minimum(1.0, slack / p), 0.0)
 
     def branch_array(self, omega, above, tau) -> np.ndarray:
-        """``branch`` over arrays, for tau strictly inside each element's band.
+        """The branch above o where ``above``, else below, elementwise over arrays.
 
-        The ratio comes from ``slack_array`` and ``log_pmf_array`` as the
-        scalar's from ``slack`` and ``log_pmf``.  Every quadrature node lies
-        strictly inside its band, so the 0 and 1 outside it are not needed.
+        For tau strictly inside each element's band: every quadrature node
+        lies there, so the 0 and 1 outside it are not needed.  The ratio is
+        ``slack_array`` over the mass from ``log_pmf_array``.
         """
         slack = self.slack_array(omega, above, tau)
         positive = slack > 0.0
@@ -225,22 +227,6 @@ class Randomized(_Membership):
                 np.log(np.where(positive, slack, 1.0)) - self.log_pmf_array(omega, tau)
             )
         return np.where(positive, np.minimum(1.0, np.maximum(0.0, ratio)), 0.0)
-
-    def psi_column(self, tau: float, p: np.ndarray) -> np.ndarray:
-        """Clamp form of ``psi(omega, tau)`` over the mass column p at tau.
-
-        Where p underflows to 0 the membership is its limit: 1 where the
-        slack is positive, else 0.
-        """
-        below, above = self.slack_columns(p)
-        if tau < self.o:
-            slack = below
-        elif tau > self.o:
-            slack = above
-        else:
-            slack = np.maximum(below, above)
-        with np.errstate(all="ignore"):
-            return np.where(slack > 0.0, np.minimum(1.0, slack / p), 0.0)
 
     def interval_masses(self, omegas, quad) -> list[float]:
         """Flat lengths plus band integrals: see :func:`fuzzyci.length.band_masses`."""

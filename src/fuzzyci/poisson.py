@@ -3,7 +3,8 @@
 The membership is built by :mod:`fuzzyci.discrete`; this module supplies
 what is Poisson about it.  The upper tail P[X >= k | tau] is the
 regularized lower incomplete gamma P(k, tau), from which the band edges
-are solved; the slacks come from the CDF.
+are solved; the slacks come from the CDF, which a mass column sums up
+from omega = 0.
 Sums over omega run over a truncated support, 0..support_bound(tau): one
 algorithm for every accepted mean 0 < tau <= 1e4, whose omitted tail mass
 is at most ``TRUNCATION_MASS``.  The score (Wilson-type) interval is
@@ -19,7 +20,6 @@ import numpy as np
 
 from .discrete import Crisp, Randomized
 from .specfun import (
-    pois_cdf,
     pois_cdf_array,
     pois_log_pmf,
     pois_log_pmf_array,
@@ -107,8 +107,8 @@ class _Poisson:
     def log_pmf(self, omega: int, tau: float) -> float:
         return pois_log_pmf(omega, tau)
 
-    def log_pmf_column(self, tau: float) -> np.ndarray:
-        return pois_log_pmf_column(self.support_upper(tau), tau)
+    def log_pmf_column(self, tau: float, top=None) -> np.ndarray:
+        return pois_log_pmf_column(self.support_upper(tau) if top is None else top, tau)
 
     def log_pmf_array(self, omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
         return pois_log_pmf_array(omega, tau)
@@ -136,22 +136,26 @@ class PoissonFamily(_Poisson, Randomized):
         """P[X >= k | tau], the incomplete gamma P(k, tau), for k >= 1."""
         return reg_lower_gamma(k, tau)
 
-    def slack(self, omega: int, above: bool, tau: float) -> float:
+    def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):
         # gamma - P[X < omega] below o and gamma - P[X > omega] above it, both
         # through the CDF P[X <= k], k = omega - 1 or omega.
-        cdf = pois_cdf(omega - 1 + above, tau)
-        return self.gamma - 1.0 + cdf if above else self.gamma - cdf
-
-    def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):
-        # slack's expressions, elementwise.
         cdf = pois_cdf_array(omega - 1 + above, tau)
         return np.where(above, self.gamma - 1.0 + cdf, self.gamma - cdf)
 
-    def slack_columns(self, p: np.ndarray):
-        # The CDF P[X <= omega], as pois_cdf gives it; summing the upper
-        # tail from the top of the truncated support would miss its mass.
-        cdf = np.cumsum(p)
-        return self.gamma - np.append(0.0, cdf[:-1]), self.gamma - 1.0 + cdf
+    def slack_column(self, above: bool, tau: float, p: np.ndarray):
+        # Both from the CDF P[X <= omega], summed up from 0, so a column
+        # needs no mass past its last count.  Up to tau = 700, where
+        # exp(-tau) is still normal, the CDF is pois_cdf_array's term
+        # recurrence: its terms keep their relative accuracy where the log
+        # masses p lose some (3e-11 in psi at tau = 350 below o).
+        if tau > 700.0:
+            cdf = np.cumsum(p)
+        else:
+            terms = np.append(math.exp(-tau), tau / np.arange(1, len(p)))
+            cdf = np.cumsum(np.cumprod(terms))
+        if above:
+            return self.gamma - 1.0 + cdf
+        return self.gamma - np.append(0.0, cdf[:-1])
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 Everything the distribution families need lives here: the regularized
 incomplete beta and lower incomplete gamma functions, whose values at
 integer shapes are the binomial and Poisson upper tails, the standard
-normal CDF/quantile, and binomial/Poisson mass and distribution functions
-evaluated in log space, per point or as a whole column over the support.
-The ``*_array`` kernels evaluate the scalar ones elementwise over arrays of
-points, in the same operation order, with numpy's ``log`` and ``exp`` in
-place of ``math``'s; each element's value depends on its own arguments
+normal CDF/quantile, binomial/Poisson mass functions evaluated in log
+space, per point or as a whole column over the support, and the Poisson
+CDF over arrays, :func:`pois_cdf_array`.  The other ``*_array`` kernels
+evaluate the scalar ones elementwise over arrays of points, in the same
+operation order, with numpy's ``log`` and ``exp`` in place of ``math``'s.
+In every array kernel each element's value depends on its own arguments
 only, not on the rest of the array.
 
 All functions are pure and reentrant.  The root solves, the normal
@@ -40,7 +41,6 @@ __all__ = [
     "pois_log_pmf",
     "pois_log_pmf_column",
     "pois_log_pmf_array",
-    "pois_cdf",
     "pois_cdf_array",
 ]
 
@@ -405,37 +405,19 @@ def pois_log_pmf_array(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return -tau + omega * np.log(tau) - log_factorials(int(omega.max()))[omega]
 
 
-def pois_cdf(omega: int, tau: float) -> float:
-    """Poisson CDF P[X <= omega]: ascending term recurrence up to tau = 700.
-
-    Above it exp(-tau) underflows, and the CDF is 1 - P(omega + 1, tau).
-    """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if omega < 0:
-        return 0.0
-    if tau > 700.0:
-        return 1.0 - reg_lower_gamma(omega + 1, tau)
-    term = math.exp(-tau)
-    total = term
-    for i in range(1, omega + 1):
-        term *= tau / i
-        total += term
-    return min(1.0, total)
-
-
 def pois_cdf_array(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """:func:`pois_cdf` elementwise over arrays of omega and positive tau.
+    """Poisson CDF P[X <= omega] elementwise over arrays of omega and positive tau.
 
-    Below tau = 700 every element runs the scalar's term recurrence, all of
-    them at once: with the elements sorted by omega, step i updates the
-    prefix whose omega is at least i.  Above it each element takes the
-    scalar's incomplete gamma.
+    Up to tau = 700 it is the ascending term recurrence exp(-tau) tau^i / i!,
+    run for every element at once: with the elements sorted by omega, step i
+    updates the prefix whose omega is at least i.  Above it exp(-tau)
+    underflows, and each element's CDF is 1 - P(omega + 1, tau).  A
+    negative omega gives 0.
     """
     out = np.zeros(len(tau))
     large = np.flatnonzero((tau > 700.0) & (omega >= 0))
     for i in large:
-        out[i] = pois_cdf(int(omega[i]), float(tau[i]))
+        out[i] = 1.0 - reg_lower_gamma(int(omega[i]) + 1, float(tau[i]))
     small = np.flatnonzero((tau <= 700.0) & (omega >= 0))
     if not small.size:
         return out

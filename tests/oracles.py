@@ -5,8 +5,10 @@ code paths: plain Gauss-Legendre panels for normal expectations (with the
 interval length taken straight from the interval endpoints), midpoint
 Riemann sums for memberships over the parameter axis, a greedy fill for
 the optimal-membership linear program, the integral of a membership
-against a measure, the binomial mass and CDF by direct summation,
-coverage as a sum of scalar memberships, the discrete
+against a measure, the binomial mass and CDF by direct summation, the
+Poisson CDF by its term recurrence, a proposed family's membership one
+point at a time (its thresholds, then one branch's slack from a scalar
+tail), coverage as a sum of those scalar memberships, the discrete
 families' upper tails in 40-digit mpmath, a crisp method's clipped
 interval from its endpoints, and interval masses by scalar adaptive
 Gauss-Legendre quadrature on panels split at a membership's breakpoints,
@@ -18,6 +20,7 @@ from functools import partial
 
 import numpy as np
 
+from fuzzyci.binomial import BinomialFamily
 from fuzzyci.core import _align
 from fuzzyci.discrete import Crisp, Randomized
 from fuzzyci.length import _gauss_legendre
@@ -26,6 +29,7 @@ from fuzzyci.specfun import (
     binom_log_pmf,
     normal_quantile,
     pois_log_pmf,
+    reg_lower_gamma,
     two_sided_z,
 )
 
@@ -224,14 +228,84 @@ def binom_cdf(omega, n, tau):
     return 1.0 - math.fsum(binom_pmf(i, n, tau) for i in range(omega + 1, n + 1))
 
 
+def pois_cdf(omega, tau):
+    """Poisson CDF P[X <= omega]: ascending term recurrence up to tau = 700.
+
+    Above it exp(-tau) underflows, and the CDF is 1 - P(omega + 1, tau).
+    """
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if omega < 0:
+        return 0.0
+    if tau > 700.0:
+        return 1.0 - reg_lower_gamma(omega + 1, tau)
+    term = math.exp(-tau)
+    total = term
+    for i in range(1, omega + 1):
+        term *= tau / i
+        total += term
+    return min(1.0, total)
+
+
+def scalar_slack(fam, omega, above, tau):
+    """A proposed family's numerator above o if ``above``, else below, at one point.
+
+    gamma - P[X < omega] below o and gamma - P[X > omega] above it: the
+    binomial's from its upper tail P[X >= k], k = omega or omega + 1, the
+    Poisson's from its CDF P[X <= k], k = omega - 1 or omega.
+    """
+    if isinstance(fam, BinomialFamily):
+        upper = fam.tail(omega + above, tau)
+        return fam.gamma - upper if above else fam.gamma - 1.0 + upper
+    cdf = pois_cdf(omega - 1 + above, tau)
+    return fam.gamma - 1.0 + cdf if above else fam.gamma - cdf
+
+
+def scalar_branch(fam, omega, above, tau):
+    """A proposed family's branch above o if ``above``, else below, at any tau.
+
+    Below o it is 0, the ratio, then 1; above o, 1, the ratio, then 0.  The
+    band edges short-circuit the clamped regions, so the ratio is evaluated
+    only inside the band.
+    """
+    z0, z1, a1, a0 = fam.thresholds(omega)
+    low, high = (a1, a0) if above else (z0, z1)
+    if tau <= low:
+        return float(above)
+    if tau > high:
+        return float(not above)
+    slack = scalar_slack(fam, omega, above, tau)
+    if slack <= 0.0:
+        return 0.0
+    # The clamp absorbs float dust only; the ratio already lands in [0, 1].
+    return min(1.0, max(0.0, math.exp(math.log(slack) - fam.log_pmf(omega, tau))))
+
+
+def scalar_psi(fam, omega, tau):
+    """Membership of tau after omega, one point at a time.
+
+    A proposed family's by the threshold-and-special-function route,
+    independent of the clamp-form columns its own ``psi`` reads (the larger
+    branch at tau = o); any other family's by its own ``psi``.
+    """
+    if not isinstance(fam, Randomized):
+        return fam.psi(omega, tau)
+    fam.check(omega, tau)
+    if tau < fam.o:
+        return scalar_branch(fam, omega, False, tau)
+    if tau > fam.o:
+        return scalar_branch(fam, omega, True, tau)
+    return max(scalar_branch(fam, omega, above, tau) for above in (False, True))
+
+
 def scalar_coverage(tau, fam):
-    """Coverage at tau summed from the scalar ``log_pmf`` and ``psi``.
+    """Coverage at tau summed from the scalar ``log_pmf`` and ``scalar_psi``.
 
     The threshold-and-special-function route, independent of the clamp-form
     columns behind ``discrete.coverage``.
     """
     return math.fsum(
-        math.exp(fam.log_pmf(w, tau)) * fam.psi(w, tau)
+        math.exp(fam.log_pmf(w, tau)) * scalar_psi(fam, w, tau)
         for w in range(fam.support_upper(tau) + 1)
     )
 
@@ -241,21 +315,51 @@ def pois_pmf(omega, tau):
     return math.exp(pois_log_pmf(omega, tau))
 
 
-def mp_tail_residual(fam, k, tau, level, dps=40):
-    """|P[X >= k | tau] - level| for a binomial or Poisson family, in dps digits.
+def _mp_tail(fam, k, tau):
+    """P[X >= k | tau] of a binomial or Poisson family at mpmath's precision.
 
-    The tail is the regularized incomplete beta I(tau; k, n - k + 1) or the
-    regularized lower incomplete gamma P(k, tau), both from mpmath.
+    The regularized incomplete beta I(tau; k, n - k + 1) or the regularized
+    lower incomplete gamma P(k, tau); 1 at k = 0 and, for the binomial, 0
+    past n.
+    """
+    import mpmath
+
+    if k <= 0:
+        return mpmath.mpf(1)
+    if fam.tau_upper == 1.0:
+        if k > fam.n:
+            return mpmath.mpf(0)
+        return mpmath.betainc(k, fam.n - k + 1, 0, tau, regularized=True)
+    return mpmath.gammainc(k, 0, tau, regularized=True)
+
+
+def mp_tail_residual(fam, k, tau, level, dps=40):
+    """|P[X >= k | tau] - level| for a binomial or Poisson family, in dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return float(abs(_mp_tail(fam, k, mpmath.mpf(tau)) - mpmath.mpf(level)))
+
+
+def mp_psi(fam, omega, tau, dps=40):
+    """A proposed family's membership at tau != o, in dps digits.
+
+    The slack of tau's side of o over the mass, clamped to [0, 1], from
+    mpmath's tails and masses at the float gamma and tau.
     """
     import mpmath
 
     with mpmath.workdps(dps):
-        tau = mpmath.mpf(tau)
-        if fam.tau_upper == 1.0:
-            tail = mpmath.betainc(k, fam.n - k + 1, 0, tau, regularized=True)
+        t, gamma = mpmath.mpf(tau), mpmath.mpf(fam.gamma)
+        if tau > fam.o:
+            slack = gamma - _mp_tail(fam, omega + 1, t)
         else:
-            tail = mpmath.gammainc(k, 0, tau, regularized=True)
-        return float(abs(tail - mpmath.mpf(level)))
+            slack = gamma - 1 + _mp_tail(fam, omega, t)
+        if fam.tau_upper == 1.0:
+            mass = mpmath.binomial(fam.n, omega) * t**omega * (1 - t) ** (fam.n - omega)
+        else:
+            mass = mpmath.exp(-t) * t**omega / mpmath.factorial(omega)
+        return float(min(1, max(0, slack / mass)))
 
 
 _MAX_DEPTH = 30
@@ -320,7 +424,7 @@ def breakpoint_mass(fam, omega, quad):
         {quad.lower, quad.upper,
          *(p for p in breakpoints(fam, omega) if quad.lower < p < quad.upper)}
     )
-    f = partial(fam.psi, omega)
+    f = partial(scalar_psi, fam, omega)
     panels = list(zip(edges, edges[1:]))
     first_pass = [_gauss_legendre(f, a, b) for a, b in panels]
     scale = max(math.fsum(abs(v) for v in first_pass), 1e-12)

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import scalar_psi
+
 from fuzzyci import binomial, cli, discrete, length, normal, poisson
 from fuzzyci.cli import build_parser, main, parse_grid, UsageError
 from fuzzyci.specfun import ConvergenceError
@@ -105,6 +107,31 @@ class TestMembershipCommand:
         assert len(rows) == 20 * 7
         for tau, omega, psi in rows:
             assert psi == poisson.ScoreInterval(0.95).psi(int(omega), tau)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "binomial", "--n", "40", "--o", "0.3"),
+            ("--family", "binomial", "--n", "40", "--method", "agresti_coull"),
+            ("--family", "poisson", "--o", "8", "--omega-max", "30"),
+            ("--family", "poisson", "--method", "score", "--omega-max", "30"),
+        ],
+        ids=["binomial", "agresti_coull", "poisson", "score"],
+    )
+    def test_solves_no_band_edge(self, capsys, monkeypatch, argv):
+        # A gamma no other test uses, so no memo holds an edge already.
+        def refuse(*args):
+            raise AssertionError("a band edge was solved")
+
+        for cls in (binomial.BinomialFamily, poisson.PoissonFamily):
+            monkeypatch.setattr(cls, "solve_edge", refuse)
+        status, out = run_cli(
+            capsys, "membership", *argv, "--gamma", "0.9471625",
+            "--tau-grid", "0.05:0.95:19",
+        )
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 19 * (41 if "binomial" in argv else 31)
 
     def test_normal_requires_x_grid(self, capsys):
         # Negative grid endpoints need the --flag=value form.
@@ -502,6 +529,7 @@ class TestOversizedInput:
             raise AssertionError("a membership was evaluated")
 
         monkeypatch.setattr(np, "linspace", capped)
+        monkeypatch.setattr(discrete._Membership, "psi_counts", refuse)
         monkeypatch.setattr(poisson.PoissonFamily, "solve_edge", refuse)
         monkeypatch.setattr(poisson.ScoreInterval, "endpoints", refuse)
         monkeypatch.setattr(binomial.BinomialFamily, "solve_edge", refuse)
@@ -563,6 +591,8 @@ class TestMembershipRowCap:
         for owner in (discrete.Randomized, discrete.Crisp, normal.NormalFamily,
                       normal.TwoSidedInterval):
             monkeypatch.setattr(owner, "psi", fail)
+        for owner in (discrete.Randomized, discrete.Crisp):
+            monkeypatch.setattr(owner, "psi_column", fail)
 
     @pytest.mark.parametrize(
         "argv, rows",
@@ -899,6 +929,44 @@ class TestRecipeCommand:
                 assert run["command"] in {
                     "membership", "coverage", "el-curve", "lower-bound", "knapsack"
                 }
+
+
+class TestMembershipRecipes:
+    """The shipped membership figures against the scalar oracle, row by row."""
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            "fig02_binomial_membership.json",
+            "fig03_binomial_comparison.json",
+            "fig05_poisson_membership_below.json",
+            "fig06_poisson_membership.json",
+            "fig07_poisson_comparison.json",
+        ],
+    )
+    def test_rows_match_the_scalar_route(self, capsys, tmp_path, monkeypatch, recipe):
+        # Every grid point in the recipe's order, omega-major, and every
+        # membership within 1e-14 of the threshold-and-tail route.
+        path = os.path.join(os.path.dirname(__file__), "..", "recipes", recipe)
+        with open(path, encoding="utf-8") as handle:
+            spec = json.load(handle)
+        monkeypatch.setenv("FUZZYCI_OUTPUT_DIR", str(tmp_path))
+        assert main(["recipe", path]) == 0
+        stdout = capsys.readouterr().out
+        for run in spec.get("runs", [spec]):
+            args = build_parser().parse_args([run["command"], *run["args"]])
+            _, fam = cli._family(args, proposed=args.method == "proposed")
+            taus = parse_grid(args.tau_grid)
+            top = fam.n if args.omega_max is None else args.omega_max
+            text = (tmp_path / run["output"]).read_text() if "output" in run else stdout
+            lines = text.splitlines()
+            assert lines[0] == "tau,omega,psi"
+            points = [(w, tau) for w in range(top + 1) for tau in taus]
+            assert len(lines) == len(points) + 1
+            for line, (w, tau) in zip(lines[1:], points):
+                tau_text, omega_text, psi_text = line.split(",")
+                assert (tau_text, omega_text) == (f"{tau:.17g}", str(w))
+                assert abs(float(psi_text) - scalar_psi(fam, w, tau)) <= 1e-14, line
 
 
 class TestParserReuse:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import mp_tail_residual, scalar_coverage
+from oracles import mp_psi, mp_tail_residual, scalar_branch, scalar_coverage, scalar_psi
 
 from fuzzyci import binomial, discrete, poisson, specfun
 from fuzzyci.discrete import coverage
@@ -59,16 +59,10 @@ def test_families_differing_only_in_o_share_one_memo(first, second, taus, monkey
     # edges being kept on everything but o.
     assert first.memo is second.memo
     top = first.support_upper(max(taus))
-    for tau in taus:
-        for w in range(top + 1):
-            first.psi(w, tau)
     for w in range(top + 1):
         first.thresholds(w)
     before = dict(first.memo.edges)
     solves = count_solves(monkeypatch, type(first))
-    for tau in taus:
-        for w in range(top + 1):
-            second.psi(w, tau)
     for w in range(top + 1):
         second.thresholds(w)
     assert solves == []
@@ -333,8 +327,53 @@ def test_psi_column_matches_scalar_psi(fam, taus):
     for tau in taus:
         p = np.exp(fam.log_pmf_column(tau))
         column = fam.psi_column(tau, p)
-        scalar = [fam.psi(w, tau) for w in range(len(p))]
+        scalar = [scalar_psi(fam, w, tau) for w in range(len(p))]
         assert np.max(np.abs(column - scalar)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "fam, taus",
+    [
+        (binomial.BinomialFamily(2000, 0.5, 0.95), (0.45, 0.55)),
+        (binomial.BinomialFamily(200, 0.3, 0.99), (0.2, 0.45)),
+        (poisson.PoissonFamily(400.0, 0.97), (350.0, 370.0, 450.0)),
+    ],
+    ids=repr,
+)
+def test_psi_column_is_as_accurate_as_the_scalar_route(fam, taus):
+    # At each count whose band holds tau, against 40-digit mpmath: each side
+    # of o sums its small tail, so the column loses no more than the
+    # threshold-and-tail route (the mass p bounds both).
+    pytest.importorskip("mpmath")
+    for tau in taus:
+        column = fam.psi_counts(fam.support_upper(tau), tau)
+        column_error = scalar_error = 0.0
+        inside = 0
+        for w in range(len(column)):
+            z0, z1, a1, a0 = fam.thresholds(w)
+            if not (a1 < tau < a0 if tau > fam.o else z0 < tau < z1):
+                continue
+            inside += 1
+            exact = mp_psi(fam, w, tau)
+            column_error = max(column_error, abs(column[w] - exact))
+            scalar_error = max(scalar_error, abs(scalar_psi(fam, w, tau) - exact))
+        assert inside
+        assert column_error <= 1.25 * scalar_error + 1e-14, (tau, scalar_error)
+
+
+@pytest.mark.parametrize("o, expected", [(4.0, 0.0), (0.02, 1.0), (0.01, 1.0)])
+def test_poisson_counts_past_the_support_bound(o, expected):
+    # fig06's tau = 0.02 and counts up to 25, far past the support: the
+    # column runs to the last count, where the membership is 0 below o and
+    # 1 at o and above, as the scalar route has it.
+    fam = poisson.PoissonFamily(o, 0.95)
+    tau = 0.02
+    top = poisson.support_bound(tau)
+    assert top < 25
+    column = fam.psi_counts(25, tau)
+    assert len(column) == 26
+    for w in range(top + 1, 26):
+        assert fam.psi(w, tau) == column[w] == scalar_psi(fam, w, tau) == expected
 
 
 @pytest.mark.parametrize(
@@ -363,7 +402,8 @@ def test_branch_array_matches_scalar_branch_inside_the_bands(fam, omegas, around
             array = fam.branch_array(np.full(len(taus), w), np.full(len(taus), above), taus)
             for tau, value in zip(taus.tolist(), array.tolist()):
                 p = math.exp(fam.log_pmf(w, tau))
-                assert abs(value - fam.branch(w, above, tau)) * p <= 1.4e-14, (w, tau)
+                scalar = scalar_branch(fam, w, above, tau)
+                assert abs(value - scalar) * p <= 1.4e-14, (w, tau)
     assert bool(straddling) == around_700
 
 

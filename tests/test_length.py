@@ -19,6 +19,8 @@ from oracles import (
     breakpoint_mass,
     interval,
     riemann_mass,
+    scalar_branch,
+    scalar_psi,
 )
 
 UNIT = QuadratureSpec(0.0, 1.0)
@@ -117,7 +119,7 @@ class TestIntervalMass:
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
         mass = fam.interval_masses([5], UNIT)[0]
         oracle = riemann_mass(
-            lambda t: fam.psi(5, t), 0.0, 1.0, 10**6, split=(fam.o,)
+            lambda t: scalar_psi(fam, 5, t), 0.0, 1.0, 10**6, split=(fam.o,)
         )
         assert mass == pytest.approx(oracle, rel=1e-6)
 
@@ -132,7 +134,7 @@ class TestIntervalMass:
                 w = int(rng.integers(0, n + 1))
                 quad = UNIT
                 points = 15000
-                psi = lambda t: fam.psi(w, t)
+                psi = lambda t: scalar_psi(fam, w, t)
             else:
                 fam = poisson.PoissonFamily(
                     float(rng.uniform(0.5, 10.0)), float(rng.choice([0.9, 0.95]))
@@ -142,7 +144,7 @@ class TestIntervalMass:
                 # The oracle's own midpoint error scales with the squared
                 # step, so the wide range needs proportionally more points.
                 points = 40000
-                psi = lambda t: fam.psi(w, t)
+                psi = lambda t: scalar_psi(fam, w, t)
             mass = fam.interval_masses([w], quad)[0]
             oracle = riemann_mass(psi, quad.lower, quad.upper, points, split=(fam.o,))
             assert mass == pytest.approx(oracle, rel=1e-6, abs=1e-9)
@@ -309,10 +311,10 @@ class TestBandRoute:
         for w in range(top + 1):
             z0, z1, a1, a0, below, above = band_record(fam, quad, w)
             scalar_below = band_integral(
-                lambda t: fam.branch(w, False, t), z0, z1, quad.rel_tol
+                lambda t: scalar_branch(fam, w, False, t), z0, z1, quad.rel_tol
             )
             scalar_above = band_integral(
-                lambda t: fam.branch(w, True, t), a1, a0, quad.rel_tol
+                lambda t: scalar_branch(fam, w, True, t), a1, a0, quad.rel_tol
             )
             assert below == pytest.approx(scalar_below, rel=1e-13, abs=1e-300), w
             assert above == pytest.approx(scalar_above, rel=1e-13, abs=1e-300), w

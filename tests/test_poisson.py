@@ -16,8 +16,8 @@ from fuzzyci.poisson import (
     ScoreInterval,
     support_bound,
 )
-from fuzzyci.specfun import normal_quantile, pois_cdf
-from oracles import breakpoints, interval, pois_pmf
+from fuzzyci.specfun import normal_quantile
+from oracles import breakpoints, interval, pois_cdf, pois_pmf
 
 
 def poisson_measures(tau, o):
