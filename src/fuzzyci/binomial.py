@@ -1,10 +1,11 @@
 """Binomial family: omega successes in n trials with success probability tau.
 
 The membership is built by :mod:`fuzzyci.discrete`; this module supplies
-what is binomial about it.  The upper tail P[X >= k | tau] is the
-regularized incomplete beta I(tau; k, n - k + 1); it gives the slacks of
-the band integrals and the band edges.  Over a mass column each slack sums
-its small tail: the CDF from omega = 0 above o, the upper tail from n below.
+what is binomial about it.  Its tail kernel, the upper tail
+P[X >= k | tau] over arrays, is the regularized incomplete beta
+I(tau; k, n - k + 1), ``reg_inc_beta_array``; it gives the slacks of the
+band integrals and the band edges.  Over a mass column each slack sums its
+small tail: the CDF from omega = 0 above o, the upper tail from n below.
 The Agresti-Coull interval is the crisp comparison method.
 """
 
@@ -17,10 +18,8 @@ import numpy as np
 
 from .discrete import Crisp, Randomized
 from .specfun import (
-    binom_log_pmf,
     binom_log_pmf_array,
     binom_log_pmf_column,
-    reg_inc_beta,
     reg_inc_beta_array,
     two_sided_z,
 )
@@ -49,9 +48,6 @@ class _Binomial:
         if not 0.0 < tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {tau}")
 
-    def log_pmf(self, omega: int, tau: float) -> float:
-        return binom_log_pmf(omega, self.n, tau)
-
     def log_pmf_column(self, tau: float, top=None) -> np.ndarray:
         return binom_log_pmf_column(self.n, tau)
 
@@ -78,16 +74,9 @@ class BinomialFamily(_Binomial, Randomized):
         if not 0.0 < self.o < 1.0:
             raise ValueError(f"o must lie in (0, 1), got {self.o}")
 
-    def tail(self, k: int, tau: float) -> float:
-        """P[X >= k | tau], the beta CDF I(tau; k, n - k + 1)."""
-        return reg_inc_beta(tau, k, self.n - k + 1)
-
-    def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):
-        # gamma - P[X < omega] below o and gamma - P[X > omega] above it, both
-        # from the upper tail P[X >= k], k = omega or omega + 1.
-        k = omega + above
-        upper = reg_inc_beta_array(tau, k, self.n - k + 1)
-        return np.where(above, self.gamma - upper, self.gamma - 1.0 + upper)
+    def tail_array(self, k: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """P[X >= k | tau], the beta CDF I(tau; k, n - k + 1), for 0 <= k <= n + 1."""
+        return reg_inc_beta_array(tau, k, self.n - k + 1)
 
     def slack_column(self, above: bool, tau: float, p: np.ndarray):
         # Each side sums its small tail: the CDF P[X <= omega] from 0 above

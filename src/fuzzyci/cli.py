@@ -424,9 +424,10 @@ def cmd_recipe(args) -> int:
 
 def _selftest_checks():
     from .core import DiscreteMeasure
-    from .specfun import normal_quantile, reg_inc_beta
+    from .specfun import normal_quantile, reg_inc_beta_array
 
-    yield "beta identity", lambda: abs(reg_inc_beta(0.6, 2, 1) - 0.36) < 1e-12
+    yield "beta identity", lambda: abs(
+        reg_inc_beta_array(*map(np.array, ([0.6], [2], [1])))[0] - 0.36) < 1e-12
 
     def _constructed(tau, family):
         # The generic constructor's most powerful test of tau against o: an

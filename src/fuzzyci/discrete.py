@@ -19,7 +19,7 @@ coverage, membership grids and ``psi`` alike; a point ``psi`` is one entry
 of its column, so a grid should ask for whole columns.
 
 Neither branch depends on o; only the switch between them does.  Per
-omega, each branch has two thresholds on the tau axis where it leaves 0
+omega, each branch has two band edges on the tau axis where it leaves 0
 and reaches 1 (its randomized band); they are the tau where an upper tail
 P[X >= k | tau] equals gamma or 1 - gamma.  They serve the band integrals
 of the expected-length engine, which integrates each branch over its band
@@ -42,9 +42,8 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
   ``tau -> psi(omega, tau)`` over a quadrature range: the clipped interval
   length of a crisp method, the band route of :mod:`fuzzyci.length` for a
   proposed family;
-- ``log_pmf(omega, tau)``, the log mass function, and ``support_upper(tau)``,
-  the last omega a sum at tau needs;
-- ``log_pmf_column(tau, top=None)``: ``log_pmf`` at omega =
+- ``support_upper(tau)``, the last omega a sum at tau needs;
+- ``log_pmf_column(tau, top=None)``: the log mass function at omega =
   0..support_upper(tau), as an array.  Given ``top``, the column a
   membership column reads up to omega = top instead: 0..n for the
   binomial, whose upper tails are summed from n, and 0..top for the
@@ -59,20 +58,21 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
 
 :class:`Randomized` builds ``psi``, ``psi_column``, the branches' array
 form ``branch_array(omega, above, tau)`` (above o where ``above``, else
-below) for points inside a band, ``interval_masses``, ``thresholds`` and
-their edges ``solve_edge(level, k)`` of a proposed family from what
-differs between the families:
+below) for points inside a band, over their numerator ``slack_array``,
+``interval_masses``, and ``band_edges(omegas)``, each count's band edges
+from one batched root solve ``solve_band_edges(keys)``, of a proposed
+family from what differs between the families:
 
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
-- ``tail(k, tau)``: the upper tail P[X >= k | tau] for k >= 1, whose
+- ``tail_array(k, tau)``: the upper tail P[X >= k | tau] elementwise over
+  arrays, 1 at k = 0, from an array kernel of :mod:`fuzzyci.specfun`; its
   derivative in tau is k p(k | tau) / tau in both families;
+- ``log_pmf_array(omega, tau)``: the log mass function elementwise over
+  arrays;
 - ``slack_column(above, tau, p)``: the numerator above o if ``above``,
   else below, over the mass column p at tau, from the partial sums of its
-  small tail;
-- ``slack_array(omega, above, tau)`` and ``log_pmf_array(omega, tau)``:
-  the numerator and ``log_pmf`` elementwise over arrays, from the array
-  kernels of :mod:`fuzzyci.specfun`.
+  small tail.
 
 :class:`Crisp` builds them for a comparison method from ``check`` and
 ``endpoints(omega, sqrt)``, the endpoints of its interval written so that
@@ -101,8 +101,9 @@ def _memo(model) -> SimpleNamespace:
     """What every anchor o of one model shares, each entry computed once.
 
     ``edges[level, k]``, the tau where P[X >= k | tau] = level, serves the
-    band route: omega's thresholds are the edges at k = omega and
-    omega + 1 at both levels.  The expected-length engine keeps, per
+    band route: omega's band edges are the edges at k = omega and
+    omega + 1 at both levels, and the edges one call lacks are solved
+    together, as one batch.  The expected-length engine keeps, per
     quadrature spec, omega's clipped band edges and the integrals of its
     two branches over them in ``bands[quad][omega]`` (see
     :func:`fuzzyci.length.band_masses`), and envelope points in
@@ -142,51 +143,59 @@ class Randomized(_Membership):
             (type(self), *(getattr(self, f.name) for f in fields(self) if f.name != "o"))
         )
 
-    def thresholds(self, omega: int):
-        """``(below_zero, below_one, above_one, above_zero)``: omega's band edges.
+    def band_edges(self, omegas) -> list[tuple]:
+        """``(below_zero, below_one, above_one, above_zero)``: each count's band edges.
 
         They are the tails' level crossings of omega and omega + 1, at level
         1 - gamma below o and gamma above it.  omega's full-membership edge
         below o is omega + 1's rejection edge, and likewise above o, so each
-        edge is solved once per model: only the edges ``memo.edges`` lacks
-        are solved, and each is stored once its solve returns.
+        edge is solved once per model: the edges ``memo.edges`` lacks for
+        all the counts are solved in one batch, and stored once it returns.
         """
         edges = self.memo.edges
-        keys = [(level, k) for level in (1.0 - self.gamma, self.gamma)
-                for k in (omega, omega + 1)]
-        for key in keys:
-            if key not in edges:
-                edges[key] = self.solve_edge(*key)
-        return tuple(edges[key] for key in keys)
+        levels = (1.0 - self.gamma, self.gamma)
+        keys = [[(level, k) for level in levels for k in (w, w + 1)] for w in omegas]
+        cold = list(dict.fromkeys(key for four in keys for key in four if key not in edges))
+        if cold:
+            edges.update(zip(cold, self.solve_band_edges(cold)))
+        return [tuple(edges[key] for key in four) for four in keys]
 
-    def solve_edge(self, level: float, k: int) -> float:
-        """The band edge: the tau in (0, tau_upper) where P[X >= k | tau] = level.
+    def solve_band_edges(self, keys) -> list[float]:
+        """The band edge of each ``(level, k)``: the tau where P[X >= k | tau] = level.
 
-        Safeguarded Newton steps on ``tail``.  The binomial's bounded space
-        starts at k / (n + 1), the mean of the beta whose CDF the tail is;
-        an unbounded one starts at tau = k and doubles the bracket's upper
-        end from there until the tail reaches the level.  P[X >= 0] is 1 at
-        every tau, so k = 0's edge is 0, and a k past the whole space's
-        support, the binomial's n + 1, has its edge at tau_upper.
+        One elementwise root solve on ``tail_array``, whose derivative in
+        tau is k p(k | tau) / tau in both families.  The binomial's bounded
+        space starts each edge at k / (n + 1), the mean of the beta whose CDF
+        the tail is; an unbounded one starts at tau = k and doubles each
+        element's bracket end from there until its tail reaches the level.
+        P[X >= 0] is 1 at every tau, so k = 0's edge is 0, and a k past the
+        whole space's support, the binomial's n + 1, has its edge at
+        tau_upper.  Every kernel evaluates each element from its own
+        arguments, so an edge is the same float whatever else the batch holds.
         """
-        if k == 0:
-            return 0.0
-        hi = self.tau_upper
-        if hi < math.inf:
-            top = self.support_upper(hi)
-            if k > top:
-                return hi
-            start = k / (top + 1)
+        level, k = (np.array(v) for v in zip(*keys))
+        edge = np.zeros(len(k))
+        hi = np.full(len(k), self.tau_upper)
+        if self.tau_upper < math.inf:
+            top = self.support_upper(self.tau_upper)
+            edge[k > top] = self.tau_upper
+            solve = np.flatnonzero((k > 0) & (k <= top))
+            start = k[solve] / (top + 1)
         else:
-            start = hi = float(k)
-            while self.tail(k, hi) < level:
-                hi *= 2.0
-        return _rtsafe(
-            lambda tau: self.tail(k, tau),
-            lambda tau: k * math.exp(self.log_pmf(k, tau)) / tau,
-            level, start, 0.0, hi,
-            f"band edge failed for level={level}, k={k}",
-        )
+            solve = grow = np.flatnonzero(k > 0)
+            start = hi[solve] = k[solve].astype(float)
+            while grow.size:
+                grow = grow[self.tail_array(k[grow], hi[grow]) < level[grow]]
+                hi[grow] *= 2.0
+        if solve.size:
+            level, k, hi = level[solve], k[solve], hi[solve]
+            edge[solve] = _rtsafe(
+                lambda i, tau: self.tail_array(k[i], tau),
+                lambda i, tau: k[i] * np.exp(self.log_pmf_array(k[i], tau)) / tau,
+                level, start, 0.0, hi,
+                lambda i: f"band edge failed for level={level[i]}, k={k[i]}",
+            )
+        return edge.tolist()
 
     def psi(self, omega: int, tau: float) -> float:
         """Membership of tau after observing omega: one entry of ``psi_counts``.
@@ -212,6 +221,15 @@ class Randomized(_Membership):
             slack = self.slack_column(tau > self.o, tau, p)
         with np.errstate(all="ignore"):
             return np.where(slack > 0.0, np.minimum(1.0, slack / p), 0.0)
+
+    def slack_array(self, omega, above, tau) -> np.ndarray:
+        """The branch's numerator, above o where ``above``, else below, over arrays.
+
+        gamma - P[X < omega] below o and gamma - P[X > omega] above it, both
+        from the upper tail P[X >= k], k = omega or omega + 1.
+        """
+        upper = self.tail_array(omega + above, tau)
+        return np.where(above, self.gamma - upper, self.gamma - 1.0 + upper)
 
     def branch_array(self, omega, above, tau) -> np.ndarray:
         """The branch above o where ``above``, else below, elementwise over arrays.
@@ -260,4 +278,4 @@ def coverage(tau: float, fam) -> float:
     """Probability mass the membership assigns to the truth at tau."""
     fam.check(0, tau)  # omega = 0 lies in every support
     p = np.exp(fam.log_pmf_column(tau))
-    return math.fsum((p * fam.psi_column(tau, p)).tolist())
+    return float(np.sum(p * fam.psi_column(tau, p)))

@@ -12,7 +12,7 @@ comes from the band integrals computed here.
 
 The membership of omega is its branch below o up to o and its branch
 above o from there on, and neither branch depends on o.  Each branch is 0
-or 1 outside its randomized band, between two of the family's thresholds,
+or 1 outside its randomized band, between two of the family's band edges,
 so the mass at any anchor o is flat lengths plus one integral per branch:
 the branch below from its band's lower edge to o clipped into the band,
 the branch above from o so clipped to its band's upper edge.  That is the
@@ -178,36 +178,39 @@ def _integrate(psi, lo, hi, rel_tol: float) -> np.ndarray:
 def band_masses(model, requests, quad: QuadratureSpec) -> list[list[float]]:
     """Masses of one model's memberships: the branch below o up to o, above on.
 
-    ``model`` is any proposed family of the model, whose memo, thresholds
+    ``model`` is any proposed family of the model, whose memo, band edges
     and branches serve every anchor; its own o plays no part.  ``requests``
     pairs anchors o with the counts whose masses each needs, and every
-    count is checked against its anchor.  A band is omega's thresholds
-    clipped to the range: the branch below rises from 0 to 1 across
-    [z0, z1] and the branch above falls from 1 to 0 across [a1, a0].  The
-    integral below runs from z0 to its ``end``, the nearer of o and z1, and
-    the one above from its end, the farther of o and a1, to a0: the full
-    band when the end is z1 or a1, a partial integral when it is o.  An
-    empty span's integral is 0.  Both full bands of each band not seen
-    before and the partial integrals of every request are computed in one
-    batch.  The model's memo keeps each band with its two full integrals,
-    once both are computed; a partial integral serves one anchor and is
-    kept for this call only.
+    count is checked against its anchor before any work starts.  A band is
+    omega's band edges clipped to the range: the branch below rises from 0
+    to 1 across [z0, z1] and the branch above falls from 1 to 0 across
+    [a1, a0].  The integral below runs from z0 to its ``end``, the nearer
+    of o and z1, and the one above from its end, the farther of o and a1,
+    to a0: the full band when the end is z1 or a1, a partial integral when
+    it is o.  An empty span's integral is 0.  The edges of every band not seen before
+    come from one ``band_edges`` batch; both full bands of each such band
+    and the partial integrals of every request are computed in one batch.
+    The model's memo keeps each band with its two full integrals, once both
+    are computed; a partial integral serves one anchor and is kept for this
+    call only.
     """
     bands = model.memo.bands.setdefault(quad, {})
     lower, upper = quad.lower, quad.upper
-    anchors = [min(max(o, lower), upper) for o, _ in requests]
-    new = {}  # omega -> clipped edges, for bands the memo lacks
-    jobs = {}  # (omega, above, end) -> span, for every integral to compute
-    for (o, omegas), anchor in zip(requests, anchors):
+    for o, omegas in requests:
         for w in omegas:
             model.check(w, o)
-            band = bands.get(w) or new.get(w)
-            if band is None:
-                band = tuple(min(max(t, lower), upper) for t in model.thresholds(w))
-                new[w] = band
-                jobs[w, False, band[1]] = band[:2]
-                jobs[w, True, band[2]] = band[2:]
-            z0, z1, a1, a0 = band[:4]
+    cold = list(dict.fromkeys(w for _, ws in requests for w in ws if w not in bands))
+    # omega -> clipped edges, for bands the memo lacks: one batch of edges.
+    new = {w: tuple(min(max(t, lower), upper) for t in edges)
+           for w, edges in zip(cold, model.band_edges(cold))}
+    jobs = {}  # (omega, above, end) -> span, for every integral to compute
+    for w, band in new.items():
+        jobs[w, False, band[1]] = band[:2]
+        jobs[w, True, band[2]] = band[2:]
+    anchors = [min(max(o, lower), upper) for o, _ in requests]
+    for (_, omegas), anchor in zip(requests, anchors):
+        for w in omegas:
+            z0, z1, a1, a0 = (new[w] if w in new else bands[w])[:4]
             if z0 < anchor < z1:
                 jobs[w, False, anchor] = z0, anchor
             if a1 < anchor < a0:

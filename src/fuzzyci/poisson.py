@@ -1,10 +1,11 @@
 """Poisson family: one count omega with mean tau.
 
 The membership is built by :mod:`fuzzyci.discrete`; this module supplies
-what is Poisson about it.  The upper tail P[X >= k | tau] is the
-regularized lower incomplete gamma P(k, tau), from which the band edges
-are solved; the slacks come from the CDF, which a mass column sums up
-from omega = 0.
+what is Poisson about it.  Its tail kernel, the upper tail
+P[X >= k | tau] over arrays, is 1 - P[X <= k - 1 | tau] from
+``pois_cdf_array``; it gives the slacks of the band integrals and the band
+edges.  Over a mass column both slacks come from the CDF, summed up from
+omega = 0.
 Sums over omega run over a truncated support, 0..support_bound(tau): one
 algorithm for every accepted mean 0 < tau <= 1e4, whose omitted tail mass
 is at most ``TRUNCATION_MASS``.  The score (Wilson-type) interval is
@@ -24,7 +25,6 @@ from .specfun import (
     pois_log_pmf,
     pois_log_pmf_array,
     pois_log_pmf_column,
-    reg_lower_gamma,
     two_sided_z,
 )
 
@@ -104,9 +104,6 @@ class _Poisson:
         if not tau > 0.0:
             raise ValueError(f"tau must be positive, got {tau}")
 
-    def log_pmf(self, omega: int, tau: float) -> float:
-        return pois_log_pmf(omega, tau)
-
     def log_pmf_column(self, tau: float, top=None) -> np.ndarray:
         return pois_log_pmf_column(self.support_upper(tau) if top is None else top, tau)
 
@@ -132,15 +129,9 @@ class PoissonFamily(_Poisson, Randomized):
             raise ValueError(f"o must be positive and finite, got {self.o}")
         super().__post_init__()
 
-    def tail(self, k: int, tau: float) -> float:
-        """P[X >= k | tau], the incomplete gamma P(k, tau), for k >= 1."""
-        return reg_lower_gamma(k, tau)
-
-    def slack_array(self, omega: np.ndarray, above: np.ndarray, tau: np.ndarray):
-        # gamma - P[X < omega] below o and gamma - P[X > omega] above it, both
-        # through the CDF P[X <= k], k = omega - 1 or omega.
-        cdf = pois_cdf_array(omega - 1 + above, tau)
-        return np.where(above, self.gamma - 1.0 + cdf, self.gamma - cdf)
+    def tail_array(self, k: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """P[X >= k | tau], one minus the CDF at k - 1, for k >= 0."""
+        return 1.0 - pois_cdf_array(k - 1, tau)
 
     def slack_column(self, above: bool, tau: float, p: np.ndarray):
         # Both from the CDF P[X <= omega], summed up from 0, so a column

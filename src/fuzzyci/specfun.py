@@ -1,21 +1,20 @@
 """Self-contained special-function kernels.
 
 Everything the distribution families need lives here: the regularized
-incomplete beta and lower incomplete gamma functions, whose values at
-integer shapes are the binomial and Poisson upper tails, the standard
-normal CDF/quantile, binomial/Poisson mass functions evaluated in log
-space, per point or as a whole column over the support, and the Poisson
-CDF over arrays, :func:`pois_cdf_array`.  The other ``*_array`` kernels
-evaluate the scalar ones elementwise over arrays of points, in the same
-operation order, with numpy's ``log`` and ``exp`` in place of ``math``'s.
-In every array kernel each element's value depends on its own arguments
-only, not on the rest of the array.
+incomplete beta over arrays, whose values at integer shapes are the
+binomial upper tails, the regularized lower incomplete gamma, the Poisson
+CDF over arrays, :func:`pois_cdf_array`, the standard normal CDF/quantile,
+and binomial/Poisson mass functions in log space, as a whole column over
+the support or elementwise over arrays.  In every array kernel each
+element's value depends on its own arguments only, not on the rest of the
+array.
 
-All functions are pure and reentrant.  The root solves, the normal
-quantile here and the band edges of :mod:`fuzzyci.discrete`, run through
-``_rtsafe``: they meet the absolute residual ``_ABS_TOL`` within
-``_MAX_ITER`` iterations or raise :class:`ConvergenceError` instead of
-returning an unconverged value.
+All functions are pure and reentrant.  One elementwise root finder,
+``_rtsafe``, serves every root solve: the band edges of
+:mod:`fuzzyci.discrete`, a whole batch per call, and the normal quantile,
+one element.  Each element meets the absolute residual ``_ABS_TOL`` within
+``_MAX_ITER`` iterations, or the call raises :class:`ConvergenceError`
+instead of returning an unconverged value.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "reg_inc_beta",
     "reg_inc_beta_array",
     "reg_lower_gamma",
     "normal_cdf",
@@ -35,7 +33,6 @@ __all__ = [
     "normal_quantile",
     "two_sided_z",
     "log_factorials",
-    "binom_log_pmf",
     "binom_log_pmf_column",
     "binom_log_pmf_array",
     "pois_log_pmf",
@@ -54,92 +51,15 @@ class ConvergenceError(ArithmeticError):
     """An iterative solver exhausted its iteration budget."""
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        de = d * c
-        h *= de
-        if abs(de - 1.0) < _EPS:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}"
-    )
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I(x; a, b).
-
-    The cumulative distribution function of a Beta(a, b) variable at x.
-    Degenerate shape parameters follow the limits of the beta family:
-    I(x; 0, b) = 1 for x > 0 and I(x; a, 0) = 0 for x < 1.
-
-    Parameters
-    ----------
-    x : float in [0, 1]
-    a, b : float >= 0, not both zero
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if a < 0 or b < 0:
-        raise ValueError("shape parameters must be nonnegative")
-    if a == 0.0 and b == 0.0:
-        raise ValueError("shape parameters must not both be zero")
-    if a == 0.0:
-        return 1.0 if x > 0.0 else 0.0
-    if b == 0.0:
-        return 1.0 if x >= 1.0 else 0.0
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # Symmetry switch keeps the continued fraction in its fast-convergence
-    # region on both sides of the mode.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def _floor(v: np.ndarray) -> np.ndarray:
     return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
 
 
 def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """:func:`_betacf` elementwise; each element leaves once it converges."""
+    """Continued fraction for the incomplete beta (modified Lentz), elementwise.
+
+    Each element leaves the arrays once it converges.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -174,12 +94,14 @@ def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def reg_inc_beta_array(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`reg_inc_beta` elementwise, for integer shapes.
+    """Regularized incomplete beta I(x; a, b) elementwise, for integer shapes.
 
-    ``a`` and ``b`` are integer arrays, nonnegative and never both zero, and
-    x lies in [0, 1]; none of this is checked.  The log-gamma prefactor is
-    read from :func:`log_factorials`, which holds the scalar's ``lgamma``
-    values, and the continued fraction runs in the scalar's operation order.
+    The CDF of a Beta(a, b) variable at x; at a = k, b = n - k + 1 it is the
+    binomial upper tail P[X >= k].  ``a`` and ``b`` are integer arrays,
+    nonnegative and never both zero, and x lies in [0, 1]; none of this is
+    checked.  Degenerate shapes follow the limits of the beta family:
+    I(x; 0, b) = 1 for x > 0 and I(x; a, 0) = 0 for x < 1.  The log-gamma
+    prefactor is read from :func:`log_factorials`.
     """
     out = np.where(a == 0, x > 0.0, x >= 1.0).astype(float)
     inner = np.flatnonzero((a > 0) & (b > 0) & (x > 0.0) & (x < 1.0))
@@ -195,6 +117,8 @@ def reg_inc_beta_array(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
         + b * np.log1p(-x)
     )
     front = np.exp(ln_front)
+    # Symmetry switch keeps the continued fraction in its fast-convergence
+    # region on both sides of the mode.
     direct = x < (a + 1.0) / (a + b + 2.0)
     cf = _betacf_array(
         np.where(direct, a, b).astype(float),
@@ -205,42 +129,47 @@ def reg_inc_beta_array(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return out
 
 
-def _rtsafe(cdf, pdf, p, x, lo, hi, failure: str) -> float:
-    """Solve ``cdf(x) = p`` for x in the bracket [lo, hi], starting at x.
+def _rtsafe(cdf, pdf, p, x, lo, hi, failure) -> np.ndarray:
+    """Solve ``cdf(x) = p`` for x in the bracket [lo, hi], starting at x, elementwise.
 
-    Newton steps on the increasing ``cdf`` with derivative ``pdf``, kept
-    inside a bracket that every iterate narrows; a step that would leave it
-    falls back to bisection (Numerical Recipes ``rtsafe``).  Converged means
-    the residual is within ``_ABS_TOL`` and the iteration has stalled in
-    x: deep in a tail the CDF is nearly flat and the residual alone says
-    little.  A Newton step that rounds to x itself has stalled too.
-    Raises :class:`ConvergenceError` with ``failure`` when the budget runs
-    out.
+    ``p``, ``x``, ``lo`` and ``hi`` are arrays, or scalars broadcast to them;
+    ``cdf(i, x)`` and ``pdf(i, x)`` evaluate elements ``i`` at ``x`` over
+    arrays, where ``i`` holds the indices of the elements still iterating.
+    Each element takes Newton steps on its increasing ``cdf`` with
+    derivative ``pdf``, kept inside a bracket that every iterate narrows; a
+    step that would leave it falls back to bisection (Numerical Recipes
+    ``rtsafe``).  Converged means the residual is within ``_ABS_TOL`` and
+    the iteration has stalled in x: deep in a tail the CDF is nearly flat
+    and the residual alone says little.  A Newton step that rounds to x
+    itself has stalled too.  An element leaves the arrays once it
+    converges, so its root depends on its own iteration only.  Raises
+    :class:`ConvergenceError` with ``failure(i)`` for the first element i
+    still iterating when the budget runs out.
     """
-    step = math.inf
+    p, x, lo, hi = np.broadcast_arrays(*np.atleast_1d(p, x, lo, hi))
+    out, index, step = np.empty(len(x)), np.arange(len(x)), np.full(len(x), math.inf)
     for _ in range(_MAX_ITER):
-        f = cdf(x) - p
-        if abs(f) <= _ABS_TOL and step <= 1e-12 * max(1.0, abs(x)):
-            return x
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
-        dfdx = pdf(x)
-        newton_ok = dfdx > 0.0
-        if newton_ok:
-            x_new = x - f / dfdx
-            if x_new == x and abs(f) <= _ABS_TOL:
-                return x
-            newton_ok = lo < x_new < hi
-        if not newton_ok:
-            x_new = 0.5 * (lo + hi)
-        step = abs(x_new - x)
-        if hi - lo < 4.0 * _EPS * max(1.0, abs(x_new)):
-            # Bracket exhausted at machine precision; accept the midpoint.
-            return 0.5 * (lo + hi)
+        f = cdf(index, x) - p
+        lo, hi = np.where(f < 0.0, x, lo), np.where(f < 0.0, hi, x)
+        dfdx = pdf(index, x)
+        # A step past 1e300 leaves every bracket: bisect rather than overflow.
+        newton = dfdx > 1e-300 * np.abs(f)
+        x_new = x - f / np.where(newton, dfdx, 1.0)
+        stalled = (step <= 1e-12 * np.maximum(1.0, np.abs(x))) | newton & (x_new == x)
+        converged = (np.abs(f) <= _ABS_TOL) & stalled
+        mid = 0.5 * (lo + hi)
+        x_new = np.where(newton & (lo < x_new) & (x_new < hi), x_new, mid)
+        step = np.abs(x_new - x)
+        # Bracket exhausted at machine precision; accept the midpoint.
+        done = converged | (hi - lo < 4.0 * _EPS * np.maximum(1.0, np.abs(x_new)))
+        if done.any():
+            out[index[done]] = np.where(converged, x, mid)[done]
+            if done.all():
+                return out
+            index, p, x_new, lo, hi, step = (
+                v[~done] for v in (index, p, x_new, lo, hi, step))
         x = x_new
-    raise ConvergenceError(failure)
+    raise ConvergenceError(failure(index[0]))
 
 
 def reg_lower_gamma(s: float, x: float) -> float:
@@ -317,10 +246,9 @@ def normal_quantile(p: float) -> float:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if p > 0.5:
         return -normal_quantile(1.0 - p)
-    z = _rtsafe(
-        normal_cdf, normal_pdf, p, 0.0, -40.0, 40.0,
-        f"normal quantile failed for p={p}",
-    )
+    z = float(_rtsafe(
+        lambda i, z: normal_cdf(z[0]), lambda i, z: normal_pdf(z[0]), p, 0.0, -40.0,
+        40.0, lambda i: f"normal quantile failed for p={p}")[0])
     return z - (normal_cdf(z) - p) / normal_pdf(z)
 
 
@@ -336,9 +264,9 @@ _log_factorial_table = np.empty(0)  # grown by log_factorials
 def log_factorials(m: int) -> np.ndarray:
     """Read-only array of log(k!) for k = 0..m.
 
-    Each entry is ``math.lgamma(k + 1)``, the value the scalar mass
-    functions use, so the columns below match them bit for bit; a running
-    sum of logs drifts (9e-12 at m = 1000).  One table serves every m and
+    Each entry is ``math.lgamma(k + 1)``, the value the scalar
+    :func:`pois_log_pmf` uses, so the columns below match it bit for bit; a
+    running sum of logs drifts (9e-12 at m = 1000).  One table serves every m and
     at least doubles whenever a caller needs more of it.
     """
     global _log_factorial_table
@@ -350,36 +278,20 @@ def log_factorials(m: int) -> np.ndarray:
     return _log_factorial_table[: m + 1]
 
 
-def binom_log_pmf(omega: int, n: int, tau: float) -> float:
-    """Log of the binomial mass function at omega for n trials, success tau."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if not 0 <= omega <= n:
-        raise ValueError(f"omega must lie in [0, {n}], got {omega}")
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    ln_choose = (
-        math.lgamma(n + 1) - math.lgamma(omega + 1) - math.lgamma(n - omega + 1)
-    )
-    return ln_choose + omega * math.log(tau) + (n - omega) * math.log1p(-tau)
-
-
 def _binom_log_pmf(omega, n: int, log_tau, log1m_tau) -> np.ndarray:
+    """Log of the binomial mass function at omega for n trials, from log(tau)."""
     log_fact = log_factorials(n)
     ln_choose = log_fact[n] - log_fact[omega] - log_fact[n - omega]
     return ln_choose + omega * log_tau + (n - omega) * log1m_tau
 
 
 def binom_log_pmf_column(n: int, tau: float) -> np.ndarray:
-    """:func:`binom_log_pmf` at omega = 0..n, same expression and order.
-
-    The caller checks the domain.
-    """
+    """Log binomial mass function at omega = 0..n, unchecked."""
     return _binom_log_pmf(np.arange(n + 1), n, math.log(tau), math.log1p(-tau))
 
 
 def binom_log_pmf_array(omega: np.ndarray, n: int, tau: np.ndarray) -> np.ndarray:
-    """:func:`binom_log_pmf` elementwise over arrays of omega and tau, unchecked."""
+    """Log binomial mass function elementwise over arrays of omega and tau, unchecked."""
     return _binom_log_pmf(omega, n, np.log(tau), np.log1p(-tau))
 
 

@@ -5,28 +5,32 @@ code paths: plain Gauss-Legendre panels for normal expectations (with the
 interval length taken straight from the interval endpoints), midpoint
 Riemann sums for memberships over the parameter axis, a greedy fill for
 the optimal-membership linear program, the integral of a membership
-against a measure, the binomial mass and CDF by direct summation, the
-Poisson CDF by its term recurrence, a proposed family's membership one
-point at a time (its thresholds, then one branch's slack from a scalar
-tail), coverage as a sum of those scalar memberships, the discrete
-families' upper tails in 40-digit mpmath, a crisp method's clipped
-interval from its endpoints, and interval masses by scalar adaptive
-Gauss-Legendre quadrature on panels split at a membership's breakpoints,
-with the fake families that test it.
+against a measure, the scalar incomplete beta and log masses, the binomial
+mass and CDF by direct summation, the Poisson CDF by its term recurrence,
+the discrete families' band edges one scalar root solve at a time, a
+proposed family's membership one point at a time (those edges, then one
+branch's slack from a scalar tail), coverage as a sum of those scalar
+memberships, the discrete families' upper tails in 40-digit mpmath, a
+crisp method's clipped interval from its endpoints, and interval masses by
+scalar adaptive Gauss-Legendre quadrature on panels split at a
+membership's breakpoints, with the fake families that test it.
 """
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from fuzzyci.binomial import BinomialFamily
+from fuzzyci.binomial import AgrestiCoull, BinomialFamily
 from fuzzyci.core import _align
 from fuzzyci.discrete import Crisp, Randomized
 from fuzzyci.length import _gauss_legendre
+from fuzzyci.poisson import PoissonFamily, ScoreInterval
 from fuzzyci.specfun import (
+    _ABS_TOL,
+    _EPS,
+    _FPMIN,
     ConvergenceError,
-    binom_log_pmf,
     normal_quantile,
     pois_log_pmf,
     reg_lower_gamma,
@@ -208,6 +212,200 @@ def expectation(psi_star, measure):
     )
 
 
+def _betacf(a, b, x):
+    """Continued fraction for the incomplete beta (modified Lentz)."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, 400):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        de = d * c
+        h *= de
+        if abs(de - 1.0) < _EPS:
+            return h
+    raise ConvergenceError(
+        f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}"
+    )
+
+
+def reg_inc_beta(x, a, b):
+    """Regularized incomplete beta function I(x; a, b), one point at a time.
+
+    The CDF of a Beta(a, b) variable at x, for real shapes a, b >= 0, not
+    both zero.  Degenerate shapes follow the limits of the beta family:
+    I(x; 0, b) = 1 for x > 0 and I(x; a, 0) = 0 for x < 1.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x must lie in [0, 1], got {x}")
+    if a < 0 or b < 0:
+        raise ValueError("shape parameters must be nonnegative")
+    if a == 0.0 and b == 0.0:
+        raise ValueError("shape parameters must not both be zero")
+    if a == 0.0:
+        return 1.0 if x > 0.0 else 0.0
+    if b == 0.0:
+        return 1.0 if x >= 1.0 else 0.0
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    # Symmetry switch keeps the continued fraction in its fast-convergence
+    # region on both sides of the mode.
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
+def binom_log_pmf(omega, n, tau):
+    """Log of the binomial mass function at omega for n trials, success tau."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if not 0 <= omega <= n:
+        raise ValueError(f"omega must lie in [0, {n}], got {omega}")
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    ln_choose = (
+        math.lgamma(n + 1) - math.lgamma(omega + 1) - math.lgamma(n - omega + 1)
+    )
+    return ln_choose + omega * math.log(tau) + (n - omega) * math.log1p(-tau)
+
+
+def log_pmf(fam, omega, tau):
+    """A family's log mass at omega, one point at a time.
+
+    The scalar binomial or Poisson log mass for the library's families, a
+    fake family's own ``log_pmf``.
+    """
+    if isinstance(fam, (BinomialFamily, AgrestiCoull)):
+        return binom_log_pmf(omega, fam.n, tau)
+    if isinstance(fam, (PoissonFamily, ScoreInterval)):
+        return pois_log_pmf(omega, tau)
+    return fam.log_pmf(omega, tau)
+
+
+def scalar_tail(fam, k, tau):
+    """P[X >= k | tau], one point at a time.
+
+    The binomial's incomplete beta I(tau; k, n - k + 1), for 0 <= k <= n + 1;
+    the Poisson's incomplete gamma P(k, tau), for k >= 1.
+    """
+    if isinstance(fam, BinomialFamily):
+        return reg_inc_beta(tau, k, fam.n - k + 1)
+    return reg_lower_gamma(k, tau)
+
+
+def scalar_rtsafe(cdf, pdf, p, x, lo, hi, failure):
+    """Solve ``cdf(x) = p`` for x in the bracket [lo, hi], starting at x.
+
+    One element of the library's root finder in plain floats: the same
+    Newton steps kept inside the bracket, bisection fallback, stopping rule
+    and iteration budget.
+    """
+    step = math.inf
+    for _ in range(200):
+        f = cdf(x) - p
+        if abs(f) <= _ABS_TOL and step <= 1e-12 * max(1.0, abs(x)):
+            return x
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        dfdx = pdf(x)
+        newton_ok = dfdx > 0.0
+        if newton_ok:
+            x_new = x - f / dfdx
+            if x_new == x and abs(f) <= _ABS_TOL:
+                return x
+            newton_ok = lo < x_new < hi
+        if not newton_ok:
+            x_new = 0.5 * (lo + hi)
+        step = abs(x_new - x)
+        if hi - lo < 4.0 * _EPS * max(1.0, abs(x_new)):
+            return 0.5 * (lo + hi)
+        x = x_new
+    raise ConvergenceError(failure)
+
+
+def scalar_solve_edge(fam, level, k):
+    """The band edge: the tau in (0, tau_upper) where P[X >= k | tau] = level.
+
+    One ``scalar_rtsafe`` solve per edge on ``scalar_tail``: the same
+    start, bracket and stopping rule as the library's batch, on scalar
+    kernels.
+    The binomial's bounded space starts at k / (n + 1); an unbounded one
+    starts at tau = k and doubles the bracket's upper end from there until
+    the tail reaches the level.  k = 0's edge is 0, and a k past the
+    binomial's n has its edge at 1.
+    """
+    # Band edges do not depend on o: every anchor of a model shares them.
+    return _scalar_edge(fam.reference(0.5), level, k)
+
+
+@lru_cache(maxsize=None)
+def _scalar_edge(fam, level, k):
+    if k == 0:
+        return 0.0
+    hi = fam.tau_upper
+    if hi < math.inf:
+        if k > fam.n:
+            return hi
+        start = k / (fam.n + 1)
+    else:
+        start = hi = float(k)
+        while scalar_tail(fam, k, hi) < level:
+            hi *= 2.0
+    return scalar_rtsafe(
+        lambda tau: scalar_tail(fam, k, tau),
+        lambda tau: k * math.exp(log_pmf(fam, k, tau)) / tau,
+        level, start, 0.0, hi,
+        f"band edge failed for level={level}, k={k}",
+    )
+
+
+@lru_cache(maxsize=None)
+def scalar_thresholds(fam, omega):
+    """``(below_zero, below_one, above_one, above_zero)``: omega's band edges.
+
+    The tails' level crossings of omega and omega + 1, at level 1 - gamma
+    below o and gamma above it, each from ``scalar_solve_edge``.
+    """
+    return tuple(
+        scalar_solve_edge(fam, level, k)
+        for level in (1.0 - fam.gamma, fam.gamma) for k in (omega, omega + 1)
+    )
+
+
 def binom_pmf(omega, n, tau):
     """Binomial mass at omega for n trials, from the library's log mass."""
     return math.exp(binom_log_pmf(omega, n, tau))
@@ -255,7 +453,7 @@ def scalar_slack(fam, omega, above, tau):
     Poisson's from its CDF P[X <= k], k = omega - 1 or omega.
     """
     if isinstance(fam, BinomialFamily):
-        upper = fam.tail(omega + above, tau)
+        upper = scalar_tail(fam, omega + above, tau)
         return fam.gamma - upper if above else fam.gamma - 1.0 + upper
     cdf = pois_cdf(omega - 1 + above, tau)
     return fam.gamma - 1.0 + cdf if above else fam.gamma - cdf
@@ -268,7 +466,7 @@ def scalar_branch(fam, omega, above, tau):
     band edges short-circuit the clamped regions, so the ratio is evaluated
     only inside the band.
     """
-    z0, z1, a1, a0 = fam.thresholds(omega)
+    z0, z1, a1, a0 = scalar_thresholds(fam, omega)
     low, high = (a1, a0) if above else (z0, z1)
     if tau <= low:
         return float(above)
@@ -278,7 +476,7 @@ def scalar_branch(fam, omega, above, tau):
     if slack <= 0.0:
         return 0.0
     # The clamp absorbs float dust only; the ratio already lands in [0, 1].
-    return min(1.0, max(0.0, math.exp(math.log(slack) - fam.log_pmf(omega, tau))))
+    return min(1.0, max(0.0, math.exp(math.log(slack) - log_pmf(fam, omega, tau))))
 
 
 def scalar_psi(fam, omega, tau):
@@ -305,7 +503,7 @@ def scalar_coverage(tau, fam):
     columns behind ``discrete.coverage``.
     """
     return math.fsum(
-        math.exp(fam.log_pmf(w, tau)) * scalar_psi(fam, w, tau)
+        math.exp(log_pmf(fam, w, tau)) * scalar_psi(fam, w, tau)
         for w in range(fam.support_upper(tau) + 1)
     )
 
@@ -392,11 +590,11 @@ def band_integral(f, a, b, rel_tol):
 def breakpoints(fam, omega):
     """Where tau -> psi(omega, tau) may kink or jump inside the domain.
 
-    A proposed family's thresholds and o, a crisp method's endpoints, or
+    A proposed family's scalar band edges and o, a crisp method's endpoints, or
     what a fake family advertises.
     """
     if isinstance(fam, Randomized):
-        points = {*fam.thresholds(omega), fam.o}
+        points = {*scalar_thresholds(fam, omega), fam.o}
     elif isinstance(fam, Crisp):
         points = set(fam.endpoints(omega))
     else:
@@ -439,7 +637,7 @@ def breakpoint_mass(fam, omega, quad):
 def breakpoint_el(fam, theta, quad):
     """Expected length at theta from the breakpoint masses."""
     return math.fsum(
-        math.exp(fam.log_pmf(w, theta)) * breakpoint_mass(fam, w, quad)
+        math.exp(log_pmf(fam, w, theta)) * breakpoint_mass(fam, w, quad)
         for w in range(fam.support_upper(theta) + 1)
     )
 

@@ -24,7 +24,7 @@ from fuzzyci import binomial, discrete, normal, poisson
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.knapsack import KnapsackInstance, solve_01_dp, solve_fractional, to_measure_problem
 from fuzzyci.length import QuadratureSpec, el_curve, lower_bound_curve
-from fuzzyci.specfun import normal_cdf, normal_quantile, reg_inc_beta
+from fuzzyci.specfun import normal_cdf, normal_quantile, reg_inc_beta_array
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -380,13 +380,12 @@ def test_criterion_8_qualitative_figure_shapes():
 
 
 def test_criterion_9_special_function_identities():
-    checks = []
-    checks.append(abs(reg_inc_beta(0.5, 1, 1) - 0.5) < 1e-12)
-    checks.append(abs(reg_inc_beta(0.6, 2, 1) - 0.36) < 1e-12)
-    checks.append(abs(reg_inc_beta(0.6, 1, 2) - 0.84) < 1e-12)
+    beta = reg_inc_beta_array(np.array([0.5, 0.6, 0.6]), np.array([1, 2, 1]), np.array([1, 1, 2]))
+    checks = (np.abs(beta - [0.5, 0.36, 0.84]) < 1e-12).tolist()
     counts = poisson.PoissonFamily(1.0, 0.95)
-    checks.append(abs(counts.solve_edge(0.95, 1) + math.log(0.05)) < 1e-10)
-    checks.append(abs(counts.solve_edge(0.5, 1) - math.log(2.0)) < 1e-10)
+    high, half = counts.solve_band_edges([(0.95, 1), (0.5, 1)])
+    checks.append(abs(high + math.log(0.05)) < 1e-10)
+    checks.append(abs(half - math.log(2.0)) < 1e-10)
     checks.append(abs(normal_cdf(0.0) - 0.5) < 1e-12)
     for z in (0.3, 1.7, 4.0):
         checks.append(abs(normal_cdf(z) + normal_cdf(-z) - 1.0) < 1e-12)
@@ -397,15 +396,19 @@ def test_criterion_9_special_function_identities():
     checks.append(abs(pois_pmf(0, 3.0) - math.exp(-3.0)) < 1e-12)
     identities_ok = all(checks)
 
+    def round_trip(fam, keys):
+        # Each edge's level back from the tail, over one batch of edges.
+        level, k = (np.array(v) for v in zip(*keys))
+        edges = np.array(fam.solve_band_edges(keys))
+        return float(np.max(np.abs(fam.tail_array(k, edges) - level)))
+
     worst_rt = 0.0
     for n in (1, 2, 7, 20):
         trials = binomial.BinomialFamily(n, 0.5, 0.95)
-        for k in (1, n // 2 + 1, n):
-            for p in (0.01, 0.2, 0.5, 0.8, 0.99):
-                worst_rt = max(worst_rt, abs(trials.tail(k, trials.solve_edge(p, k)) - p))
-    for k in (1, 4, 10):
-        for p in (0.05, 0.5, 0.95):
-            worst_rt = max(worst_rt, abs(counts.tail(k, counts.solve_edge(p, k)) - p))
+        keys = [(p, k) for k in (1, n // 2 + 1, n) for p in (0.01, 0.2, 0.5, 0.8, 0.99)]
+        worst_rt = max(worst_rt, round_trip(trials, keys))
+    keys = [(p, k) for k in (1, 4, 10) for p in (0.05, 0.5, 0.95)]
+    worst_rt = max(worst_rt, round_trip(counts, keys))
     for p in (0.01, 0.5, 0.975):
         worst_rt = max(worst_rt, abs(normal_cdf(normal_quantile(p)) - p))
     report(

@@ -124,7 +124,7 @@ class TestMembershipCommand:
             raise AssertionError("a band edge was solved")
 
         for cls in (binomial.BinomialFamily, poisson.PoissonFamily):
-            monkeypatch.setattr(cls, "solve_edge", refuse)
+            monkeypatch.setattr(cls, "solve_band_edges", refuse)
         status, out = run_cli(
             capsys, "membership", *argv, "--gamma", "0.9471625",
             "--tau-grid", "0.05:0.95:19",
@@ -530,9 +530,9 @@ class TestOversizedInput:
 
         monkeypatch.setattr(np, "linspace", capped)
         monkeypatch.setattr(discrete._Membership, "psi_counts", refuse)
-        monkeypatch.setattr(poisson.PoissonFamily, "solve_edge", refuse)
+        monkeypatch.setattr(poisson.PoissonFamily, "solve_band_edges", refuse)
         monkeypatch.setattr(poisson.ScoreInterval, "endpoints", refuse)
-        monkeypatch.setattr(binomial.BinomialFamily, "solve_edge", refuse)
+        monkeypatch.setattr(binomial.BinomialFamily, "solve_band_edges", refuse)
         monkeypatch.setattr(binomial.AgrestiCoull, "endpoints", refuse)
 
     @pytest.mark.parametrize(

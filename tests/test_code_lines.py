@@ -37,5 +37,15 @@ def test_counts_the_package(capsys):
     assert code_lines.main() == 0
     lines = capsys.readouterr().out.splitlines()
     counts = [int(line.split()[0]) for line in lines]
-    assert lines[-1].endswith(" total") and counts[-1] == sum(counts[:-1]) > 0
+    assert lines[-2].endswith(" total") and counts[-2] == sum(counts[:-2]) > 0
     assert any(line.endswith(" length.py") for line in lines)
+
+
+def test_counts_the_oracles_apart_from_the_total(capsys):
+    code_lines.main()
+    last = capsys.readouterr().out.splitlines()[-1]
+    count, name = last.split()
+    assert name == "tests/oracles.py"
+    oracles = os.path.join(os.path.dirname(__file__), "oracles.py")
+    with open(oracles, encoding="utf-8") as f:
+        assert int(count) == code_lines.code_lines(f.read()) > 0

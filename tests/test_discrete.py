@@ -7,34 +7,55 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import mp_psi, mp_tail_residual, scalar_branch, scalar_coverage, scalar_psi
+from oracles import (
+    log_pmf,
+    mp_psi,
+    mp_tail_residual,
+    scalar_branch,
+    scalar_coverage,
+    scalar_psi,
+)
 
 from fuzzyci import binomial, discrete, poisson, specfun
 from fuzzyci.discrete import coverage
+from fuzzyci.length import QuadratureSpec, band_masses
 from fuzzyci.specfun import ConvergenceError, log_factorials
 
 
 def count_solves(monkeypatch, cls):
-    """Record the (level, k) of every band-edge solve of ``cls`` from now on."""
-    solves = []
-    solve = cls.solve_edge
+    """Record the (level, k) keys of every band-edge batch of ``cls`` from now on.
 
-    def counted(self, level, k):
-        solves.append((level, k))
-        return solve(self, level, k)
+    One list of keys per batch.
+    """
+    batches = []
+    solve = cls.solve_band_edges
 
-    monkeypatch.setattr(cls, "solve_edge", counted)
-    return solves
+    def counted(self, keys):
+        batches.append(list(keys))
+        return solve(self, keys)
+
+    monkeypatch.setattr(cls, "solve_band_edges", counted)
+    return batches
 
 
-def four_solves(fam, omega):
-    """omega's thresholds, each from its own band-edge solve."""
-    below, above = 1.0 - fam.gamma, fam.gamma
-    return (
-        fam.solve_edge(below, omega),
-        fam.solve_edge(below, omega + 1),
-        fam.solve_edge(above, omega),
-        fam.solve_edge(above, omega + 1),
+def count_root_solves(monkeypatch):
+    """Record the number of elements of every band-edge root solve from now on."""
+    calls = []
+    rtsafe = discrete._rtsafe
+
+    def counted(cdf, pdf, p, *args):
+        calls.append(len(p))
+        return rtsafe(cdf, pdf, p, *args)
+
+    monkeypatch.setattr(discrete, "_rtsafe", counted)
+    return calls
+
+
+def one_key_solves(fam, omega):
+    """omega's band edges, each from a batch that holds its key alone."""
+    return tuple(
+        fam.solve_band_edges([(level, k)])[0]
+        for level in (1.0 - fam.gamma, fam.gamma) for k in (omega, omega + 1)
     )
 
 
@@ -59,12 +80,10 @@ def test_families_differing_only_in_o_share_one_memo(first, second, taus, monkey
     # edges being kept on everything but o.
     assert first.memo is second.memo
     top = first.support_upper(max(taus))
-    for w in range(top + 1):
-        first.thresholds(w)
+    first.band_edges(range(top + 1))
     before = dict(first.memo.edges)
     solves = count_solves(monkeypatch, type(first))
-    for w in range(top + 1):
-        second.thresholds(w)
+    assert second.band_edges(range(top + 1)) == first.band_edges(range(top + 1))
     assert solves == []
     assert second.memo.edges == before
 
@@ -86,15 +105,21 @@ def test_coverage_leaves_the_memos_untouched():
 
 @pytest.mark.parametrize("gamma", [0.8, 0.95, 0.99])
 def test_shared_band_edges_give_the_four_solve_thresholds(gamma):
-    # Each band edge is solved once and read by two neighbouring omegas; the
-    # thresholds must be the very floats four separate solves give.
-    for n in (1, 2, 10, 40, 300):
-        fam = binomial.BinomialFamily(n, 0.5, gamma)
-        for w in range(n + 1):
-            assert fam.thresholds(w) == four_solves(fam, w)
-    fam = poisson.PoissonFamily(1.0, gamma)
-    for w in range(151):
-        assert fam.thresholds(w) == four_solves(fam, w)
+    # Each band edge is solved once, in one batch with all the others, and
+    # read by two neighbouring omegas.  Every kernel evaluates an element
+    # from its own arguments, so the batch's edges must be the very floats
+    # of a batch in another order and of batches that hold one key each;
+    # those cost milliseconds a key, so they run at 21 counts per model.
+    rng = np.random.default_rng(19)
+    models = [(binomial.BinomialFamily(n, 0.5, gamma), n + 1) for n in (1, 2, 10, 40, 300)]
+    models.append((poisson.PoissonFamily(1.0, gamma), 151))
+    for fam, count in models:
+        edges = fam.band_edges(range(count))
+        keys = list(fam.memo.edges)
+        shuffled = [keys[i] for i in rng.permutation(len(keys))]
+        assert dict(zip(shuffled, fam.solve_band_edges(shuffled))) == fam.memo.edges
+        for w in sorted({*range(0, count, max(1, count // 20)), count - 1}):
+            assert edges[w] == one_key_solves(fam, w)
 
 
 @pytest.mark.parametrize(
@@ -104,48 +129,63 @@ def test_shared_band_edges_give_the_four_solve_thresholds(gamma):
 )
 def test_each_band_edge_is_solved_once(fam, monkeypatch):
     # A gamma no other test uses: omega = 0..40 has 42 edges per level,
-    # each stored once, in the memo's one table of edges.
+    # each stored once, in the memo's one table of edges, from one root
+    # solve of the band route's one batch.
     solves = count_solves(monkeypatch, type(fam))
-    for w in range(41):
-        fam.thresholds(w)
+    roots = count_root_solves(monkeypatch)
+    quad = QuadratureSpec(1e-3, 0.999 if fam.tau_upper == 1.0 else 60.0)
+    band_masses(fam, [(fam.o, range(41))], quad)
     assert sorted(vars(fam.memo)) == ["bands", "edges", "envelope"]
-    assert len(solves) == len(set(solves)) == len(fam.memo.edges) == 2 * (40 + 2)
-    for w in range(41):
-        fam.thresholds(w)
-    assert len(solves) == 2 * (40 + 2)
+    assert len(solves) == len(roots) == 1
+    keys = solves[0]
+    assert len(keys) == len(set(keys)) == len(fam.memo.edges) == 2 * (40 + 2)
+    # k = 0, and the binomial's n + 1, need no root.
+    assert roots == [len(keys) - (4 if fam.tau_upper == 1.0 else 2)]
+    fam.band_edges(range(41))
+    band_masses(fam, [(fam.o, range(41))], QuadratureSpec(0.1, 0.9))
+    assert len(solves) == len(roots) == 1
+
+
+def test_band_masses_checks_every_count_before_solving():
+    # A gamma no other test uses, so the memo starts empty: omega = 0 is
+    # valid, n + 1 is not, and no edge of either is solved.
+    n = 10
+    model = binomial.BinomialFamily(n, 0.5, 0.9361729)
+    with pytest.raises(ValueError):
+        band_masses(model, [(0.5, [0, n + 1])], QuadratureSpec(1e-3, 0.999))
+    assert model.memo.edges == {}
 
 
 def test_a_failed_solve_stores_nothing(monkeypatch):
     # A gamma no other test uses, so the memo starts empty.
     gamma = 0.9361728
     fam = binomial.BinomialFamily(10, 0.5, gamma)
-    solve = binomial.BinomialFamily.solve_edge
-
-    def failing(self, level, k):
-        if k == 4:
-            raise ConvergenceError("no root")
-        return solve(self, level, k)
-
-    monkeypatch.setattr(binomial.BinomialFamily, "solve_edge", failing)
-    with pytest.raises(ConvergenceError):
-        fam.thresholds(3)
-    # The edge solved before the failure is kept, the failed one is not.
-    assert list(fam.memo.edges) == [(1.0 - gamma, 3)]
+    monkeypatch.setattr(specfun, "_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match="band edge"):
+        fam.band_edges([3])
+    # No edge of the failed batch is kept.
+    assert fam.memo.edges == {}
     monkeypatch.undo()
-    assert fam.thresholds(3) == four_solves(fam, 3)
+    assert fam.band_edges([3]) == [one_key_solves(fam, 3)]
 
 
 def count_tails(monkeypatch, cls):
-    """Record the k of every ``tail`` evaluation of ``cls`` from now on."""
+    """Record the k array of every ``tail_array`` evaluation of ``cls`` from now on."""
     calls = []
-    tail = cls.tail
+    tail = cls.tail_array
 
     def counted(self, k, tau):
         calls.append(k)
         return tail(self, k, tau)
 
-    monkeypatch.setattr(cls, "tail", counted)
+    monkeypatch.setattr(cls, "tail_array", counted)
     return calls
+
+
+def solve(fam, keys):
+    """The ``(level, k)`` keys as arrays, with their edges from one batch."""
+    level, k = (np.array(v) for v in zip(*keys))
+    return level, k, np.array(fam.solve_band_edges(keys))
 
 
 class TestSolveEdge:
@@ -154,46 +194,48 @@ class TestSolveEdge:
     def test_binomial_closed_forms(self):
         # P[X >= n | tau] = tau^n.
         fam = binomial.BinomialFamily(2, 0.5, 0.95)
-        assert fam.solve_edge(0.36, 2) == pytest.approx(0.6, abs=1e-9)
+        assert fam.solve_band_edges([(0.36, 2)])[0] == pytest.approx(0.6, abs=1e-9)
         fam = binomial.BinomialFamily(1, 0.5, 0.95)
-        assert fam.solve_edge(0.5, 1) == pytest.approx(0.5, abs=1e-9)
+        assert fam.solve_band_edges([(0.5, 1)])[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_binomial_frozen_value(self):
         # mpmath root of I(x; 5, 6) = 0.95 at 40 digits.
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
-        assert fam.solve_edge(0.95, 5) == pytest.approx(0.696462787435958, abs=1e-9)
+        assert fam.solve_band_edges([(0.95, 5)])[0] == pytest.approx(
+            0.696462787435958, abs=1e-9
+        )
 
     def test_poisson_closed_form(self):
         # P[X >= 1 | tau] = 1 - exp(-tau).
         fam = poisson.PoissonFamily(1.0, 0.95)
-        assert fam.solve_edge(0.95, 1) == pytest.approx(-math.log(0.05), abs=1e-10)
-        assert fam.solve_edge(0.5, 1) == pytest.approx(math.log(2.0), abs=1e-10)
+        high, half = fam.solve_band_edges([(0.95, 1), (0.5, 1)])
+        assert high == pytest.approx(-math.log(0.05), abs=1e-10)
+        assert half == pytest.approx(math.log(2.0), abs=1e-10)
 
     def test_poisson_frozen_value(self):
         # mpmath root of P(4, tau) = 0.95 at 40 digits: half the 0.95
         # quantile of chi-square with 8 degrees of freedom.
         fam = poisson.PoissonFamily(1.0, 0.95)
-        assert fam.solve_edge(0.95, 4) == pytest.approx(15.507313055865454 / 2, abs=5e-9)
+        assert fam.solve_band_edges([(0.95, 4)])[0] == pytest.approx(
+            15.507313055865454 / 2, abs=5e-9
+        )
 
     def test_conventions(self):
         # P[X >= 0] = 1 and, for the binomial, P[X >= n + 1] = 0 at every tau.
         fam = binomial.BinomialFamily(4, 0.5, 0.95)
-        assert fam.solve_edge(0.4, 0) == 0.0
-        assert fam.solve_edge(0.4, 5) == 1.0
-        assert poisson.PoissonFamily(1.0, 0.95).solve_edge(0.4, 0) == 0.0
+        assert fam.solve_band_edges([(0.4, 0), (0.4, 5), (0.4, 2)])[:2] == [0.0, 1.0]
+        assert poisson.PoissonFamily(1.0, 0.95).solve_band_edges([(0.4, 0)]) == [0.0]
 
     def test_round_trip_in_level(self):
+        levels = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
         for n in (1, 2, 5, 10, 20, 40):
             fam = binomial.BinomialFamily(n, 0.5, 0.95)
-            for k in range(1, n + 1):
-                for level in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-                    edge = fam.solve_edge(level, k)
-                    assert fam.tail(k, edge) == pytest.approx(level, abs=1e-9)
+            level, k, edge = solve(fam, [(p, k) for k in range(1, n + 1) for p in levels])
+            assert np.max(np.abs(fam.tail_array(k, edge) - level)) <= 1e-9, n
         fam = poisson.PoissonFamily(1.0, 0.95)
-        for k in (1, 2, 4, 8, 20):
-            for level in (0.01, 0.05, 0.5, 0.9, 0.95, 0.99):
-                edge = fam.solve_edge(level, k)
-                assert fam.tail(k, edge) == pytest.approx(level, abs=1e-9)
+        levels = (0.01, 0.05, 0.5, 0.9, 0.95, 0.99)
+        level, k, edge = solve(fam, [(p, k) for k in (1, 2, 4, 8, 20) for p in levels])
+        assert np.max(np.abs(fam.tail_array(k, edge) - level)) <= 1e-9
 
     def test_round_trip_in_tau(self):
         # The edge at tail(k, tau) recovers tau wherever the tail is not flat
@@ -202,14 +244,14 @@ class TestSolveEdge:
         # vanishing.
         for n in (1, 4, 9, 19, 29):
             fam = binomial.BinomialFamily(n, 0.5, 0.95)
-            for k in range(1, n + 1):
-                for j in range(1, 100):
-                    tau = j / 100.0
-                    if k * math.exp(fam.log_pmf(k, tau)) / tau < 1e-6:
-                        continue
-                    level = fam.tail(k, tau)
-                    if 0.0 < level < 1.0:
-                        assert fam.solve_edge(level, k) == pytest.approx(tau, abs=1e-9)
+            k, tau = (
+                v.ravel() for v in np.meshgrid(np.arange(1, n + 1), np.arange(1, 100) / 100.0)
+            )
+            level = fam.tail_array(k, tau)
+            density = k * np.exp(fam.log_pmf_array(k, tau)) / tau
+            keep = (density >= 1e-6) & (0.0 < level) & (level < 1.0)
+            _, _, edge = solve(fam, list(zip(level[keep].tolist(), k[keep].tolist())))
+            assert np.max(np.abs(edge - tau[keep])) <= 1e-9, n
 
     @pytest.mark.parametrize(
         "fam",
@@ -219,34 +261,34 @@ class TestSolveEdge:
     def test_reports_nonconvergence(self, fam, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="band edge"):
-            fam.solve_edge(0.731, 7)
+            fam.solve_band_edges([(0.731, 7)])
 
     def test_monotone_in_k(self):
         fam = binomial.BinomialFamily(60, 0.5, 0.95)
-        edges = [fam.solve_edge(0.95, k) for k in range(62)]
+        edges = fam.solve_band_edges([(0.95, k) for k in range(62)])
         assert all(u < v for u, v in zip(edges, edges[1:]))
         fam = poisson.PoissonFamily(1.0, 0.95)
-        edges = [fam.solve_edge(0.95, k) for k in range(30)]
+        edges = fam.solve_band_edges([(0.95, k) for k in range(30)])
         assert all(u < v for u, v in zip(edges, edges[1:]))
 
     def test_large_k_against_mpmath(self):
         # Near tau = k the incomplete-gamma expansions need about sqrt(70 k)
         # terms: more than 500 from about k = 4000 on.
         pytest.importorskip("mpmath")
-        fam = poisson.PoissonFamily(1.0, 0.95)
-        for k in (4000, 6000, 11000):
-            for level in (0.005, 0.05, 0.95, 0.995):
-                edge = fam.solve_edge(level, k)
-                assert mp_tail_residual(fam, k, edge, level) < 1e-10
-        fam = binomial.BinomialFamily(5000, 0.5, 0.95)
-        for k in (1, 50, 2500, 4990, 5000):
-            for level in (0.005, 0.05, 0.95, 0.995):
-                edge = fam.solve_edge(level, k)
-                assert mp_tail_residual(fam, k, edge, level) < 1e-10
+        levels = (0.005, 0.05, 0.95, 0.995)
+        for fam, ks in (
+            (poisson.PoissonFamily(1.0, 0.95), (4000, 6000, 11000)),
+            (binomial.BinomialFamily(5000, 0.5, 0.95), (1, 50, 2500, 4990, 5000)),
+        ):
+            keys = [(p, k) for k in ks for p in levels]
+            for (p, k), edge in zip(keys, fam.solve_band_edges(keys)):
+                assert mp_tail_residual(fam, k, edge, p) < 1e-10, (fam, p, k)
 
     def test_sampled_edges_meet_the_residual_at_40_digits(self):
         pytest.importorskip("mpmath")
         rng = np.random.default_rng(16)
+        counts = poisson.PoissonFamily(1.0, 0.5)  # edges do not depend on gamma
+        samples, poisson_keys = [], []
         for _ in range(150):
             gamma = float(rng.uniform(0.5, 0.999))
             level = gamma if rng.random() < 0.5 else 1.0 - gamma
@@ -254,10 +296,13 @@ class TestSolveEdge:
                 n = int(np.exp(rng.uniform(0.0, np.log(2000.0))))
                 fam = binomial.BinomialFamily(n, 0.5, gamma)
                 k = int(rng.integers(1, n + 1))
+                samples.append((fam, level, k, fam.solve_band_edges([(level, k)])[0]))
             else:
-                fam = poisson.PoissonFamily(1.0, gamma)
                 k = int(np.exp(rng.uniform(0.0, np.log(11000.0))))
-            edge = fam.solve_edge(level, k)
+                poisson_keys.append((level, k))
+        for key, edge in zip(poisson_keys, counts.solve_band_edges(poisson_keys)):
+            samples.append((counts, *key, edge))
+        for fam, level, k, edge in samples:
             assert mp_tail_residual(fam, k, edge, level) <= 1e-10, (fam, level, k)
 
     @pytest.mark.parametrize(
@@ -267,13 +312,40 @@ class TestSolveEdge:
     )
     def test_each_edge_takes_at_most_12_tail_evaluations(self, fam, top, monkeypatch):
         # A Newton step that rounds to its own point has converged; it must
-        # not bisect the rest of the bracket.
+        # not bisect the rest of the bracket.  One batch per level, so each
+        # k is one element.
         calls = count_tails(monkeypatch, type(fam))
         for level in (1.0 - fam.gamma, fam.gamma):
-            for k in range(top + 1):
-                del calls[:]
-                fam.solve_edge(level, k)
-                assert len(calls) <= 12, (level, k, len(calls))
+            del calls[:]
+            fam.solve_band_edges([(level, k) for k in range(top + 1)])
+            evaluations = np.bincount(np.concatenate(calls))
+            assert evaluations.max() <= 12, (level, evaluations.argmax())
+
+    @pytest.mark.parametrize(
+        "fam, top, sampled",
+        [
+            (binomial.BinomialFamily(1, 0.5, 0.95), 1, False),
+            (binomial.BinomialFamily(40, 0.5, 0.95), 40, False),
+            (binomial.BinomialFamily(1000, 0.5, 0.95), 1000, True),
+            (poisson.PoissonFamily(1.0, 0.95), poisson.support_bound(1.0), False),
+            (poisson.PoissonFamily(24.0, 0.95), poisson.support_bound(24.0), False),
+            (poisson.PoissonFamily(400.0, 0.95), poisson.support_bound(400.0), False),
+        ],
+        ids=["binomial-1", "binomial-40", "binomial-1000", "poisson-1", "poisson-24",
+             "poisson-400"],
+    )
+    def test_one_batch_meets_the_residual_and_is_monotone(self, fam, top, sampled):
+        # Every edge of one band_edges batch, sampled at n = 1000, meets the
+        # residual at 40 digits, and each level's edges rise with k.
+        pytest.importorskip("mpmath")
+        edges = np.array(fam.band_edges(range(top + 1)))
+        for level, column in ((1.0 - fam.gamma, 0), (fam.gamma, 2)):
+            by_k = np.append(edges[:, column], edges[-1, column + 1])  # k = 0..top + 1
+            assert np.all(np.diff(by_k) >= 0.0), level
+            # Past the binomial's n the edge is 1 by convention, not a root.
+            last = fam.n if fam.tau_upper == 1.0 else top + 1
+            for k in range(1, last + 1, 37 if sampled else 1):
+                assert mp_tail_residual(fam, k, by_k[k], level) < 1e-10, (level, k)
 
 
 def test_memos_are_bounded_in_models():
@@ -308,7 +380,7 @@ def test_log_pmf_column_is_scalar_log_pmf(fam, taus):
     for tau in taus:
         column = fam.log_pmf_column(tau)
         assert len(column) == fam.support_upper(tau) + 1
-        assert column.tolist() == [fam.log_pmf(w, tau) for w in range(len(column))]
+        assert column.tolist() == [log_pmf(fam, w, tau) for w in range(len(column))]
 
 
 @pytest.mark.parametrize(
@@ -349,8 +421,7 @@ def test_psi_column_is_as_accurate_as_the_scalar_route(fam, taus):
         column = fam.psi_counts(fam.support_upper(tau), tau)
         column_error = scalar_error = 0.0
         inside = 0
-        for w in range(len(column)):
-            z0, z1, a1, a0 = fam.thresholds(w)
+        for w, (z0, z1, a1, a0) in enumerate(fam.band_edges(range(len(column)))):
             if not (a1 < tau < a0 if tau > fam.o else z0 < tau < z1):
                 continue
             inside += 1
@@ -392,8 +463,7 @@ def test_branch_array_matches_scalar_branch_inside_the_bands(fam, omegas, around
     # omega = 0 and omega = n are among the counts.  Kernels and log masses
     # differ by up to 1.4e-14 in the slack psi * p, the ratio's numerator.
     straddling = 0
-    for w in omegas:
-        z0, z1, a1, a0 = fam.thresholds(w)
+    for w, (z0, z1, a1, a0) in zip(omegas, fam.band_edges(omegas)):
         for above, a, b in ((False, z0, z1), (True, a1, a0)):
             if not a < b:
                 continue
@@ -401,7 +471,7 @@ def test_branch_array_matches_scalar_branch_inside_the_bands(fam, omegas, around
             taus = np.linspace(a, b, 41)[1:-1]
             array = fam.branch_array(np.full(len(taus), w), np.full(len(taus), above), taus)
             for tau, value in zip(taus.tolist(), array.tolist()):
-                p = math.exp(fam.log_pmf(w, tau))
+                p = math.exp(log_pmf(fam, w, tau))
                 scalar = scalar_branch(fam, w, above, tau)
                 assert abs(value - scalar) * p <= 1.4e-14, (w, tau)
     assert bool(straddling) == around_700

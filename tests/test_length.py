@@ -248,7 +248,7 @@ class TestBandRoute:
     def test_o_on_a_band_edge(self, family, w, quad):
         # Anchored exactly on z0, z1, a1 or a0 of omega, that band's end is
         # its near edge (an empty integral) or its far edge (the full band).
-        for edge in family(0.5).thresholds(w):
+        for edge in family(0.5).band_edges([w])[0]:
             fam = family(edge)
             top = fam.support_upper(quad.upper)
             _assert_band_route_matches_breakpoints(fam, quad, range(top + 1))

@@ -34,7 +34,7 @@ class TestPsiLower:
         # where it reaches exactly 1; full membership beyond.
         fam = PoissonFamily(8.0, 0.95)
         boundary = -math.log(0.95)
-        assert boundary == pytest.approx(fam.solve_edge(0.05, 1), abs=1e-9)
+        assert boundary == pytest.approx(fam.band_edges([0])[0][1], abs=1e-9)
         for tau in (1e-6, 0.01, 0.9 * boundary):
             assert fam.psi(0, tau) == pytest.approx(
                 0.95 * math.exp(tau), rel=1e-9
@@ -43,7 +43,7 @@ class TestPsiLower:
 
     def test_rejected_region(self):
         fam = PoissonFamily(8.0, 0.95)
-        threshold = fam.solve_edge(0.05, 3)
+        threshold = fam.band_edges([3])[0][0]  # P[X >= 3 | tau] = 0.05
         assert 0.5 < threshold
         assert fam.psi(3, 0.5) == 0.0
 
@@ -86,7 +86,7 @@ class TestPsiO:
             assert coverage(tau, PoissonFamily(o, 0.95)) == pytest.approx(0.95, abs=1e-10)
 
     def test_membership_near_mean_5000(self):
-        # The thresholds here need chi-square quantiles with about 10^4
+        # The band edges here need chi-square quantiles with about 10^4
         # degrees of freedom.
         fam = PoissonFamily(5000.0, 0.95)
         for tau in (4950.0, 5050.0):
@@ -142,8 +142,9 @@ class TestPsiO:
     def test_threshold_monotone_in_omega(self):
         for gamma in (0.9, 0.95, 0.99):
             fam = PoissonFamily(8.0, gamma)
-            for w in range(1, 30):
-                assert fam.solve_edge(1 - gamma, w) < fam.solve_edge(1 - gamma, w + 1)
+            # Each count's edges at level 1 - gamma, of k = w and w + 1.
+            for below_zero, below_one, _, _ in fam.band_edges(range(1, 30)):
+                assert below_zero < below_one
 
     def test_breakpoints(self):
         fam = PoissonFamily(8.0, 0.95)

@@ -14,15 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binom_cdf, binom_pmf, pois_cdf, pois_pmf
+from oracles import binom_cdf, binom_log_pmf, binom_pmf, pois_cdf, pois_pmf, reg_inc_beta
 
 from fuzzyci.specfun import (
-    binom_log_pmf,
     normal_cdf,
     normal_quantile,
     pois_cdf_array,
     pois_log_pmf,
-    reg_inc_beta,
+    reg_inc_beta_array,
     reg_lower_gamma,
 )
 
@@ -56,18 +55,33 @@ def simpson_beta_integral(x, a, b, tol=1e-12):
     return recurse(lo, hi, flo, fmid, fhi, whole, tol, 0)
 
 
+def beta(x, a, b):
+    """The library's incomplete beta over arrays, at integer shapes."""
+    x, a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)), a, b)
+    return reg_inc_beta_array(x, a, b)
+
+
 class TestRegIncBeta:
     def test_identity_a1_b1(self):
-        assert reg_inc_beta(0.5, 1, 1) == pytest.approx(0.5, abs=1e-12)
+        assert beta(0.5, 1, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_a2_b1(self):
-        assert reg_inc_beta(0.6, 2, 1) == pytest.approx(0.36, abs=1e-12)
+        assert beta(0.6, 2, 1) == pytest.approx(0.36, abs=1e-12)
 
     def test_identity_a1_b2(self):
-        assert reg_inc_beta(0.6, 1, 2) == pytest.approx(0.84, abs=1e-12)
+        assert beta(0.6, 1, 2) == pytest.approx(0.84, abs=1e-12)
 
     def test_against_quadrature_oracle(self):
-        # B(2.5, 4.5) via lgamma; value cross-checked against mpmath.
+        # I(0.3; 3, 5) = P[Bin(7, 0.3) >= 3] = 0.3529305 exactly.
+        a, b, x = 3, 5, 0.3
+        beta_ab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        oracle = simpson_beta_integral(x, a, b) / beta_ab
+        assert beta(x, a, b) == pytest.approx(oracle, abs=1e-10)
+        assert beta(x, a, b) == pytest.approx(0.3529305, abs=1e-12)
+
+    def test_scalar_reference_against_quadrature_oracle(self):
+        # The tests' scalar copy at real shapes.  B(2.5, 4.5) via lgamma;
+        # value cross-checked against mpmath.
         a, b, x = 2.5, 4.5, 0.3
         beta_ab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
         oracle = simpson_beta_integral(x, a, b) / beta_ab
@@ -75,12 +89,11 @@ class TestRegIncBeta:
         assert reg_inc_beta(x, a, b) == pytest.approx(0.40653901668245927, abs=1e-12)
 
     def test_boundary_conventions(self):
-        assert reg_inc_beta(0.3, 0, 5) == 1.0
-        assert reg_inc_beta(0.0, 0, 5) == 0.0
-        assert reg_inc_beta(0.3, 5, 0) == 0.0
-        assert reg_inc_beta(1.0, 5, 0) == 1.0
+        values = beta([0.3, 0.0, 0.3, 1.0], [0, 0, 5, 5], [5, 5, 0, 0])
+        assert values.tolist() == [1.0, 0.0, 0.0, 1.0]
 
     def test_domain_errors(self):
+        # Only the tests' scalar copy checks its domain.
         with pytest.raises(ValueError):
             reg_inc_beta(-0.1, 2, 3)
         with pytest.raises(ValueError):
@@ -90,19 +103,26 @@ class TestRegIncBeta:
 
     @given(
         x=st.floats(0.001, 0.999),
-        a=st.floats(0.5, 20.0),
-        b=st.floats(0.5, 20.0),
+        a=st.integers(1, 20),
+        b=st.integers(1, 20),
     )
     @settings(max_examples=300, deadline=None)
     def test_symmetry(self, x, a, b):
-        assert reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert beta(x, a, b) + beta(1.0 - x, b, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_x(self):
-        for a, b in [(0.5, 0.5), (2, 3), (10, 1), (1, 10), (7.5, 12.5)]:
-            values = [reg_inc_beta(i / 200.0, a, b) for i in range(1, 200)]
-            assert all(u <= v for u, v in zip(values, values[1:]))
+        x = np.arange(1, 200) / 200.0
+        for a, b in [(1, 1), (2, 3), (10, 1), (1, 10), (8, 12)]:
+            assert np.all(np.diff(beta(x, a, b)) >= 0.0), (a, b)
+
+    def test_matches_the_scalar_reference(self):
+        # Integer shapes, both sides of the symmetry switch.
+        rng = np.random.default_rng(19)
+        a, b = rng.integers(1, 400, 500), rng.integers(1, 400, 500)
+        x = rng.uniform(0.0, 1.0, 500)
+        values = beta(x, a, b)
+        for i in range(500):
+            assert values[i] == pytest.approx(reg_inc_beta(x[i], a[i], b[i]), abs=1e-13)
 
 
 class TestRegLowerGamma:
@@ -191,11 +211,13 @@ class TestDiscreteMass:
     def test_binom_beta_identity(self):
         # I(tau, w, n-w+1) = 1 - binom_cdf(w-1, n, tau) for integer w >= 1
         for n in [5, 10, 25]:
-            for w in range(1, n + 1):
-                for tau in [0.05, 0.3, 0.5, 0.77, 0.95]:
-                    lhs = reg_inc_beta(tau, w, n - w + 1)
-                    rhs = 1.0 - binom_cdf(w - 1, n, tau)
-                    assert lhs == pytest.approx(rhs, abs=1e-12)
+            w, tau = (v.ravel() for v in np.meshgrid(
+                np.arange(1, n + 1), [0.05, 0.3, 0.5, 0.77, 0.95]
+            ))
+            lhs = beta(tau, w, n - w + 1)
+            for i in range(len(w)):
+                rhs = 1.0 - binom_cdf(int(w[i]) - 1, n, float(tau[i]))
+                assert lhs[i] == pytest.approx(rhs, abs=1e-12)
 
     def test_pois_pmf_at_zero(self):
         for tau in [0.1, 1.0, 8.0]:

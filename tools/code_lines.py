@@ -5,7 +5,9 @@ not part of a docstring: the string literal that opens a module, class or
 function body.  Blank lines, comment lines and docstring lines are skipped.
 
 Usage: ``python tools/code_lines.py``.  It prints one
-``<count> <module>`` line per module, sorted by name, then ``<count> total``.
+``<count> <module>`` line per module, sorted by name, then ``<count> total``,
+then ``<count> tests/oracles.py``, the tests' independent reference routes,
+not added to the total: code that leaves ``src/`` for them shows there.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).parent.parent / "src" / "fuzzyci"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "fuzzyci"
+ORACLES = ROOT / "tests" / "oracles.py"
 
 _NON_CODE = {
     tokenize.COMMENT,
@@ -63,6 +67,7 @@ def main() -> int:
         total += count
         print(f"{count:5d} {path.name}")
     print(f"{total:5d} total")
+    print(f"{code_lines(ORACLES.read_text(encoding='utf-8')):5d} tests/oracles.py")
     return 0
 
 
