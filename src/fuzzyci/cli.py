@@ -244,15 +244,33 @@ def _check_output(args):
     raise UsageError(f"cannot write {path!r}: {OSError(code, os.strerror(code), path)}")
 
 
-def emit(columns, rows, args, comments=()):
-    """Write rows as CSV or JSON to stdout or the configured output path."""
+def _format_column(values) -> list[str]:
+    """The CSV text of each value; a float column formats each distinct value once.
+
+    Only a column of floats alone that repeats a value is memoized: equal
+    keys of other types print apart (1, 1.0, True), and a memo of distinct
+    values only costs time.  Zeros stay out of the memo, since 0.0 == -0.0
+    print apart; a NaN, unequal to itself, is found by identity.
+    """
+    if set(map(type, values)) != {float} or len(distinct := set(values)) == len(values):
+        return list(map(_format_value, values))
+    memo = {v: _format_value(v) for v in distinct if v}
+    return [memo[v] if v else _format_value(v) for v in values]
+
+
+def emit(header, columns, args, comments=()):
+    """Write equal-length columns as CSV or JSON to stdout or the output path.
+
+    Each column is a sequence; row i holds the i-th value of every column.
+    In CSV, each float column's distinct values are formatted once.
+    """
     if args.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_format_value(v) for v in row) for row in rows)
+        cells = [_format_column(column) for column in columns]
+        lines = [",".join(header), *map(",".join, zip(*cells))]
         lines.extend(f"# {c}" for c in comments)
         text = "\n".join(lines) + "\n"
     else:
-        payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
+        payload = {"columns": list(header), "rows": [list(r) for r in zip(*columns)]}
         if comments:
             payload["notes"] = list(comments)
         text = json.dumps(payload, indent=2) + "\n"
@@ -290,17 +308,15 @@ def cmd_membership(args) -> int:
         )
     # One column of memberships per tau; the rows run omega-major.
     psi = np.transpose([memberships(tau) for tau in taus]).ravel().tolist()
-    points = ((tau, w) for w in observations for tau in taus)
-    rows = [(tau, w, value) for (tau, w), value in zip(points, psi)]
-    emit(("tau", "omega", "psi"), rows, args)
+    omegas = [w for w in observations for _ in taus]
+    emit(("tau", "omega", "psi"), (taus * len(observations), omegas, psi), args)
     return 0
 
 
 def cmd_coverage(args) -> int:
     _, fam = _family(args, proposed=args.method == "proposed")
     taus = _parameter_grid(args.tau_grid, "tau", args, fam)
-    rows = [(tau, fam.coverage(tau)) for tau in taus]
-    emit(("tau", "coverage"), rows, args)
+    emit(("tau", "coverage"), (taus, [fam.coverage(tau) for tau in taus]), args)
     return 0
 
 
@@ -308,8 +324,7 @@ def cmd_el_curve(args) -> int:
     entry, fam = _family(args, proposed=args.method == "proposed")
     thetas = _parameter_grid(args.theta_grid, "theta", args, fam)
     el, bound = entry.curves(args, fam, thetas)
-    rows = list(zip(thetas, el(), bound()))
-    emit(("theta", "el", "lower_bound"), rows, args)
+    emit(("theta", "el", "lower_bound"), (thetas, el(), bound()), args)
     return 0
 
 
@@ -317,8 +332,7 @@ def cmd_lower_bound(args) -> int:
     entry, fam = _family(args, proposed=False)
     thetas = _parameter_grid(args.theta_grid, "theta", args, fam)
     _, bound = entry.curves(args, fam, thetas)
-    rows = list(zip(thetas, bound()))
-    emit(("theta", "lower_bound"), rows, args)
+    emit(("theta", "lower_bound"), (thetas, bound()), args)
     return 0
 
 
@@ -363,21 +377,18 @@ def cmd_knapsack(args) -> int:
         x, partition = solution.x, solution.partition
         total_weight, total_value = solution.total_weight, solution.total_value
     totals = (f"total_weight,{total_weight:.17g}", f"total_value,{total_value:.17g}")
+    items = range(len(weights))
     if args.mode != "roundtrip":
-        rows = [(i, *row) for i, row in enumerate(zip(weights, values, x, partition))]
-        emit(("item", "weight", "value", "x", "partition"), rows, args, comments=totals)
+        columns = (items, weights, values, x, partition)
+        emit(("item", "weight", "value", "x", "partition"), columns, args, comments=totals)
         return 0
     # roundtrip: solve through the measure problem and compare.
     mu, nu, gamma = to_measure_problem(instance)
     membership = construct_psi_star(mu, nu, gamma)
     gap = max(abs(xi - (1.0 - p)) for xi, p in zip(x, membership.psi))
-    rows = [
-        (i, w, v, mu.mass[i], nu.mass[i], membership.psi[i], xi, label)
-        for i, (w, v, xi, label) in enumerate(zip(weights, values, x, partition))
-    ]
     emit(
         ("item", "weight", "value", "mu", "nu", "psi", "x", "partition"),
-        rows,
+        (items, weights, values, mu.mass, nu.mass, membership.psi, x, partition),
         args,
         comments=(f"gamma,{gamma:.17g}", *totals, f"max_roundtrip_gap,{gap:.17g}"),
     )

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DiscreteMeasure
 
 __all__ = [
@@ -138,24 +140,26 @@ def solve_01_dp(instance: KnapsackInstance) -> tuple[tuple[int, ...], float]:
             f"dynamic program needs {n * (capacity + 1)} cells, budget is {_DP_BUDGET}"
         )
 
-    best = [0.0] * (capacity + 1)
-    taken = [bytearray(capacity + 1) for _ in range(n)]
-    for i in range(n):
-        w, v = weights[i], instance.values[i]
-        row = taken[i]
-        for c in range(capacity, w - 1, -1):
-            candidate = best[c - w] + v
-            if candidate > best[c]:
-                best[c] = candidate
-                row[c] = 1
+    # best[c] is the best value within capacity c of the items so far; item
+    # i is taken at c when it strictly beats leaving it out.  The candidates
+    # read the row before item i's update, so no item is taken twice.
+    best = np.zeros(capacity + 1)
+    taken = np.zeros((n, capacity + 1), dtype=bool)
+    for i, (w, v) in enumerate(zip(weights, instance.values)):
+        if w > capacity:
+            continue
+        candidate = best[: capacity + 1 - w] + v
+        take = taken[i, w:]
+        np.greater(candidate, best[w:], out=take)
+        np.copyto(best[w:], candidate, where=take)
     subset = []
     c = capacity
     for i in range(n - 1, -1, -1):
-        if taken[i][c]:
+        if taken[i, c]:
             subset.append(i)
             c -= weights[i]
     subset.reverse()
-    return tuple(subset), best[capacity]
+    return tuple(subset), float(best[capacity])
 
 
 def to_measure_problem(

@@ -135,9 +135,13 @@ class NormalFamily(_Normal):
         return 1.0 if inside and self._inside(tau) else 0.0
 
     def coverage(self, tau: float) -> float:
-        """gamma, except at o, where the crisp interval covers with 2 gamma - 1."""
+        """gamma, except at o, where the crisp interval covers with 2 gamma - 1.
+
+        Below gamma = 1/2 the interval never covers o, so the coverage there
+        is 0, not the negative 2 gamma - 1.
+        """
         covered = super().coverage(tau)
-        return 2.0 * self.gamma - 1.0 if tau == self.o else covered
+        return max(0.0, 2.0 * self.gamma - 1.0) if tau == self.o else covered
 
     def expected_length(self, theta: float) -> float:
         """Expected length of the o-anchored membership at true mean theta."""

@@ -13,7 +13,9 @@ branch's slack from a scalar tail), coverage as a sum of those scalar
 memberships, the discrete families' upper tails in 40-digit mpmath, a
 crisp method's clipped interval from its endpoints, and interval masses by
 scalar adaptive Gauss-Legendre quadrature on panels split at a
-membership's breakpoints, with the fake families that test it.
+membership's breakpoints, with the fake families that test it, the 0/1
+knapsack optimum by a dynamic program over one capacity at a time, and the
+CLI's CSV text formatted one value at a time.
 """
 
 import math
@@ -684,3 +686,40 @@ class Sneaky(Uniform):
 
     def psi(self, omega, tau):
         return 1.0 if tau < 0.37 else 0.0
+
+
+def solve_01_dp_loop(instance):
+    """The 0/1 knapsack optimum, one capacity at a time per item.
+
+    Integer weights and capacity; the selected indices and their value.
+    Capacities run downward so that ``best[c - w]`` still excludes item i,
+    and an item is taken only where it strictly beats leaving it out.
+    """
+    weights = [int(w) for w in instance.weights]
+    capacity = int(instance.capacity)
+    best = [0.0] * (capacity + 1)
+    taken = [bytearray(capacity + 1) for _ in weights]
+    for i, (w, v) in enumerate(zip(weights, instance.values)):
+        row = taken[i]
+        for c in range(capacity, w - 1, -1):
+            candidate = best[c - w] + v
+            if candidate > best[c]:
+                best[c] = candidate
+                row[c] = 1
+    subset = []
+    c = capacity
+    for i in range(len(weights) - 1, -1, -1):
+        if taken[i][c]:
+            subset.append(i)
+            c -= weights[i]
+    subset.reverse()
+    return tuple(subset), best[capacity]
+
+
+def csv_text(header, rows, comments=()):
+    """The CLI's CSV: floats at 17 significant digits, other values by str."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    lines.extend(f"# {c}" for c in comments)
+    return "\n".join(lines) + "\n"

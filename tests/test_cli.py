@@ -1,5 +1,8 @@
 """Tests for the command-line surface."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,8 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import scalar_psi
+from oracles import csv_text, scalar_psi
 
 from fuzzyci import binomial, cli, discrete, length, normal, poisson
 from fuzzyci.cli import build_parser, main, parse_grid, UsageError
@@ -229,6 +234,16 @@ class TestCoverageCommand:
         assert status == 0
         _, rows = parse_csv(out)
         assert rows == [(0.0, 0.95), (0.5, 0.95 * 2 - 1), (1.0, 0.95)]
+
+
+    def test_normal_coverage_at_o_below_one_half_is_zero(self, capsys):
+        status, out = run_cli(
+            capsys,
+            "coverage", "--family", "normal", "--gamma", "0.3", "--sigma", "1",
+            "--o", "0.5", "--tau-grid", "0:1:3",
+        )
+        assert status == 0
+        assert out.splitlines()[2] == "0.5,0"
 
 
 class TestElCurveCommand:
@@ -816,6 +831,98 @@ class TestOutputHandling:
             "--o", "0.3", "--tau-grid", "0.2:0.8:3",
         )
         assert status == 3
+
+
+# Equal floats that print apart (0.0, -0.0), floats unequal to themselves
+# (the NaNs) and repeats; _NUMBERS adds equal values of other types that
+# print apart (1, 1.0, True).
+_TRICKY_FLOATS = (
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, 0.1, 5e-324, 1e300,
+)
+_FLOATS = st.one_of(st.sampled_from(_TRICKY_FLOATS), st.floats())
+_NUMBERS = st.one_of(
+    _FLOATS,
+    st.sampled_from((1, True, False, 0, np.float64(2.5), np.float64(-0.0), np.int64(3))),
+)
+_VALUES = st.one_of(_NUMBERS, st.sampled_from(("A", "B", "")))
+_COLUMN_KINDS = st.sampled_from((_FLOATS, _NUMBERS, _VALUES))
+
+
+@st.composite
+def _columns(draw):
+    rows = draw(st.integers(0, 12))
+    width = draw(st.integers(1, 4))
+    return [
+        draw(st.lists(draw(_COLUMN_KINDS), min_size=rows, max_size=rows))
+        for _ in range(width)
+    ]
+
+
+def _emitted(header, columns, fmt, comments):
+    args = argparse.Namespace(format=fmt, output=None)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.emit(header, columns, args, comments)
+    return out.getvalue()
+
+
+class TestEmit:
+    """Columns in, and the very text that formatting row by row would write."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_columns(), st.sampled_from(((), ("total,1", "gap,0"))))
+    def test_text_equals_the_row_by_row_oracle(self, columns, comments):
+        header = [f"c{i}" for i in range(len(columns))]
+        rows = list(zip(*columns))
+        assert _emitted(header, columns, "csv", comments) == csv_text(header, rows, comments)
+        payload = {"columns": header, "rows": [list(r) for r in rows]}
+        if comments:
+            payload["notes"] = list(comments)
+        try:
+            expected = json.dumps(payload, indent=2) + "\n"
+        except TypeError:  # np.int64 is not JSON
+            with pytest.raises(TypeError):
+                _emitted(header, columns, "json", comments)
+        else:
+            assert _emitted(header, columns, "json", comments) == expected
+
+    def test_equal_values_that_print_apart(self):
+        columns = [
+            [0.0, -0.0, 0.0, math.nan, -0.0],
+            [-0.0, 0.0, 1.0, 1.0, -math.nan],
+            [1.0, 1, True, 1.0, np.float64(1.0)],
+        ]
+        assert _emitted(("a", "b", "c"), columns, "csv", ()) == (
+            "a,b,c\n0,-0,1\n-0,0,1\n0,1,True\nnan,1,1\n-0,nan,1\n"
+        )
+
+    def test_every_recipe_writes_the_oracle_csv(self, capsys, tmp_path, monkeypatch):
+        # Every emit of the ten figure recipes (30 files and one stdout) and
+        # of the three knapsack modes, replayed in-process, against the same
+        # columns formatted row by row.
+        monkeypatch.setenv("FUZZYCI_OUTPUT_DIR", str(tmp_path))
+        emit, checked = cli.emit, []
+
+        def compared(header, columns, args, comments=()):
+            assert len({len(column) for column in columns}) == 1
+            emit(header, columns, args, comments)
+            path = cli._output_path(args)
+            if path is None:
+                written = capsys.readouterr().out
+            else:
+                with open(path, encoding="utf-8") as handle:
+                    written = handle.read()
+            checked.append(written == csv_text(header, zip(*columns), comments))
+
+        monkeypatch.setattr(cli, "emit", compared)
+        recipe_dir = os.path.join(os.path.dirname(__file__), "..", "recipes")
+        recipes = sorted(n for n in os.listdir(recipe_dir) if n.startswith("fig"))
+        assert len(recipes) == 10
+        for name in recipes:
+            assert main(["recipe", os.path.join(recipe_dir, name)]) == 0
+        items = os.path.join(recipe_dir, "knapsack_12items.csv")
+        for mode in ("fractional", "dp", "roundtrip"):
+            assert main(["knapsack", items, "--capacity", "20", "--mode", mode]) == 0
+        assert len(checked) == 34 and all(checked)
 
 
 _COVERAGE_RUN = {

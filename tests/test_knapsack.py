@@ -7,6 +7,8 @@ import random
 import numpy as np
 import pytest
 
+from oracles import solve_01_dp_loop
+
 from fuzzyci.core import construct_psi_star
 from fuzzyci.knapsack import (
     KnapsackInstance,
@@ -130,6 +132,26 @@ class TestSolve01DP:
             inst = KnapsackInstance(w, v, cap)
             _, dp_value = solve_01_dp(inst)
             assert solve_fractional(inst).total_value >= dp_value - 1e-9
+
+    def test_equals_the_capacity_loop(self):
+        # One numpy step per item does the loop's additions with its strict
+        # tie-break, so subset and value agree bit for bit: with items that
+        # exceed the capacity, zero values, and ratios tied across items.
+        rng = np.random.default_rng(2024)
+        cases = [KnapsackInstance((5.0, 20.0, 3.0), (1.0, 100.0, 2.0), 10.0)]
+        for k in range(600):
+            n = int(rng.integers(1, 25))
+            w = tuple(float(x) for x in rng.integers(1, 16, n))
+            v = (
+                tuple(float(x) for x in rng.uniform(0.0, 10.0, n)),
+                tuple(float(x) for x in rng.integers(0, 4, n)),
+                tuple(2.5 * x for x in w),
+            )[k % 3]
+            cases.append(KnapsackInstance(w, v, float(rng.integers(0, 50))))
+        for inst in cases:
+            subset, value = solve_01_dp(inst)
+            assert (subset, value) == solve_01_dp_loop(inst), inst
+            assert type(value) is float
 
     def test_rejects_fractional_weights(self):
         with pytest.raises(ValueError):

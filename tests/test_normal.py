@@ -53,6 +53,14 @@ class TestMembership:
                     assert fam.psi(tau + 0.5 * z * se, tau) == 1.0
                 assert fam.coverage(fam.o) == 2.0 * gamma - 1.0
 
+    def test_coverage_at_o_is_never_negative(self):
+        # Below gamma = 1/2 the one-sided boundaries cross and no sample mean
+        # covers o; at 1/2 they meet at o.
+        for gamma in (1e-100, 0.3, 0.5):
+            fam = NormalFamily(o=0.5, gamma=gamma, sigma=1.0)
+            assert fam.coverage(fam.o) == 0.0
+            assert fam.coverage(0.0) == gamma
+
     def test_two_sided_coverage_identity(self):
         for gamma in (0.9, 0.95, 0.99):
             z = normal_quantile(0.5 * (1.0 + gamma))
