@@ -85,8 +85,8 @@ def _sample_means(args, fam, taus):
     """The --x-grid sample means, with the function of tau giving their memberships."""
     if args.x_grid is None:
         raise UsageError("normal membership requires --x-grid")
-    means = parse_grid(args.x_grid)
-    return means, lambda tau: [fam.psi(x, tau) for x in means]
+    means = np.array(parse_grid(args.x_grid))
+    return means, lambda tau: fam.psi_means(means, tau)
 
 
 def _poisson_range(args, fam, thetas) -> tuple[float, float]:
@@ -245,31 +245,45 @@ def _check_output(args):
 
 
 def _format_column(values) -> list[str]:
-    """The CSV text of each value; a float column formats each distinct value once.
+    """The CSV text of each value; an int64 or float64 array formats each bit pattern once.
 
-    Only a column of floats alone that repeats a value is memoized: equal
-    keys of other types print apart (1, 1.0, True), and a memo of distinct
-    values only costs time.  Zeros stay out of the memo, since 0.0 == -0.0
-    print apart; a NaN, unequal to itself, is found by identity.
+    An array is grouped by the bits of its values, one stable argsort, so
+    values that compare equal yet print apart (0.0 and -0.0, NaNs of either
+    sign) fall in different groups.  Any other column, the short lists
+    included, maps ``_format_value`` over its values.
     """
-    if set(map(type, values)) != {float} or len(distinct := set(values)) == len(values):
+    if not (isinstance(values, np.ndarray) and values.dtype in (np.float64, np.int64)):
         return list(map(_format_value, values))
-    memo = {v: _format_value(v) for v in distinct if v}
-    return [memo[v] if v else _format_value(v) for v in values]
+    bits = values.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    bits = bits[order]
+    first = np.empty(len(bits), dtype=bool)
+    first[:1] = True
+    first[1:] = bits[1:] - bits[:-1]  # nonzero where the bits change
+    texts = np.array(list(map(_format_value, values[order[first]].tolist())), dtype=object)
+    cells = np.empty(len(bits), dtype=object)
+    cells[order] = texts[np.cumsum(first) - 1]
+    return cells.tolist()
+
+
+def _csv_text(header, columns, comments) -> str:
+    """The CSV text; its lines and cells are freed once it is joined."""
+    cells = [_format_column(column) for column in columns]
+    comments = (f"# {c}" for c in comments)
+    return "\n".join([",".join(header), *map(",".join, zip(*cells)), *comments, ""])
 
 
 def emit(header, columns, args, comments=()):
     """Write equal-length columns as CSV or JSON to stdout or the output path.
 
-    Each column is a sequence; row i holds the i-th value of every column.
-    In CSV, each float column's distinct values are formatted once.
+    Each column is a sequence, a numpy array or a list; row i holds the i-th
+    value of every column.  In CSV an int64 or float64 array formats each
+    distinct value once; in JSON an array is written as its ``tolist()``.
     """
     if args.format == "csv":
-        cells = [_format_column(column) for column in columns]
-        lines = [",".join(header), *map(",".join, zip(*cells))]
-        lines.extend(f"# {c}" for c in comments)
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(header, columns, comments)
     else:
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         payload = {"columns": list(header), "rows": [list(r) for r in zip(*columns)]}
         if comments:
             payload["notes"] = list(comments)
@@ -307,9 +321,9 @@ def cmd_membership(args) -> int:
             f"more than {MAX_GRID_COUNT}"
         )
     # One column of memberships per tau; the rows run omega-major.
-    psi = np.transpose([memberships(tau) for tau in taus]).ravel().tolist()
-    omegas = [w for w in observations for _ in taus]
-    emit(("tau", "omega", "psi"), (taus * len(observations), omegas, psi), args)
+    psi = np.transpose([memberships(tau) for tau in taus]).ravel()
+    columns = (np.tile(taus, len(observations)), np.repeat(observations, len(taus)), psi)
+    emit(("tau", "omega", "psi"), columns, args)
     return 0
 
 
@@ -377,9 +391,10 @@ def cmd_knapsack(args) -> int:
         x, partition = solution.x, solution.partition
         total_weight, total_value = solution.total_weight, solution.total_value
     totals = (f"total_weight,{total_weight:.17g}", f"total_value,{total_value:.17g}")
-    items = range(len(weights))
+    # Arrays, so that repeated weights and x are formatted once.
+    items, weight_column, x_column = np.arange(len(weights)), np.array(weights), np.array(x)
     if args.mode != "roundtrip":
-        columns = (items, weights, values, x, partition)
+        columns = (items, weight_column, values, x_column, partition)
         emit(("item", "weight", "value", "x", "partition"), columns, args, comments=totals)
         return 0
     # roundtrip: solve through the measure problem and compare.
@@ -388,7 +403,7 @@ def cmd_knapsack(args) -> int:
     gap = max(abs(xi - (1.0 - p)) for xi, p in zip(x, membership.psi))
     emit(
         ("item", "weight", "value", "mu", "nu", "psi", "x", "partition"),
-        (items, weights, values, mu.mass, nu.mass, membership.psi, x, partition),
+        (items, weight_column, values, mu.mass, nu.mass, membership.psi, x_column, partition),
         args,
         comments=(f"gamma,{gamma:.17g}", *totals, f"max_roundtrip_gap,{gap:.17g}"),
     )

@@ -13,8 +13,9 @@ membership an integral of Phi.  The lower-bound envelope is the anchored
 expected length with o set to the true mean; each is cross-checked
 against independent quadrature in the tests.
 
-Both classes offer ``psi(x, tau)``, ``coverage(tau)``,
-``expected_length(theta)`` and ``lower_bound(theta)``.
+Both classes offer ``psi_means(means, tau)``, the membership of tau after
+each sample mean of an array, ``psi(x, tau)``, one entry of it,
+``coverage(tau)``, ``expected_length(theta)`` and ``lower_bound(theta)``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .length import _gauss_legendre
 from .specfun import normal_cdf, normal_pdf, normal_quantile, two_sided_z
@@ -81,6 +84,10 @@ class _Normal:
     def _inside(self, tau: float) -> bool:
         return self.bounds is None or self.bounds[0] <= tau <= self.bounds[1]
 
+    def psi(self, x: float, tau: float) -> float:
+        """Membership of tau after the sample mean x: one entry of ``psi_means``."""
+        return float(self.psi_means(np.array([x]), tau)[0])
+
     def _require_bounds(self) -> tuple[float, float]:
         if self.bounds is None:
             raise ValueError("expected lengths require bounds")
@@ -128,11 +135,11 @@ class NormalFamily(_Normal):
         if not self._inside(self.o):
             raise ValueError(f"o must lie inside the bounds {self.bounds}, got {self.o}")
 
-    def psi(self, x: float, tau: float) -> float:
-        """Indicator membership of the one-sided interval anchored at o."""
+    def psi_means(self, means: np.ndarray, tau: float) -> np.ndarray:
+        """Indicator membership of the one-sided interval anchored at o, per mean."""
         c = _one_sided_z(self.gamma) * self.sigma
-        inside = min(self.o, x - c) < tau < max(self.o, x + c)
-        return 1.0 if inside and self._inside(tau) else 0.0
+        inside = (np.minimum(self.o, means - c) < tau) & (tau < np.maximum(self.o, means + c))
+        return (inside & self._inside(tau)).astype(float)
 
     def coverage(self, tau: float) -> float:
         """gamma, except at o, where the crisp interval covers with 2 gamma - 1.
@@ -156,10 +163,10 @@ class TwoSidedInterval(_Normal):
     sigma: float
     bounds: tuple[float, float] | None = None
 
-    def psi(self, x: float, tau: float) -> float:
+    def psi_means(self, means: np.ndarray, tau: float) -> np.ndarray:
         d = two_sided_z(self.gamma) * self.sigma
-        inside = x - d <= tau <= x + d
-        return 1.0 if inside and self._inside(tau) else 0.0
+        inside = (means - d <= tau) & (tau <= means + d)
+        return (inside & self._inside(tau)).astype(float)
 
     def expected_length(self, theta: float) -> float:
         """Expected length of the truncated two-sided membership at theta.
