@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .length import _gauss_legendre
-from .specfun import normal_cdf, normal_pdf, normal_quantile, two_sided_z
+from .specfun import QUANTILE_FLOOR, normal_cdf, normal_pdf, normal_quantile, two_sided_z
 
 __all__ = ["NormalFamily", "TwoSidedInterval"]
 
@@ -70,8 +70,8 @@ class _Normal:
     tau_upper = math.inf
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not QUANTILE_FLOOR <= self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in [{QUANTILE_FLOOR:g}, 1), got {self.gamma}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.bounds is not None:

@@ -10,11 +10,12 @@ element's value depends on its own arguments only, not on the rest of the
 array.
 
 All functions are pure and reentrant.  One elementwise root finder,
-``_rtsafe``, serves every root solve: the band edges of
-:mod:`fuzzyci.discrete`, a whole batch per call, and the normal quantile,
-one element.  Each element meets the absolute residual ``_ABS_TOL`` within
-``_MAX_ITER`` iterations, or the call raises :class:`ConvergenceError`
-instead of returning an unconverged value.
+``_rtsafe``, solves the band edges of :mod:`fuzzyci.discrete`, a whole
+batch per call: each element meets the absolute residual ``_ABS_TOL``
+within ``_MAX_ITER`` iterations, or the call raises
+:class:`ConvergenceError` instead of returning an unconverged value.  The
+normal quantile is a scalar Newton iteration on log Phi, which converges
+monotonically from its start.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ def reg_inc_beta_array(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
 def _rtsafe(cdf, pdf, p, x, lo, hi, failure) -> np.ndarray:
     """Solve ``cdf(x) = p`` for x in the bracket [lo, hi], starting at x, elementwise.
 
+    It solves the band edges of :mod:`fuzzyci.discrete`, a batch per call.
     ``p``, ``x``, ``lo`` and ``hi`` are arrays, or scalars broadcast to them;
     ``cdf(i, x)`` and ``pdf(i, x)`` evaluate elements ``i`` at ``x`` over
     arrays, where ``i`` holds the indices of the elements still iterating.
@@ -223,6 +225,7 @@ def reg_lower_gamma(s: float, x: float) -> float:
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 
 
 def normal_cdf(z: float) -> float:
@@ -234,22 +237,39 @@ def normal_pdf(z: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile: z with normal_cdf(z) = p, for p in (0, 1).
+# The smallest p the quantile takes: above it erfc at every Newton iterate is
+# a normal float, since the iterates lie between sqrt(-log p) and the root.
+QUANTILE_FLOOR = 1e-300
 
-    The solver stops at a residual of ``_ABS_TOL``, up to about 1e-12 off
-    in z; one more Newton step brings z to within rounding.  Above p = 1/2
-    the lower tail is solved at 1 - p, which is exact there, since the CDF
-    near 1 is too coarse for that step.
+
+def normal_quantile(p: float) -> float:
+    """Standard normal quantile: z with normal_cdf(z) = p, for p in [1e-300, 1).
+
+    Newton's method on log Phi(z) = log p, in erfc's own argument
+    x = -z / sqrt 2, so that no rounding of z / sqrt 2 enters Phi: it solves
+    log erfc(x) = log 2p from x = sqrt(-log p), right of the root, where
+    erfc(x) < 2p.  As log erfc is concave, each step lands right of the root
+    and the iterates fall to it.  A last Newton step on erfc itself brings x
+    to within rounding; above p = 1/4 it reads erfc(x) - 2p as
+    (1 - 2p) - erf(x), both terms exact or accurate as x nears 0.  Above
+    p = 1/2 the lower tail is solved at 1 - p, which is exact there.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if not QUANTILE_FLOOR <= p < 1.0:
+        raise ValueError(f"p must lie in [{QUANTILE_FLOOR:g}, 1), got {p}")
     if p > 0.5:
         return -normal_quantile(1.0 - p)
-    z = float(_rtsafe(
-        lambda i, z: normal_cdf(z[0]), lambda i, z: normal_pdf(z[0]), p, 0.0, -40.0,
-        40.0, lambda i: f"normal quantile failed for p={p}")[0])
-    return z - (normal_cdf(z) - p) / normal_pdf(z)
+    log_2p = math.log(2.0 * p)
+    x = math.sqrt(-math.log(p))
+    for _ in range(_MAX_ITER):
+        tail = math.erfc(x)
+        step = (math.log(tail) - log_2p) * tail * _HALF_SQRT_PI * math.exp(x * x)
+        x += step
+        if -step <= 1e-12 * max(1.0, x):
+            break
+    else:
+        raise ConvergenceError(f"normal quantile failed for p={p}")
+    residual = (1.0 - 2.0 * p) - math.erf(x) if p > 0.25 else math.erfc(x) - 2.0 * p
+    return -_SQRT2 * (x + residual * _HALF_SQRT_PI * math.exp(x * x))
 
 
 @lru_cache(maxsize=1024)

@@ -288,6 +288,23 @@ class TestElCurveCommand:
             for _, el, bound in parse_csv(out)[1]:
                 assert bound - 1e-9 <= el <= 1.0
 
+    @pytest.mark.parametrize("command", ["membership", "el-curve"])
+    def test_normal_gamma_down_to_the_quantile_floor(self, capsys, command):
+        # The one-sided quantile of gamma exists down to 1e-300; below it the
+        # family refuses gamma with exit 2.
+        argv = ["--family", "normal", "--gamma", "1e-100", "--sigma", "1",
+                "--a=-1", "--b=1", "--o=0"]
+        grid = (["--tau-grid=-1:1:3", "--x-grid=0:1:2"] if command == "membership"
+                else ["--theta-grid=-1:1:3"])
+        for gamma in ("1e-100", "1e-300"):
+            argv[3] = gamma
+            status, out = run_cli(capsys, command, *argv, *grid)
+            assert status == 0
+            assert all(math.isfinite(v) for row in parse_csv(out)[1] for v in row)
+        argv[3] = "1e-310"
+        assert main([command, *argv, *grid]) == 2
+        assert "gamma must lie in [1e-300, 1)" in capsys.readouterr().err
+
     def test_json_and_csv_encode_identical_values(self, capsys):
         argv = (
             "el-curve", "--family", "binomial", "--n", "5",

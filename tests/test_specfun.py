@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import binom_cdf, binom_log_pmf, binom_pmf, pois_cdf, pois_pmf, reg_inc_beta
 
 from fuzzyci.specfun import (
+    QUANTILE_FLOOR,
     normal_cdf,
     normal_quantile,
     pois_cdf_array,
@@ -177,6 +178,32 @@ class TestNormal:
             for p in ps:
                 exact = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
                 assert abs(normal_quantile(p) - float(exact)) <= 1e-13, p
+
+    def test_quantile_log_uniform_against_mpmath(self):
+        # A log-uniform sample over [1e-300, 1 - 1e-16], upper tails down to
+        # 1 - p = 1e-16, and p near 1/2, where z nears 0: each within 4e-14
+        # relative of the root of log Phi(z) = log p at 40 digits.  Above 1/2
+        # the root is solved at 1 - p, which is exact there.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2121)
+        lo, hi = math.log(QUANTILE_FLOOR), math.log1p(-1e-16)
+        ps = [QUANTILE_FLOOR] + [math.exp(rng.uniform(lo, hi)) for _ in range(300)]
+        ps += [1.0 - 10.0 ** rng.uniform(-16.0, -1.0) for _ in range(40)]
+        ps += [rng.uniform(0.49, 0.51) for _ in range(40)]
+        with mpmath.workdps(40):
+            for p in ps:
+                z = normal_quantile(p)
+                log_tail = mpmath.log(mpmath.mpf(min(p, 1.0 - p)))
+                root = mpmath.findroot(
+                    lambda t: mpmath.log(mpmath.ncdf(t)) - log_tail, -abs(z))
+                exact = root if p <= 0.5 else -root
+                assert abs(z - exact) <= 4e-14 * abs(exact), p
+
+    def test_quantile_floor(self):
+        assert math.isfinite(normal_quantile(QUANTILE_FLOOR))
+        for p in (QUANTILE_FLOOR / 10.0, 5e-324):
+            with pytest.raises(ValueError, match="1e-300"):
+                normal_quantile(p)
 
     def test_round_trip(self):
         for p in [0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999]:
