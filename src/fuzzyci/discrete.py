@@ -192,7 +192,7 @@ class Randomized(_Membership):
             edge[solve] = _rtsafe(
                 lambda i, tau: self.tail_array(k[i], tau),
                 lambda i, tau: k[i] * np.exp(self.log_pmf_array(k[i], tau)) / tau,
-                level, start, 0.0, hi,
+                level, start, np.zeros(len(k)), hi,
                 lambda i: f"band edge failed for level={level[i]}, k={k[i]}",
             )
         return edge.tolist()

@@ -134,7 +134,7 @@ def _rtsafe(cdf, pdf, p, x, lo, hi, failure) -> np.ndarray:
     """Solve ``cdf(x) = p`` for x in the bracket [lo, hi], starting at x, elementwise.
 
     It solves the band edges of :mod:`fuzzyci.discrete`, a batch per call.
-    ``p``, ``x``, ``lo`` and ``hi`` are arrays, or scalars broadcast to them;
+    ``p``, ``x``, ``lo`` and ``hi`` are arrays of one length;
     ``cdf(i, x)`` and ``pdf(i, x)`` evaluate elements ``i`` at ``x`` over
     arrays, where ``i`` holds the indices of the elements still iterating.
     Each element takes Newton steps on its increasing ``cdf`` with
@@ -148,7 +148,6 @@ def _rtsafe(cdf, pdf, p, x, lo, hi, failure) -> np.ndarray:
     :class:`ConvergenceError` with ``failure(i)`` for the first element i
     still iterating when the budget runs out.
     """
-    p, x, lo, hi = np.broadcast_arrays(*np.atleast_1d(p, x, lo, hi))
     out, index, step = np.empty(len(x)), np.arange(len(x)), np.full(len(x), math.inf)
     for _ in range(_MAX_ITER):
         f = cdf(index, x) - p
@@ -258,16 +257,13 @@ def normal_quantile(p: float) -> float:
         raise ValueError(f"p must lie in [{QUANTILE_FLOOR:g}, 1), got {p}")
     if p > 0.5:
         return -normal_quantile(1.0 - p)
-    log_2p = math.log(2.0 * p)
-    x = math.sqrt(-math.log(p))
-    for _ in range(_MAX_ITER):
+    log_2p, x, step = math.log(2.0 * p), math.sqrt(-math.log(p)), -math.inf
+    # Each step that does not stop the loop lowers x by more than the
+    # tolerance, and x stays above the root up to rounding: the loop ends.
+    while -step > 1e-12 * max(1.0, x):
         tail = math.erfc(x)
         step = (math.log(tail) - log_2p) * tail * _HALF_SQRT_PI * math.exp(x * x)
         x += step
-        if -step <= 1e-12 * max(1.0, x):
-            break
-    else:
-        raise ConvergenceError(f"normal quantile failed for p={p}")
     residual = (1.0 - 2.0 * p) - math.erf(x) if p > 0.25 else math.erfc(x) - 2.0 * p
     return -_SQRT2 * (x + residual * _HALF_SQRT_PI * math.exp(x * x))
 
