@@ -247,30 +247,22 @@ def _check_output(args):
 def _format_column(values) -> list[str]:
     """The CSV text of each value; an int64 or float64 array formats each bit pattern once.
 
-    An array is grouped by the bits of its values, one stable argsort, so
-    values that compare equal yet print apart (0.0 and -0.0, NaNs of either
-    sign) fall in different groups.  Any other column, the short lists
-    included, maps ``_format_value`` over its values.
+    An array is grouped by the bits of its values, one stable argsort
+    (``np.unique`` would import ``numpy.ma``), so values that compare equal
+    yet print apart (0.0 and -0.0, NaNs of either sign) fall in different
+    groups.  Any other column, the short lists included, maps
+    ``_format_value`` over its values.
     """
     if not (isinstance(values, np.ndarray) and values.dtype in (np.float64, np.int64)):
         return list(map(_format_value, values))
     bits = values.view(np.int64)
     order = np.argsort(bits, kind="stable")
-    bits = bits[order]
-    first = np.empty(len(bits), dtype=bool)
-    first[:1] = True
-    first[1:] = bits[1:] - bits[:-1]  # nonzero where the bits change
+    # Nonzero where the sorted bits change; the first value opens a group.
+    first = np.diff(bits[order], prepend=bits[order[:1]] + 1).astype(bool)
     texts = np.array(list(map(_format_value, values[order[first]].tolist())), dtype=object)
     cells = np.empty(len(bits), dtype=object)
     cells[order] = texts[np.cumsum(first) - 1]
     return cells.tolist()
-
-
-def _csv_text(header, columns, comments) -> str:
-    """The CSV text; its lines and cells are freed once it is joined."""
-    cells = [_format_column(column) for column in columns]
-    comments = (f"# {c}" for c in comments)
-    return "\n".join([",".join(header), *map(",".join, zip(*cells)), *comments, ""])
 
 
 def emit(header, columns, args, comments=()):
@@ -281,7 +273,9 @@ def emit(header, columns, args, comments=()):
     distinct value once; in JSON an array is written as its ``tolist()``.
     """
     if args.format == "csv":
-        text = _csv_text(header, columns, comments)
+        # The row strings are freed once joined, before the text is written.
+        rows = map(",".join, zip(*map(_format_column, columns)))
+        text = "\n".join([",".join(header), *rows, *(f"# {c}" for c in comments), ""])
     else:
         columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         payload = {"columns": list(header), "rows": [list(r) for r in zip(*columns)]}
@@ -362,15 +356,16 @@ def _read_knapsack_rows(source: str):
     weights, values = [], []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
-        if not text or text.startswith("#") or text.lower().startswith("weight"):
+        # Only a line that starts with w or W can be a header.
+        if not text or text[0] == "#" or text[0] in "wW" and text.lower().startswith("weight"):
             continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise UsageError(f"line {lineno}: expected 'weight,value', got {line!r}")
         try:
-            weights.append(float(parts[0]))
-            values.append(float(parts[1]))
+            weight, value = text.split(",")
+            weights.append(float(weight))
+            values.append(float(value))
         except ValueError:
+            if text.count(",") != 1:
+                raise UsageError(f"line {lineno}: expected 'weight,value', got {line!r}") from None
             raise UsageError(f"line {lineno}: malformed numbers in {line!r}") from None
     if not weights:
         raise UsageError("no knapsack items found in input")
@@ -392,9 +387,8 @@ def cmd_knapsack(args) -> int:
         total_weight, total_value = solution.total_weight, solution.total_value
     totals = (f"total_weight,{total_weight:.17g}", f"total_value,{total_value:.17g}")
     # Arrays, so that repeated weights and x are formatted once.
-    items, weight_column, x_column = np.arange(len(weights)), np.array(weights), np.array(x)
+    columns = (np.arange(len(weights)), np.array(weights), values, np.array(x), partition)
     if args.mode != "roundtrip":
-        columns = (items, weight_column, values, x_column, partition)
         emit(("item", "weight", "value", "x", "partition"), columns, args, comments=totals)
         return 0
     # roundtrip: solve through the measure problem and compare.
@@ -403,7 +397,7 @@ def cmd_knapsack(args) -> int:
     gap = max(abs(xi - (1.0 - p)) for xi, p in zip(x, membership.psi))
     emit(
         ("item", "weight", "value", "mu", "nu", "psi", "x", "partition"),
-        (items, weight_column, values, mu.mass, nu.mass, membership.psi, x_column, partition),
+        (*columns[:3], mu.mass, nu.mass, membership.psi, *columns[3:]),
         args,
         comments=(f"gamma,{gamma:.17g}", *totals, f"max_roundtrip_gap,{gap:.17g}"),
     )
