@@ -14,8 +14,9 @@ memberships, the discrete families' upper tails in 40-digit mpmath, a
 crisp method's clipped interval from its endpoints, and interval masses by
 scalar adaptive Gauss-Legendre quadrature on panels split at a
 membership's breakpoints, with the fake families that test it, the 0/1
-knapsack optimum by a dynamic program over one capacity at a time, and the
-CLI's CSV text formatted one value at a time.
+knapsack optimum by a dynamic program over one capacity at a time, the
+CLI's CSV text formatted one value at a time, and a normal membership from
+its scalar comparisons, one sample mean at a time.
 """
 
 import math
@@ -27,6 +28,7 @@ from fuzzyci.binomial import AgrestiCoull, BinomialFamily
 from fuzzyci.core import _align
 from fuzzyci.discrete import Crisp, Randomized
 from fuzzyci.length import _gauss_legendre
+from fuzzyci.normal import NormalFamily
 from fuzzyci.poisson import PoissonFamily, ScoreInterval
 from fuzzyci.specfun import (
     _ABS_TOL,
@@ -723,3 +725,19 @@ def csv_text(header, rows, comments=()):
         lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
     lines.extend(f"# {c}" for c in comments)
     return "\n".join(lines) + "\n"
+
+
+def scalar_normal_psi(fam, x, tau):
+    """A normal membership of tau after the sample mean x, from the scalar comparisons.
+
+    The one-sided interval anchored at o is open, the two-sided one closed;
+    both vanish outside the bounds.  The half-widths are the library's
+    floats, z * sigma.
+    """
+    if fam.bounds is not None and not fam.bounds[0] <= tau <= fam.bounds[1]:
+        return 0.0
+    if isinstance(fam, NormalFamily):
+        c = normal_quantile(fam.gamma) * fam.sigma
+        return 1.0 if min(fam.o, x - c) < tau < max(fam.o, x + c) else 0.0
+    d = two_sided_z(fam.gamma) * fam.sigma
+    return 1.0 if x - d <= tau <= x + d else 0.0

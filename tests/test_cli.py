@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import csv_text, scalar_psi
+from oracles import csv_text, scalar_normal_psi, scalar_psi
 
 from fuzzyci import binomial, cli, discrete, length, normal, poisson
 from fuzzyci.cli import build_parser, main, parse_grid, UsageError
@@ -112,6 +112,53 @@ class TestMembershipCommand:
         assert len(rows) == 20 * 7
         for tau, omega, psi in rows:
             assert psi == poisson.ScoreInterval(0.95).psi(int(omega), tau)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "binomial", "--n", "12", "--o", "0.3", "--tau-grid=0.05:0.95:13"),
+            ("--family", "binomial", "--n", "12", "--method", "agresti_coull",
+             "--tau-grid=0.05:0.95:13"),
+            ("--family", "poisson", "--o", "4", "--omega-max", "14", "--tau-grid=0.5:12:13"),
+            ("--family", "poisson", "--method", "score", "--omega-max", "14",
+             "--tau-grid=0.5:12:13"),
+            ("--family", "normal", "--sigma", "0.3", "--a=-0.5", "--b=1", "--o=0.2",
+             "--x-grid=-1.1:1.6:28", "--tau-grid=-0.8:1.3:15"),
+            ("--family", "normal", "--method", "standard", "--sigma", "0.3",
+             "--x-grid=-1.1:1.6:28", "--tau-grid=-0.8:1.3:15"),
+            ("--family", "normal", "--method", "truncated_standard", "--sigma", "0.3",
+             "--a=-0.5", "--b=1", "--x-grid=-1.1:1.6:28", "--tau-grid=-0.8:1.3:15"),
+        ],
+        ids=["binomial", "agresti_coull", "poisson", "score", "normal", "standard",
+             "truncated_standard"],
+    )
+    def test_every_method_matches_psi(self, capsys, argv, fmt):
+        # Every row, omega- or x-major, against the family's own psi; a normal
+        # row also against the scalar comparisons.  In JSON a count is an int.
+        argv = ("membership", *argv, "--gamma", "0.9")
+        status, out = run_cli(capsys, *argv, "--format", fmt)
+        assert status == 0
+        args = build_parser().parse_args(argv)
+        _, fam = cli._family(args, proposed=args.method == "proposed")
+        taus = parse_grid(args.tau_grid)
+        if args.family == "normal":
+            observations = parse_grid(args.x_grid)
+        else:
+            observations = range((fam.n if args.omega_max is None else args.omega_max) + 1)
+        if fmt == "csv":
+            header, rows = parse_csv(out)
+        else:
+            payload = json.loads(out)
+            header, rows = payload["columns"], payload["rows"]
+            kind = float if args.family == "normal" else int
+            assert all(type(w) is kind and type(p) is float for _, w, p in rows)
+        assert header == ["tau", "omega", "psi"]
+        assert [(tau, w) for tau, w, _ in rows] == [(t, w) for w in observations for t in taus]
+        for tau, w, psi in rows:
+            if args.family == "normal":
+                assert psi == scalar_normal_psi(fam, w, tau), (tau, w)
+            assert psi == fam.psi(w if args.family == "normal" else int(w), tau), (tau, w)
 
     @pytest.mark.parametrize(
         "argv",
@@ -733,6 +780,35 @@ class TestKnapsackCommand:
         status, _ = run_cli(capsys, "knapsack", str(path), "--capacity", "1")
         assert status == 2
 
+    def test_skip_rules(self, capsys, tmp_path):
+        # Blank lines, comments and any line starting with "weight" in any
+        # case are skipped, after stripping; fields may carry spaces.
+        path = tmp_path / "items.csv"
+        path.write_text("# c\n\n  Weight , Value\nWEIGHTS\n 1 , 2 \n\t#x,1\n3,4\n")
+        status, out = run_cli(capsys, "knapsack", str(path), "--capacity", "5")
+        assert status == 0
+        assert out.splitlines()[1:3] == ["0,1,2,1,A", "1,3,4,1,A"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2,3\n", "line 1: expected 'weight,value', got '1,2,3'"),
+            ("1;2\n", "line 1: expected 'weight,value', got '1;2'"),
+            ("1,2\n3,,4\n", "line 2: expected 'weight,value', got '3,,4'"),
+            ("w,1\n", "line 1: malformed numbers in 'w,1'"),
+            ("2,1\n1,x\n", "line 2: malformed numbers in '1,x'"),
+            (",\n", "line 1: malformed numbers in ','"),
+            ("1,2\nWeight,1,2\nwe,1\n", "line 3: malformed numbers in 'we,1'"),
+            ("weight\n\n", "no knapsack items found in input"),
+        ],
+    )
+    def test_row_errors(self, capsys, tmp_path, text, message):
+        path = tmp_path / "items.csv"
+        path.write_text(text)
+        assert main(["knapsack", str(path), "--capacity", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 class TestOutputHandling:
     def test_output_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
@@ -875,6 +951,35 @@ def _columns(draw):
     ]
 
 
+# Values whose bits differ though some compare equal, or print alike: signed
+# zeros, NaNs of either sign and with a payload, and the smallest subnormal.
+_ARRAY_FLOATS = (
+    0.0, -0.0, math.nan, -math.nan, np.array(0x7FF8000000000001).view(np.float64).item(),
+    math.inf, -math.inf, 5e-324, 0.1, 1.0,
+)
+_ARRAY_INTS = st.one_of(
+    st.sampled_from((0, 1, -1, 2**63 - 1, -(2**63))), st.integers(-(2**63), 2**63 - 1)
+)
+
+
+@st.composite
+def _array_columns(draw):
+    """float64 and int64 arrays of heavy repeats, next to list columns."""
+    rows = draw(st.integers(0, 40))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(("float64", "int64", "list")), min_size=1,
+                              max_size=4)):
+        if kind == "float64":
+            values = st.sampled_from(_ARRAY_FLOATS)
+        elif kind == "int64":
+            values = _ARRAY_INTS
+        else:
+            values = st.one_of(_FLOATS, st.sampled_from(("A", "B")))
+        column = draw(st.lists(values, min_size=rows, max_size=rows))
+        columns.append(column if kind == "list" else np.array(column, dtype=kind))
+    return columns
+
+
 def _emitted(header, columns, fmt, comments):
     args = argparse.Namespace(format=fmt, output=None)
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -901,6 +1006,28 @@ class TestEmit:
                 _emitted(header, columns, "json", comments)
         else:
             assert _emitted(header, columns, "json", comments) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_array_columns(), st.sampled_from(((), ("total,1",))))
+    def test_array_columns_equal_the_row_by_row_oracle(self, columns, comments):
+        # Rows of numpy scalars, each formatted on its own, in CSV; in JSON
+        # the payload of the arrays' tolist().
+        header = [f"c{i}" for i in range(len(columns))]
+        csv = _emitted(header, columns, "csv", comments)
+        assert csv == csv_text(header, zip(*columns), comments)
+        lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        payload = {"columns": header, "rows": [list(r) for r in zip(*lists)]}
+        if comments:
+            payload["notes"] = list(comments)
+        assert _emitted(header, columns, "json", comments) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_array_columns_of_length_zero_and_one(self, rows):
+        columns = [np.full(rows, -0.0), np.full(rows, 7), ["A"] * rows]
+        expected = "a,b,c\n" + "-0,7,A\n" * rows
+        assert _emitted(("a", "b", "c"), columns, "csv", ()) == expected
+        payload = json.loads(_emitted(("a", "b", "c"), columns, "json", ()))
+        assert payload["rows"] == [[-0.0, 7, "A"]] * rows
 
     def test_equal_values_that_print_apart(self):
         columns = [

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mp_el_anchored, mp_el_two_sided, oracle_el_nl, oracle_el_psi_o
+from oracles import (
+    mp_el_anchored,
+    mp_el_two_sided,
+    oracle_el_nl,
+    oracle_el_psi_o,
+    scalar_normal_psi,
+)
 
 from fuzzyci.normal import NormalFamily, TwoSidedInterval
-from fuzzyci.specfun import normal_cdf, normal_quantile
+from fuzzyci.specfun import normal_cdf, normal_quantile, two_sided_z
 
 
 def two_sided(fam):
@@ -87,6 +93,50 @@ class TestMembership:
                 both = fam.psi(x, tau) * two_sided(fam).psi(x, tau)
                 assert both in (0.0, 1.0)
                 assert both <= fam.psi(x, tau)
+
+
+class TestMeansColumn:
+    """``psi_means`` against the scalar comparisons, one sample mean at a time."""
+
+    FAMILIES = [
+        NormalFamily(o=0.2, gamma=0.9, sigma=0.3, bounds=(-0.5, 1.0)),
+        NormalFamily(o=0.0, gamma=0.95, sigma=1.0),
+        NormalFamily(o=0.5, gamma=0.3, sigma=0.7, bounds=(0.0, 1.0)),
+        TwoSidedInterval(gamma=0.9, sigma=0.3, bounds=(-0.5, 1.0)),
+        TwoSidedInterval(gamma=0.95, sigma=1.0),
+    ]
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=repr)
+    def test_equals_the_scalar_comparisons(self, fam):
+        # The taus include each mean's interval ends, computed as the library
+        # computes them, where the open and the closed comparison differ,
+        # and taus at o and outside the bounds.
+        half = (normal_quantile(fam.gamma) if isinstance(fam, NormalFamily)
+                else two_sided_z(fam.gamma)) * fam.sigma
+        means = np.linspace(-2.0, 2.5, 37)
+        taus = [-3.0, -0.5, 0.0, 0.2, 0.5, 1.0, 3.0, *(means - half), *(means + half)]
+        for tau in map(float, taus):
+            column = fam.psi_means(means, tau)
+            assert column.dtype == np.float64 and column.shape == means.shape
+            expected = [scalar_normal_psi(fam, x, tau) for x in means.tolist()]
+            assert column.tolist() == expected, tau
+            assert [fam.psi(x, tau) for x in means.tolist()] == expected, tau
+
+    def test_ends_of_the_interval(self):
+        # The anchored interval is open and the two-sided one closed, so at
+        # tau = x - c only the latter covers.
+        fam = NormalFamily(o=10.0, gamma=0.95, sigma=1.0)
+        c = normal_quantile(fam.gamma)
+        x = np.array([0.0, 1.0])
+        assert fam.psi_means(x, float(x[1] - c)).tolist() == [1.0, 0.0]
+        nl = TwoSidedInterval(gamma=fam.gamma, sigma=1.0)
+        d = two_sided_z(fam.gamma)
+        assert nl.psi_means(x, float(x[1] - d)).tolist() == [1.0, 1.0]
+        assert nl.psi_means(x, float(x[0] + d)).tolist() == [1.0, 1.0]
+
+    def test_empty_means(self):
+        for fam in self.FAMILIES:
+            assert fam.psi_means(np.array([]), 0.3).shape == (0,)
 
 
 class TestExpectedLengthClosedForms:
