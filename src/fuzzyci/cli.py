@@ -270,7 +270,7 @@ def emit(header, columns, args, comments=()):
 
     Each column is a sequence, a numpy array or a list; row i holds the i-th
     value of every column.  In CSV an int64 or float64 array formats each
-    distinct value once; in JSON an array is written as its ``tolist()``.
+    distinct bit pattern once; in JSON an array is written as its ``tolist()``.
     """
     if args.format == "csv":
         # The row strings are freed once joined, before the text is written.
