@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
@@ -270,25 +271,28 @@ def emit(header, columns, args, comments=()):
 
     Each column is a sequence, a numpy array or a list; row i holds the i-th
     value of every column.  In CSV an int64 or float64 array formats each
-    distinct bit pattern once; in JSON an array is written as its ``tolist()``.
+    distinct bit pattern once, every column is formatted before the output
+    is opened, and the text is joined and written 512 lines at a time, so
+    the text of a whole grid is never held at once.  In JSON an array is
+    written as its ``tolist()``.
     """
     if args.format == "csv":
-        # The row strings are freed once joined, before the text is written.
-        rows = map(",".join, zip(*map(_format_column, columns)))
-        text = "\n".join([",".join(header), *rows, *(f"# {c}" for c in comments), ""])
+        # Each line is a tuple of cells: the header, a row or a comment.
+        lines = chain([header], zip(*map(_format_column, columns)), ([f"# {c}"] for c in comments))
+        text = iter(lambda: "\n".join([*map(",".join, islice(lines, 512)), ""]), "")
     else:
         columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         payload = {"columns": list(header), "rows": [list(r) for r in zip(*columns)]}
         if comments:
             payload["notes"] = list(comments)
-        text = json.dumps(payload, indent=2) + "\n"
+        text = [json.dumps(payload, indent=2) + "\n"]
     path = _output_path(args)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc}") from None
 
