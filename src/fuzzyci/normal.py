@@ -70,8 +70,8 @@ class _Normal:
     tau_upper = math.inf
 
     def __post_init__(self):
-        if not QUANTILE_FLOOR <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [{QUANTILE_FLOOR:g}, 1), got {self.gamma}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.bounds is not None:
@@ -130,6 +130,9 @@ class NormalFamily(_Normal):
 
     def __post_init__(self):
         super().__post_init__()
+        # The one-sided quantile of gamma; two_sided_z reads (1 + gamma) / 2.
+        if not QUANTILE_FLOOR <= self.gamma:
+            raise ValueError(f"gamma must lie in [{QUANTILE_FLOOR:g}, 1), got {self.gamma}")
         if not math.isfinite(self.o):
             raise ValueError(f"o must be finite, got {self.o}")
         if not self._inside(self.o):

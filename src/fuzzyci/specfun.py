@@ -250,13 +250,15 @@ def normal_quantile(p: float) -> float:
     erfc(x) < 2p.  As log erfc is concave, each step lands right of the root
     and the iterates fall to it.  A last Newton step on erfc itself brings x
     to within rounding; above p = 1/4 it reads erfc(x) - 2p as
-    (1 - 2p) - erf(x), both terms exact or accurate as x nears 0.  Above
-    p = 1/2 the lower tail is solved at 1 - p, which is exact there.
+    (1 - 2p) - erf(x), both terms exact or accurate as x nears 0.  At
+    p = 1/2 it returns 0 exactly, where that step would leave a rounding
+    residue of either sign; above it the lower tail is solved at 1 - p,
+    which is exact there.
     """
     if not QUANTILE_FLOOR <= p < 1.0:
         raise ValueError(f"p must lie in [{QUANTILE_FLOOR:g}, 1), got {p}")
-    if p > 0.5:
-        return -normal_quantile(1.0 - p)
+    if p >= 0.5:
+        return -normal_quantile(1.0 - p) if p > 0.5 else 0.0
     log_2p, x, step = math.log(2.0 * p), math.sqrt(-math.log(p)), -math.inf
     # Each step that does not stop the loop lowers x by more than the
     # tolerance, and x stays above the root up to rounding: the loop ends.

@@ -91,53 +91,60 @@ class TestMembershipCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "argv",
+        "argv, expected, observations, taus",
         [
-            ("--family", "binomial", "--n", "5", "--gamma", "0.9", "--o", "0.3",
-             "--tau-grid", "0.1:0.9:9"),
-            ("--family", "binomial", "--n", "12", "--gamma", "0.9", "--method",
-             "agresti_coull", "--tau-grid=0.05:0.95:13"),
-            ("--family", "poisson", "--gamma", "0.9", "--o", "4", "--omega-max", "14",
-             "--tau-grid=0.5:12:13"),
-            ("--family", "poisson", "--method", "score", "--gamma", "0.95",
-             "--tau-grid", "0.5:10:20", "--omega-max", "6"),
-            ("--family", "normal", "--gamma", "0.9", "--sigma", "0.3", "--a=-0.5", "--b=1",
-             "--o=0.2", "--x-grid=-1.1:1.6:28", "--tau-grid=-0.8:1.3:15"),
-            ("--family", "normal", "--method", "standard", "--gamma", "0.9", "--sigma",
-             "0.3", "--x-grid=-1.1:1.6:28", "--tau-grid=-0.8:1.3:15"),
-            ("--family", "normal", "--method", "truncated_standard", "--gamma", "0.9",
-             "--sigma", "0.3", "--a=-0.5", "--b=1", "--x-grid=-1.1:1.6:28",
-             "--tau-grid=-0.8:1.3:15"),
+            (("--family", "binomial", "--n", "5", "--gamma", "0.9", "--o", "0.3",
+              "--tau-grid", "0.1:0.9:9"),
+             lambda: binomial.BinomialFamily(5, 0.3, 0.9), range(6), (0.1, 0.9, 9)),
+            (("--family", "binomial", "--n", "12", "--gamma", "0.9", "--method",
+              "agresti_coull", "--tau-grid=0.05:0.95:13"),
+             lambda: binomial.AgrestiCoull(12, 0.9), range(13), (0.05, 0.95, 13)),
+            (("--family", "poisson", "--gamma", "0.9", "--o", "4", "--omega-max", "14",
+              "--tau-grid=0.5:12:13"),
+             lambda: poisson.PoissonFamily(4.0, 0.9), range(15), (0.5, 12.0, 13)),
+            (("--family", "poisson", "--method", "score", "--gamma", "0.95",
+              "--tau-grid", "0.5:10:20", "--omega-max", "6"),
+             lambda: poisson.ScoreInterval(0.95), range(7), (0.5, 10.0, 20)),
+            (("--family", "normal", "--gamma", "0.9", "--sigma", "0.3", "--a=-0.5", "--b=1",
+              "--o=0.2", "--x-grid=-1.1:1.6:28", "--tau-grid=-0.8:1.3:15"),
+             lambda: normal.NormalFamily(o=0.2, gamma=0.9, sigma=0.3, bounds=(-0.5, 1.0)),
+             np.linspace(-1.1, 1.6, 28).tolist(), (-0.8, 1.3, 15)),
+            (("--family", "normal", "--method", "standard", "--gamma", "0.9", "--sigma",
+              "0.3", "--x-grid=-1.1:1.6:28", "--tau-grid=-0.8:1.3:15"),
+             lambda: normal.TwoSidedInterval(0.9, 0.3),
+             np.linspace(-1.1, 1.6, 28).tolist(), (-0.8, 1.3, 15)),
+            (("--family", "normal", "--method", "truncated_standard", "--gamma", "0.9",
+              "--sigma", "0.3", "--a=-0.5", "--b=1", "--x-grid=-1.1:1.6:28",
+              "--tau-grid=-0.8:1.3:15"),
+             lambda: normal.TwoSidedInterval(0.9, 0.3, bounds=(-0.5, 1.0)),
+             np.linspace(-1.1, 1.6, 28).tolist(), (-0.8, 1.3, 15)),
         ],
         ids=["binomial", "agresti_coull", "poisson", "score", "normal", "standard",
              "truncated_standard"],
     )
-    def test_every_method_matches_psi(self, capsys, argv, fmt):
-        # Every row, omega- or x-major, against the family's own psi; a normal
-        # row also against the scalar comparisons.  In JSON a count is an int.
-        argv = ("membership", *argv)
-        status, out = run_cli(capsys, *argv, "--format", fmt)
+    def test_every_method_matches_psi(self, capsys, argv, expected, observations, taus, fmt):
+        # Every row, omega- or x-major, against the psi of a family built here
+        # from the flags' values; a normal row also against the scalar
+        # comparisons.  In JSON a count is an int.
+        status, out = run_cli(capsys, "membership", *argv, "--format", fmt)
         assert status == 0
-        args = build_parser().parse_args(argv)
-        _, fam = cli._family(args, proposed=args.method == "proposed")
-        taus = parse_grid(args.tau_grid)
-        if args.family == "normal":
-            observations = parse_grid(args.x_grid)
-        else:
-            observations = range((fam.n if args.omega_max is None else args.omega_max) + 1)
+        fam = expected()
+        taus = np.linspace(*taus).tolist()
         if fmt == "csv":
             header, rows = parse_csv(out)
         else:
             payload = json.loads(out)
             header, rows = payload["columns"], payload["rows"]
-            kind = float if args.family == "normal" else int
+            kind = int if isinstance(observations, range) else float
             assert all(type(w) is kind and type(p) is float for _, w, p in rows)
         assert header == ["tau", "omega", "psi"]
         assert [(tau, w) for tau, w, _ in rows] == [(t, w) for w in observations for t in taus]
         for tau, w, psi in rows:
-            if args.family == "normal":
+            if isinstance(fam, (normal.NormalFamily, normal.TwoSidedInterval)):
                 assert psi == scalar_normal_psi(fam, w, tau), (tau, w)
-            assert psi == fam.psi(w if args.family == "normal" else int(w), tau), (tau, w)
+                assert psi == fam.psi(w, tau), (tau, w)
+            else:
+                assert psi == fam.psi(int(w), tau), (tau, w)
 
     @pytest.mark.parametrize(
         "argv",
@@ -163,6 +170,22 @@ class TestMembershipCommand:
         assert status == 0
         _, rows = parse_csv(out)
         assert len(rows) == 19 * (41 if "binomial" in argv else 31)
+
+    @pytest.mark.parametrize("method, bounds", [("standard", ()),
+                                                ("truncated_standard", ("--a=-1", "--b=1"))])
+    def test_two_sided_gamma_below_the_quantile_floor(self, capsys, method, bounds):
+        # Only the one-sided quantile has a floor: the two-sided interval reads
+        # the quantile at (1 + gamma) / 2, here 1/2, so z = 0 and psi is 1
+        # exactly where tau equals the sample mean.
+        status, out = run_cli(
+            capsys, "membership", "--family", "normal", "--method", method,
+            "--gamma", "1e-310", "--sigma", "1", *bounds, "--tau-grid=-1:1:3",
+            "--x-grid=-1:1:3",
+        )
+        assert status == 0
+        rows = parse_csv(out)[1]
+        assert len(rows) == 9
+        assert all(psi == float(tau == x) for tau, x, psi in rows)
 
     def test_normal_requires_x_grid(self, capsys):
         # Negative grid endpoints need the --flag=value form.

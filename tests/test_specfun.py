@@ -24,6 +24,7 @@ from fuzzyci.specfun import (
     pois_log_pmf,
     reg_inc_beta_array,
     reg_lower_gamma,
+    two_sided_z,
 )
 
 
@@ -204,6 +205,14 @@ class TestNormal:
         for p in (QUANTILE_FLOOR / 10.0, 5e-324):
             with pytest.raises(ValueError, match="1e-300"):
                 normal_quantile(p)
+
+    def test_quantile_of_one_half_is_zero(self):
+        # Every gamma below 2**-53 gives the two-sided quantile p = 1/2; a
+        # residue of either sign there would make the interval [x - d, x + d]
+        # empty for some x and not for others.
+        assert normal_quantile(0.5) == 0.0
+        for gamma in (1e-17, 1e-310):
+            assert two_sided_z(gamma) == 0.0
 
     def test_round_trip(self):
         for p in [0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999]:
