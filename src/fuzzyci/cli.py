@@ -248,22 +248,19 @@ def _check_output(args):
 def _format_column(values) -> list[str]:
     """The CSV text of each value; an int64 or float64 array formats each bit pattern once.
 
-    An array is grouped by the bits of its values, one stable argsort
-    (``np.unique`` would import ``numpy.ma``), so values that compare equal
-    yet print apart (0.0 and -0.0, NaNs of either sign) fall in different
-    groups.  Any other column, the short lists included, maps
-    ``_format_value`` over its values.
+    An array's values are keyed by their bits, so values that compare equal
+    yet print apart (0.0 and -0.0, NaNs of either sign) are formatted apart.
+    The keys go through a set and a dict, not a numpy sort: a sort pages in
+    numpy code that no other command runs, and its index temporaries raise
+    the process's peak memory more than the key list does.  Any other
+    column, the short lists included, maps ``_format_value`` over its values.
     """
     if not (isinstance(values, np.ndarray) and values.dtype in (np.float64, np.int64)):
         return list(map(_format_value, values))
-    bits = values.view(np.int64)
-    order = np.argsort(bits, kind="stable")
-    # Nonzero where the sorted bits change; the first value opens a group.
-    first = np.diff(bits[order], prepend=bits[order[:1]] + 1).astype(bool)
-    texts = np.array(list(map(_format_value, values[order[first]].tolist())), dtype=object)
-    cells = np.empty(len(bits), dtype=object)
-    cells[order] = texts[np.cumsum(first) - 1]
-    return cells.tolist()
+    keys = values.view(np.int64).tolist()
+    distinct = list(set(keys))
+    texts = map(_format_value, np.array(distinct, dtype=np.int64).view(values.dtype).tolist())
+    return list(map(dict(zip(distinct, texts)).__getitem__, keys))
 
 
 def emit(header, columns, args, comments=()):
