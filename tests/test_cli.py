@@ -171,8 +171,11 @@ class TestMembershipCommand:
         _, rows = parse_csv(out)
         assert len(rows) == 19 * (41 if "binomial" in argv else 31)
 
-    @pytest.mark.parametrize("method, bounds", [("standard", ()),
-                                                ("truncated_standard", ("--a=-1", "--b=1"))])
+    @pytest.mark.parametrize(
+        "method, bounds",
+        [("standard", ()), ("truncated_standard", ("--a=-1", "--b=1"))],
+        ids=["standard", "truncated_standard"],
+    )
     def test_two_sided_gamma_below_the_quantile_floor(self, capsys, method, bounds):
         # Only the one-sided quantile has a floor: the two-sided interval reads
         # the quantile at (1 + gamma) / 2, here 1/2, so z = 0 and psi is 1
