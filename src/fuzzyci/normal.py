@@ -130,8 +130,9 @@ class NormalFamily(_Normal):
 
     def __post_init__(self):
         super().__post_init__()
-        # The one-sided quantile of gamma; two_sided_z reads (1 + gamma) / 2.
-        if not QUANTILE_FLOOR <= self.gamma:
+        # Only this family reads the one-sided quantile at gamma, which has a
+        # floor; the two-sided interval's (1 + gamma) / 2 never comes near it.
+        if self.gamma < QUANTILE_FLOOR:
             raise ValueError(f"gamma must lie in [{QUANTILE_FLOOR:g}, 1), got {self.gamma}")
         if not math.isfinite(self.o):
             raise ValueError(f"o must be finite, got {self.o}")
