@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice
 from typing import Callable
 
@@ -67,10 +67,10 @@ def _normal_params(args) -> dict:
 def _counts(args, fam, taus, cap=math.inf):
     """Counts omega = 0..--omega-max, by default to the support bound.
 
-    Returns them with the function of tau that gives their memberships, one
-    ``psi_counts`` column per tau.  An --omega-max above ``cap`` is refused
+    Returns them with the function of the tau grid that gives their
+    memberships, ``psi_counts``.  An --omega-max above ``cap`` is refused
     before any membership is evaluated, since every count adds a row per
-    tau and lengthens every column.
+    tau.
     """
     omega_max = args.omega_max
     if omega_max is None:
@@ -79,15 +79,15 @@ def _counts(args, fam, taus, cap=math.inf):
         raise UsageError(f"--omega-max must be nonnegative, got {omega_max}")
     if omega_max > cap:
         raise UsageError(f"--omega-max must be at most {cap}, got {omega_max}")
-    return range(omega_max + 1), lambda tau: fam.psi_counts(omega_max, tau)
+    return range(omega_max + 1), partial(fam.psi_counts, omega_max)
 
 
 def _sample_means(args, fam, taus):
-    """The --x-grid sample means, with the function of tau giving their memberships."""
+    """The --x-grid sample means, with the function of the tau grid giving their memberships."""
     if args.x_grid is None:
         raise UsageError("normal membership requires --x-grid")
     means = np.array(parse_grid(args.x_grid))
-    return means, lambda tau: fam.psi_means(means, tau)
+    return means, partial(fam.psi_means, means)
 
 
 def _poisson_range(args, fam, thetas) -> tuple[float, float]:
@@ -130,7 +130,8 @@ class _Family:
     lower-bound command builds, since the envelope needs no o.  Both take
     ``gamma`` and the keywords ``params(args)`` returns.
     ``grid(args, fam, taus)`` returns the observations a membership grid
-    ranges over and the function of tau that gives all their memberships,
+    ranges over and the function of the tau array that gives all their
+    memberships, a row per tau and a column per observation,
     and ``curves(args, fam, thetas)`` returns the expected-length and the
     lower-bound curve, each as a function of no arguments.
     """
@@ -315,8 +316,8 @@ def cmd_membership(args) -> int:
             f"membership grid has {count} rows (observations x tau), "
             f"more than {MAX_GRID_COUNT}"
         )
-    # One column of memberships per tau; the rows run omega-major.
-    psi = np.transpose([memberships(tau) for tau in taus]).ravel()
+    # A row of memberships per tau; the output rows run omega-major.
+    psi = memberships(np.array(taus)).T.ravel()
     columns = (np.tile(taus, len(observations)), np.repeat(observations, len(taus)), psi)
     emit(("tau", "omega", "psi"), columns, args)
     return 0
@@ -325,7 +326,7 @@ def cmd_membership(args) -> int:
 def cmd_coverage(args) -> int:
     _, fam = _family(args, proposed=args.method == "proposed")
     taus = _parameter_grid(args.tau_grid, "tau", args, fam)
-    emit(("tau", "coverage"), (taus, [fam.coverage(tau) for tau in taus]), args)
+    emit(("tau", "coverage"), (taus, fam.coverage(np.array(taus))), args)
     return 0
 
 
@@ -455,16 +456,14 @@ def _selftest_checks():
         # independent route to the memberships at tau.
         top = max(map(family.support_upper, (tau, family.o)))
         mu, nu = (
-            DiscreteMeasure.from_weights(
-                range(top + 1), np.exp(family.log_pmf_column(t, top)).tolist()
-            )
-            for t in (tau, family.o)
+            DiscreteMeasure.from_weights(range(top + 1), row.tolist())
+            for row in np.exp(family.log_pmf_rows(np.array([tau, family.o]), top))
         )
         return construct_psi_star(mu, nu, family.gamma).psi
 
     def _coverage(tau, family):
         # The constructor's memberships, summed with the same masses.
-        p = np.exp(family.log_pmf_column(tau))
+        p = np.exp(family.log_pmf_rows(np.array([tau]), family.support_upper(tau))[0])
         constructed = math.fsum((p * _constructed(tau, family)[: len(p)]).tolist())
         cov = discrete.coverage(tau, family)
         return abs(cov - family.gamma) < 1e-8 and abs(cov - constructed) < 1e-11

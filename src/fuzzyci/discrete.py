@@ -10,13 +10,20 @@ after observing omega is
 
 and the larger of the two at tau = o.  At one tau the test covers every
 omega at once, and so does its evaluation: the numerators are partial sums
-of the mass column p at tau (Geyer & Meeden's clamp form), psi * p =
+of the masses p at tau (Geyer & Meeden's clamp form), psi * p =
 clip(gamma - 1 + P[X >= omega], 0, p) below o and
 clip(gamma - 1 + P[X <= omega], 0, p) above o.  Each side sums its small
-tail, the one near 1 - gamma where the membership is randomized.  One mass
-column and one cumulative sum per tau give ``psi_column``, which serves
-coverage, membership grids and ``psi`` alike; a point ``psi`` is one entry
-of its column, so a grid should ask for whole columns.
+tail, the one near 1 - gamma where the membership is randomized.
+
+A whole tau grid is evaluated at once: a (tau x omega) matrix of masses,
+one cumulative sum along omega per side of o, each on that side's rows
+only (both at tau = o), and one matrix of memberships, ``psi_rows``, which
+serves coverage, membership grids and ``psi`` alike.  Coverage is the row
+sums of p * psi.  Each tau's scalars come from ``math``, so a row has the
+bits of a single tau's evaluation.  The rows go in blocks of at most
+``_BLOCK_ELEMENTS`` elements, or one row where a row is wider, which bounds
+every temporary.  A point ``psi`` is one entry of a one-row grid, so many
+tau should be asked for as one grid.
 
 Neither branch depends on o; only the switch between them does.  Per
 omega, each branch has two band edges on the tau axis where it leaves 0
@@ -43,20 +50,21 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
   length of a crisp method, the band route of :mod:`fuzzyci.length` for a
   proposed family;
 - ``support_upper(tau)``, the last omega a sum at tau needs;
-- ``log_pmf_column(tau, top=None)``: the log mass function at omega =
-  0..support_upper(tau), as an array.  Given ``top``, the column a
-  membership column reads up to omega = top instead: 0..n for the
-  binomial, whose upper tails are summed from n, and 0..top for the
-  Poisson, whose sums run up from 0;
-- ``psi_column(tau, p)``: ``psi`` at the same omegas, given the mass column
-  ``p``, without domain checks;
-- ``psi_counts(top, tau)``: ``psi`` at omega = 0..top, checked, from one
-  column;
+- ``log_pmf_rows(taus, top)``: the log mass function, a row per tau of
+  the array ``taus``, over the counts a membership up to omega = top
+  reads: 0..n for the binomial, whose upper tails are summed from n, and
+  0..top for the Poisson, whose sums run up from 0;
+- ``psi_rows(taus, p)``: ``psi`` at the same omegas and taus, given the
+  mass rows ``p``, without domain checks;
+- ``psi_counts(top, taus)``: ``psi`` at omega = 0..top, a row per tau,
+  checked;
+- ``row_sums(taus, terms)``: the coverage sum of each row of p * psi, over
+  the whole row unless the family sums fewer terms;
 - ``reference(theta)``: the proposed family anchored at o = theta, whose
   expected length at theta is the envelope value there;
-- ``coverage(tau)``: exact coverage at tau, by :func:`coverage`.
+- ``coverage(taus)``: exact coverage at each tau, by :func:`coverage`.
 
-:class:`Randomized` builds ``psi``, ``psi_column``, the branches' array
+:class:`Randomized` builds ``psi``, ``psi_rows``, the branches' array
 form ``branch_array(omega, above, tau)`` (above o where ``above``, else
 below) for points inside a band, over their numerator ``slack_array``,
 ``interval_masses``, and ``band_edges(omegas)``, each count's band edges
@@ -70,13 +78,13 @@ family from what differs between the families:
   derivative in tau is k p(k | tau) / tau in both families;
 - ``log_pmf_array(omega, tau)``: the log mass function elementwise over
   arrays;
-- ``slack_column(above, tau, p)``: the numerator above o if ``above``,
-  else below, over the mass column p at tau, from the partial sums of its
-  small tail.
+- ``slack_rows(above, taus, p)``: the numerator above o if ``above``,
+  else below, over the mass rows p, from the partial sums of its small
+  tail along omega.
 
 :class:`Crisp` builds them for a comparison method from ``check`` and
-``endpoints(omega, sqrt)``, the endpoints of its interval written so that
-omega may be an array when ``sqrt`` is ``numpy.sqrt``.
+``endpoints(omega)``, the endpoints of its interval, elementwise over an
+array of omega.
 """
 
 from __future__ import annotations
@@ -114,23 +122,53 @@ def _memo(model) -> SimpleNamespace:
     return SimpleNamespace(edges={}, bands={}, envelope={})
 
 
+# The most masses a block of rows holds, unless one row is wider.
+_BLOCK_ELEMENTS = 4096
+
+
 class _Membership:
     """What the proposed and the crisp memberships share."""
 
     tau_lower = 0.0
 
-    def psi_counts(self, top: int, tau: float) -> np.ndarray:
-        """``psi(omega, tau)`` at omega = 0..top, from one mass column at tau.
+    def psi(self, omega: int, tau: float) -> float:
+        """Membership of tau after observing omega: one entry of a one-row grid.
 
-        The domain is checked at top and tau; the column is
-        ``log_pmf_column(tau, top)``.
+        Each call builds a whole row, so many tau should be asked for as one
+        grid instead.
         """
-        self.check(top, tau)
-        return self.psi_column(tau, np.exp(self.log_pmf_column(tau, top)))[: top + 1]
+        return float(self.psi_counts(omega, [tau])[0, omega])
 
-    def coverage(self, tau: float) -> float:
-        """Probability mass the membership assigns to the truth at tau."""
-        return coverage(tau, self)
+    def psi_counts(self, top: int, taus) -> np.ndarray:
+        """``psi(omega, tau)`` at omega = 0..top, a row per tau of the grid, checked."""
+        return self.by_blocks(taus, top, top, lambda t, p: self.psi_rows(t, p)[:, : top + 1])
+
+    def by_blocks(self, taus, omega: int, top, rows_of) -> np.ndarray:
+        """``rows_of(t, p)`` over a tau grid, stacked: t a block of taus, p their mass rows.
+
+        The grid is checked with omega at its smallest and largest tau, as
+        each parameter space is an interval.  The mass rows are
+        ``log_pmf_rows(t, top)``, top by default the support bound of the
+        largest tau, and a block holds at most ``_BLOCK_ELEMENTS`` masses, or
+        one row: a bounded support's rows run to its end, others' to top.
+        """
+        taus = np.asarray(taus, dtype=float).ravel()
+        if taus.size:
+            self.check(omega, float(taus.min()))
+            self.check(omega, float(taus.max()))
+        if top is None:
+            top = self.support_upper(taus.max()) if taus.size else 0
+        last = self.support_upper(self.tau_upper) if self.tau_upper < math.inf else top
+        step = max(1, _BLOCK_ELEMENTS // (last + 1))
+        blocks = np.split(taus, range(step, len(taus), step))
+        return np.concatenate([rows_of(t, np.exp(self.log_pmf_rows(t, top))) for t in blocks])
+
+    def row_sums(self, taus: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        return terms.sum(axis=1)
+
+    def coverage(self, taus) -> np.ndarray:
+        """Probability mass the membership assigns to the truth at each tau."""
+        return coverage(taus, self)
 
 
 class Randomized(_Membership):
@@ -197,28 +235,17 @@ class Randomized(_Membership):
             )
         return edge.tolist()
 
-    def psi(self, omega: int, tau: float) -> float:
-        """Membership of tau after observing omega: one entry of ``psi_counts``.
+    def psi_rows(self, taus: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Clamp form of ``psi(omega, tau)`` over the mass rows p, a row per tau.
 
-        At tau = o the two one-sided branch values are combined with max,
-        which keeps the coverage at o at or above gamma.  Each call builds
-        a whole column, so a grid should ask for whole columns instead.
+        Each side's numerator is summed on the rows of its side of o only,
+        and a row at tau = o takes the larger of the two, which keeps the
+        coverage at o at or above gamma.  Where p underflows to 0 the
+        membership is its limit: 1 where the slack is positive, else 0.
         """
-        return float(self.psi_counts(omega, tau)[omega])
-
-    def psi_column(self, tau: float, p: np.ndarray) -> np.ndarray:
-        """Clamp form of ``psi(omega, tau)`` over the mass column p at tau.
-
-        Only the numerator of tau's side of o is summed, both at tau = o.
-        Where p underflows to 0 the membership is its limit: 1 where the
-        slack is positive, else 0.
-        """
-        if tau == self.o:
-            slack = np.maximum(
-                self.slack_column(False, tau, p), self.slack_column(True, tau, p)
-            )
-        else:
-            slack = self.slack_column(tau > self.o, tau, p)
+        slack = np.full_like(p, -np.inf)
+        for above, rows in ((False, taus <= self.o), (True, taus >= self.o)):
+            slack[rows] = np.maximum(slack[rows], self.slack_rows(above, taus[rows], p[rows]))
         with np.errstate(all="ignore"):
             return np.where(slack > 0.0, np.minimum(1.0, slack / p), 0.0)
 
@@ -254,28 +281,29 @@ class Randomized(_Membership):
 class Crisp(_Membership):
     """The indicator membership of a comparison method's interval."""
 
-    def psi(self, omega: int, tau: float) -> float:
-        self.check(omega, tau)
-        lo, hi = self.endpoints(omega)
-        return 1.0 if lo <= tau <= hi else 0.0
-
-    def psi_column(self, tau: float, p: np.ndarray) -> np.ndarray:
-        lo, hi = self.endpoints(np.arange(len(p)), np.sqrt)
-        return ((lo <= tau) & (tau <= hi)).astype(float)
+    def psi_rows(self, taus: np.ndarray, p: np.ndarray) -> np.ndarray:
+        lo, hi = self.endpoints(np.arange(p.shape[1]))
+        taus = taus[:, None]
+        return ((lo <= taus) & (taus <= hi)).astype(float)
 
     def interval_masses(self, omegas, quad) -> list[float]:
         """Length of each omega's interval inside the range, in closed form."""
         middle = 0.5 * (quad.lower + quad.upper)
         for w in omegas:
             self.check(w, middle)  # checks omega; any tau in the range would do
-        lo, hi = self.endpoints(np.asarray(omegas, dtype=float), np.sqrt)
+        lo, hi = self.endpoints(np.asarray(omegas, dtype=float))
         lo = np.maximum(np.maximum(lo, 0.0), quad.lower)
         hi = np.minimum(np.minimum(hi, self.tau_upper), quad.upper)
         return np.maximum(0.0, hi - lo).tolist()
 
 
-def coverage(tau: float, fam) -> float:
-    """Probability mass the membership assigns to the truth at tau."""
-    fam.check(0, tau)  # omega = 0 lies in every support
-    p = np.exp(fam.log_pmf_column(tau))
-    return float(np.sum(p * fam.psi_column(tau, p)))
+def coverage(taus, fam) -> np.ndarray:
+    """Probability mass the membership assigns to the truth at each tau.
+
+    The result has the shape of ``taus``.  The mass rows run to the support
+    bound of the grid's largest tau, which certifies every row, and each
+    row of p * psi is summed by ``row_sums``.
+    """
+    # omega = 0 lies in every support; top None is the largest tau's bound.
+    rows = fam.by_blocks(taus, 0, None, lambda t, p: fam.row_sums(t, p * fam.psi_rows(t, p)))
+    return rows.reshape(np.shape(taus))

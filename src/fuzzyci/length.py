@@ -4,7 +4,7 @@ The expected length at a true parameter theta is the outer expectation,
 under the sampling distribution at theta, of the Lebesgue mass each
 observation's membership assigns over the parameter axis (Pratt, 1961).
 The outer sum is an exact pmf summation over the (truncated) support,
-weighted by the family's mass column at theta; the inner masses come from
+weighted by the family's mass row at theta; the inner masses come from
 the family's ``interval_masses(omegas, quad)``.  A
 crisp comparison method's mass is the length of its interval clipped to the
 range, in closed form (see :mod:`fuzzyci.discrete`); a proposed family's
@@ -244,11 +244,11 @@ def band_masses(model, requests, quad: QuadratureSpec) -> list[list[float]]:
 def _pratt_sum(fam, theta: float, masses) -> float:
     """Expected length at theta: ``masses[w]`` weighted by the pmf, over w's support.
 
-    The log masses are the column's, the very bits of ``log_pmf``; masses
-    past the support at theta are not read.
+    The log masses are one row of ``log_pmf_rows``, the very bits of
+    ``log_pmf``; masses past the support at theta are not read.
     """
     fam.check(0, theta)  # omega = 0 lies in every support
-    log_p = fam.log_pmf_column(theta).tolist()
+    log_p = fam.log_pmf_rows(np.array([theta]), fam.support_upper(theta))[0].tolist()
     return math.fsum(math.exp(lp) * m for lp, m in zip(log_p, masses))
 
 

@@ -13,9 +13,13 @@ membership an integral of Phi.  The lower-bound envelope is the anchored
 expected length with o set to the true mean; each is cross-checked
 against independent quadrature in the tests.
 
-Both classes offer ``psi_means(means, tau)``, the membership of tau after
-each sample mean of an array, ``psi(x, tau)``, one entry of it,
-``coverage(tau)``, ``expected_length(theta)`` and ``lower_bound(theta)``.
+Both classes offer ``psi_means(means, taus)``, the membership of each tau
+of an array after each sample mean of another, a row per tau and a column
+per mean by broadcasting, ``psi(x, tau)``, one entry of it,
+``coverage(taus)``, in the shape of taus, ``expected_length(theta)`` and
+``lower_bound(theta)``.  The lower bound, and the anchored interval, read
+the one-sided normal quantile at gamma, which exists for gamma down to
+``QUANTILE_FLOOR``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ __all__ = ["NormalFamily", "TwoSidedInterval"]
 
 @lru_cache(maxsize=1024)
 def _one_sided_z(gamma: float) -> float:
+    if gamma < QUANTILE_FLOOR:
+        raise ValueError(f"gamma must lie in [{QUANTILE_FLOOR:g}, 1) for the one-sided normal "
+                         f"quantile that anchored intervals and lower bounds read, got {gamma}")
     return normal_quantile(gamma)
 
 
@@ -81,8 +88,9 @@ class _Normal:
             if not a < b:
                 raise ValueError(f"bounds must satisfy a < b, got {self.bounds}")
 
-    def _inside(self, tau: float) -> bool:
-        return self.bounds is None or self.bounds[0] <= tau <= self.bounds[1]
+    def _inside(self, tau) -> np.ndarray:
+        a, b = self.bounds or (-math.inf, math.inf)
+        return np.greater_equal(tau, a) & np.less_equal(tau, b)
 
     def psi(self, x: float, tau: float) -> float:
         """Membership of tau after the sample mean x: one entry of ``psi_means``."""
@@ -93,12 +101,16 @@ class _Normal:
             raise ValueError("expected lengths require bounds")
         return self.bounds
 
-    def coverage(self, tau: float) -> float:
-        """Probability that the interval covers tau, which must be in bounds."""
-        if not self._inside(tau):
-            a, b = self.bounds
-            raise ValueError(f"tau must lie in [{a}, {b}], got {tau}")
-        return self.gamma
+    def coverage(self, taus) -> np.ndarray:
+        """Probability that the interval covers each tau, in the shape of taus.
+
+        Every tau must lie in the bounds.
+        """
+        outside = np.extract(~self._inside(taus), taus)
+        if outside.size:
+            a, b = self.bounds or (-math.inf, math.inf)
+            raise ValueError(f"tau must lie in [{a}, {b}], got {float(outside[0])}")
+        return np.full(np.shape(taus), self.gamma)
 
     def lower_bound(self, theta: float) -> float:
         """Envelope below every membership's expected-length curve.
@@ -130,29 +142,27 @@ class NormalFamily(_Normal):
 
     def __post_init__(self):
         super().__post_init__()
-        # Only this family reads the one-sided quantile at gamma, which has a
-        # floor; the two-sided interval's (1 + gamma) / 2 never comes near it.
-        if self.gamma < QUANTILE_FLOOR:
-            raise ValueError(f"gamma must lie in [{QUANTILE_FLOOR:g}, 1), got {self.gamma}")
+        _one_sided_z(self.gamma)  # the interval itself reads the quantile: check gamma now
         if not math.isfinite(self.o):
             raise ValueError(f"o must be finite, got {self.o}")
         if not self._inside(self.o):
             raise ValueError(f"o must lie inside the bounds {self.bounds}, got {self.o}")
 
-    def psi_means(self, means: np.ndarray, tau: float) -> np.ndarray:
-        """Indicator membership of the one-sided interval anchored at o, per mean."""
+    def psi_means(self, means: np.ndarray, taus) -> np.ndarray:
+        """Indicator membership of the one-sided interval anchored at o, per tau and mean."""
         c = _one_sided_z(self.gamma) * self.sigma
-        inside = (np.minimum(self.o, means - c) < tau) & (tau < np.maximum(self.o, means + c))
-        return (inside & self._inside(tau)).astype(float)
+        taus = np.asarray(taus)[..., None]
+        inside = (np.minimum(self.o, means - c) < taus) & (taus < np.maximum(self.o, means + c))
+        return (inside & self._inside(taus)).astype(float)
 
-    def coverage(self, tau: float) -> float:
+    def coverage(self, taus) -> np.ndarray:
         """gamma, except at o, where the crisp interval covers with 2 gamma - 1.
 
         Below gamma = 1/2 the interval never covers o, so the coverage there
         is 0, not the negative 2 gamma - 1.
         """
-        covered = super().coverage(tau)
-        return max(0.0, 2.0 * self.gamma - 1.0) if tau == self.o else covered
+        covered = super().coverage(taus)
+        return np.where(np.asarray(taus) == self.o, max(0.0, 2.0 * self.gamma - 1.0), covered)
 
     def expected_length(self, theta: float) -> float:
         """Expected length of the o-anchored membership at true mean theta."""
@@ -167,10 +177,11 @@ class TwoSidedInterval(_Normal):
     sigma: float
     bounds: tuple[float, float] | None = None
 
-    def psi_means(self, means: np.ndarray, tau: float) -> np.ndarray:
+    def psi_means(self, means: np.ndarray, taus) -> np.ndarray:
         d = two_sided_z(self.gamma) * self.sigma
-        inside = (means - d <= tau) & (tau <= means + d)
-        return (inside & self._inside(tau)).astype(float)
+        taus = np.asarray(taus)[..., None]
+        inside = (means - d <= taus) & (taus <= means + d)
+        return (inside & self._inside(taus)).astype(float)
 
     def expected_length(self, theta: float) -> float:
         """Expected length of the truncated two-sided membership at theta.

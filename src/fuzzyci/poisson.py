@@ -4,12 +4,14 @@ The membership is built by :mod:`fuzzyci.discrete`; this module supplies
 what is Poisson about it.  Its tail kernel, the upper tail
 P[X >= k | tau] over arrays, is 1 - P[X <= k - 1 | tau] from
 ``pois_cdf_array``; it gives the slacks of the band integrals and the band
-edges.  Over a mass column both slacks come from the CDF, summed up from
-omega = 0.
+edges.  Over the mass rows of a tau grid both slacks come from the CDF,
+summed up from omega = 0.
 Sums over omega run over a truncated support, 0..support_bound(tau): one
 algorithm for every accepted mean 0 < tau <= 1e4, whose omitted tail mass
-is at most ``TRUNCATION_MASS``.  The score (Wilson-type) interval is
-the crisp comparison method.
+is at most ``TRUNCATION_MASS``.  The rows of a coverage grid share the
+bound of its largest tau, which certifies every row, as P[X > m | tau]
+increases with tau.  The score (Wilson-type) interval is the crisp
+comparison method.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .specfun import (
     pois_cdf_array,
     pois_log_pmf,
     pois_log_pmf_array,
-    pois_log_pmf_column,
+    pois_log_pmf_rows,
     two_sided_z,
 )
 
@@ -104,8 +106,8 @@ class _Poisson:
         if not tau > 0.0:
             raise ValueError(f"tau must be positive, got {tau}")
 
-    def log_pmf_column(self, tau: float, top=None) -> np.ndarray:
-        return pois_log_pmf_column(self.support_upper(tau) if top is None else top, tau)
+    def log_pmf_rows(self, taus: np.ndarray, top: int) -> np.ndarray:
+        return pois_log_pmf_rows(top, taus)
 
     def log_pmf_array(self, omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
         return pois_log_pmf_array(omega, tau)
@@ -133,20 +135,22 @@ class PoissonFamily(_Poisson, Randomized):
         """P[X >= k | tau], one minus the CDF at k - 1, for k >= 0."""
         return 1.0 - pois_cdf_array(k - 1, tau)
 
-    def slack_column(self, above: bool, tau: float, p: np.ndarray):
-        # Both from the CDF P[X <= omega], summed up from 0, so a column
-        # needs no mass past its last count.  Up to tau = 700, where
-        # exp(-tau) is still normal, the CDF is pois_cdf_array's term
-        # recurrence: its terms keep their relative accuracy where the log
-        # masses p lose some (3e-11 in psi at tau = 350 below o).
-        if tau > 700.0:
-            cdf = np.cumsum(p)
-        else:
-            terms = np.append(math.exp(-tau), tau / np.arange(1, len(p)))
-            cdf = np.cumsum(np.cumprod(terms))
+    def slack_rows(self, above: bool, taus: np.ndarray, p: np.ndarray):
+        # Both from the CDF P[X <= omega], summed up from 0, so a row needs
+        # no mass past its last count.  Up to tau = 700, where exp(-tau) is
+        # still normal, the CDF is pois_cdf_array's term recurrence, with
+        # exp(-tau) from math: its terms keep their relative accuracy where
+        # the log masses p lose some (3e-11 in psi at tau = 350 below o).
+        small = taus <= 700.0
+        cdf = np.empty_like(p)
+        cdf[~small] = np.cumsum(p[~small], axis=1)
+        t = taus[small]
+        head = [math.exp(-tau) for tau in t.tolist()]
+        terms = np.column_stack((head, t[:, None] / np.arange(1, p.shape[1])))
+        cdf[small] = np.cumsum(np.cumprod(terms, axis=1), axis=1)
         if above:
             return self.gamma - 1.0 + cdf
-        return self.gamma - np.append(0.0, cdf[:-1])
+        return self.gamma - np.hstack((np.zeros((len(p), 1)), cdf[:, :-1]))
 
 
 @dataclass(frozen=True)
@@ -155,9 +159,19 @@ class ScoreInterval(_Poisson, Crisp):
 
     gamma: float
 
-    def endpoints(self, omega, sqrt=math.sqrt):
+    def endpoints(self, omega):
         """Endpoints of the score interval, before clipping."""
         z = two_sided_z(self.gamma)
         center = omega + 0.5 * z * z
-        half = z * sqrt(omega + 0.25 * z * z)
+        half = z * np.sqrt(omega + 0.25 * z * z)
         return center - half, center + half
+
+    def row_sums(self, taus: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Each row of ``terms`` summed over its own support, 0..support_bound(tau).
+
+        Past it the indicator's terms are exact zeros, yet a longer sum
+        groups numpy's pairwise additions apart past 128 terms and can move
+        the coverage's last bit.
+        """
+        ends = [self.support_upper(tau) + 1 for tau in taus.tolist()]
+        return np.array([row[:end].sum() for row, end in zip(terms, ends)])

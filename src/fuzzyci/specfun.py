@@ -4,8 +4,8 @@ Everything the distribution families need lives here: the regularized
 incomplete beta over arrays, whose values at integer shapes are the
 binomial upper tails, the regularized lower incomplete gamma, the Poisson
 CDF over arrays, :func:`pois_cdf_array`, the standard normal CDF/quantile,
-and binomial/Poisson mass functions in log space, as a whole column over
-the support or elementwise over arrays.  In every array kernel each
+and binomial/Poisson mass functions in log space, as rows over the
+support, one per tau of a grid, or elementwise over arrays.  In every array kernel each
 element's value depends on its own arguments only, not on the rest of the
 array.
 
@@ -34,10 +34,10 @@ __all__ = [
     "normal_quantile",
     "two_sided_z",
     "log_factorials",
-    "binom_log_pmf_column",
+    "binom_log_pmf_rows",
     "binom_log_pmf_array",
     "pois_log_pmf",
-    "pois_log_pmf_column",
+    "pois_log_pmf_rows",
     "pois_log_pmf_array",
     "pois_cdf_array",
 ]
@@ -283,7 +283,7 @@ def log_factorials(m: int) -> np.ndarray:
     """Read-only array of log(k!) for k = 0..m.
 
     Each entry is ``math.lgamma(k + 1)``, the value the scalar
-    :func:`pois_log_pmf` uses, so the columns below match it bit for bit; a
+    :func:`pois_log_pmf` uses, so the rows below match it bit for bit; a
     running sum of logs drifts (9e-12 at m = 1000).  One table serves every m and
     at least doubles whenever a caller needs more of it.
     """
@@ -303,9 +303,14 @@ def _binom_log_pmf(omega, n: int, log_tau, log1m_tau) -> np.ndarray:
     return ln_choose + omega * log_tau + (n - omega) * log1m_tau
 
 
-def binom_log_pmf_column(n: int, tau: float) -> np.ndarray:
-    """Log binomial mass function at omega = 0..n, unchecked."""
-    return _binom_log_pmf(np.arange(n + 1), n, math.log(tau), math.log1p(-tau))
+def binom_log_pmf_rows(n: int, taus: np.ndarray) -> np.ndarray:
+    """Log binomial mass function at omega = 0..n, a row per tau, unchecked.
+
+    Each tau's logs come from ``math``, so every row has the bits of a
+    single tau's.
+    """
+    logs = np.array([(math.log(t), math.log1p(-t)) for t in taus.tolist()]).reshape(-1, 2)
+    return _binom_log_pmf(np.arange(n + 1), n, logs[:, :1], logs[:, 1:])
 
 
 def binom_log_pmf_array(omega: np.ndarray, n: int, tau: np.ndarray) -> np.ndarray:
@@ -322,12 +327,13 @@ def pois_log_pmf(omega: int, tau: float) -> float:
     return -tau + omega * math.log(tau) - math.lgamma(omega + 1)
 
 
-def pois_log_pmf_column(m: int, tau: float) -> np.ndarray:
-    """:func:`pois_log_pmf` at omega = 0..m, same expression and order.
+def pois_log_pmf_rows(m: int, taus: np.ndarray) -> np.ndarray:
+    """:func:`pois_log_pmf` at omega = 0..m, a row per tau, same expression and order.
 
-    The caller checks the domain.
+    Each tau's log comes from ``math``.  The caller checks the domain.
     """
-    return -tau + np.arange(m + 1) * math.log(tau) - log_factorials(m)
+    logs = np.array(list(map(math.log, taus.tolist())))
+    return -taus[:, None] + np.arange(m + 1) * logs[:, None] - log_factorials(m)
 
 
 def pois_log_pmf_array(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:

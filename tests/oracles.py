@@ -10,8 +10,10 @@ mass and CDF by direct summation, the Poisson CDF by its term recurrence,
 the discrete families' band edges one scalar root solve at a time, a
 proposed family's membership one point at a time (those edges, then one
 branch's slack from a scalar tail), coverage as a sum of those scalar
-memberships, the discrete families' upper tails in 40-digit mpmath, a
-crisp method's clipped interval from its endpoints, and interval masses by
+memberships, the discrete memberships and coverage one tau at a time from
+one mass column each (the route the grid rows must match bit for bit), the
+discrete families' upper tails in 40-digit mpmath, a crisp method's
+clipped interval from its endpoints, and interval masses by
 scalar adaptive Gauss-Legendre quadrature on panels split at a
 membership's breakpoints, with the fake families that test it, the 0/1
 knapsack optimum by a dynamic program over one capacity at a time, the
@@ -35,6 +37,7 @@ from fuzzyci.specfun import (
     _EPS,
     _FPMIN,
     ConvergenceError,
+    log_factorials,
     normal_quantile,
     pois_log_pmf,
     reg_lower_gamma,
@@ -487,9 +490,14 @@ def scalar_psi(fam, omega, tau):
     """Membership of tau after omega, one point at a time.
 
     A proposed family's by the threshold-and-special-function route,
-    independent of the clamp-form columns its own ``psi`` reads (the larger
-    branch at tau = o); any other family's by its own ``psi``.
+    independent of the clamp-form rows its own ``psi`` reads (the larger
+    branch at tau = o); a crisp method's from its interval's endpoints; any
+    other family's by its own ``psi``.
     """
+    if isinstance(fam, Crisp):
+        fam.check(omega, tau)
+        lo, hi = interval(fam, omega)
+        return 1.0 if lo <= tau <= hi else 0.0
     if not isinstance(fam, Randomized):
         return fam.psi(omega, tau)
     fam.check(omega, tau)
@@ -498,6 +506,59 @@ def scalar_psi(fam, omega, tau):
     if tau > fam.o:
         return scalar_branch(fam, omega, True, tau)
     return max(scalar_branch(fam, omega, above, tau) for above in (False, True))
+
+
+def column_log_pmf(fam, tau, top):
+    """Log masses at one tau, as one column: 0..n for a binomial, 0..top for a Poisson.
+
+    The per-tau route the grid rows replaced, the same expressions in the
+    same order, with the logs from ``math``.
+    """
+    if fam.tau_upper == 1.0:
+        n, w = fam.n, np.arange(fam.n + 1)
+        lf = log_factorials(n)
+        return lf[n] - lf[w] - lf[n - w] + w * math.log(tau) + (n - w) * math.log1p(-tau)
+    return -tau + np.arange(top + 1) * math.log(tau) - log_factorials(top)
+
+
+def _column_slack(fam, above, tau, p):
+    """A proposed family's numerator above o if ``above``, else below, over one column."""
+    if fam.tau_upper == 1.0:
+        if above:
+            return fam.gamma - 1.0 + np.cumsum(p)
+        return fam.gamma - 1.0 + np.cumsum(p[::-1])[::-1]
+    if tau > 700.0:
+        cdf = np.cumsum(p)
+    else:
+        cdf = np.cumsum(np.cumprod(np.append(math.exp(-tau), tau / np.arange(1, len(p)))))
+    if above:
+        return fam.gamma - 1.0 + cdf
+    return fam.gamma - np.append(0.0, cdf[:-1])
+
+
+def column_psi(fam, tau, top):
+    """Memberships at omega = 0..top and one tau: one mass column, one sum per side.
+
+    The per-tau route the grid rows replaced: a crisp method's indicator
+    from its endpoints, a proposed family's clamp form over the column,
+    only tau's side of o summed, both at tau = o.
+    """
+    p = np.exp(column_log_pmf(fam, tau, top))
+    if isinstance(fam, Crisp):
+        lo, hi = fam.endpoints(np.arange(len(p)))
+        return ((lo <= tau) & (tau <= hi)).astype(float)[: top + 1]
+    if tau == fam.o:
+        slack = np.maximum(_column_slack(fam, False, tau, p), _column_slack(fam, True, tau, p))
+    else:
+        slack = _column_slack(fam, tau > fam.o, tau, p)
+    with np.errstate(all="ignore"):
+        return np.where(slack > 0.0, np.minimum(1.0, slack / p), 0.0)[: top + 1]
+
+
+def column_coverage(tau, fam):
+    """Coverage at one tau by the per-tau route, summed over tau's own support."""
+    p = np.exp(column_log_pmf(fam, tau, fam.support_upper(tau)))
+    return float(np.sum(p * column_psi(fam, tau, len(p) - 1)))
 
 
 def scalar_coverage(tau, fam):

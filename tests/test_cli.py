@@ -80,14 +80,30 @@ class TestMembershipCommand:
         assert header == ["tau", "omega", "psi"]
         assert len(rows) == 999 * 11
 
-    def test_empty_grid_gives_header_only(self, capsys):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "family",
+        [("binomial", "--n", "10", "--o", "0.5"), ("poisson", "--o", "3"),
+         ("normal", "--sigma", "1", "--o", "0.5", "--x-grid", "0:1:3")],
+        ids=["binomial", "poisson", "normal"],
+    )
+    @pytest.mark.parametrize(
+        "command, header",
+        [("membership", ["tau", "omega", "psi"]), ("coverage", ["tau", "coverage"])],
+        ids=["membership", "coverage"],
+    )
+    def test_empty_grid_gives_header_only(self, capsys, command, header, family, fmt):
+        if command == "coverage" and family[0] == "normal":
+            family = family[:-2]  # coverage takes no --x-grid
         status, out = run_cli(
-            capsys,
-            "membership", "--family", "binomial", "--n", "10",
-            "--gamma", "0.95", "--o", "0.5", "--tau-grid", "0:1:0",
+            capsys, command, "--family", *family, "--gamma", "0.95",
+            "--tau-grid", "0:1:0", "--format", fmt,
         )
         assert status == 0
-        assert out == "tau,omega,psi\n"
+        if fmt == "csv":
+            assert out == ",".join(header) + "\n"
+        else:
+            assert out == json.dumps({"columns": header, "rows": []}, indent=2) + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
@@ -189,6 +205,22 @@ class TestMembershipCommand:
         rows = parse_csv(out)[1]
         assert len(rows) == 9
         assert all(psi == float(tau == x) for tau, x, psi in rows)
+
+    @pytest.mark.parametrize("method", ["standard", "truncated_standard"])
+    def test_two_sided_lower_bound_below_the_quantile_floor(self, capsys, method):
+        # The two-sided interval itself takes such a gamma, but its
+        # lower-bound column reads the one-sided quantile, which has a floor.
+        status = main([
+            "el-curve", "--family", "normal", "--method", method, "--gamma", "1e-310",
+            "--sigma", "1", "--a=-1", "--b=1", "--theta-grid=-1:1:3",
+        ])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: gamma must lie in [1e-300, 1) for the one-sided normal quantile "
+            "that anchored intervals and lower bounds read, got 1e-310\n"
+        )
 
     def test_normal_requires_x_grid(self, capsys):
         # Negative grid endpoints need the --flag=value form.
@@ -676,7 +708,7 @@ class TestMembershipRowCap:
                       normal.TwoSidedInterval):
             monkeypatch.setattr(owner, "psi", fail)
         for owner in (discrete.Randomized, discrete.Crisp):
-            monkeypatch.setattr(owner, "psi_column", fail)
+            monkeypatch.setattr(owner, "psi_rows", fail)
 
     @pytest.mark.parametrize(
         "argv, rows",
@@ -849,10 +881,10 @@ class TestOutputHandling:
         for owner, name in [
             (discrete._Membership, "coverage"),
             (discrete.Randomized, "psi"),
-            (discrete.Randomized, "psi_column"),
+            (discrete.Randomized, "psi_rows"),
             (discrete.Randomized, "branch_array"),
             (discrete.Crisp, "psi"),
-            (discrete.Crisp, "psi_column"),
+            (discrete.Crisp, "psi_rows"),
             (cli, "solve_fractional"),
             (cli, "solve_01_dp"),
             (cli, "construct_psi_star"),

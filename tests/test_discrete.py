@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    column_coverage,
+    column_psi,
     log_pmf,
     mp_psi,
     mp_tail_residual,
@@ -377,10 +379,12 @@ def test_log_factorials_are_lgamma_values():
     ids=repr,
 )
 def test_log_pmf_column_is_scalar_log_pmf(fam, taus):
-    for tau in taus:
-        column = fam.log_pmf_column(tau)
-        assert len(column) == fam.support_upper(tau) + 1
-        assert column.tolist() == [log_pmf(fam, w, tau) for w in range(len(column))]
+    # The taus as one grid, every row to the largest support.
+    top = max(map(fam.support_upper, taus))
+    rows = fam.log_pmf_rows(np.array(taus), top)
+    assert rows.shape == (len(taus), max(fam.support_upper(tau) for tau in taus) + 1)
+    for tau, row in zip(taus, rows):
+        assert row.tolist() == [log_pmf(fam, w, tau) for w in range(len(row))]
 
 
 @pytest.mark.parametrize(
@@ -396,11 +400,12 @@ def test_log_pmf_column_is_scalar_log_pmf(fam, taus):
     ids=repr,
 )
 def test_psi_column_matches_scalar_psi(fam, taus):
-    for tau in taus:
-        p = np.exp(fam.log_pmf_column(tau))
-        column = fam.psi_column(tau, p)
-        scalar = [scalar_psi(fam, w, tau) for w in range(len(p))]
-        assert np.max(np.abs(column - scalar)) <= 1e-10
+    # The taus as one grid; each row is checked over its own support.
+    p = np.exp(fam.log_pmf_rows(np.array(taus), max(map(fam.support_upper, taus))))
+    rows = fam.psi_rows(np.array(taus), p)
+    for tau, row in zip(taus, rows):
+        scalar = [scalar_psi(fam, w, tau) for w in range(fam.support_upper(tau) + 1)]
+        assert np.max(np.abs(row[: len(scalar)] - scalar)) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -417,11 +422,12 @@ def test_psi_column_is_as_accurate_as_the_scalar_route(fam, taus):
     # of o sums its small tail, so the column loses no more than the
     # threshold-and-tail route (the mass p bounds both).
     pytest.importorskip("mpmath")
-    for tau in taus:
-        column = fam.psi_counts(fam.support_upper(tau), tau)
+    rows = fam.psi_counts(max(map(fam.support_upper, taus)), taus)
+    for tau, column in zip(taus, rows):
         column_error = scalar_error = 0.0
         inside = 0
-        for w, (z0, z1, a1, a0) in enumerate(fam.band_edges(range(len(column)))):
+        omegas = range(fam.support_upper(tau) + 1)
+        for w, (z0, z1, a1, a0) in enumerate(fam.band_edges(omegas)):
             if not (a1 < tau < a0 if tau > fam.o else z0 < tau < z1):
                 continue
             inside += 1
@@ -441,8 +447,9 @@ def test_poisson_counts_past_the_support_bound(o, expected):
     tau = 0.02
     top = poisson.support_bound(tau)
     assert top < 25
-    column = fam.psi_counts(25, tau)
-    assert len(column) == 26
+    grid = fam.psi_counts(25, [tau])
+    assert grid.shape == (1, 26)
+    column = grid[0]
     for w in range(top + 1, 26):
         assert fam.psi(w, tau) == column[w] == scalar_psi(fam, w, tau) == expected
 
@@ -487,14 +494,13 @@ def test_branch_array_matches_scalar_branch_inside_the_bands(fam, omegas, around
     ids=["agresti_coull_n10", "agresti_coull_n1000", "score"],
 )
 def test_crisp_psi_column_is_scalar_indicator(method, taus):
-    for tau in taus.tolist():
-        p = np.exp(method.log_pmf_column(tau))
-        column = method.psi_column(tau, p)
-        assert column.tolist() == [method.psi(w, tau) for w in range(len(p))]
+    # The taus as one grid, every row to the largest support.
+    p = np.exp(method.log_pmf_rows(taus, max(map(method.support_upper, taus))))
+    rows = method.psi_rows(taus, p)
+    for tau, row, cov in zip(taus.tolist(), rows, coverage(taus, method).tolist()):
+        assert row.tolist() == [scalar_psi(method, w, tau) for w in range(len(row))]
         # The sums differ only where numpy's exp and math.exp round apart.
-        assert coverage(tau, method) == pytest.approx(
-            scalar_coverage(tau, method), abs=1e-14
-        )
+        assert cov == pytest.approx(scalar_coverage(tau, method), abs=1e-14)
 
 
 def _families():
@@ -516,7 +522,7 @@ class TestPsiColumnProperties:
     @settings(max_examples=200, deadline=None)
     def test_membership_in_unit_interval(self, fam, u):
         tau = _tau(fam, u)
-        column = fam.psi_column(tau, np.exp(fam.log_pmf_column(tau)))
+        column = fam.psi_counts(fam.support_upper(tau), [tau])
         assert np.all((column >= 0.0) & (column <= 1.0))
 
     @given(fam=_families(), u=st.floats(0.001, 0.999), at_o=st.booleans())
@@ -538,11 +544,62 @@ class TestPsiColumnProperties:
     def test_monotone_in_tau_on_each_side_of_o(self, fam, u, v):
         lo, hi = sorted((_tau(fam, u), _tau(fam, v)))
         assume(lo < hi and (hi < fam.o or lo > fam.o))
-        first = fam.psi_column(lo, np.exp(fam.log_pmf_column(lo)))
-        second = fam.psi_column(hi, np.exp(fam.log_pmf_column(hi)))
-        common = min(len(first), len(second))
-        step = second[:common] - first[:common]
+        # One grid of both, to the smaller support, lo's.
+        first, second = fam.psi_counts(fam.support_upper(lo), [lo, hi])
+        step = second - first
         if hi < fam.o:
             assert np.all(step >= -1e-10)  # rises towards o from below
         else:
             assert np.all(step <= 1e-10)  # falls away from o above
+
+
+class TestGridAgainstColumns:
+    """A grid's rows against the per-tau columns, bit for bit.
+
+    A binomial n of 4096 or more makes one row wider than a block; up to 40
+    taus, with rows of a few hundred counts, cross block boundaries; the
+    wide Poisson means put rows on both sides of tau = 700.
+    """
+
+    @given(
+        kind=st.sampled_from(["binomial", "agresti_coull", "poisson", "score"]),
+        size=st.floats(0.0, 1.0),
+        wide=st.booleans(),
+        gamma=st.floats(0.5, 0.999),
+        o_u=st.floats(0.01, 0.99),
+        us=st.lists(st.floats(0.01, 0.99), max_size=40),
+        at_o=st.booleans(),
+    )
+    # A binomial row wider than a block; Poisson grids of 30 rows, several
+    # blocks, on both sides of tau = 700; a grid where exp(-tau) from numpy
+    # instead of math would move two memberships.
+    @example("binomial", 0.5, True, 0.95, 0.4, [0.2, 0.5, 0.7], True)
+    @example("poisson", 0.0, False, 0.972, 0.23, np.linspace(0.3, 0.7, 30).tolist(), False)
+    @example("poisson", 0.0, True, 0.9, 0.5, np.linspace(0.3, 0.7, 30).tolist(), True)
+    @example("score", 0.0, True, 0.99, 0.5, np.linspace(0.3, 0.7, 30).tolist(), False)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_the_columns(self, kind, size, wide, gamma, o_u, us, at_o):
+        if kind in ("binomial", "agresti_coull"):
+            n = 4096 + int(size * 200) if wide else 1 + int(size * 400)
+            o, taus = o_u, us
+            fam = (binomial.BinomialFamily(n, o, gamma) if kind == "binomial"
+                   else binomial.AgrestiCoull(n, gamma))
+        else:
+            o = 600.0 + 200.0 * o_u if wide else 0.05 + 100.0 * o_u
+            taus = [2.0 * o * u for u in us]
+            fam = (poisson.PoissonFamily(o, gamma) if kind == "poisson"
+                   else poisson.ScoreInterval(gamma))
+        if at_o:
+            taus = sorted([*taus, o])
+        top = fam.support_upper(max([*taus, o]))
+        rows = fam.psi_counts(top, taus)
+        assert rows.shape == (len(taus), top + 1)
+        for tau, row in zip(taus, rows):
+            assert np.array_equal(row, column_psi(fam, tau, top)), tau
+        grid = coverage(np.array(taus), fam)
+        columns = np.array([column_coverage(tau, fam) for tau in taus])
+        if kind == "poisson":
+            # One support bound for the grid adds mass past each row's own.
+            assert np.all(np.abs(grid - columns) <= poisson.TRUNCATION_MASS)
+        else:
+            assert np.array_equal(grid, columns)

@@ -66,6 +66,7 @@ class TestMembership:
             fam = NormalFamily(o=0.5, gamma=gamma, sigma=1.0)
             assert fam.coverage(fam.o) == 0.0
             assert fam.coverage(0.0) == gamma
+            assert fam.coverage(np.array([0.0, fam.o])).tolist() == [gamma, 0.0]
 
     def test_two_sided_coverage_identity(self):
         for gamma in (0.9, 0.95, 0.99):
@@ -82,6 +83,9 @@ class TestMembership:
             assert method.coverage(1.0) == 0.95
             with pytest.raises(ValueError, match="tau"):
                 method.coverage(1.5)
+            # A grid names its first tau outside the bounds.
+            with pytest.raises(ValueError, match=r"tau must lie in \[0.0, 1.0\], got 1.5$"):
+                method.coverage(np.array([0.5, 1.5, 2.0]))
 
     def test_overlap_region_grid(self):
         # The overlap of the two acceptance regions is where both intervals
@@ -115,9 +119,10 @@ class TestMeansColumn:
                 else two_sided_z(fam.gamma)) * fam.sigma
         means = np.linspace(-2.0, 2.5, 37)
         taus = [-3.0, -0.5, 0.0, 0.2, 0.5, 1.0, 3.0, *(means - half), *(means + half)]
-        for tau in map(float, taus):
-            column = fam.psi_means(means, tau)
-            assert column.dtype == np.float64 and column.shape == means.shape
+        # The taus as one grid: a row per tau, a column per mean.
+        grid = fam.psi_means(means, np.array(taus))
+        assert grid.dtype == np.float64 and grid.shape == (len(taus), len(means))
+        for tau, column in zip(map(float, taus), grid):
             expected = [scalar_normal_psi(fam, x, tau) for x in means.tolist()]
             assert column.tolist() == expected, tau
             assert [fam.psi(x, tau) for x in means.tolist()] == expected, tau
@@ -137,6 +142,8 @@ class TestMeansColumn:
     def test_empty_means(self):
         for fam in self.FAMILIES:
             assert fam.psi_means(np.array([]), 0.3).shape == (0,)
+            assert fam.psi_means(np.array([]), np.array([0.3, 0.4])).shape == (2, 0)
+            assert fam.psi_means(np.array([0.3]), np.array([])).shape == (0, 1)
 
 
 class TestExpectedLengthClosedForms:
