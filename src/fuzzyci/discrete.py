@@ -164,6 +164,7 @@ class _Membership:
         return np.concatenate([rows_of(t, np.exp(self.log_pmf_rows(t, top))) for t in blocks])
 
     def row_sums(self, taus: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Each row's sum over the whole row: the grid's bound certifies every row."""
         return terms.sum(axis=1)
 
     def coverage(self, taus) -> np.ndarray:

@@ -5,9 +5,9 @@ incomplete beta over arrays, whose values at integer shapes are the
 binomial upper tails, the regularized lower incomplete gamma, the Poisson
 CDF over arrays, :func:`pois_cdf_array`, the standard normal CDF/quantile,
 and binomial/Poisson mass functions in log space, as rows over the
-support, one per tau of a grid, or elementwise over arrays.  In every array kernel each
-element's value depends on its own arguments only, not on the rest of the
-array.
+support, one per tau of a grid, or elementwise over arrays.  In every
+array kernel each element's value depends on its own arguments only, not
+on the rest of the array.
 
 All functions are pure and reentrant.  One elementwise root finder,
 ``_rtsafe``, solves the band edges of :mod:`fuzzyci.discrete`, a whole
