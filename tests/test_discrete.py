@@ -382,7 +382,7 @@ def test_log_pmf_column_is_scalar_log_pmf(fam, taus):
     # The taus as one grid, every row to the largest support.
     top = max(map(fam.support_upper, taus))
     rows = fam.log_pmf_rows(np.array(taus), top)
-    assert rows.shape == (len(taus), max(fam.support_upper(tau) for tau in taus) + 1)
+    assert rows.shape == (len(taus), top + 1)
     for tau, row in zip(taus, rows):
         assert row.tolist() == [log_pmf(fam, w, tau) for w in range(len(row))]
 
