@@ -58,8 +58,6 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
   mass rows ``p``, without domain checks;
 - ``psi_counts(top, taus)``: ``psi`` at omega = 0..top, a row per tau,
   checked;
-- ``row_sums(taus, terms)``: the coverage sum of each row of p * psi, over
-  the whole row unless the family sums fewer terms;
 - ``reference(theta)``: the proposed family anchored at o = theta, whose
   expected length at theta is the envelope value there;
 - ``coverage(taus)``: exact coverage at each tau, by :func:`coverage`.
@@ -162,10 +160,6 @@ class _Membership:
         step = max(1, _BLOCK_ELEMENTS // (last + 1))
         blocks = np.split(taus, range(step, len(taus), step))
         return np.concatenate([rows_of(t, np.exp(self.log_pmf_rows(t, top))) for t in blocks])
-
-    def row_sums(self, taus: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        """Each row's sum over the whole row: the grid's bound certifies every row."""
-        return terms.sum(axis=1)
 
     def coverage(self, taus) -> np.ndarray:
         """Probability mass the membership assigns to the truth at each tau."""
@@ -303,8 +297,10 @@ def coverage(taus, fam) -> np.ndarray:
 
     The result has the shape of ``taus``.  The mass rows run to the support
     bound of the grid's largest tau, which certifies every row, and each
-    row of p * psi is summed by ``row_sums``.
+    row of p * psi is summed whole.  The exact coverage is at most the sum
+    of the masses, 1, so a sum above 1 is rounding in the log masses and
+    is clipped to 1.
     """
     # omega = 0 lies in every support; top None is the largest tau's bound.
-    rows = fam.by_blocks(taus, 0, None, lambda t, p: fam.row_sums(t, p * fam.psi_rows(t, p)))
-    return rows.reshape(np.shape(taus))
+    rows = fam.by_blocks(taus, 0, None, lambda t, p: (p * fam.psi_rows(t, p)).sum(axis=1))
+    return np.minimum(1.0, rows).reshape(np.shape(taus))

@@ -10,8 +10,8 @@ Sums over omega run over a truncated support, 0..support_bound(tau): one
 algorithm for every accepted mean 0 < tau <= 1e4, whose omitted tail mass
 is at most ``TRUNCATION_MASS``.  The rows of a coverage grid share the
 bound of its largest tau, which certifies every row, as P[X > m | tau]
-increases with tau.  The score (Wilson-type) interval is the crisp
-comparison method.
+increases with tau; proposed and score coverage alike sum each row to that
+bound.  The score (Wilson-type) interval is the crisp comparison method.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import Crisp, Randomized
-from .specfun import (
-    pois_cdf_array,
-    pois_log_pmf,
-    pois_log_pmf_array,
-    pois_log_pmf_rows,
-    two_sided_z,
-)
+from .specfun import pois_cdf_array, pois_log_pmf_array, pois_log_pmf_rows, two_sided_z
 
 __all__ = [
     "PoissonFamily",
@@ -60,7 +54,7 @@ def support_bound(tau_max: float) -> int:
     # support.  Climb to that mass from the mode's, which stays representable
     # where exp(-tau_max) underflows.
     m = math.floor(tau_max)
-    term = math.exp(pois_log_pmf(m, tau_max))
+    term = math.exp(-tau_max + m * math.log(tau_max) - math.lgamma(m + 1))
     while term > TRUNCATION_MASS:
         m += 1
         term *= tau_max / m
@@ -165,13 +159,3 @@ class ScoreInterval(_Poisson, Crisp):
         center = omega + 0.5 * z * z
         half = z * np.sqrt(omega + 0.25 * z * z)
         return center - half, center + half
-
-    def row_sums(self, taus: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        """Each row of ``terms`` summed over its own support, 0..support_bound(tau).
-
-        Past it the indicator's terms are exact zeros, yet a longer sum
-        groups numpy's pairwise additions apart past 128 terms and can move
-        the coverage's last bit.
-        """
-        ends = [self.support_upper(tau) + 1 for tau in taus.tolist()]
-        return np.array([row[:end].sum() for row, end in zip(terms, ends)])

@@ -36,7 +36,6 @@ __all__ = [
     "log_factorials",
     "binom_log_pmf_rows",
     "binom_log_pmf_array",
-    "pois_log_pmf",
     "pois_log_pmf_rows",
     "pois_log_pmf_array",
     "pois_cdf_array",
@@ -282,10 +281,10 @@ _log_factorial_table = np.empty(0)  # grown by log_factorials
 def log_factorials(m: int) -> np.ndarray:
     """Read-only array of log(k!) for k = 0..m.
 
-    Each entry is ``math.lgamma(k + 1)``, the value the scalar
-    :func:`pois_log_pmf` uses, so the rows below match it bit for bit; a
-    running sum of logs drifts (9e-12 at m = 1000).  One table serves every m and
-    at least doubles whenever a caller needs more of it.
+    Each entry is ``math.lgamma(k + 1)``, so the rows below match a scalar
+    log mass from ``math`` bit for bit; a running sum of logs drifts (9e-12
+    at m = 1000).  One table serves every m and at least doubles whenever a
+    caller needs more of it.
     """
     global _log_factorial_table
     size = len(_log_factorial_table)
@@ -318,26 +317,18 @@ def binom_log_pmf_array(omega: np.ndarray, n: int, tau: np.ndarray) -> np.ndarra
     return _binom_log_pmf(omega, n, np.log(tau), np.log1p(-tau))
 
 
-def pois_log_pmf(omega: int, tau: float) -> float:
-    """Log of the Poisson mass function at omega with mean tau."""
-    if omega < 0:
-        raise ValueError(f"omega must be a nonnegative integer, got {omega}")
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return -tau + omega * math.log(tau) - math.lgamma(omega + 1)
-
-
 def pois_log_pmf_rows(m: int, taus: np.ndarray) -> np.ndarray:
-    """:func:`pois_log_pmf` at omega = 0..m, a row per tau, same expression and order.
+    """Log Poisson mass function at omega = 0..m, a row per tau, unchecked.
 
-    Each tau's log comes from ``math``.  The caller checks the domain.
+    -tau + omega log(tau) - lgamma(omega + 1) in that order, with each tau's
+    log from ``math``, so every row has the bits of a single tau's.
     """
     logs = np.array(list(map(math.log, taus.tolist())))
     return -taus[:, None] + np.arange(m + 1) * logs[:, None] - log_factorials(m)
 
 
 def pois_log_pmf_array(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """:func:`pois_log_pmf` elementwise over arrays of omega and tau, unchecked."""
+    """Log Poisson mass function elementwise over arrays of omega and tau, unchecked."""
     return -tau + omega * np.log(tau) - log_factorials(int(omega.max()))[omega]
 
 

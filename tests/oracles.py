@@ -39,7 +39,6 @@ from fuzzyci.specfun import (
     ConvergenceError,
     log_factorials,
     normal_quantile,
-    pois_log_pmf,
     reg_lower_gamma,
     two_sided_z,
 )
@@ -308,6 +307,19 @@ def binom_log_pmf(omega, n, tau):
     return ln_choose + omega * math.log(tau) + (n - omega) * math.log1p(-tau)
 
 
+def pois_log_pmf(omega, tau):
+    """Log of the Poisson mass function at omega with mean tau, from ``math``.
+
+    The expression and order of the library's log-mass rows, and of the
+    mode's log mass in ``poisson.support_bound``.
+    """
+    if omega < 0:
+        raise ValueError(f"omega must be a nonnegative integer, got {omega}")
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return -tau + omega * math.log(tau) - math.lgamma(omega + 1)
+
+
 def log_pmf(fam, omega, tau):
     """A family's log mass at omega, one point at a time.
 
@@ -555,9 +567,15 @@ def column_psi(fam, tau, top):
         return np.where(slack > 0.0, np.minimum(1.0, slack / p), 0.0)[: top + 1]
 
 
-def column_coverage(tau, fam):
-    """Coverage at one tau by the per-tau route, summed over tau's own support."""
-    p = np.exp(column_log_pmf(fam, tau, fam.support_upper(tau)))
+def column_coverage(tau, fam, top=None):
+    """Coverage at one tau by the per-tau route, summed over omega = 0..top.
+
+    top defaults to tau's own support bound; a grid's rows all run to the
+    bound of its largest tau.
+    """
+    if top is None:
+        top = fam.support_upper(tau)
+    p = np.exp(column_log_pmf(fam, tau, top))
     return float(np.sum(p * column_psi(fam, tau, len(p) - 1)))
 
 
@@ -574,7 +592,7 @@ def scalar_coverage(tau, fam):
 
 
 def pois_pmf(omega, tau):
-    """Poisson mass at omega with mean tau, from the library's log mass."""
+    """Poisson mass at omega with mean tau, from the scalar log mass above."""
     return math.exp(pois_log_pmf(omega, tau))
 
 

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import csv_text, scalar_normal_psi, scalar_psi
@@ -259,6 +259,52 @@ class TestMembershipCommand:
         assert status == 2
 
 
+_BINOMIAL_60_AT_ONE_HALF = """\
+tau,coverage
+0.25,0.9500000000000437
+0.27500000000000002,0.9500000000000427
+0.29999999999999999,0.95000000000004237
+0.32500000000000001,0.95000000000004303
+0.34999999999999998,0.95000000000004015
+0.375,0.95000000000004037
+0.40000000000000002,0.95000000000003937
+0.42500000000000004,0.95000000000003926
+0.45000000000000001,0.95000000000003915
+0.47499999999999998,0.95000000000003892
+0.5,1
+0.52500000000000002,0.95000000000003848
+0.55000000000000004,0.95000000000003537
+0.57499999999999996,0.95000000000003781
+0.60000000000000009,0.95000000000003715
+0.625,0.95000000000003726
+0.65000000000000002,0.95000000000003637
+0.67500000000000004,0.95000000000003626
+0.69999999999999996,0.95000000000003604
+0.72500000000000009,0.95000000000003681
+0.75,0.95000000000003859
+"""
+
+
+@st.composite
+def _coverage_cases(draw):
+    """``(family, method, n, gamma, o, grid)``: a grid with o as one of its ends."""
+    family = draw(st.sampled_from(["binomial", "poisson"]))
+    method = draw(st.sampled_from(
+        ["proposed", "agresti_coull" if family == "binomial" else "score"]
+    ))
+    gamma = draw(st.floats(0.5, 0.999))
+    if family == "binomial":
+        n = draw(st.integers(1, 2000))
+        space = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    else:
+        n = None
+        space = st.floats(0.0, 1e4, exclude_min=True)
+    o, other = draw(space), draw(space)
+    # linspace keeps both ends exact.
+    lo, hi = (o, other) if draw(st.booleans()) else (other, o)
+    return family, method, n, gamma, o, f"{lo!r}:{hi!r}:{draw(st.integers(2, 12))}"
+
+
 class TestCoverageCommand:
     def test_proposed_constant_gamma(self, capsys):
         status, out = run_cli(
@@ -328,6 +374,56 @@ class TestCoverageCommand:
         )
         assert status == 0
         assert out.splitlines()[2] == "0.5,0"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("--family", "binomial", "--n", "60", "--gamma", "0.95", "--o", "0.5",
+              "--tau-grid", "0.25:0.75:21"), _BINOMIAL_60_AT_ONE_HALF),
+            (("--family", "poisson", "--gamma", "0.95", "--o", "10000",
+              "--tau-grid", "9990:10000:3"),
+             "tau,coverage\n9990,0.94999999999999951\n9995,0.94999999999999951\n10000,1\n"),
+            (("--family", "poisson", "--gamma", "0.95", "--o", "9000",
+              "--tau-grid", "9000:9000:1"), "tau,coverage\n9000,1\n"),
+        ],
+        ids=["binomial-60", "poisson-10000", "poisson-9000"],
+    )
+    def test_prints_one_at_o(self, capsys, argv, expected):
+        # Rounding in the log masses lifted each sum at tau = o above 1.
+        assert run_cli(capsys, "coverage", *argv) == (0, expected)
+
+    @given(_coverage_cases())
+    @example(("binomial", "proposed", 60, 0.95, 0.5, "0.25:0.75:21"))
+    @example(("poisson", "proposed", None, 0.95, 10000.0, "9990:10000:3"))
+    @example(("poisson", "proposed", None, 0.95, 9000.0, "9000:9000:1"))
+    @settings(max_examples=100, deadline=None)
+    def test_properties(self, case):
+        """Exit 0, no stderr, nan or inf, coverage in [0, 1], proposed off o at gamma.
+
+        Every discrete method, binomial n up to 2000 and Poisson means up to
+        1e4, with warnings as errors; the examples printed above 1 at o.
+        """
+        family, method, n, gamma, o, grid = case
+        argv = ["coverage", "--family", family, "--method", method,
+                "--gamma", repr(gamma), "--tau-grid", grid]
+        if n is not None:
+            argv += ["--n", str(n)]
+        if method == "proposed":
+            argv += ["--o", repr(o)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                status = main(argv)
+        assert (status, err.getvalue()) == (0, "")
+        text = out.getvalue()
+        assert "nan" not in text and "inf" not in text
+        _, rows = parse_csv(text)
+        assert o in [tau for tau, _ in rows]
+        for tau, cov in rows:
+            assert 0.0 <= cov <= 1.0, tau
+            if method == "proposed" and tau != o:
+                assert abs(cov - gamma) <= 1e-8, tau
 
 
 class TestElCurveCommand:

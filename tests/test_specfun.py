@@ -14,14 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binom_cdf, binom_log_pmf, binom_pmf, pois_cdf, pois_pmf, reg_inc_beta
+from oracles import (
+    binom_cdf,
+    binom_log_pmf,
+    binom_pmf,
+    pois_cdf,
+    pois_log_pmf,
+    pois_pmf,
+    reg_inc_beta,
+)
 
 from fuzzyci.specfun import (
     QUANTILE_FLOOR,
     normal_cdf,
     normal_quantile,
     pois_cdf_array,
-    pois_log_pmf,
     reg_inc_beta_array,
     reg_lower_gamma,
     two_sided_z,
