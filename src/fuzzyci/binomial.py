@@ -21,6 +21,7 @@ from .specfun import (
     binom_log_pmf_array,
     binom_log_pmf_rows,
     reg_inc_beta_array,
+    start_quantiles,
     two_sided_z,
 )
 
@@ -77,6 +78,24 @@ class BinomialFamily(_Binomial, Randomized):
     def tail_array(self, k: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """P[X >= k | tau], the beta CDF I(tau; k, n - k + 1), for 0 <= k <= n + 1."""
         return reg_inc_beta_array(tau, k, self.n - k + 1)
+
+    def edge_start(self, level: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Start of the tau where I(tau; k, n - k + 1) = level, for 1 <= k <= n.
+
+        Abramowitz & Stegun 26.5.22 for the beta quantile, with its normal
+        deviate from ``start_quantiles``; exact at k = 1, where the edge is
+        1 - (1 - level)^(1/n), and at k = n, where it is level^(1/n).  It
+        lies in the open interval (0, 1).
+        """
+        n, y = self.n, -start_quantiles(level)
+        lam, inv_a, inv_b = (y * y - 3.0) / 6.0, 1.0 / (2 * k - 1), 1.0 / (2 * (n - k) + 1)
+        h = 2.0 / (inv_a + inv_b)
+        w = y * np.sqrt(lam + h) / h - (inv_b - inv_a) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        # k / (k + (n - k + 1) e^2w), which underflows rather than overflows.
+        start = np.exp(-np.logaddexp(0.0, 2.0 * w + np.log((n - k + 1) / k)))
+        start = np.where(k == n, level ** (1.0 / n), start)
+        start = np.where(k == 1, 1.0 - (1.0 - level) ** (1.0 / n), start)
+        return np.clip(start, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
     def slack_rows(self, above: bool, taus: np.ndarray, p: np.ndarray):
         # Each side sums its small tail: the CDF P[X <= omega] from 0 above

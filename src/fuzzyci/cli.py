@@ -28,7 +28,7 @@ import numpy as np
 from . import binomial, discrete, normal, poisson
 from .core import construct_psi_star
 from .knapsack import KnapsackInstance, solve_01_dp, solve_fractional, to_measure_problem
-from .length import QuadratureSpec, el_curve, lower_bound_curve
+from .length import QuadratureSpec, el_and_lower_bound, el_curve, lower_bound_curve
 from .specfun import ConvergenceError
 
 USAGE_ERROR = 2
@@ -104,7 +104,7 @@ def _quadrature(tau_range):
     def curves(args, fam, thetas):
         quad = QuadratureSpec(*tau_range(args, fam, thetas), rel_tol=args.rel_tol)
         return (
-            lambda: el_curve(fam, thetas, quad),
+            lambda: el_and_lower_bound(fam, thetas, quad),
             lambda: lower_bound_curve(fam, thetas, quad),
         )
 
@@ -115,10 +115,11 @@ def _own_lengths(args, fam, thetas):
     """Expected lengths from the family's own methods, which need bounds."""
     if fam.bounds is None:
         raise UsageError(f"{args.family} {args.command} requires --a and --b")
-    return (
-        lambda: [fam.expected_length(theta) for theta in thetas],
-        lambda: [fam.lower_bound(theta) for theta in thetas],
-    )
+
+    def bound():
+        return [fam.lower_bound(theta) for theta in thetas]
+
+    return lambda: ([fam.expected_length(theta) for theta in thetas], bound()), bound
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,9 @@ class _Family:
     ``grid(args, fam, taus)`` returns the observations a membership grid
     ranges over and the function of the tau array that gives all their
     memberships, a row per tau and a column per observation,
-    and ``curves(args, fam, thetas)`` returns the expected-length and the
-    lower-bound curve, each as a function of no arguments.
+    and ``curves(args, fam, thetas)`` returns two functions of no
+    arguments: one gives the expected-length and the lower-bound curve as
+    a pair, the other the lower-bound curve alone.
     """
 
     proposed: type
@@ -333,8 +335,8 @@ def cmd_coverage(args) -> int:
 def cmd_el_curve(args) -> int:
     entry, fam = _family(args, proposed=args.method == "proposed")
     thetas = _parameter_grid(args.theta_grid, "theta", args, fam)
-    el, bound = entry.curves(args, fam, thetas)
-    emit(("theta", "el", "lower_bound"), (thetas, el(), bound()), args)
+    curves, _ = entry.curves(args, fam, thetas)
+    emit(("theta", "el", "lower_bound"), (thetas, *curves()), args)
     return 0
 
 

@@ -197,37 +197,38 @@ class Randomized(_Membership):
         """The band edge of each ``(level, k)``: the tau where P[X >= k | tau] = level.
 
         One elementwise root solve on ``tail_array``, whose derivative in
-        tau is k p(k | tau) / tau in both families.  The binomial's bounded
-        space starts each edge at k / (n + 1), the mean of the beta whose CDF
-        the tail is; an unbounded one starts at tau = k and doubles each
-        element's bracket end from there until its tail reaches the level.
-        P[X >= 0] is 1 at every tau, so k = 0's edge is 0, and a k past the
-        whole space's support, the binomial's n + 1, has its edge at
-        tau_upper.  Every kernel evaluates each element from its own
-        arguments, so an edge is the same float whatever else the batch holds.
+        tau is k p(k | tau) / tau in both families, from the family's closed
+        form start ``edge_start(level, k)``.  An unbounded space's bracket
+        ends a margin above the start, doubled for each element until its
+        tail reaches the level.  P[X >= 0] is 1 at every tau, so k = 0's edge
+        is 0, and a k past the whole space's support, the binomial's n + 1,
+        has its edge at tau_upper.  Every kernel evaluates each element from
+        its own arguments, so an edge is the same float whatever else the
+        batch holds.
         """
         level, k = (np.array(v) for v in zip(*keys))
         edge = np.zeros(len(k))
-        hi = np.full(len(k), self.tau_upper)
+        top = self.support_upper(self.tau_upper) if self.tau_upper < math.inf else math.inf
+        edge[k > top] = self.tau_upper
+        solve = np.flatnonzero((k > 0) & (k <= top))
+        if not solve.size:
+            return edge.tolist()
+        level, k = level[solve], k[solve]
+        start = self.edge_start(level, k)
         if self.tau_upper < math.inf:
-            top = self.support_upper(self.tau_upper)
-            edge[k > top] = self.tau_upper
-            solve = np.flatnonzero((k > 0) & (k <= top))
-            start = k[solve] / (top + 1)
+            hi = np.full(len(k), self.tau_upper)
         else:
-            solve = grow = np.flatnonzero(k > 0)
-            start = hi[solve] = k[solve].astype(float)
+            # About a standard deviation of the gamma above the start.
+            hi, grow = start + 1.0 + np.sqrt(start), np.arange(len(k))
             while grow.size:
                 grow = grow[self.tail_array(k[grow], hi[grow]) < level[grow]]
                 hi[grow] *= 2.0
-        if solve.size:
-            level, k, hi = level[solve], k[solve], hi[solve]
-            edge[solve] = _rtsafe(
-                lambda i, tau: self.tail_array(k[i], tau),
-                lambda i, tau: k[i] * np.exp(self.log_pmf_array(k[i], tau)) / tau,
-                level, start, np.zeros(len(k)), hi,
-                lambda i: f"band edge failed for level={level[i]}, k={k[i]}",
-            )
+        edge[solve] = _rtsafe(
+            lambda i, tau: self.tail_array(k[i], tau),
+            lambda i, tau: k[i] * np.exp(self.log_pmf_array(k[i], tau)) / tau,
+            level, start, np.zeros(len(k)), hi,
+            lambda i: f"band edge failed for level={level[i]}, k={k[i]}",
+        )
         return edge.tolist()
 
     def psi_rows(self, taus: np.ndarray, p: np.ndarray) -> np.ndarray:

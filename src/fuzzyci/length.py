@@ -30,8 +30,9 @@ envelope compute each point, and its partial integrals, once.
 its own counts.  Whatever integrals they lack are computed as one batch:
 both full bands of each count not seen before and the integrals up to each
 anchor.  A proposed family asks for its own o; an envelope asks once for
-every point it lacks, anchored at those points.  The batch evaluates the
-branches (``branch_array``, over the vectorized kernels of
+every point it lacks, anchored at those points; and both curves of a
+proposed family, :func:`el_and_lower_bound`, ask in one batch.  The batch
+evaluates the branches (``branch_array``, over the vectorized kernels of
 :mod:`fuzzyci.specfun`) at the 30 Gauss-Legendre nodes of each band, 10 on
 the band and 10 on each half, in one array pass, then refines in further
 passes only the panels whose halves disagree with the whole: adaptive
@@ -43,7 +44,7 @@ left ends, so its bits do not depend on the batch that computed it.
 The envelope no admissible membership's curve can undercut is the expected
 length at theta of ``reference(theta)``, the proposed family anchored at
 o = theta: the model's masses at anchor theta, weighted by the pmf at
-theta.
+theta.  Each curve's pmf weights come from one mass grid over its thetas.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "QuadratureSpec",
     "band_masses",
     "el_curve",
+    "el_and_lower_bound",
     "lower_bound_curve",
 ]
 
@@ -241,15 +243,22 @@ def band_masses(model, requests, quad: QuadratureSpec) -> list[list[float]]:
     return [[mass(w, o) for w in omegas] for (_, omegas), o in zip(requests, anchors)]
 
 
-def _pratt_sum(fam, theta: float, masses) -> float:
-    """Expected length at theta: ``masses[w]`` weighted by the pmf, over w's support.
+def _pratt_sums(fam, thetas, tops, masses) -> list[float]:
+    """Expected length at each theta: ``masses[i][w]`` weighted by the pmf at ``thetas[i]``.
 
-    The log masses are one row of ``log_pmf_rows``, the very bits of
-    ``log_pmf``; masses past the support at theta are not read.
+    The sum at theta runs over its support, omega = 0..``tops[i]``; masses
+    past it are not read.  The log masses are rows of one ``log_pmf_rows``
+    grid, the very bits of ``log_pmf`` at each theta, a block of at most
+    ``_BATCH_NODES`` of them at a time.
     """
-    fam.check(0, theta)  # omega = 0 lies in every support
-    log_p = fam.log_pmf_rows(np.array([theta]), fam.support_upper(theta))[0].tolist()
-    return math.fsum(math.exp(lp) * m for lp, m in zip(log_p, masses))
+    for theta in thetas:
+        fam.check(0, theta)  # omega = 0 lies in every support
+    step, sums = max(1, _BATCH_NODES // (max(tops, default=0) + 1)), []
+    for i in range(0, len(thetas), step):
+        rows = fam.log_pmf_rows(np.array(thetas[i : i + step]), max(tops[i : i + step]))
+        sums += [math.fsum(math.exp(lp) * m for lp, m in zip(row[: top + 1], ms))
+                 for row, top, ms in zip(rows.tolist(), tops[i:], masses[i:])]
+    return sums
 
 
 def el_curve(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> list[float]:
@@ -259,9 +268,9 @@ def el_curve(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> list[flo
     of them, up to the largest support bound of the grid.
     """
     thetas = [float(t) for t in theta_grid]
-    top = max((fam.support_upper(theta) for theta in thetas), default=-1)
-    masses = fam.interval_masses(range(top + 1), quad)
-    return [_pratt_sum(fam, theta, masses) for theta in thetas]
+    tops = [fam.support_upper(theta) for theta in thetas]
+    masses = fam.interval_masses(range(max(tops, default=-1) + 1), quad)
+    return _pratt_sums(fam, thetas, tops, [masses] * len(thetas))
 
 
 def lower_bound_curve(
@@ -276,13 +285,40 @@ def lower_bound_curve(
     of every point not yet kept come from one :func:`band_masses` batch
     with those points as anchors.
     """
+    return _envelope(fam, [float(t) for t in theta_grid], quad, [])[0]
+
+
+def el_and_lower_bound(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> tuple:
+    """``el_curve`` and ``lower_bound_curve`` of one grid, the same values as each alone.
+
+    A proposed family holds the memo of its envelope's model, so where the
+    envelope lacks points, the family's own masses join their
+    :func:`band_masses` batch: one root solve and one integration serve
+    both curves.  Otherwise its masses come from ``interval_masses``.
+    """
     thetas = [float(t) for t in theta_grid]
-    if not thetas:
-        return []
-    model = fam.reference(thetas[0])
-    envelope = model.memo.envelope
+    tops = [fam.support_upper(theta) for theta in thetas]
+    counts = range(max(tops, default=-1) + 1)
+    own = [(fam.o, counts)] if hasattr(fam, "memo") else []
+    bound, masses = _envelope(fam, thetas, quad, own)
+    masses = masses[0] if masses else fam.interval_masses(counts, quad)
+    return _pratt_sums(fam, thetas, tops, [masses] * len(thetas)), bound
+
+
+def _envelope(fam, thetas, quad, own) -> tuple[list[float], list]:
+    """The envelope at thetas, and the masses of the ``own`` requests to its model.
+
+    The own requests join the batch of the points the memo lacks; with no
+    such point, no batch runs and no own masses are returned.
+    """
+    model = fam.reference(thetas[0]) if thetas else None
+    envelope = model.memo.envelope if thetas else {}
     cold = [theta for theta in dict.fromkeys(thetas) if (quad, theta) not in envelope]
-    requests = [(theta, range(model.support_upper(theta) + 1)) for theta in cold]
-    for theta, masses in zip(cold, band_masses(model, requests, quad)):
-        envelope[quad, theta] = _pratt_sum(model, theta, masses)
-    return [envelope[quad, theta] for theta in thetas]
+    masses = []
+    if cold:
+        tops = [model.support_upper(theta) for theta in cold]
+        requests = [(theta, range(top + 1)) for theta, top in zip(cold, tops)]
+        masses = band_masses(model, [*own, *requests], quad)
+        for theta, value in zip(cold, _pratt_sums(model, cold, tops, masses[len(own) :])):
+            envelope[quad, theta] = value
+    return [envelope[quad, theta] for theta in thetas], masses[: len(own)]

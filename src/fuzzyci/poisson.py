@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import Crisp, Randomized
-from .specfun import pois_cdf_array, pois_log_pmf_array, pois_log_pmf_rows, two_sided_z
+from .specfun import (
+    pois_cdf_array, pois_log_pmf_array, pois_log_pmf_rows, start_quantiles, two_sided_z,
+)
 
 __all__ = [
     "PoissonFamily",
@@ -128,6 +130,18 @@ class PoissonFamily(_Poisson, Randomized):
     def tail_array(self, k: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """P[X >= k | tau], one minus the CDF at k - 1, for k >= 0."""
         return 1.0 - pois_cdf_array(k - 1, tau)
+
+    def edge_start(self, level: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Start of the tau where P(k, tau) = level, for k >= 1: Wilson-Hilferty.
+
+        The gamma quantile k (1 - 1/(9k) + z / (3 sqrt k))^3, with z from
+        ``start_quantiles``.  At a small k and a tiny level the cube root
+        goes negative; it is clipped at 0.1, a start the tail kernel still
+        resolves, rather than at a tiny one where the tail rounds to 0 and
+        the pdf underflows.
+        """
+        root = 1.0 - 1.0 / (9.0 * k) + start_quantiles(level) / (3.0 * np.sqrt(k))
+        return k * np.maximum(root, 0.1) ** 3
 
     def slack_rows(self, above: bool, taus: np.ndarray, p: np.ndarray):
         # Both from the CDF P[X <= omega], summed up from 0, so a row needs

@@ -11,8 +11,11 @@ on the rest of the array.
 
 All functions are pure and reentrant.  One elementwise root finder,
 ``_rtsafe``, solves the band edges of :mod:`fuzzyci.discrete`, a whole
-batch per call: each element meets the absolute residual ``_ABS_TOL``
-within ``_MAX_ITER`` iterations, or the call raises
+batch per call, from the families' closed-form starts, whose normal
+deviates come from :func:`start_quantiles`.  Each element stops once it
+meets the absolute residual ``_ABS_TOL`` and its Newton step is within
+1e-12 of it relative, and returns that step's iterate; an element still
+iterating after ``_MAX_ITER`` passes makes the call raise
 :class:`ConvergenceError` instead of returning an unconverged value.  The
 normal quantile is a scalar Newton iteration on log Phi, which converges
 monotonically from its start.
@@ -32,6 +35,7 @@ __all__ = [
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
+    "start_quantiles",
     "two_sided_z",
     "log_factorials",
     "binom_log_pmf_rows",
@@ -140,14 +144,16 @@ def _rtsafe(cdf, pdf, p, x, lo, hi, failure) -> np.ndarray:
     derivative ``pdf``, kept inside a bracket that every iterate narrows; a
     step that would leave it falls back to bisection (Numerical Recipes
     ``rtsafe``).  Converged means the residual is within ``_ABS_TOL`` and
-    the iteration has stalled in x: deep in a tail the CDF is nearly flat
-    and the residual alone says little.  A Newton step that rounds to x
-    itself has stalled too.  An element leaves the arrays once it
-    converges, so its root depends on its own iteration only.  Raises
-    :class:`ConvergenceError` with ``failure(i)`` for the first element i
-    still iterating when the budget runs out.
+    the Newton step from x, inside the bracket, is within 1e-12 of x
+    relative: deep in a tail the CDF is nearly flat and the residual alone
+    says little.  A converged element returns that last Newton iterate,
+    with no pass to evaluate it; an element whose bracket shrinks to
+    rounding returns the bracket's midpoint.  An element leaves the arrays
+    once it is done, so its root depends on its own iteration only.
+    Raises :class:`ConvergenceError` with ``failure(i)`` for the first
+    element i still iterating when the budget runs out.
     """
-    out, index, step = np.empty(len(x)), np.arange(len(x)), np.full(len(x), math.inf)
+    out, index = np.empty(len(x)), np.arange(len(x))
     for _ in range(_MAX_ITER):
         f = cdf(index, x) - p
         lo, hi = np.where(f < 0.0, x, lo), np.where(f < 0.0, hi, x)
@@ -155,19 +161,17 @@ def _rtsafe(cdf, pdf, p, x, lo, hi, failure) -> np.ndarray:
         # A step past 1e300 leaves every bracket: bisect rather than overflow.
         newton = dfdx > 1e-300 * np.abs(f)
         x_new = x - f / np.where(newton, dfdx, 1.0)
-        stalled = (step <= 1e-12 * np.maximum(1.0, np.abs(x))) | newton & (x_new == x)
-        converged = (np.abs(f) <= _ABS_TOL) & stalled
+        converged = (np.abs(f) <= _ABS_TOL) & newton & (lo <= x_new) & (x_new <= hi) & (
+            np.abs(x_new - x) <= 1e-12 * np.maximum(1.0, np.abs(x)))
         mid = 0.5 * (lo + hi)
-        x_new = np.where(newton & (lo < x_new) & (x_new < hi), x_new, mid)
-        step = np.abs(x_new - x)
+        x_new = np.where(converged | newton & (lo < x_new) & (x_new < hi), x_new, mid)
         # Bracket exhausted at machine precision; accept the midpoint.
         done = converged | (hi - lo < 4.0 * _EPS * np.maximum(1.0, np.abs(x_new)))
         if done.any():
-            out[index[done]] = np.where(converged, x, mid)[done]
+            out[index[done]] = np.where(converged, x_new, mid)[done]
             if done.all():
                 return out
-            index, p, x_new, lo, hi, step = (
-                v[~done] for v in (index, p, x_new, lo, hi, step))
+            index, p, x_new, lo, hi = (v[~done] for v in (index, p, x_new, lo, hi))
         x = x_new
     raise ConvergenceError(failure(index[0]))
 
@@ -267,6 +271,19 @@ def normal_quantile(p: float) -> float:
         x += step
     residual = (1.0 - 2.0 * p) - math.erf(x) if p > 0.25 else math.erfc(x) - 2.0 * p
     return -_SQRT2 * (x + residual * _HALF_SQRT_PI * math.exp(x * x))
+
+
+def start_quantiles(p: np.ndarray) -> np.ndarray:
+    """``normal_quantile`` of each p clamped into its domain: a root solver's start.
+
+    One scalar quantile per distinct p, clamped into [``QUANTILE_FLOOR``,
+    1 - 2^-53], the largest float below 1: a level below the floor, or a
+    1 - gamma that rounds to 1, starts at the clamped quantile, while the
+    root is still solved at p.
+    """
+    values, inverse = np.unique(p, return_inverse=True)
+    z = [normal_quantile(min(max(v, QUANTILE_FLOOR), 1.0 - 2.0**-53)) for v in values.tolist()]
+    return np.array(z)[inverse]
 
 
 @lru_cache(maxsize=1024)

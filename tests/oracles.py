@@ -347,9 +347,13 @@ def scalar_tail(fam, k, tau):
 def scalar_rtsafe(cdf, pdf, p, x, lo, hi, failure):
     """Solve ``cdf(x) = p`` for x in the bracket [lo, hi], starting at x.
 
-    One element of the library's root finder in plain floats: the same
-    Newton steps kept inside the bracket, bisection fallback, stopping rule
-    and iteration budget.
+    A safeguarded Newton solve of one element in plain floats, with the
+    library's Newton steps kept inside the bracket, bisection fallback and
+    iteration budget, but its own stopping rule: it evaluates every iterate
+    and returns x once its residual is within ``_ABS_TOL`` and the step
+    that reached it was within 1e-12 of it relative, or a Newton step from
+    it rounds to x itself.  The library returns that last Newton iterate
+    without evaluating it, a pass earlier.
     """
     step = math.inf
     for _ in range(200):
@@ -379,12 +383,14 @@ def scalar_rtsafe(cdf, pdf, p, x, lo, hi, failure):
 def scalar_solve_edge(fam, level, k):
     """The band edge: the tau in (0, tau_upper) where P[X >= k | tau] = level.
 
-    One ``scalar_rtsafe`` solve per edge on ``scalar_tail``: the same
-    start, bracket and stopping rule as the library's batch, on scalar
-    kernels.
-    The binomial's bounded space starts at k / (n + 1); an unbounded one
-    starts at tau = k and doubles the bracket's upper end from there until
-    the tail reaches the level.  k = 0's edge is 0, and a k past the
+    One ``scalar_rtsafe`` solve per edge on ``scalar_tail``, on scalar
+    kernels and from starts of its own, independent of the library's batch.
+    The binomial's bounded space starts at k / (n + 1), the mean of the
+    beta whose CDF the tail is; an unbounded one starts at tau = k and
+    doubles the bracket's upper end from there until the tail reaches the
+    level.  The library starts from closed-form quantiles (``edge_start``)
+    and stops a pass earlier, so the two routes agree within the residual
+    tolerance, not bit for bit.  k = 0's edge is 0, and a k past the
     binomial's n has its edge at 1.
     """
     # Band edges do not depend on o: every anchor of a model shares them.

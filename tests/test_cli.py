@@ -596,6 +596,53 @@ class TestElCurveCommand:
         assert [value for _, value in rows] == pytest.approx(pinned, rel=1e-12)
 
 
+# Models of the extreme-gamma commands: family flags, theta grid, --o.
+_EXTREME_MODELS = {
+    "binomial-1": (("--family", "binomial", "--n", "1"), "0.1:0.9:3", "0.5"),
+    "binomial-10": (("--family", "binomial", "--n", "10"), "0.1:0.9:3", "0.5"),
+    "binomial-1000": (("--family", "binomial", "--n", "1000"), "0.1:0.9:3", "0.5"),
+    "poisson-5": (("--family", "poisson",), "1:9:3", "5"),
+}
+_EXTREME_GAMMAS = ("1e-310", "1e-300", "1e-20", "1e-9", "0.3", "0.999999", "0.999999999")
+# The (gamma, model) pairs whose commands succeed.  The others meet the
+# open limits of ROADMAP item 2, a level below the residual tolerance or a
+# tail near 1, and may exit 3.
+_EXTREME_SUCCEEDS = {
+    *(("1e-310", m) for m in ("binomial-1", "poisson-5")),
+    *(("1e-300", m) for m in ("binomial-1", "poisson-5")),
+    *(("1e-20", m) for m in ("binomial-1", "binomial-10", "binomial-1000")),
+    ("1e-9", "binomial-1"),
+    *((g, m) for g in ("0.3", "0.999999") for m in _EXTREME_MODELS),
+}
+
+
+@pytest.mark.parametrize("gamma", _EXTREME_GAMMAS)
+@pytest.mark.parametrize("model", sorted(_EXTREME_MODELS))
+@pytest.mark.parametrize("command", ["el-curve", "lower-bound"])
+def test_extreme_gamma_exits_cleanly(capsys, command, model, gamma):
+    # Every band edge starts from a closed form at its level.  The start
+    # reads the normal quantile of the level clamped into its domain, so a
+    # level below 1e-300 or a 1 - gamma that rounds to 1 must neither
+    # refuse gamma (exit 2) nor leak a floating-point warning.
+    family, grid, o = _EXTREME_MODELS[model]
+    argv = [command, *family, "--gamma", gamma, "--theta-grid", grid]
+    if command == "el-curve":
+        argv += ["--o", o]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(argv)
+    captured = capsys.readouterr()
+    if (gamma, model) in _EXTREME_SUCCEEDS:
+        assert status == 0, captured.err
+    assert status in (0, 3), captured.err
+    if status == 3:
+        assert len(captured.err.splitlines()) == 1, captured.err
+    else:
+        values = [v for row in parse_csv(captured.out)[1] for v in row]
+        assert len(values) == (9 if command == "el-curve" else 6)
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
+
+
 _FAMILY_ARGS = {
     "binomial": ("--n", "10", "--gamma", "0.95", "--o", "0.5"),
     "poisson": ("--gamma", "0.95", "--o", "3"),

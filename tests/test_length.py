@@ -396,6 +396,39 @@ class TestBandRoute:
             assert bound_first == el_curve(fam, [o], quad) == el_first
 
     @pytest.mark.parametrize(
+        "fam, grid, quad",
+        [
+            (binomial.BinomialFamily(12, 0.3, 0.9), [0.05, 0.3, 0.5, 0.5, 0.95], UNIT),
+            (poisson.PoissonFamily(4.0, 0.9), [0.5, 4.0, 9.0], QuadratureSpec(1e-9, 30.0)),
+            (binomial.AgrestiCoull(12, 0.9), [0.05, 0.5], UNIT),
+        ],
+        ids=["binomial", "poisson", "agresti_coull"],
+    )
+    def test_both_curves_from_one_integration(self, fam, grid, quad, monkeypatch):
+        # An el-curve command's two curves: a proposed family's own masses
+        # join the envelope's cold points in one batch, with the values of
+        # each curve computed alone from cold memos.
+        discrete._memo.cache_clear()
+        alone = (el_curve(dataclasses.replace(fam), grid, quad),
+                 lower_bound_curve(dataclasses.replace(fam), grid, quad))
+        discrete._memo.cache_clear()
+        fam = dataclasses.replace(fam)  # a family keeps the memo it first read
+        calls = []
+        integrate = length._integrate
+
+        def counted(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(length, "_integrate", counted)
+        assert length.el_and_lower_bound(fam, grid, quad) == alone
+        # A crisp method's masses are closed-form: the envelope alone integrates.
+        assert len(calls) == 1
+        # With every envelope point kept, the family's masses come as alone.
+        assert length.el_and_lower_bound(fam, grid, quad) == alone
+        assert length.el_and_lower_bound(fam, [], quad) == ([], [])
+
+    @pytest.mark.parametrize(
         "first, second, quad",
         [
             (
