@@ -95,7 +95,7 @@ class BinomialFamily(_Binomial, Randomized):
         start = np.exp(-np.logaddexp(0.0, 2.0 * w + np.log((n - k + 1) / k)))
         start = np.where(k == n, level ** (1.0 / n), start)
         start = np.where(k == 1, 1.0 - (1.0 - level) ** (1.0 / n), start)
-        return np.clip(start, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+        return np.minimum(np.maximum(start, 5e-324), 1.0 - 2.0**-53)  # the floats next to 0 and 1
 
     def slack_rows(self, above: bool, taus: np.ndarray, p: np.ndarray):
         # Each side sums its small tail: the CDF P[X <= omega] from 0 above

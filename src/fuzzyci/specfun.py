@@ -281,9 +281,9 @@ def start_quantiles(p: np.ndarray) -> np.ndarray:
     1 - gamma that rounds to 1, starts at the clamped quantile, while the
     root is still solved at p.
     """
-    values, inverse = np.unique(p, return_inverse=True)
-    z = [normal_quantile(min(max(v, QUANTILE_FLOOR), 1.0 - 2.0**-53)) for v in values.tolist()]
-    return np.array(z)[inverse]
+    # A dict, not np.unique, whose sort code nothing else in a command pages in.
+    z = {v: normal_quantile(min(max(v, QUANTILE_FLOOR), 1.0 - 2.0**-53)) for v in set(p.tolist())}
+    return np.array([z[v] for v in p.tolist()], dtype=float)
 
 
 @lru_cache(maxsize=1024)
