@@ -3,9 +3,10 @@
 The membership is built by :mod:`fuzzyci.discrete`; this module supplies
 what is Poisson about it.  Its tail kernel, the upper tail
 P[X >= k | tau] over arrays, is 1 - P[X <= k - 1 | tau] from
-``pois_cdf_array``; it gives the slacks of the band integrals and the band
-edges.  Over the mass rows of a tau grid both slacks come from the CDF,
-summed up from omega = 0.
+``pois_cdf_array``, one term recurrence at every mean, summed from 0 up to
+tau = 700 and from tau - 10 sqrt(tau) above it; it gives the slacks of the
+band integrals and the band edges.  Over the mass rows of a tau grid both
+slacks come from the CDF, summed up from omega = 0.
 Sums over omega run over a truncated support, 0..support_bound(tau): one
 algorithm for every accepted mean 0 < tau <= 1e4, whose omitted tail mass
 is at most ``TRUNCATION_MASS``.  The rows of a coverage grid share the
@@ -23,7 +24,8 @@ import numpy as np
 
 from .discrete import Crisp, Randomized
 from .specfun import (
-    pois_cdf_array, pois_log_pmf_array, pois_log_pmf_rows, start_quantiles, two_sided_z,
+    EXP_NORMAL_MAX, pois_cdf_array, pois_log_pmf_array, pois_log_pmf_rows, start_quantiles,
+    two_sided_z,
 )
 
 __all__ = [
@@ -145,11 +147,11 @@ class PoissonFamily(_Poisson, Randomized):
 
     def slack_rows(self, above: bool, taus: np.ndarray, p: np.ndarray):
         # Both from the CDF P[X <= omega], summed up from 0, so a row needs
-        # no mass past its last count.  Up to tau = 700, where exp(-tau) is
-        # still normal, the CDF is pois_cdf_array's term recurrence, with
+        # no mass past its last count.  Up to EXP_NORMAL_MAX, where exp(-tau)
+        # is still normal, the CDF is pois_cdf_array's term recurrence, with
         # exp(-tau) from math: its terms keep their relative accuracy where
         # the log masses p lose some (3e-11 in psi at tau = 350 below o).
-        small = taus <= 700.0
+        small = taus <= EXP_NORMAL_MAX
         cdf = np.empty_like(p)
         cdf[~small] = np.cumsum(p[~small], axis=1)
         t = taus[small]

@@ -2,12 +2,12 @@
 
 Everything the distribution families need lives here: the regularized
 incomplete beta over arrays, whose values at integer shapes are the
-binomial upper tails, the regularized lower incomplete gamma, the Poisson
-CDF over arrays, :func:`pois_cdf_array`, the standard normal CDF/quantile,
-and binomial/Poisson mass functions in log space, as rows over the
-support, one per tau of a grid, or elementwise over arrays.  In every
-array kernel each element's value depends on its own arguments only, not
-on the rest of the array.
+binomial upper tails, the Poisson CDF over arrays, :func:`pois_cdf_array`,
+one term recurrence at every mean, the standard normal CDF/quantile, and
+binomial/Poisson mass functions in log space, as rows over the support,
+one per tau of a grid, or elementwise over arrays.  In every array kernel
+each element's value depends on its own arguments only, not on the rest
+of the array.
 
 All functions are pure and reentrant.  One elementwise root finder,
 ``_rtsafe``, solves the band edges of :mod:`fuzzyci.discrete`, a whole
@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "reg_inc_beta_array",
-    "reg_lower_gamma",
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
@@ -176,55 +175,6 @@ def _rtsafe(cdf, pdf, p, x, lo, hi, failure) -> np.ndarray:
     raise ConvergenceError(failure(index[0]))
 
 
-def reg_lower_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x), series/continued fraction.
-
-    At an integer s = k it is the Poisson upper tail P[X >= k | mean x].
-    """
-    if x < 0 or s <= 0:
-        raise ValueError("requires x >= 0 and s > 0")
-    if x == 0.0:
-        return 0.0
-    # Near x = s both expansions need about sqrt(70 s) terms.
-    budget = 500 + int(10.0 * math.sqrt(s))
-    if x < s + 1.0:
-        # Power series around zero.
-        ap = s
-        summed = 1.0 / s
-        term = summed
-        for _ in range(budget):
-            ap += 1.0
-            term *= x / ap
-            summed += term
-            if abs(term) < abs(summed) * _EPS:
-                ln = -x + s * math.log(x) - math.lgamma(s)
-                return summed * math.exp(ln)
-        raise ConvergenceError(f"incomplete gamma series failed for s={s}, x={x}")
-    # Continued fraction for the upper tail (modified Lentz).
-    b_ = x + 1.0 - s
-    c = 1.0 / _FPMIN
-    d = 1.0 / b_
-    h = d
-    for i in range(1, budget):
-        an = -i * (i - s)
-        b_ += 2.0
-        d = an * d + b_
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b_ + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        de = d * c
-        h *= de
-        if abs(de - 1.0) < _EPS:
-            ln = -x + s * math.log(x) - math.lgamma(s)
-            return 1.0 - h * math.exp(ln)
-    raise ConvergenceError(
-        f"incomplete gamma continued fraction failed for s={s}, x={x}"
-    )
-
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
@@ -349,31 +299,68 @@ def pois_log_pmf_array(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return -tau + omega * np.log(tau) - log_factorials(int(omega.max()))[omega]
 
 
+# The largest mean tau whose exp(-tau) the Poisson kernels take as a normal
+# float: the smallest normal float is exp(-708.4), so 700 leaves a margin.
+EXP_NORMAL_MAX = 700.0
+
+
+def _descending(steps: np.ndarray):
+    """Order that sorts ``steps`` descending, and at_least[i], how many are >= i."""
+    return np.argsort(-steps, kind="stable"), np.cumsum(np.bincount(steps)[::-1])[::-1]
+
+
+def _pois_first_mass(tau: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Poisson mass at count ``first`` < tau, for tau above ``EXP_NORMAL_MAX``.
+
+    Loader's saddle-point mass at the mode floor(tau), exp(-stirlerr - bd0)
+    over sqrt(2 pi mode), carried down to ``first`` by the ratios i / tau.
+    At the mode bd0 = mode log(mode / tau) + tau - mode is below 1/tau and
+    keeps its absolute accuracy, where -tau + k log tau - lgamma(k + 1)
+    cancels terms near 1e5 in size.  Two terms of Stirling's series give
+    stirlerr: the next, 1/(1260 mode^5), is below 5e-18 from mode 700 up.
+    """
+    mode = np.floor(tau)
+    d = tau - mode
+    stirlerr = (1.0 / 12.0 - 1.0 / (360.0 * mode * mode)) / mode
+    term = np.exp(-stirlerr - mode * np.log1p(-d / tau) - d) / np.sqrt(2.0 * math.pi * mode)
+    order, at_least = _descending((mode - first).astype(int))
+    down, mode, tau = term[order], mode[order], tau[order]
+    for i in range(1, len(at_least)):
+        m = at_least[i]
+        down[:m] *= (mode[:m] - (i - 1)) / tau[:m]
+    term[order] = down
+    return term
+
+
 def pois_cdf_array(omega: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Poisson CDF P[X <= omega] elementwise over arrays of omega and positive tau.
 
-    Up to tau = 700 it is the ascending term recurrence exp(-tau) tau^i / i!,
-    run for every element at once: with the elements sorted by omega, step i
-    updates the prefix whose omega is at least i.  Above it exp(-tau)
-    underflows, and each element's CDF is 1 - P(omega + 1, tau).  A
-    negative omega gives 0.
+    The ascending term recurrence p(i) = p(i - 1) tau / i, summed from each
+    element's first count f, run for every element at once: with the
+    elements sorted by omega - f, step j updates the prefix whose omega - f
+    is at least j.  Up to ``EXP_NORMAL_MAX`` f = 0 and p(0) = exp(-tau).
+    Above it f = floor(tau - 10 sqrt tau), under which the masses sum to
+    less than exp(-50), and p(f) comes from ``_pois_first_mass``.  An
+    omega below f, negative omega included, gives 0.
     """
     out = np.zeros(len(tau))
-    large = np.flatnonzero((tau > 700.0) & (omega >= 0))
-    for i in large:
-        out[i] = 1.0 - reg_lower_gamma(int(omega[i]) + 1, float(tau[i]))
-    small = np.flatnonzero((tau <= 700.0) & (omega >= 0))
-    if not small.size:
+    large = tau > EXP_NORMAL_MAX
+    first = np.zeros(len(tau), dtype=int)
+    first[large] = np.floor(tau[large] - 10.0 * np.sqrt(tau[large]))
+    live = np.flatnonzero(omega >= first)
+    if not live.size:
         return out
-    order = small[np.argsort(-omega[small], kind="stable")]
-    tau = tau[order]
-    # at_least[i]: how many of the sorted elements have omega >= i.
-    at_least = np.cumsum(np.bincount(omega[order])[::-1])[::-1]
+    order, at_least = _descending(omega[live] - first[live])
+    order = live[order]
+    tau, first, large = tau[order], first[order], large[order]
     term = np.exp(-tau)
+    shifted = large.any()
+    if shifted:
+        term[large] = _pois_first_mass(tau[large], first[large])
     total = term.copy()
     for i in range(1, len(at_least)):
         m = at_least[i]
-        term[:m] *= tau[:m] / i
+        term[:m] *= tau[:m] / (first[:m] + i if shifted else i)
         total[:m] += term[:m]
     out[order] = np.minimum(1.0, total)
     return out

@@ -36,10 +36,10 @@ from fuzzyci.specfun import (
     _ABS_TOL,
     _EPS,
     _FPMIN,
+    EXP_NORMAL_MAX,
     ConvergenceError,
     log_factorials,
     normal_quantile,
-    reg_lower_gamma,
     two_sided_z,
 )
 
@@ -333,6 +333,55 @@ def log_pmf(fam, omega, tau):
     return fam.log_pmf(omega, tau)
 
 
+def reg_lower_gamma(s: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(s, x), series/continued fraction.
+
+    At an integer s = k it is the Poisson upper tail P[X >= k | mean x].
+    """
+    if x < 0 or s <= 0:
+        raise ValueError("requires x >= 0 and s > 0")
+    if x == 0.0:
+        return 0.0
+    # Near x = s both expansions need about sqrt(70 s) terms.
+    budget = 500 + int(10.0 * math.sqrt(s))
+    if x < s + 1.0:
+        # Power series around zero.
+        ap = s
+        summed = 1.0 / s
+        term = summed
+        for _ in range(budget):
+            ap += 1.0
+            term *= x / ap
+            summed += term
+            if abs(term) < abs(summed) * _EPS:
+                ln = -x + s * math.log(x) - math.lgamma(s)
+                return summed * math.exp(ln)
+        raise ConvergenceError(f"incomplete gamma series failed for s={s}, x={x}")
+    # Continued fraction for the upper tail (modified Lentz).
+    b_ = x + 1.0 - s
+    c = 1.0 / _FPMIN
+    d = 1.0 / b_
+    h = d
+    for i in range(1, budget):
+        an = -i * (i - s)
+        b_ += 2.0
+        d = an * d + b_
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = b_ + an / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        de = d * c
+        h *= de
+        if abs(de - 1.0) < _EPS:
+            ln = -x + s * math.log(x) - math.lgamma(s)
+            return 1.0 - h * math.exp(ln)
+    raise ConvergenceError(
+        f"incomplete gamma continued fraction failed for s={s}, x={x}"
+    )
+
+
 def scalar_tail(fam, k, tau):
     """P[X >= k | tau], one point at a time.
 
@@ -452,19 +501,30 @@ def binom_cdf(omega, n, tau):
 
 
 def pois_cdf(omega, tau):
-    """Poisson CDF P[X <= omega]: ascending term recurrence up to tau = 700.
+    """Poisson CDF P[X <= omega]: the library's ascending term recurrence, in scalars.
 
-    Above it exp(-tau) underflows, and the CDF is 1 - P(omega + 1, tau).
+    Summed from count 0 and exp(-tau) up to ``EXP_NORMAL_MAX``.  Above it
+    exp(-tau) underflows, and the sum starts at f = floor(tau - 10 sqrt tau)
+    from Loader's saddle-point mass at the mode floor(tau), carried down to
+    f; an omega below f gives 0.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if omega < 0:
+    first = 0 if tau <= EXP_NORMAL_MAX else math.floor(tau - 10.0 * math.sqrt(tau))
+    if omega < first:
         return 0.0
-    if tau > 700.0:
-        return 1.0 - reg_lower_gamma(omega + 1, tau)
-    term = math.exp(-tau)
+    if first:
+        mode = math.floor(tau)
+        d = tau - mode
+        stirlerr = (1.0 / 12.0 - 1.0 / (360.0 * mode * mode)) / mode
+        term = math.exp(-stirlerr - mode * math.log1p(-d / tau) - d)
+        term /= math.sqrt(2.0 * math.pi * mode)
+        for i in range(mode, first, -1):
+            term *= i / tau
+    else:
+        term = math.exp(-tau)
     total = term
-    for i in range(1, omega + 1):
+    for i in range(first + 1, omega + 1):
         term *= tau / i
         total += term
     return min(1.0, total)
@@ -545,7 +605,7 @@ def _column_slack(fam, above, tau, p):
         if above:
             return fam.gamma - 1.0 + np.cumsum(p)
         return fam.gamma - 1.0 + np.cumsum(p[::-1])[::-1]
-    if tau > 700.0:
+    if tau > EXP_NORMAL_MAX:
         cdf = np.cumsum(p)
     else:
         cdf = np.cumsum(np.cumprod(np.append(math.exp(-tau), tau / np.arange(1, len(p)))))

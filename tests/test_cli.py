@@ -582,8 +582,8 @@ class TestElCurveCommand:
         assert len(rows) == 5
 
     def test_poisson_lower_bound_above_mean_700(self, capsys):
-        # Every band node above tau = 700 takes one incomplete gamma, not a
-        # sum of omega + 1 masses, so the command takes seconds, not a minute.
+        # Above tau = 700 each CDF sums its masses from tau - 10 sqrt(tau) up,
+        # not from 0, so the command takes a fraction of a second.
         status, out = run_cli(
             capsys,
             "lower-bound", "--family", "poisson", "--gamma", "0.95",
@@ -594,6 +594,19 @@ class TestElCurveCommand:
         assert [theta for theta, _ in rows] == [700.0, 850.0, 1000.0]
         pinned = [88.154343336773394, 97.139154225008085, 105.36053488252392]
         assert [value for _, value in rows] == pytest.approx(pinned, rel=1e-12)
+
+    def test_poisson_lower_bound_at_the_largest_mean(self, capsys):
+        # 1e4 is the largest mean the parser accepts; each CDF at a band node
+        # near it sums its masses from count 9000 up.
+        status, out = run_cli(
+            capsys,
+            "lower-bound", "--family", "poisson", "--gamma", "0.95",
+            "--theta-grid", "10000:10000:1",
+        )
+        assert status == 0
+        assert parse_csv(out) == (
+            ["theta", "lower_bound"], [(10000.0, pytest.approx(333.15231227858794, rel=1e-12))]
+        )
 
 
 # Models of the extreme-gamma commands: family flags, theta grid, --o.

@@ -22,6 +22,7 @@ from oracles import (
     pois_log_pmf,
     pois_pmf,
     reg_inc_beta,
+    reg_lower_gamma,
 )
 
 from fuzzyci.specfun import (
@@ -30,7 +31,6 @@ from fuzzyci.specfun import (
     normal_quantile,
     pois_cdf_array,
     reg_inc_beta_array,
-    reg_lower_gamma,
     two_sided_z,
 )
 
@@ -267,9 +267,9 @@ class TestDiscreteMass:
             assert pois_pmf(0, tau) == pytest.approx(math.exp(-tau), rel=1e-13)
 
     def test_pois_cdf_above_700_against_mpmath(self):
-        # Above tau = 700 the CDF is one incomplete gamma.  Both bounds are
-        # set by the log mass prefactor exp(-tau + k log tau - lgamma(k)),
-        # whose error grows with tau.
+        # Above tau = 700 the recurrence starts at f = floor(tau - 10 sqrt tau)
+        # from the mode's saddle-point mass carried down; its error stays that
+        # of the recurrence below 700 (6e-15), independent of tau.
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(16)
         taus = np.concatenate(([700.5, 2000.0, 1e4], rng.uniform(700.0, 1e4, 300)))
@@ -283,9 +283,15 @@ class TestDiscreteMass:
         omega, tau, _ = (np.array(v) for v in zip(*cases))
         values = pois_cdf_array(omega, tau)
         for (k, t, truth), value in zip(cases, values.tolist()):
-            assert abs(value - truth) <= (1e-12 if t <= 2000.0 else 6e-12), (k, t)
-        # The oracle's scalar CDF is the same incomplete gamma above 700.
-        assert values.tolist() == [pois_cdf(k, t) for k, t, _ in cases]
+            assert abs(value - truth) <= 3e-14, (k, t)
+
+    def test_pois_cdf_has_no_seam_at_700(self):
+        # Up to 700 the sum starts at 0 from exp(-tau), just above it at
+        # f = 435 from the saddle-point mass: both sides agree to rounding.
+        k = np.arange(550, 900)
+        below = pois_cdf_array(k, np.full(len(k), 700.0))
+        above = pois_cdf_array(k, np.full(len(k), np.nextafter(700.0, np.inf)))
+        assert np.abs(above - below).max() <= 2e-14
 
     def test_pois_truncated_sum_reaches_one(self):
         def cdf(m, tau):
