@@ -34,12 +34,13 @@ once and shares the result among all o (see :mod:`fuzzyci.length`);
 memberships at a tau need none of them.
 
 As no branch depends on o, all anchors of one model (the family's type and
-its fields but o) share one memo of band edges, each stored once and read
-by the two counts whose bands it bounds, clipped bands with their
-full-band integrals per quadrature spec, and envelope points; one LRU over
-models holds the memos.  Any family object of a model serves as the model:
-the band route of :mod:`fuzzyci.length` takes one, with the anchors o
-whose masses it wants.
+its fields but o) share one memo: the band edges as one array indexed by
+level and count, each stored once and read by the two counts whose bands
+it bounds, the full-band integrals as one array indexed by side and count
+per quadrature spec, and envelope points; one LRU over models holds the
+memos.  Any family object of a model serves as the model: the band route
+of :mod:`fuzzyci.length` takes one, with the anchors o and the range of
+counts whose masses each wants.
 
 Every family object, proposed or crisp, offers the protocol the coverage
 sums and the expected-length engine (:mod:`fuzzyci.length`) use:
@@ -47,8 +48,8 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
 - ``psi(omega, tau)``: the membership, after checking the domain;
 - ``interval_masses(omegas, quad)``: the Lebesgue mass of each
   ``tau -> psi(omega, tau)`` over a quadrature range: the clipped interval
-  length of a crisp method, the band route of :mod:`fuzzyci.length` for a
-  proposed family;
+  length of a crisp method, the band route of :mod:`fuzzyci.length` over
+  the range from the least omega to the greatest for a proposed family;
 - ``support_upper(tau)``, the last omega a sum at tau needs;
 - ``log_pmf_rows(taus, top)``: the log mass function, a row per tau of
   the array ``taus``, over the counts a membership up to omega = top
@@ -65,9 +66,10 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
 :class:`Randomized` builds ``psi``, ``psi_rows``, the branches' array
 form ``branch_array(omega, above, tau)`` (above o where ``above``, else
 below) for points inside a band, over their numerator ``slack_array``,
-``interval_masses``, and ``band_edges(omegas)``, each count's band edges
-from one batched root solve ``solve_band_edges(keys)``, of a proposed
-family from what differs between the families:
+``interval_masses``, and ``band_edges(counts)``, the band edges of a range
+of counts as four arrays, those the memo lacks from one batched root solve
+``solve_band_edges(level, k)`` over two arrays, of a proposed family from
+what differs between the families:
 
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
@@ -97,7 +99,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .length import band_masses
+from .length import _grown, band_masses
 from .specfun import _rtsafe
 
 __all__ = ["Randomized", "Crisp", "coverage"]
@@ -109,18 +111,20 @@ __all__ = ["Randomized", "Crisp", "coverage"]
 def _memo(model) -> SimpleNamespace:
     """What every anchor o of one model shares, each entry computed once.
 
-    ``edges[level, k]``, the tau where P[X >= k | tau] = level, serves the
-    band route: omega's band edges are the edges at k = omega and
-    omega + 1 at both levels, and the edges one call lacks are solved
-    together, as one batch.  The expected-length engine keeps, per
-    quadrature spec, omega's clipped band edges and the integrals of its
-    two branches over them in ``bands[quad][omega]`` (see
+    ``edges`` is a (2 x K) array indexed by count k: row 0 holds the tau
+    where P[X >= k | tau] = 1 - gamma, row 1 where it is gamma, and NaN
+    where no edge is solved yet.  omega's band edges are columns omega and
+    omega + 1 of both rows, and the edges a range of counts lacks are
+    solved together, as one batch.  The expected-length engine keeps, per
+    quadrature spec, a (2 x K) array of the integrals of each count's
+    branch below and above o over its full band in ``bands[quad]`` (see
     :func:`fuzzyci.length.band_masses`), and envelope points in
-    ``envelope[quad, theta]``.  Every table grows with the counts and
-    points asked for, none with the anchors o.  An entry is stored only
-    once its computation has returned.
+    ``envelope[quad, theta]``.  Every table grows with the counts and points
+    asked for, none with the anchors o; an array grows by NaN padding, at
+    least doubling.  An entry is written only once its computation has
+    returned.
     """
-    return SimpleNamespace(edges={}, bands={}, envelope={})
+    return SimpleNamespace(edges=np.full((2, 0), np.nan), bands={}, envelope={})
 
 
 # The most masses a block of rows holds, unless one row is wider.
@@ -179,25 +183,27 @@ class Randomized(_Membership):
             (type(self), *(getattr(self, f.name) for f in fields(self) if f.name != "o"))
         )
 
-    def band_edges(self, omegas) -> list[tuple]:
-        """``(below_zero, below_one, above_one, above_zero)``: each count's band edges.
+    def band_edges(self, counts: range) -> tuple:
+        """``(below_zero, below_one, above_one, above_zero)``: arrays of the counts' band edges.
 
         They are the tails' level crossings of omega and omega + 1, at level
-        1 - gamma below o and gamma above it.  omega's full-membership edge
-        below o is omega + 1's rejection edge, and likewise above o, so each
-        edge is solved once per model: the edges ``memo.edges`` lacks for
-        all the counts are solved in one batch, and stored once it returns.
+        1 - gamma below o and gamma above it, for omega in the range
+        ``counts``.  omega's full-membership edge below o is omega + 1's
+        rejection edge, and likewise above o, so each edge is solved once
+        per model: the edges ``memo.edges`` lacks in the range's columns are
+        solved in one batch, and stored once it returns.  The arrays are
+        views of the memo's table, to be read only.
         """
-        edges = self.memo.edges
-        levels = (1.0 - self.gamma, self.gamma)
-        keys = [[(level, k) for level in levels for k in (w, w + 1)] for w in omegas]
-        cold = list(dict.fromkeys(key for four in keys for key in four if key not in edges))
-        if cold:
-            edges.update(zip(cold, self.solve_band_edges(cold)))
-        return [tuple(edges[key] for key in four) for four in keys]
+        edges = self.memo.edges = _grown(self.memo.edges, counts.stop + 1)
+        block = edges[:, counts.start : counts.stop + 1]  # a view: writing it fills the memo
+        rows, columns = cold = np.nonzero(np.isnan(block))
+        if rows.size:
+            levels = np.array([1.0 - self.gamma, self.gamma])
+            block[cold] = self.solve_band_edges(levels[rows], counts.start + columns)
+        return block[0, :-1], block[0, 1:], block[1, :-1], block[1, 1:]
 
-    def solve_band_edges(self, keys) -> list[float]:
-        """The band edge of each ``(level, k)``: the tau where P[X >= k | tau] = level.
+    def solve_band_edges(self, level: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The band edge of each element: the tau where P[X >= k | tau] = level.
 
         One elementwise root solve on ``tail_array``, whose derivative in
         tau is k p(k | tau) / tau in both families, from the family's closed
@@ -209,13 +215,12 @@ class Randomized(_Membership):
         its own arguments, so an edge is the same float whatever else the
         batch holds.
         """
-        level, k = (np.array(v) for v in zip(*keys))
         edge = np.zeros(len(k))
         top = self.support_upper(self.tau_upper) if self.tau_upper < math.inf else math.inf
         edge[k > top] = self.tau_upper
         solve = np.flatnonzero((k > 0) & (k <= top))
         if not solve.size:
-            return edge.tolist()
+            return edge
         level, k = level[solve], k[solve]
         start = self.edge_start(level, k)
         if self.tau_upper < math.inf:
@@ -232,7 +237,7 @@ class Randomized(_Membership):
             level, start, np.zeros(len(k)), hi,
             lambda i: f"band edge failed for level={level[i]}, k={k[i]}",
         )
-        return edge.tolist()
+        return edge
 
     def psi_rows(self, taus: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Clamp form of ``psi(omega, tau)`` over the mass rows p, a row per tau.
@@ -273,8 +278,15 @@ class Randomized(_Membership):
         return np.where(positive, np.minimum(1.0, np.maximum(0.0, ratio)), 0.0)
 
     def interval_masses(self, omegas, quad) -> list[float]:
-        """Flat lengths plus band integrals: see :func:`fuzzyci.length.band_masses`."""
-        return band_masses(self, [(self.o, omegas)], quad)[0]
+        """Flat lengths plus band integrals: see :func:`fuzzyci.length.band_masses`.
+
+        The band route reads the range from the least count of ``omegas`` to
+        the greatest, and the masses of ``omegas`` are picked from it.
+        """
+        omegas = np.asarray(omegas, dtype=int)
+        counts = range(omegas.min(), omegas.max() + 1) if omegas.size else range(0)
+        masses = band_masses(self, [(self.o, counts)], quad)[0]
+        return np.take(masses, omegas - counts.start).tolist()
 
 
 class Crisp(_Membership):

@@ -19,15 +19,17 @@ the branch above from o so clipped to its band's upper edge.  That is the
 full band when the band lies wholly on its branch's side of o, a partial
 integral when the band holds o, and nothing otherwise.  So the unit of
 this route is the o-free model, and an anchor o is a number passed with
-the counts.  One table per quadrature spec, in the model's memo, keeps
-each omega's clipped band with its two full integrals, so every point of
-an envelope, and every curve of one figure, reads the same entries.  A
+a range of counts.  One array per quadrature spec, in the model's memo,
+indexed by side and count, keeps each omega's two full-band integrals,
+beside the model's array of band edges, so every point of an envelope,
+and every curve of one figure, reads the same entries.  A
 partial integral serves one anchor and is not kept; envelope points are,
 per quadrature spec and theta, so the commands of a figure that share an
 envelope compute each point, and its partial integrals, once.
 
 :func:`band_masses` returns the masses of one model at anchors o, each at
-its own counts.  Whatever integrals they lack are computed as one batch:
+its own range of counts, as whole-array operations over an (anchor x
+count) matrix.  Whatever integrals they lack are computed as one batch:
 both full bands of each count not seen before and the integrals up to each
 anchor.  A proposed family asks for its own o; an envelope asks once for
 every point it lacks, anchored at those points; and both curves of a
@@ -177,70 +179,75 @@ def _integrate(psi, lo, hi, rel_tol: float) -> np.ndarray:
     return np.bincount(elem[order], weights=value[order], minlength=len(lo))
 
 
+def _grown(table: np.ndarray, stop: int) -> np.ndarray:
+    """``table`` with at least ``stop`` columns: padded with NaN to at least twice its width."""
+    width = table.shape[1]
+    if width >= stop:
+        return table
+    return np.pad(table, ((0, 0), (0, max(stop, 2 * width) - width)), constant_values=np.nan)
+
+
 def band_masses(model, requests, quad: QuadratureSpec) -> list[list[float]]:
     """Masses of one model's memberships: the branch below o up to o, above on.
 
     ``model`` is any proposed family of the model, whose memo, band edges
     and branches serve every anchor; its own o plays no part.  ``requests``
-    pairs anchors o with the counts whose masses each needs, and every
-    count is checked against its anchor before any work starts.  A band is
-    omega's band edges clipped to the range: the branch below rises from 0
-    to 1 across [z0, z1] and the branch above falls from 1 to 0 across
-    [a1, a0].  The integral below runs from z0 to its ``end``, the nearer
-    of o and z1, and the one above from its end, the farther of o and a1,
-    to a0: the full band when the end is z1 or a1, a partial integral when
-    it is o.  An empty span's integral is 0.  The edges of every band not seen before
-    come from one ``band_edges`` batch; both full bands of each such band
-    and the partial integrals of every request are computed in one batch.
-    The model's memo keeps each band with its two full integrals, once both
-    are computed; a partial integral serves one anchor and is kept for this
-    call only.
+    pairs anchors o with the range of counts whose masses each needs, and
+    each range is checked at its two ends against its anchor, as each
+    support is an interval, before any work starts; an empty range checks
+    nothing and gets no masses.  The route works on arrays over the span of
+    all the ranges, with a row per request where it depends on o.  A band
+    is omega's band edges clipped to the range: the branch below rises from
+    0 to 1 across [z0, z1] and the branch above falls from 1 to 0 across
+    [a1, a0].  The integral below runs from z0 to the nearer of o and z1,
+    and the one above from the farther of o and a1 to a0: the full band
+    when that end is z1 or a1, a partial integral when it is o, where
+    z0 < o < z1 or a1 < o < a0.  An empty band's integral is 0.  The edges
+    of the span come from one ``band_edges`` batch; both full bands of each
+    count the memo lacks and the partial integrals of every request are
+    computed in one batch.  The memo keeps each count's two full integrals
+    in ``bands[quad]``, written once the batch returns; a partial integral
+    serves one anchor and is kept for this call only.
     """
-    bands = model.memo.bands.setdefault(quad, {})
-    lower, upper = quad.lower, quad.upper
-    for o, omegas in requests:
-        for w in omegas:
+    for o, counts in requests:
+        for w in (counts[0], counts[-1]) if counts else ():
             model.check(w, o)
-    cold = list(dict.fromkeys(w for _, ws in requests for w in ws if w not in bands))
-    # omega -> clipped edges, for bands the memo lacks: one batch of edges.
-    new = {w: tuple(min(max(t, lower), upper) for t in edges)
-           for w, edges in zip(cold, model.band_edges(cold))}
-    jobs = {}  # (omega, above, end) -> span, for every integral to compute
-    for w, band in new.items():
-        jobs[w, False, band[1]] = band[:2]
-        jobs[w, True, band[2]] = band[2:]
-    anchors = [min(max(o, lower), upper) for o, _ in requests]
-    for (_, omegas), anchor in zip(requests, anchors):
-        for w in omegas:
-            z0, z1, a1, a0 = (new[w] if w in new else bands[w])[:4]
-            if z0 < anchor < z1:
-                jobs[w, False, anchor] = z0, anchor
-            if a1 < anchor < a0:
-                jobs[w, True, anchor] = anchor, a0
-    integrals = dict.fromkeys(jobs, 0.0)
-    keys = [key for key, (a, b) in jobs.items() if a < b]
-    if keys:
-        omega, above_o, lo, hi = (
-            np.array(v) for v in zip(*((*key[:2], *jobs[key]) for key in keys))
-        )
-        values = _integrate(
-            lambda i, tau: model.branch_array(omega[i], above_o[i], tau),
+    ranges = [counts for _, counts in requests if counts]
+    if not ranges:
+        return [[] for _ in requests]
+    span = range(min(c.start for c in ranges), max(c.stop for c in ranges))
+    z0, z1, a1, a0 = (np.clip(e, quad.lower, quad.upper) for e in model.band_edges(span))
+    bands = model.memo.bands
+    bands[quad] = _grown(bands.get(quad, np.full((2, 0), np.nan)), span.stop)
+    full = bands[quad][:, span.start : span.stop]  # a view: writing it fills the memo
+    # A row per request: its anchor o, clipped to the range, and its counts.
+    o = np.clip([[o] for o, _ in requests], quad.lower, quad.upper)
+    counts = np.arange(span.start, span.stop)
+    inside = np.array([(c.start <= counts) & (counts < c.stop) for _, c in requests])
+    cold = np.isnan(full[0])
+    # The integrals to compute, by (side, row, count): row 0 holds both full
+    # bands of each cold count, and a row per request the partial integrals
+    # where its o lies inside a band.  Below o one runs from z0 to the nearer
+    # of o and z1, above o from the farther of o and a1 to a0, with row 0's
+    # o past the band on each side.
+    jobs = side, row, w = np.nonzero(np.stack((
+        np.vstack((cold & (z0 < z1), inside & (z0 < o) & (o < z1))),
+        np.vstack((cold & (a1 < a0), inside & (a1 < o) & (o < a0))),
+    )))
+    integrals = np.zeros((2, len(requests) + 1, len(span)))
+    if w.size:
+        lo = np.where(side == 0, z0[w], np.maximum(np.append(-np.inf, o)[row], a1[w]))
+        hi = np.where(side == 0, np.minimum(np.append(np.inf, o)[row], z1[w]), a0[w])
+        integrals[jobs] = _integrate(
+            lambda i, tau: model.branch_array(span.start + w[i], side[i] == 1, tau),
             lo, hi, quad.rel_tol,
         )
-        integrals.update(zip(keys, values.tolist()))
-    for w, (z0, z1, a1, a0) in new.items():
-        bands[w] = z0, z1, a1, a0, integrals[w, False, z1], integrals[w, True, a1]
-
-    def mass(w, o):
-        z0, z1, a1, a0, full_below, full_above = bands[w]
-        below = full_below if o >= z1 else integrals.get((w, False, o), 0.0)
-        above = full_above if o <= a1 else integrals.get((w, True, o), 0.0)
-        # The flat lengths, where a branch is 1: [z1, o] below o, [o, a1] above.
-        flat_below = o - z1 if o > z1 else 0.0
-        flat_above = a1 - o if a1 > o else 0.0
-        return (below + flat_below) + (flat_above + above)
-
-    return [[mass(w, o) for w in omegas] for (_, omegas), o in zip(requests, anchors)]
+    full[:, cold] = integrals[:, 0, cold]
+    below = np.where(o >= z1, full[0], integrals[0, 1:])
+    above = np.where(o <= a1, full[1], integrals[1, 1:])
+    # The flat lengths, where a branch is 1: [z1, o] below o, [o, a1] above.
+    masses = (below + np.maximum(o - z1, 0.0)) + (np.maximum(a1 - o, 0.0) + above)
+    return [values[keep].tolist() for values, keep in zip(masses, inside)]
 
 
 def _pratt_sums(fam, thetas, tops, masses) -> list[float]:

@@ -22,7 +22,7 @@ def binomial_measure(n, theta):
 class TestPsiLower:
     def test_rejected_region(self):
         fam = BinomialFamily(10, 0.5, 0.95)
-        threshold = fam.band_edges([3])[0][0]  # P[X >= 3 | tau] = 0.05
+        threshold = fam.band_edges(range(3, 4))[0][0]  # P[X >= 3 | tau] = 0.05
         assert 0.05 < threshold
         assert fam.psi(3, 0.05) == 0.0
 
@@ -39,7 +39,7 @@ class TestPsiLower:
         # The zero branch never fires for omega = 0: psi = gamma/(1-tau)^n
         # throughout the randomized region, and 1 beyond it.
         fam = BinomialFamily(10, 0.5, 0.95)
-        upper = fam.band_edges([0])[0][1]  # P[X >= 1 | tau] = 0.05
+        upper = fam.band_edges(range(1))[1][0]  # P[X >= 1 | tau] = 0.05
         for tau in (1e-6, 1e-3, 0.9 * upper):
             assert fam.psi(0, tau) == pytest.approx(
                 0.95 / (1.0 - tau) ** 10, rel=1e-9

@@ -426,6 +426,44 @@ class TestCoverageCommand:
                 assert abs(cov - gamma) <= 1e-8, tau
 
 
+@st.composite
+def _el_cases(draw):
+    """``(n, gamma, o, grid)`` of a proposed el-curve, n None for the Poisson.
+
+    Binomial n 1..60 or Poisson thetas in 0.3..30, gamma in [0.5, 0.999],
+    1 to 8 thetas and o one of them; or n = 1 and o = 1/2 with gamma in
+    [1e-3, 1/2], where the expected length is gamma ln 2 at every theta.
+    """
+    kind = draw(st.sampled_from(["binomial", "poisson", "half"]))
+    space = (st.floats(0.3, 30.0) if kind == "poisson"
+             else st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    lo, hi, count = draw(space), draw(space), draw(st.integers(1, 8))
+    if kind == "half":
+        lo, hi = (0.5, hi) if count == 1 or draw(st.booleans()) else (hi, 0.5)
+        gamma, n = draw(st.floats(1e-3, 0.5)), 1
+    else:
+        gamma = draw(st.floats(0.5, 0.999))
+        n = None if kind == "poisson" else draw(st.integers(1, 60))
+    grid = parse_grid(f"{lo!r}:{hi!r}:{count}")
+    o = 0.5 if kind == "half" else grid[draw(st.integers(0, count - 1))]
+    return n, gamma, o, f"{lo!r}:{hi!r}:{count}"
+
+
+def _run_cold(argv):
+    """``parse_csv`` of a command's output, from cold memos with warnings as errors.
+
+    The command must exit 0 and write nothing to stderr.
+    """
+    discrete._memo.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            status = main(argv)
+    assert (status, err.getvalue()) == (0, "")
+    return parse_csv(out.getvalue())
+
+
 class TestElCurveCommand:
     def test_binomial_curve_tangent_at_o(self, capsys):
         status, out = run_cli(
@@ -442,6 +480,38 @@ class TestElCurveCommand:
             assert el >= bound - 1e-9
             if theta == 0.5:
                 assert el == pytest.approx(bound, abs=1e-7)
+
+    @given(_el_cases())
+    @example((1, 0.5, 0.5, "0.5:0.999:8"))
+    @example((60, 0.999, 0.001, "0.001:0.999:8"))
+    @example((None, 0.95, 30.0, "0.3:30.0:7"))
+    @settings(max_examples=100, deadline=None)
+    def test_properties(self, case):
+        """Finite values, EL on or above the envelope, lower-bound's envelope alike.
+
+        The proposed method, binomial n up to 60 and Poisson thetas up to 30,
+        each command from cold memos with warnings as errors.  EL is at least
+        the envelope, touches it bit for bit at theta = o, and a binomial EL
+        is at most 1; lower-bound prints el-curve's lower_bound column bit for
+        bit.  At n = 1 and o = 1/2 the EL is gamma ln 2 at every theta.
+        """
+        n, gamma, o, grid = case
+        family = ("--family", "poisson") if n is None else ("--family", "binomial", "--n", str(n))
+        argv = [*family, "--gamma", repr(gamma), "--theta-grid", grid]
+        header, rows = _run_cold(["el-curve", *argv, "--o", repr(o)])
+        assert header == ["theta", "el", "lower_bound"]
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert o in [theta for theta, _, _ in rows]
+        for theta, el, bound in rows:
+            assert el >= bound * (1.0 - 1e-9), theta
+            assert n is None or el <= 1.0, theta
+            if theta == o:
+                assert el == bound
+            if n == 1 and o == 0.5 and gamma <= 0.5:
+                assert el == pytest.approx(gamma * math.log(2.0), rel=1e-12, abs=0.0), theta
+        assert _run_cold(["lower-bound", *argv]) == (
+            ["theta", "lower_bound"], [(theta, bound) for theta, _, bound in rows]
+        )
 
     def test_normal_dominance_data(self, capsys):
         status, out = run_cli(

@@ -25,16 +25,16 @@ from fuzzyci.specfun import ConvergenceError, log_factorials
 
 
 def count_solves(monkeypatch, cls):
-    """Record the (level, k) keys of every band-edge batch of ``cls`` from now on.
+    """Record the (level, k) pairs of every band-edge batch of ``cls`` from now on.
 
-    One list of keys per batch.
+    One list of pairs per batch.
     """
     batches = []
     solve = cls.solve_band_edges
 
-    def counted(self, keys):
-        batches.append(list(keys))
-        return solve(self, keys)
+    def counted(self, level, k):
+        batches.append(list(zip(level.tolist(), k.tolist())))
+        return solve(self, level, k)
 
     monkeypatch.setattr(cls, "solve_band_edges", counted)
     return batches
@@ -54,11 +54,16 @@ def count_root_solves(monkeypatch):
 
 
 def one_key_solves(fam, omega):
-    """omega's band edges, each from a batch that holds its key alone."""
+    """omega's band edges, each from a batch that holds its (level, k) alone."""
     return tuple(
-        fam.solve_band_edges([(level, k)])[0]
+        solve(fam, [(level, k)])[2][0]
         for level in (1.0 - fam.gamma, fam.gamma) for k in (omega, omega + 1)
     )
+
+
+def count_edges(fam, omega):
+    """omega's four band edges from ``band_edges``, as a tuple of floats."""
+    return tuple(np.concatenate(fam.band_edges(range(omega, omega + 1))).tolist())
 
 
 @pytest.mark.parametrize(
@@ -83,11 +88,12 @@ def test_families_differing_only_in_o_share_one_memo(first, second, taus, monkey
     assert first.memo is second.memo
     top = first.support_upper(max(taus))
     first.band_edges(range(top + 1))
-    before = dict(first.memo.edges)
+    before = first.memo.edges.copy()
     solves = count_solves(monkeypatch, type(first))
-    assert second.band_edges(range(top + 1)) == first.band_edges(range(top + 1))
+    assert (np.array(second.band_edges(range(top + 1))).tolist()
+            == np.array(first.band_edges(range(top + 1))).tolist())
     assert solves == []
-    assert second.memo.edges == before
+    assert np.array_equal(second.memo.edges, before, equal_nan=True)
 
 
 def test_coverage_leaves_the_memos_untouched():
@@ -109,19 +115,22 @@ def test_coverage_leaves_the_memos_untouched():
 def test_shared_band_edges_give_the_four_solve_thresholds(gamma):
     # Each band edge is solved once, in one batch with all the others, and
     # read by two neighbouring omegas.  Every kernel evaluates an element
-    # from its own arguments, so the batch's edges must be the very floats
-    # of a batch in another order and of batches that hold one key each;
-    # those cost milliseconds a key, so they run at 21 counts per model.
+    # from its own arguments, so the batch's edges, every solved entry of
+    # the memo's table, must be the very floats of a batch in another order
+    # and of batches that hold one (level, k) each; those cost milliseconds
+    # an edge, so they run at 21 counts per model.
     rng = np.random.default_rng(19)
     models = [(binomial.BinomialFamily(n, 0.5, gamma), n + 1) for n in (1, 2, 10, 40, 300)]
     models.append((poisson.PoissonFamily(1.0, gamma), 151))
     for fam, count in models:
         edges = fam.band_edges(range(count))
-        keys = list(fam.memo.edges)
-        shuffled = [keys[i] for i in rng.permutation(len(keys))]
-        assert dict(zip(shuffled, fam.solve_band_edges(shuffled))) == fam.memo.edges
+        rows, k = np.nonzero(~np.isnan(fam.memo.edges))
+        order = rng.permutation(len(k))
+        level = np.array([1.0 - gamma, gamma])[rows[order]]
+        assert (fam.solve_band_edges(level, k[order]).tolist()
+                == fam.memo.edges[rows[order], k[order]].tolist())
         for w in sorted({*range(0, count, max(1, count // 20)), count - 1}):
-            assert edges[w] == one_key_solves(fam, w)
+            assert tuple(e[w] for e in edges) == one_key_solves(fam, w)
 
 
 @pytest.mark.parametrize(
@@ -131,8 +140,8 @@ def test_shared_band_edges_give_the_four_solve_thresholds(gamma):
 )
 def test_each_band_edge_is_solved_once(fam, monkeypatch):
     # A gamma no other test uses: omega = 0..40 has 42 edges per level,
-    # each stored once, in the memo's one table of edges, from one root
-    # solve of the band route's one batch.
+    # each stored once, in the memo's one (level x k) array of edges, from
+    # one root solve of the band route's one batch.
     solves = count_solves(monkeypatch, type(fam))
     roots = count_root_solves(monkeypatch)
     quad = QuadratureSpec(1e-3, 0.999 if fam.tau_upper == 1.0 else 60.0)
@@ -140,7 +149,8 @@ def test_each_band_edge_is_solved_once(fam, monkeypatch):
     assert sorted(vars(fam.memo)) == ["bands", "edges", "envelope"]
     assert len(solves) == len(roots) == 1
     keys = solves[0]
-    assert len(keys) == len(set(keys)) == len(fam.memo.edges) == 2 * (40 + 2)
+    solved = np.count_nonzero(~np.isnan(fam.memo.edges))
+    assert len(keys) == len(set(keys)) == solved == 2 * (40 + 2)
     # k = 0, and the binomial's n + 1, need no root.
     assert roots == [len(keys) - (4 if fam.tau_upper == 1.0 else 2)]
     fam.band_edges(range(41))
@@ -149,13 +159,14 @@ def test_each_band_edge_is_solved_once(fam, monkeypatch):
 
 
 def test_band_masses_checks_every_count_before_solving():
-    # A gamma no other test uses, so the memo starts empty: omega = 0 is
-    # valid, n + 1 is not, and no edge of either is solved.
+    # A gamma no other test uses, so the memo starts empty: the range's
+    # first count, omega = 0, is valid, its last, n + 1, is not, and no
+    # edge is solved nor any table grown.
     n = 10
     model = binomial.BinomialFamily(n, 0.5, 0.9361729)
     with pytest.raises(ValueError):
-        band_masses(model, [(0.5, [0, n + 1])], QuadratureSpec(1e-3, 0.999))
-    assert model.memo.edges == {}
+        band_masses(model, [(0.5, range(n + 2))], QuadratureSpec(1e-3, 0.999))
+    assert model.memo.edges.size == 0 and model.memo.bands == {}
 
 
 def test_a_failed_solve_stores_nothing(monkeypatch):
@@ -164,11 +175,11 @@ def test_a_failed_solve_stores_nothing(monkeypatch):
     fam = binomial.BinomialFamily(10, 0.5, gamma)
     monkeypatch.setattr(specfun, "_MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match="band edge"):
-        fam.band_edges([3])
+        fam.band_edges(range(3, 4))
     # No edge of the failed batch is kept.
-    assert fam.memo.edges == {}
+    assert np.isnan(fam.memo.edges).all()
     monkeypatch.undo()
-    assert fam.band_edges([3]) == [one_key_solves(fam, 3)]
+    assert count_edges(fam, 3) == one_key_solves(fam, 3)
 
 
 def count_tails(monkeypatch, cls):
@@ -185,9 +196,14 @@ def count_tails(monkeypatch, cls):
 
 
 def solve(fam, keys):
-    """The ``(level, k)`` keys as arrays, with their edges from one batch."""
+    """The ``(level, k)`` pairs ``keys`` as two arrays, with their edges from one batch."""
     level, k = (np.array(v) for v in zip(*keys))
-    return level, k, np.array(fam.solve_band_edges(keys))
+    return level, k, fam.solve_band_edges(level, k)
+
+
+def solve_keys(fam, keys):
+    """The edges of the ``(level, k)`` pairs ``keys`` from one batch, as a list."""
+    return solve(fam, keys)[2].tolist()
 
 
 class TestSolveEdge:
@@ -196,21 +212,21 @@ class TestSolveEdge:
     def test_binomial_closed_forms(self):
         # P[X >= n | tau] = tau^n.
         fam = binomial.BinomialFamily(2, 0.5, 0.95)
-        assert fam.solve_band_edges([(0.36, 2)])[0] == pytest.approx(0.6, abs=1e-9)
+        assert solve_keys(fam, [(0.36, 2)])[0] == pytest.approx(0.6, abs=1e-9)
         fam = binomial.BinomialFamily(1, 0.5, 0.95)
-        assert fam.solve_band_edges([(0.5, 1)])[0] == pytest.approx(0.5, abs=1e-9)
+        assert solve_keys(fam, [(0.5, 1)])[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_binomial_frozen_value(self):
         # mpmath root of I(x; 5, 6) = 0.95 at 40 digits.
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
-        assert fam.solve_band_edges([(0.95, 5)])[0] == pytest.approx(
+        assert solve_keys(fam, [(0.95, 5)])[0] == pytest.approx(
             0.696462787435958, abs=1e-9
         )
 
     def test_poisson_closed_form(self):
         # P[X >= 1 | tau] = 1 - exp(-tau).
         fam = poisson.PoissonFamily(1.0, 0.95)
-        high, half = fam.solve_band_edges([(0.95, 1), (0.5, 1)])
+        high, half = solve_keys(fam, [(0.95, 1), (0.5, 1)])
         assert high == pytest.approx(-math.log(0.05), abs=1e-10)
         assert half == pytest.approx(math.log(2.0), abs=1e-10)
 
@@ -218,15 +234,15 @@ class TestSolveEdge:
         # mpmath root of P(4, tau) = 0.95 at 40 digits: half the 0.95
         # quantile of chi-square with 8 degrees of freedom.
         fam = poisson.PoissonFamily(1.0, 0.95)
-        assert fam.solve_band_edges([(0.95, 4)])[0] == pytest.approx(
+        assert solve_keys(fam, [(0.95, 4)])[0] == pytest.approx(
             15.507313055865454 / 2, abs=5e-9
         )
 
     def test_conventions(self):
         # P[X >= 0] = 1 and, for the binomial, P[X >= n + 1] = 0 at every tau.
         fam = binomial.BinomialFamily(4, 0.5, 0.95)
-        assert fam.solve_band_edges([(0.4, 0), (0.4, 5), (0.4, 2)])[:2] == [0.0, 1.0]
-        assert poisson.PoissonFamily(1.0, 0.95).solve_band_edges([(0.4, 0)]) == [0.0]
+        assert solve_keys(fam, [(0.4, 0), (0.4, 5), (0.4, 2)])[:2] == [0.0, 1.0]
+        assert solve_keys(poisson.PoissonFamily(1.0, 0.95), [(0.4, 0)]) == [0.0]
 
     def test_round_trip_in_level(self):
         levels = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
@@ -263,14 +279,14 @@ class TestSolveEdge:
     def test_reports_nonconvergence(self, fam, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="band edge"):
-            fam.solve_band_edges([(0.731, 7)])
+            solve_keys(fam, [(0.731, 7)])
 
     def test_monotone_in_k(self):
         fam = binomial.BinomialFamily(60, 0.5, 0.95)
-        edges = fam.solve_band_edges([(0.95, k) for k in range(62)])
+        edges = solve_keys(fam, [(0.95, k) for k in range(62)])
         assert all(u < v for u, v in zip(edges, edges[1:]))
         fam = poisson.PoissonFamily(1.0, 0.95)
-        edges = fam.solve_band_edges([(0.95, k) for k in range(30)])
+        edges = solve_keys(fam, [(0.95, k) for k in range(30)])
         assert all(u < v for u, v in zip(edges, edges[1:]))
 
     def test_large_k_against_mpmath(self):
@@ -283,7 +299,7 @@ class TestSolveEdge:
             (binomial.BinomialFamily(5000, 0.5, 0.95), (1, 50, 2500, 4990, 5000)),
         ):
             keys = [(p, k) for k in ks for p in levels]
-            for (p, k), edge in zip(keys, fam.solve_band_edges(keys)):
+            for (p, k), edge in zip(keys, solve_keys(fam, keys)):
                 assert mp_tail_residual(fam, k, edge, p) < 1e-10, (fam, p, k)
 
     def test_sampled_edges_meet_the_residual_at_40_digits(self):
@@ -298,11 +314,11 @@ class TestSolveEdge:
                 n = int(np.exp(rng.uniform(0.0, np.log(2000.0))))
                 fam = binomial.BinomialFamily(n, 0.5, gamma)
                 k = int(rng.integers(1, n + 1))
-                samples.append((fam, level, k, fam.solve_band_edges([(level, k)])[0]))
+                samples.append((fam, level, k, solve_keys(fam, [(level, k)])[0]))
             else:
                 k = int(np.exp(rng.uniform(0.0, np.log(11000.0))))
                 poisson_keys.append((level, k))
-        for key, edge in zip(poisson_keys, counts.solve_band_edges(poisson_keys)):
+        for key, edge in zip(poisson_keys, solve_keys(counts, poisson_keys)):
             samples.append((counts, *key, edge))
         for fam, level, k, edge in samples:
             assert mp_tail_residual(fam, k, edge, level) <= 1e-10, (fam, level, k)
@@ -326,7 +342,7 @@ class TestSolveEdge:
         calls = count_tails(monkeypatch, type(fam))
         for level in (1.0 - fam.gamma, fam.gamma):
             del calls[:]
-            fam.solve_band_edges([(level, k) for k in range(top + 1)])
+            solve_keys(fam, [(level, k) for k in range(top + 1)])
             evaluations = np.bincount(np.concatenate(calls))
             assert evaluations.max() <= 6, (level, evaluations.argmax())
 
@@ -347,9 +363,9 @@ class TestSolveEdge:
         # Every edge of one band_edges batch, sampled at n = 1000, meets the
         # residual at 40 digits, and each level's edges rise with k.
         pytest.importorskip("mpmath")
-        edges = np.array(fam.band_edges(range(top + 1)))
+        edges = fam.band_edges(range(top + 1))
         for level, column in ((1.0 - fam.gamma, 0), (fam.gamma, 2)):
-            by_k = np.append(edges[:, column], edges[-1, column + 1])  # k = 0..top + 1
+            by_k = np.append(edges[column], edges[column + 1][-1])  # k = 0..top + 1
             assert np.all(np.diff(by_k) >= 0.0), level
             # Past the binomial's n the edge is 1 by convention, not a root.
             last = fam.n if fam.tau_upper == 1.0 else top + 1
@@ -434,7 +450,7 @@ def test_psi_column_is_as_accurate_as_the_scalar_route(fam, taus):
         column_error = scalar_error = 0.0
         inside = 0
         omegas = range(fam.support_upper(tau) + 1)
-        for w, (z0, z1, a1, a0) in enumerate(fam.band_edges(omegas)):
+        for w, (z0, z1, a1, a0) in enumerate(zip(*fam.band_edges(omegas))):
             if not (a1 < tau < a0 if tau > fam.o else z0 < tau < z1):
                 continue
             inside += 1
@@ -477,7 +493,7 @@ def test_branch_array_matches_scalar_branch_inside_the_bands(fam, omegas, around
     # omega = 0 and omega = n are among the counts.  Kernels and log masses
     # differ by up to 1.4e-14 in the slack psi * p, the ratio's numerator.
     straddling = 0
-    for w, (z0, z1, a1, a0) in zip(omegas, fam.band_edges(omegas)):
+    for w, (z0, z1, a1, a0) in zip(omegas, zip(*fam.band_edges(omegas))):
         for above, a, b in ((False, z0, z1), (True, a1, a0)):
             if not a < b:
                 continue

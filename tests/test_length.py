@@ -43,23 +43,35 @@ def count_band_integrals(monkeypatch):
 def band_record(fam, quad, w):
     """``(z0, z1, a1, a0, full_below, full_above)``: omega's band in the memo.
 
-    The clipped edges, then the integrals of the branch below over [z0, z1]
-    and of the branch above over [a1, a0]; an empty band's integral is 0.
+    omega's edges in ``memo.edges`` clipped to the range, then the integrals
+    of the branch below over [z0, z1] and of the branch above over [a1, a0]
+    in ``memo.bands[quad]``; an empty band's integral is 0.
     """
-    record = fam.memo.bands[quad][w]
-    z0, z1, a1, a0, full_below, full_above = record
+    edges = np.clip(fam.memo.edges[:, w : w + 2], quad.lower, quad.upper)
+    (z0, z1), (a1, a0) = edges.tolist()
+    full_below, full_above = fam.memo.bands[quad][:, w].tolist()
     assert (z0 < z1 or full_below == 0.0) and (a1 < a0 or full_above == 0.0)
-    return record
+    return z0, z1, a1, a0, full_below, full_above
+
+
+def banded_counts(fam, quad):
+    """The counts whose full-band integrals the memo keeps for ``quad``."""
+    return np.flatnonzero(~np.isnan(fam.memo.bands[quad][0])).tolist()
 
 
 def memo_entries(memo):
-    """The number of entries in each table of a model's memo.
+    """The number of entries in each table of a model's memo, and each array's shape.
 
-    A table kept per quadrature spec counts the entries of every spec.
+    An array counts its entries other than NaN; a table kept per quadrature
+    spec counts the entries of every spec.
     """
+    def entries(v):
+        return (np.count_nonzero(~np.isnan(v)), v.shape) if isinstance(v, np.ndarray) else 1
+
     return {
-        name: sum(len(v) if isinstance(v, dict) else 1 for v in table.values())
-        for name, table in vars(memo).items()
+        "edges": entries(memo.edges),
+        "bands": [entries(v) for v in memo.bands.values()],
+        "envelope": len(memo.envelope),
     }
 
 
@@ -248,7 +260,7 @@ class TestBandRoute:
     def test_o_on_a_band_edge(self, family, w, quad):
         # Anchored exactly on z0, z1, a1 or a0 of omega, that band's end is
         # its near edge (an empty integral) or its far edge (the full band).
-        for edge in family(0.5).band_edges([w])[0]:
+        for edge in np.concatenate(family(0.5).band_edges(range(w, w + 1))).tolist():
             fam = family(edge)
             top = fam.support_upper(quad.upper)
             _assert_band_route_matches_breakpoints(fam, quad, range(top + 1))
@@ -452,14 +464,55 @@ class TestBandRoute:
         omegas = range(first.support_upper(quad.upper) + 1)
         for w in omegas:
             first.interval_masses([w], quad)[0]
-        bands = {w: band_record(first, quad, w) for w in first.memo.bands[quad]}
+        bands = {w: band_record(first, quad, w) for w in banded_counts(first, quad)}
         assert set(omegas) <= bands.keys()
         integrals = count_band_integrals(monkeypatch)
         for w in omegas:
             second.interval_masses([w], quad)[0]
-        assert {w: band_record(second, quad, w) for w in second.memo.bands[quad]} == bands
+        assert {w: band_record(second, quad, w) for w in banded_counts(second, quad)} == bands
         # Only the partial integrals of the two bands that hold o remain.
         assert len(integrals) <= 2
+
+    def test_memo_grows_keeping_its_entries(self, monkeypatch):
+        # A gamma no other test uses, so the memo starts empty.  Counts 0..5,
+        # then 0..7 and 0..400: each table grows by NaN padding, at least
+        # doubling, and the first six counts' edges and full bands keep their
+        # bits and are not computed again.  o lies past every band of those
+        # six counts, so none of them has a partial integral either.
+        fam = poisson.PoissonFamily(300.0, 0.9417263)
+        quad = QuadratureSpec(1e-9, 600.0)
+        small = length.band_masses(fam, [(fam.o, range(6))], quad)[0]
+        memo = fam.memo
+        assert memo.edges.shape == (2, 7) and memo.bands[quad].shape == (2, 6)
+        first = [band_record(fam, quad, w) for w in range(6)]
+        edges = memo.edges.tolist()
+        length.band_masses(fam, [(fam.o, range(8))], quad)
+        assert memo.edges.shape == (2, 14) and memo.bands[quad].shape == (2, 12)
+        solved = []
+        solve = poisson.PoissonFamily.solve_band_edges
+
+        def counted(self, level, k):
+            solved.extend(k.tolist())
+            return solve(self, level, k)
+
+        monkeypatch.setattr(poisson.PoissonFamily, "solve_band_edges", counted)
+        spans = count_band_integrals(monkeypatch)
+        masses = length.band_masses(fam, [(fam.o, range(401))], quad)[0]
+        assert memo.edges.shape[1] >= 402 and memo.bands[quad].shape[1] >= 401
+        assert min(solved) == 9
+        assert memo.edges[:, :7].tolist() == edges
+        assert [band_record(fam, quad, w) for w in range(6)] == first
+        assert not {(z0, z1) for z0, z1, *_ in first} & set(spans)
+        assert not {(a1, a0) for _, _, a1, a0, *_ in first} & set(spans)
+        assert masses[:6] == small
+        # A range that starts above 0, warm or from a cold memo, has the bits
+        # of those counts of the range from 0, and a cold one fills only its
+        # own counts' bands.
+        assert length.band_masses(fam, [(fam.o, range(200, 401))], quad)[0] == masses[200:]
+        discrete._memo.cache_clear()
+        fresh = dataclasses.replace(fam)
+        assert length.band_masses(fresh, [(fam.o, range(200, 401))], quad)[0] == masses[200:]
+        assert banded_counts(fresh, quad) == list(range(200, 401))
 
     def test_a_failed_call_keeps_no_band(self):
         # A band is kept once its full-band integrals are: after a call that
