@@ -22,8 +22,10 @@ serves coverage, membership grids and ``psi`` alike.  Coverage is the row
 sums of p * psi.  Each tau's scalars come from ``math``, so a row has the
 bits of a single tau's evaluation.  The rows go in blocks of at most
 ``_BLOCK_ELEMENTS`` elements, or one row where a row is wider, which bounds
-every temporary.  A point ``psi`` is one entry of a one-row grid, so many
-tau should be asked for as one grid.
+every temporary.  ``by_blocks`` yields them, the one route from a tau grid
+to mass rows: memberships, coverage and the Pratt sums of the
+expected-length engine all read it.  A point ``psi`` is one entry of a
+one-row grid, so many tau should be asked for as one grid.
 
 Neither branch depends on o; only the switch between them does.  Per
 omega, each branch has two band edges on the tau axis where it leaves 0
@@ -46,11 +48,14 @@ Every family object, proposed or crisp, offers the protocol the coverage
 sums and the expected-length engine (:mod:`fuzzyci.length`) use:
 
 - ``psi(omega, tau)``: the membership, after checking the domain;
-- ``interval_masses(omegas, quad)``: the Lebesgue mass of each
-  ``tau -> psi(omega, tau)`` over a quadrature range: the clipped interval
-  length of a crisp method, the band route of :mod:`fuzzyci.length` over
-  the range from the least omega to the greatest for a proposed family;
+- ``interval_masses(counts, quad)``: the Lebesgue mass of each
+  ``tau -> psi(omega, tau)`` over a quadrature range, for omega in the
+  ``range`` counts, checked at its two ends, as a float64 array: the
+  clipped interval length of a crisp method, the band route of
+  :mod:`fuzzyci.length` for a proposed family;
 - ``support_upper(tau)``, the last omega a sum at tau needs;
+- ``by_blocks(taus, omega, top)``: yields ``(t, p)``, blocks of the grid
+  and their mass rows, after checking the grid's two ends with omega;
 - ``log_pmf_rows(taus, top)``: the log mass function, a row per tau of
   the array ``taus``, over the counts a membership up to omega = top
   reads: 0..n for the binomial, whose upper tails are summed from n, and
@@ -146,16 +151,19 @@ class _Membership:
 
     def psi_counts(self, top: int, taus) -> np.ndarray:
         """``psi(omega, tau)`` at omega = 0..top, a row per tau of the grid, checked."""
-        return self.by_blocks(taus, top, top, lambda t, p: self.psi_rows(t, p)[:, : top + 1])
+        blocks = self.by_blocks(taus, top, top)
+        return np.concatenate([self.psi_rows(t, p)[:, : top + 1] for t, p in blocks])
 
-    def by_blocks(self, taus, omega: int, top, rows_of) -> np.ndarray:
-        """``rows_of(t, p)`` over a tau grid, stacked: t a block of taus, p their mass rows.
+    def by_blocks(self, taus, omega: int, top):
+        """Yield ``(t, p)`` over a tau grid in order: t a block of taus, p their mass rows.
 
         The grid is checked with omega at its smallest and largest tau, as
-        each parameter space is an interval.  The mass rows are
-        ``log_pmf_rows(t, top)``, top by default the support bound of the
-        largest tau, and a block holds at most ``_BLOCK_ELEMENTS`` masses, or
-        one row: a bounded support's rows run to its end, others' to top.
+        each parameter space is an interval, before the first block.  The
+        mass rows are ``exp(log_pmf_rows(t, top))``, top by default the
+        support bound of the largest tau, and a block holds at most
+        ``_BLOCK_ELEMENTS`` masses, or one row: a bounded support's rows run
+        to its end, others' to top.  A row's values depend on its tau and
+        top only, never on the block.
         """
         taus = np.asarray(taus, dtype=float).ravel()
         if taus.size:
@@ -165,8 +173,8 @@ class _Membership:
             top = self.support_upper(taus.max()) if taus.size else 0
         last = self.support_upper(self.tau_upper) if self.tau_upper < math.inf else top
         step = max(1, _BLOCK_ELEMENTS // (last + 1))
-        blocks = np.split(taus, range(step, len(taus), step))
-        return np.concatenate([rows_of(t, np.exp(self.log_pmf_rows(t, top))) for t in blocks])
+        for t in np.split(taus, range(step, len(taus), step)):
+            yield t, np.exp(self.log_pmf_rows(t, top))
 
     def coverage(self, taus) -> np.ndarray:
         """Probability mass the membership assigns to the truth at each tau."""
@@ -277,16 +285,9 @@ class Randomized(_Membership):
             )
         return np.where(positive, np.minimum(1.0, np.maximum(0.0, ratio)), 0.0)
 
-    def interval_masses(self, omegas, quad) -> list[float]:
-        """Flat lengths plus band integrals: see :func:`fuzzyci.length.band_masses`.
-
-        The band route reads the range from the least count of ``omegas`` to
-        the greatest, and the masses of ``omegas`` are picked from it.
-        """
-        omegas = np.asarray(omegas, dtype=int)
-        counts = range(omegas.min(), omegas.max() + 1) if omegas.size else range(0)
-        masses = band_masses(self, [(self.o, counts)], quad)[0]
-        return np.take(masses, omegas - counts.start).tolist()
+    def interval_masses(self, counts: range, quad) -> np.ndarray:
+        """Flat lengths plus band integrals: see :func:`fuzzyci.length.band_masses`."""
+        return band_masses(self, [(self.o, counts)], quad)[0]
 
 
 class Crisp(_Membership):
@@ -297,15 +298,19 @@ class Crisp(_Membership):
         taus = taus[:, None]
         return ((lo <= taus) & (taus <= hi)).astype(float)
 
-    def interval_masses(self, omegas, quad) -> list[float]:
-        """Length of each omega's interval inside the range, in closed form."""
+    def interval_masses(self, counts: range, quad) -> np.ndarray:
+        """Length of each count's interval inside the range, in closed form.
+
+        The counts are checked at the range's two ends, as each support is
+        an interval; an empty range checks nothing.
+        """
         middle = 0.5 * (quad.lower + quad.upper)
-        for w in omegas:
+        for w in (counts[0], counts[-1]) if counts else ():
             self.check(w, middle)  # checks omega; any tau in the range would do
-        lo, hi = self.endpoints(np.asarray(omegas, dtype=float))
+        lo, hi = self.endpoints(np.arange(counts.start, counts.stop, dtype=float))
         lo = np.maximum(np.maximum(lo, 0.0), quad.lower)
         hi = np.minimum(np.minimum(hi, self.tau_upper), quad.upper)
-        return np.maximum(0.0, hi - lo).tolist()
+        return np.maximum(0.0, hi - lo)
 
 
 def coverage(taus, fam) -> np.ndarray:
@@ -318,5 +323,6 @@ def coverage(taus, fam) -> np.ndarray:
     is clipped to 1.
     """
     # omega = 0 lies in every support; top None is the largest tau's bound.
-    rows = fam.by_blocks(taus, 0, None, lambda t, p: (p * fam.psi_rows(t, p)).sum(axis=1))
+    blocks = fam.by_blocks(taus, 0, None)
+    rows = np.concatenate([(p * fam.psi_rows(t, p)).sum(axis=1) for t, p in blocks])
     return np.minimum(1.0, rows).reshape(np.shape(taus))

@@ -3,10 +3,12 @@
 The expected length at a true parameter theta is the outer expectation,
 under the sampling distribution at theta, of the Lebesgue mass each
 observation's membership assigns over the parameter axis (Pratt, 1961).
-The outer sum is an exact pmf summation over the (truncated) support,
-weighted by the family's mass row at theta; the inner masses come from
-the family's ``interval_masses(omegas, quad)``.  A
-crisp comparison method's mass is the length of its interval clipped to the
+The outer sum is an exact pmf summation over the (truncated) support at
+theta, one ``math.fsum`` per theta, weighted by its mass row from the
+family's ``by_blocks``, the route from a theta grid to mass rows that
+coverage reads too.  The inner masses are a float64 array over a range of
+counts, from the family's ``interval_masses(counts, quad)``.  A crisp
+comparison method's mass is the length of its interval clipped to the
 range, in closed form (see :mod:`fuzzyci.discrete`); a proposed family's
 comes from the band integrals computed here.
 
@@ -28,8 +30,8 @@ per quadrature spec and theta, so the commands of a figure that share an
 envelope compute each point, and its partial integrals, once.
 
 :func:`band_masses` returns the masses of one model at anchors o, each at
-its own range of counts, as whole-array operations over an (anchor x
-count) matrix.  Whatever integrals they lack are computed as one batch:
+its own range of counts, as one float64 array per anchor, from
+whole-array operations over an (anchor x count) matrix.  Whatever integrals they lack are computed as one batch:
 both full bands of each count not seen before and the integrals up to each
 anchor.  A proposed family asks for its own o; an envelope asks once for
 every point it lacks, anchored at those points; and both curves of a
@@ -46,7 +48,9 @@ left ends, so its bits do not depend on the batch that computed it.
 The envelope no admissible membership's curve can undercut is the expected
 length at theta of ``reference(theta)``, the proposed family anchored at
 o = theta: the model's masses at anchor theta, weighted by the pmf at
-theta.  Each curve's pmf weights come from one mass grid over its thetas.
+theta.  Each curve's pmf weights come from ``by_blocks`` over its thetas,
+and each theta's sum reads its own row up to its own support bound, so no
+value depends on the block that holds it, nor on the other thetas.
 """
 
 from __future__ import annotations
@@ -187,7 +191,7 @@ def _grown(table: np.ndarray, stop: int) -> np.ndarray:
     return np.pad(table, ((0, 0), (0, max(stop, 2 * width) - width)), constant_values=np.nan)
 
 
-def band_masses(model, requests, quad: QuadratureSpec) -> list[list[float]]:
+def band_masses(model, requests, quad: QuadratureSpec) -> list[np.ndarray]:
     """Masses of one model's memberships: the branch below o up to o, above on.
 
     ``model`` is any proposed family of the model, whose memo, band edges
@@ -195,7 +199,7 @@ def band_masses(model, requests, quad: QuadratureSpec) -> list[list[float]]:
     pairs anchors o with the range of counts whose masses each needs, and
     each range is checked at its two ends against its anchor, as each
     support is an interval, before any work starts; an empty range checks
-    nothing and gets no masses.  The route works on arrays over the span of
+    nothing and gets an empty array.  The route works on arrays over the span of
     all the ranges, with a row per request where it depends on o.  A band
     is omega's band edges clipped to the range: the branch below rises from
     0 to 1 across [z0, z1] and the branch above falls from 1 to 0 across
@@ -207,14 +211,15 @@ def band_masses(model, requests, quad: QuadratureSpec) -> list[list[float]]:
     count the memo lacks and the partial integrals of every request are
     computed in one batch.  The memo keeps each count's two full integrals
     in ``bands[quad]``, written once the batch returns; a partial integral
-    serves one anchor and is kept for this call only.
+    serves one anchor and is kept for this call only.  The masses are one
+    float64 array per request, over its range.
     """
     for o, counts in requests:
         for w in (counts[0], counts[-1]) if counts else ():
             model.check(w, o)
     ranges = [counts for _, counts in requests if counts]
     if not ranges:
-        return [[] for _ in requests]
+        return [np.zeros(0) for _ in requests]
     span = range(min(c.start for c in ranges), max(c.stop for c in ranges))
     z0, z1, a1, a0 = (np.clip(e, quad.lower, quad.upper) for e in model.band_edges(span))
     bands = model.memo.bands
@@ -247,31 +252,26 @@ def band_masses(model, requests, quad: QuadratureSpec) -> list[list[float]]:
     above = np.where(o <= a1, full[1], integrals[1, 1:])
     # The flat lengths, where a branch is 1: [z1, o] below o, [o, a1] above.
     masses = (below + np.maximum(o - z1, 0.0)) + (np.maximum(a1 - o, 0.0) + above)
-    return [values[keep].tolist() for values, keep in zip(masses, inside)]
+    return [values[keep] for values, keep in zip(masses, inside)]
 
 
 def _pratt_sums(fam, thetas, tops, masses) -> list[float]:
-    """Expected length at each theta: ``masses[i][w]`` weighted by the pmf at ``thetas[i]``.
+    """Expected length at each theta: ``masses[i]`` weighted by the pmf at ``thetas[i]``.
 
-    The sum at theta runs over its support, omega = 0..``tops[i]``; masses
-    past it are not read.  The log masses are rows of one ``log_pmf_rows``
-    grid, the very bits of ``log_pmf`` at each theta, a block of at most
-    ``_BATCH_NODES`` of them at a time.
+    The pmf rows are the family's ``by_blocks`` over the thetas, which
+    checks the grid at its two ends.  The sum at theta is one ``math.fsum``
+    over its own support, omega = 0..``tops[i]``, so its value does not
+    depend on the block that holds its row, nor on the other thetas.
     """
-    for theta in thetas:
-        fam.check(0, theta)  # omega = 0 lies in every support
-    step, sums = max(1, _BATCH_NODES // (max(tops, default=0) + 1)), []
-    for i in range(0, len(thetas), step):
-        rows = fam.log_pmf_rows(np.array(thetas[i : i + step]), max(tops[i : i + step]))
-        sums += [math.fsum(math.exp(lp) * m for lp, m in zip(row[: top + 1], ms))
-                 for row, top, ms in zip(rows.tolist(), tops[i:], masses[i:])]
-    return sums
+    rows = (row for _, p in fam.by_blocks(thetas, 0, max(tops, default=0)) for row in p)
+    return [math.fsum((row[: top + 1] * ms[: top + 1]).tolist())
+            for row, top, ms in zip(rows, tops, masses)]
 
 
 def el_curve(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> list[float]:
     """Expected length of one method at each grid point.
 
-    The inner masses do not depend on theta, so every point reads one list
+    The inner masses do not depend on theta, so every point reads one array
     of them, up to the largest support bound of the grid.
     """
     thetas = [float(t) for t in theta_grid]

@@ -129,7 +129,7 @@ class TestBreakpointOracle:
 class TestIntervalMass:
     def test_binomial_against_fine_riemann_oracle(self):
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
-        mass = fam.interval_masses([5], UNIT)[0]
+        mass = fam.interval_masses(range(5, 6), UNIT)[0]
         oracle = riemann_mass(
             lambda t: scalar_psi(fam, 5, t), 0.0, 1.0, 10**6, split=(fam.o,)
         )
@@ -157,7 +157,7 @@ class TestIntervalMass:
                 # step, so the wide range needs proportionally more points.
                 points = 40000
                 psi = lambda t: scalar_psi(fam, w, t)
-            mass = fam.interval_masses([w], quad)[0]
+            mass = fam.interval_masses(range(w, w + 1), quad)[0]
             oracle = riemann_mass(psi, quad.lower, quad.upper, points, split=(fam.o,))
             assert mass == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
@@ -171,7 +171,7 @@ class TestIntervalMass:
             length._integrate(jump, np.array([0.0]), np.array([1.0]), 1e-9)
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
         with pytest.raises(ConvergenceError, match="at depth 30"):
-            fam.interval_masses([5], QuadratureSpec(0.0, 1.0, rel_tol=1e-300))[0]
+            fam.interval_masses(range(5, 6), QuadratureSpec(0.0, 1.0, rel_tol=1e-300))[0]
 
     def test_cli_exits_3_when_bisection_runs_out_of_depth(self, capsys):
         # Every panel fails, so the batches must deepen, not widen, to
@@ -194,6 +194,23 @@ class TestIntervalMass:
             lo, hi = interval(method, w)
             assert masses[w] == hi - lo
 
+    def test_crisp_masses_of_a_million_counts(self):
+        # The range is checked at its two ends, not count by count, and
+        # the masses are the closed-form intervals clipped to the range.
+        n = 10**6
+        method = binomial.AgrestiCoull(n, 0.95)
+        quad = QuadratureSpec(0.25, 0.75)
+        masses = method.interval_masses(range(n + 1), quad)
+        assert masses.dtype == np.float64 and masses.shape == (n + 1,)
+        sample = [0, 1, n // 4, n // 2, n - 1, n]
+        sample += np.random.default_rng(538).integers(0, n + 1, 40).tolist()
+        for w in sample:
+            lo, hi = interval(method, w)
+            assert masses[w] == max(0.0, min(hi, quad.upper) - max(lo, quad.lower)), w
+        assert masses[0] == 0.0 < masses[n // 2]  # outside the range, and inside
+        with pytest.raises(ValueError, match="omega"):
+            method.interval_masses(range(n - 5, n + 2), quad)
+
     @pytest.mark.parametrize("gamma", [0.9, 0.95, 0.99])
     def test_score_interval_is_the_clipped_interval_length(self, gamma):
         method = poisson.ScoreInterval(gamma)
@@ -206,7 +223,7 @@ class TestIntervalMass:
 
 def _assert_band_route_matches_breakpoints(fam, quad, omegas, rel=1e-13):
     for w in omegas:
-        band = fam.interval_masses([w], quad)[0]
+        band = fam.interval_masses(range(w, w + 1), quad)[0]
         generic = breakpoint_mass(fam, w, quad)
         assert band == pytest.approx(generic, rel=rel, abs=1e-300), (fam, w)
 
@@ -238,7 +255,8 @@ class TestBandRoute:
         _assert_band_route_matches_breakpoints(fam, inner, range(11))
         end = binomial.BinomialFamily(10, 0.2 if o < 0.5 else 0.8, 0.95)
         for w in range(11):
-            assert fam.interval_masses([w], inner)[0] == end.interval_masses([w], inner)[0]
+            one = range(w, w + 1)
+            assert fam.interval_masses(one, inner)[0] == end.interval_masses(one, inner)[0]
 
     def test_poisson_o_above_the_range(self):
         # Anchored above the range, the mass is the below branch's alone,
@@ -246,7 +264,8 @@ class TestBandRoute:
         quad = QuadratureSpec(1e-9, 30.0)
         fam = poisson.PoissonFamily(50.0, 0.95)
         _assert_band_route_matches_breakpoints(fam, quad, range(60))
-        assert all(0.0 <= fam.interval_masses([w], quad)[0] <= 30.0 for w in range(60))
+        masses = [fam.interval_masses(range(w, w + 1), quad)[0] for w in range(60)]
+        assert all(0.0 <= mass <= 30.0 for mass in masses)
 
     @pytest.mark.parametrize(
         "family, w, quad",
@@ -372,7 +391,7 @@ class TestBandRoute:
         for w in range(top + 1):
             discrete._memo.cache_clear()
             fresh = dataclasses.replace(fam)
-            mass = fresh.interval_masses([w], quad)[0]
+            mass = fresh.interval_masses(range(w, w + 1), quad)[0]
             one_by_one[w] = (mass, band_record(fresh, quad, w))
         discrete._memo.cache_clear()
         fam = dataclasses.replace(fam)
@@ -463,12 +482,12 @@ class TestBandRoute:
         # on the band integrals being kept on everything but o.
         omegas = range(first.support_upper(quad.upper) + 1)
         for w in omegas:
-            first.interval_masses([w], quad)[0]
+            first.interval_masses(range(w, w + 1), quad)[0]
         bands = {w: band_record(first, quad, w) for w in banded_counts(first, quad)}
         assert set(omegas) <= bands.keys()
         integrals = count_band_integrals(monkeypatch)
         for w in omegas:
-            second.interval_masses([w], quad)[0]
+            second.interval_masses(range(w, w + 1), quad)[0]
         assert {w: band_record(second, quad, w) for w in banded_counts(second, quad)} == bands
         # Only the partial integrals of the two bands that hold o remain.
         assert len(integrals) <= 2
@@ -504,14 +523,16 @@ class TestBandRoute:
         assert [band_record(fam, quad, w) for w in range(6)] == first
         assert not {(z0, z1) for z0, z1, *_ in first} & set(spans)
         assert not {(a1, a0) for _, _, a1, a0, *_ in first} & set(spans)
-        assert masses[:6] == small
+        assert masses[:6].tolist() == small.tolist()
         # A range that starts above 0, warm or from a cold memo, has the bits
         # of those counts of the range from 0, and a cold one fills only its
         # own counts' bands.
-        assert length.band_masses(fam, [(fam.o, range(200, 401))], quad)[0] == masses[200:]
+        assert np.array_equal(
+            length.band_masses(fam, [(fam.o, range(200, 401))], quad)[0], masses[200:])
         discrete._memo.cache_clear()
         fresh = dataclasses.replace(fam)
-        assert length.band_masses(fresh, [(fam.o, range(200, 401))], quad)[0] == masses[200:]
+        assert np.array_equal(
+            length.band_masses(fresh, [(fam.o, range(200, 401))], quad)[0], masses[200:])
         assert banded_counts(fresh, quad) == list(range(200, 401))
 
     def test_a_failed_call_keeps_no_band(self):
@@ -522,19 +543,19 @@ class TestBandRoute:
         discrete._memo.cache_clear()
         fam = binomial.BinomialFamily(10, 0.9, 0.95)
         with pytest.raises(ValueError, match="omega"):
-            fam.interval_masses([3, 11], UNIT)
-        mass = fam.interval_masses([3], UNIT)[0]
+            fam.interval_masses(range(3, 12), UNIT)
+        mass = fam.interval_masses(range(3, 4), UNIT)[0]
         discrete._memo.cache_clear()
-        assert mass == dataclasses.replace(fam).interval_masses([3], UNIT)[0]
+        assert mass == dataclasses.replace(fam).interval_masses(range(3, 4), UNIT)[0]
         tight = QuadratureSpec(0.0, 1.0, rel_tol=1e-300)
         for _ in range(2):
             with pytest.raises(ConvergenceError, match="at depth 30"):
-                fam.interval_masses([5], tight)
+                fam.interval_masses(range(5, 6), tight)
 
     def test_rejects_omega_outside_the_support(self):
         fam = binomial.BinomialFamily(10, 0.5, 0.95)
         with pytest.raises(ValueError, match="omega"):
-            fam.interval_masses([11], UNIT)[0]
+            fam.interval_masses(range(11, 12), UNIT)[0]
 
 
 class TestExpectedLength:
@@ -552,6 +573,36 @@ class TestExpectedLength:
             base = el_curve(fam, [theta], QuadratureSpec(1e-9, tau_max))[0]
             doubled = el_curve(fam, [theta], QuadratureSpec(1e-9, 2 * tau_max))[0]
             assert abs(base - doubled) < 1e-8
+
+
+class TestPrattSums:
+    @pytest.mark.parametrize(
+        "fam, grid, quad",
+        [
+            # Rows to the grid's largest support bound, in several blocks,
+            # each theta's own support ending at its own count.
+            (poisson.PoissonFamily(20.0, 0.95), np.linspace(0.5, 50.0, 100), FIG08_RANGE),
+            # n + 1 masses a row, more than a block holds: a row a block.
+            # The narrow range keeps most bands empty.
+            (
+                binomial.BinomialFamily(4096, 0.5, 0.95),
+                [0.3, 0.4995, 0.5, 0.5004, 0.7],
+                QuadratureSpec(0.499, 0.501),
+            ),
+        ],
+        ids=["poisson", "binomial-4096"],
+    )
+    def test_sums_do_not_depend_on_their_block(self, fam, grid, quad):
+        # Each theta's expected length and envelope point, summed in a grid
+        # of many blocks, has the bits of a one-point grid's.
+        grid = [float(t) for t in grid]
+        assert len(list(fam.by_blocks(grid, 0, None))) >= 3
+        discrete._memo.cache_clear()
+        el, bound = length.el_and_lower_bound(fam, grid, quad)
+        for theta, el_theta, bound_theta in zip(grid, el, bound):
+            fam.memo.envelope.clear()  # the point is summed again, alone
+            assert length.el_and_lower_bound(fam, [theta], quad) == ([el_theta], [bound_theta])
+            assert list(fam.memo.envelope) == [(quad, theta)]
 
 
 class TestCurves:
