@@ -28,21 +28,10 @@ expected-length engine all read it.  A point ``psi`` is one entry of a
 one-row grid, so many tau should be asked for as one grid.
 
 Neither branch depends on o; only the switch between them does.  Per
-omega, each branch has two band edges on the tau axis where it leaves 0
-and reaches 1 (its randomized band); they are the tau where an upper tail
-P[X >= k | tau] equals gamma or 1 - gamma.  They serve the band integrals
-of the expected-length engine, which integrates each branch over its band
-once and shares the result among all o (see :mod:`fuzzyci.length`);
-memberships at a tau need none of them.
-
-As no branch depends on o, all anchors of one model (the family's type and
-its fields but o) share one memo: the band edges as one array indexed by
-level and count, each stored once and read by the two counts whose bands
-it bounds, the full-band integrals as one array indexed by side and count
-per quadrature spec, and envelope points; one LRU over models holds the
-memos.  Any family object of a model serves as the model: the band route
-of :mod:`fuzzyci.length` takes one, with the anchors o and the range of
-counts whose masses each wants.
+omega, each branch leaves 0 and reaches 1 across a randomized band on the
+tau axis.  The band route of :mod:`fuzzyci.length` solves the band edges,
+keeps them per model and integrates each branch over its band, once for
+all o; memberships at a tau need none of it.
 
 Every family object, proposed or crisp, offers the protocol the coverage
 sums and the expected-length engine (:mod:`fuzzyci.length`) use:
@@ -70,11 +59,8 @@ sums and the expected-length engine (:mod:`fuzzyci.length`) use:
 
 :class:`Randomized` builds ``psi``, ``psi_rows``, the branches' array
 form ``branch_array(omega, above, tau)`` (above o where ``above``, else
-below) for points inside a band, over their numerator ``slack_array``,
-``interval_masses``, and ``band_edges(counts)``, the band edges of a range
-of counts as four arrays, those the memo lacks from one batched root solve
-``solve_band_edges(level, k)`` over two arrays, of a proposed family from
-what differs between the families:
+below) for points inside a band, and ``interval_masses`` of a proposed
+family from what differs between the families:
 
 - ``o``, ``gamma`` and ``tau_upper``: the parameter space is (0, tau_upper);
 - ``check(omega, tau)``: raise ``ValueError`` outside the domain;
@@ -84,6 +70,8 @@ what differs between the families:
   on the batch, so a memoized edge or integral has the same bits whatever
   batch computed it; its derivative in tau is k p(k | tau) / tau in both
   families;
+- ``edge_start(level, k)``: a closed-form start of the band-edge solve of
+  :func:`fuzzyci.length.solve_band_edges`, the tau where the tail is level;
 - ``log_pmf_array(omega, tau)``: the log mass function elementwise over
   arrays;
 - ``slack_rows(above, taus, p)``: the numerator above o if ``above``,
@@ -98,38 +86,12 @@ array of omega.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
-from functools import cached_property, lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
-from .length import _grown, band_masses
-from .specfun import _rtsafe
+from .length import band_masses
 
 __all__ = ["Randomized", "Crisp", "coverage"]
-
-
-# Bounded in models, not entries: a figure or a command reads one model, so
-# no support or grid size evicts what its next evaluation reads.
-@lru_cache(maxsize=8)
-def _memo(model) -> SimpleNamespace:
-    """What every anchor o of one model shares, each entry computed once.
-
-    ``edges`` is a (2 x K) array indexed by count k: row 0 holds the tau
-    where P[X >= k | tau] = 1 - gamma, row 1 where it is gamma, and NaN
-    where no edge is solved yet.  omega's band edges are columns omega and
-    omega + 1 of both rows, and the edges a range of counts lacks are
-    solved together, as one batch.  The expected-length engine keeps, per
-    quadrature spec, a (2 x K) array of the integrals of each count's
-    branch below and above o over its full band in ``bands[quad]`` (see
-    :func:`fuzzyci.length.band_masses`), and envelope points in
-    ``envelope[quad, theta]``.  Every table grows with the counts and points
-    asked for, none with the anchors o; an array grows by NaN padding, at
-    least doubling.  An entry is written only once its computation has
-    returned.
-    """
-    return SimpleNamespace(edges=np.full((2, 0), np.nan), bands={}, envelope={})
 
 
 # The most masses a block of rows holds, unless one row is wider.
@@ -166,9 +128,8 @@ class _Membership:
         top only, never on the block.
         """
         taus = np.asarray(taus, dtype=float).ravel()
-        if taus.size:
-            self.check(omega, float(taus.min()))
-            self.check(omega, float(taus.max()))
+        for tau in (taus.min(), taus.max()) if taus.size else ():
+            self.check(omega, float(tau))
         if top is None:
             top = self.support_upper(taus.max()) if taus.size else 0
         last = self.support_upper(self.tau_upper) if self.tau_upper < math.inf else top
@@ -184,69 +145,6 @@ class _Membership:
 class Randomized(_Membership):
     """The proposed membership of a discrete family anchored at ``o``."""
 
-    @cached_property
-    def memo(self) -> SimpleNamespace:
-        """The memo of this family's model: its type and every field but o."""
-        return _memo(
-            (type(self), *(getattr(self, f.name) for f in fields(self) if f.name != "o"))
-        )
-
-    def band_edges(self, counts: range) -> tuple:
-        """``(below_zero, below_one, above_one, above_zero)``: arrays of the counts' band edges.
-
-        They are the tails' level crossings of omega and omega + 1, at level
-        1 - gamma below o and gamma above it, for omega in the range
-        ``counts``.  omega's full-membership edge below o is omega + 1's
-        rejection edge, and likewise above o, so each edge is solved once
-        per model: the edges ``memo.edges`` lacks in the range's columns are
-        solved in one batch, and stored once it returns.  The arrays are
-        views of the memo's table, to be read only.
-        """
-        edges = self.memo.edges = _grown(self.memo.edges, counts.stop + 1)
-        block = edges[:, counts.start : counts.stop + 1]  # a view: writing it fills the memo
-        rows, columns = cold = np.nonzero(np.isnan(block))
-        if rows.size:
-            levels = np.array([1.0 - self.gamma, self.gamma])
-            block[cold] = self.solve_band_edges(levels[rows], counts.start + columns)
-        return block[0, :-1], block[0, 1:], block[1, :-1], block[1, 1:]
-
-    def solve_band_edges(self, level: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """The band edge of each element: the tau where P[X >= k | tau] = level.
-
-        One elementwise root solve on ``tail_array``, whose derivative in
-        tau is k p(k | tau) / tau in both families, from the family's closed
-        form start ``edge_start(level, k)``.  An unbounded space's bracket
-        ends a margin above the start, doubled for each element until its
-        tail reaches the level.  P[X >= 0] is 1 at every tau, so k = 0's edge
-        is 0, and a k past the whole space's support, the binomial's n + 1,
-        has its edge at tau_upper.  Every kernel evaluates each element from
-        its own arguments, so an edge is the same float whatever else the
-        batch holds.
-        """
-        edge = np.zeros(len(k))
-        top = self.support_upper(self.tau_upper) if self.tau_upper < math.inf else math.inf
-        edge[k > top] = self.tau_upper
-        solve = np.flatnonzero((k > 0) & (k <= top))
-        if not solve.size:
-            return edge
-        level, k = level[solve], k[solve]
-        start = self.edge_start(level, k)
-        if self.tau_upper < math.inf:
-            hi = np.full(len(k), self.tau_upper)
-        else:
-            # About a standard deviation of the gamma above the start.
-            hi, grow = start + 1.0 + np.sqrt(start), np.arange(len(k))
-            while grow.size:
-                grow = grow[self.tail_array(k[grow], hi[grow]) < level[grow]]
-                hi[grow] *= 2.0
-        edge[solve] = _rtsafe(
-            lambda i, tau: self.tail_array(k[i], tau),
-            lambda i, tau: k[i] * np.exp(self.log_pmf_array(k[i], tau)) / tau,
-            level, start, np.zeros(len(k)), hi,
-            lambda i: f"band edge failed for level={level[i]}, k={k[i]}",
-        )
-        return edge
-
     def psi_rows(self, taus: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Clamp form of ``psi(omega, tau)`` over the mass rows p, a row per tau.
 
@@ -261,23 +159,17 @@ class Randomized(_Membership):
         with np.errstate(all="ignore"):
             return np.where(slack > 0.0, np.minimum(1.0, slack / p), 0.0)
 
-    def slack_array(self, omega, above, tau) -> np.ndarray:
-        """The branch's numerator, above o where ``above``, else below, over arrays.
-
-        gamma - P[X < omega] below o and gamma - P[X > omega] above it, both
-        from the upper tail P[X >= k], k = omega or omega + 1.
-        """
-        upper = self.tail_array(omega + above, tau)
-        return np.where(above, self.gamma - upper, self.gamma - 1.0 + upper)
-
     def branch_array(self, omega, above, tau) -> np.ndarray:
         """The branch above o where ``above``, else below, elementwise over arrays.
 
         For tau strictly inside each element's band: every quadrature node
         lies there, so the 0 and 1 outside it are not needed.  The ratio is
-        ``slack_array`` over the mass from ``log_pmf_array``.
+        the numerator, gamma - P[X < omega] below o and gamma - P[X > omega]
+        above it, both from the upper tail P[X >= k], k = omega or
+        omega + 1, over the mass from ``log_pmf_array``.
         """
-        slack = self.slack_array(omega, above, tau)
+        upper = self.tail_array(omega + above, tau)
+        slack = np.where(above, self.gamma - upper, self.gamma - 1.0 + upper)
         positive = slack > 0.0
         with np.errstate(over="ignore"):
             ratio = np.exp(

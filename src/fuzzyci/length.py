@@ -13,36 +13,46 @@ range, in closed form (see :mod:`fuzzyci.discrete`); a proposed family's
 comes from the band integrals computed here.
 
 The membership of omega is its branch below o up to o and its branch
-above o from there on, and neither branch depends on o.  Each branch is 0
-or 1 outside its randomized band, between two of the family's band edges,
-so the mass at any anchor o is flat lengths plus one integral per branch:
-the branch below from its band's lower edge to o clipped into the band,
-the branch above from o so clipped to its band's upper edge.  That is the
-full band when the band lies wholly on its branch's side of o, a partial
+above o from there on, and neither branch depends on o; only the switch
+between them does.  Each branch is 0 or 1 outside its randomized band,
+between two band edges on the tau axis, the tau where an upper tail
+P[X >= k | tau] equals gamma or 1 - gamma, k = omega or omega + 1.  So the
+mass at any anchor o is flat lengths plus one integral per branch: the
+branch below from its band's lower edge to o clipped into the band, the
+branch above from o so clipped to its band's upper edge.  That is the full
+band when the band lies wholly on its branch's side of o, a partial
 integral when the band holds o, and nothing otherwise.  So the unit of
-this route is the o-free model, and an anchor o is a number passed with
-a range of counts.  One array per quadrature spec, in the model's memo,
-indexed by side and count, keeps each omega's two full-band integrals,
-beside the model's array of band edges, so every point of an envelope,
-and every curve of one figure, reads the same entries.  A
-partial integral serves one anchor and is not kept; envelope points are,
-per quadrature spec and theta, so the commands of a figure that share an
-envelope compute each point, and its partial integrals, once.
+this route is the o-free model, and an anchor o is a number passed with a
+range of counts.
+
+All anchors of one model (the family's type and its fields but o) share
+one memo, ``_memo(model)``: the band edges as one array indexed by level
+and count, each stored once and read by the two counts whose bands it
+bounds, the full-band integrals as one array indexed by side and count per
+quadrature spec, and envelope points; one LRU over models holds the memos.
+Any proposed family of a model serves as the model: :func:`band_edges`
+reads a range of counts' edges, those the memo lacks from one batched root
+solve, :func:`solve_band_edges`.  So every point of an envelope, and every
+curve of one figure, reads the same entries.  A partial integral serves
+one anchor and is not kept; envelope points are, per quadrature spec and
+theta, so the commands of a figure that share an envelope compute each
+point, and its partial integrals, once.
 
 :func:`band_masses` returns the masses of one model at anchors o, each at
-its own range of counts, as one float64 array per anchor, from
-whole-array operations over an (anchor x count) matrix.  Whatever integrals they lack are computed as one batch:
-both full bands of each count not seen before and the integrals up to each
-anchor.  A proposed family asks for its own o; an envelope asks once for
-every point it lacks, anchored at those points; and both curves of a
-proposed family, :func:`el_and_lower_bound`, ask in one batch.  The batch
-evaluates the branches (``branch_array``, over the vectorized kernels of
-:mod:`fuzzyci.specfun`) at the 30 Gauss-Legendre nodes of each band, 10 on
-the band and 10 on each half, in one array pass, then refines in further
-passes only the panels whose halves disagree with the whole: adaptive
-bisection with the tolerance halved per level, a floor on the panel width,
-and a :class:`~fuzzyci.specfun.ConvergenceError` for a panel that fails at
-depth 30.  An integral is the sum of its accepted panels in order of their
+its own range of counts, as one float64 array per anchor, from whole-array
+operations over an (anchor x count) matrix.  Whatever integrals they lack
+are computed as one batch: both full bands of each count not seen before
+and the integrals up to each anchor.  A proposed family asks for its own
+o; an envelope asks once for every point it lacks, anchored at those
+points; and both curves of a proposed family, :func:`el_and_lower_bound`,
+ask in one batch.  The batch evaluates the branches (``branch_array``,
+over the vectorized kernels of :mod:`fuzzyci.specfun`) at the 30
+Gauss-Legendre nodes of each band, 10 on the band and 10 on each half, in
+one array pass, then refines in further passes only the panels whose
+halves disagree with the whole: adaptive bisection with the tolerance
+halved per level, a floor on the panel width, and a
+:class:`~fuzzyci.specfun.ConvergenceError` for a panel that fails at depth
+30.  An integral is the sum of its accepted panels in order of their
 left ends, so its bits do not depend on the batch that computed it.
 
 The envelope no admissible membership's curve can undercut is the expected
@@ -56,12 +66,14 @@ value depends on the block that holds it, nor on the other thetas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from .specfun import ConvergenceError
+from .specfun import ConvergenceError, _rtsafe
 
 __all__ = [
     "QuadratureSpec",
@@ -191,11 +203,96 @@ def _grown(table: np.ndarray, stop: int) -> np.ndarray:
     return np.pad(table, ((0, 0), (0, max(stop, 2 * width) - width)), constant_values=np.nan)
 
 
+# Bounded in models, not entries: a figure or a command reads one model, so
+# no support or grid size evicts what its next evaluation reads.
+@lru_cache(maxsize=8)
+def _memos(model: tuple) -> SimpleNamespace:
+    return SimpleNamespace(edges=np.full((2, 0), np.nan), bands={}, envelope={})
+
+
+def _memo(model) -> SimpleNamespace:
+    """The memo every anchor o of one model shares; ``model`` is any family of it.
+
+    The LRU ``_memos`` keys it by the family's type and every field but o.
+    ``edges`` is a (2 x K) array indexed by count k: row 0 holds the tau
+    where P[X >= k | tau] = 1 - gamma, row 1 where it is gamma, and NaN
+    where no edge is solved yet.  omega's band edges are columns omega and
+    omega + 1 of both rows, and the edges a range of counts lacks are
+    solved together, as one batch.  ``bands[quad]`` is a (2 x K) array of
+    the integrals of each count's branch below and above o over its full
+    band (see :func:`band_masses`), and ``envelope[quad, theta]`` holds
+    envelope points.  Every table grows with the counts and points asked
+    for, none with the anchors o, and each entry is computed once; an array
+    grows by NaN padding, at least doubling.  An entry is written only once
+    its computation has returned.
+    """
+    return _memos((type(model), *(getattr(model, f.name) for f in fields(model) if f.name != "o")))
+
+
+def band_edges(model, counts: range) -> tuple:
+    """``(below_zero, below_one, above_one, above_zero)``: arrays of the counts' band edges.
+
+    They are the tails' level crossings of omega and omega + 1, at level
+    1 - gamma below o and gamma above it, for omega in the range
+    ``counts``.  omega's full-membership edge below o is omega + 1's
+    rejection edge, and likewise above o, so each edge is solved once per
+    model: the edges the memo's ``edges`` lacks in the range's columns are
+    solved in one batch, and stored once it returns.  The arrays are views
+    of the memo's table, to be read only.
+    """
+    memo = _memo(model)
+    edges = memo.edges = _grown(memo.edges, counts.stop + 1)
+    block = edges[:, counts.start : counts.stop + 1]  # a view: writing it fills the memo
+    rows, columns = cold = np.nonzero(np.isnan(block))
+    if rows.size:
+        levels = np.array([1.0 - model.gamma, model.gamma])
+        block[cold] = solve_band_edges(model, levels[rows], counts.start + columns)
+    return block[0, :-1], block[0, 1:], block[1, :-1], block[1, 1:]
+
+
+def solve_band_edges(model, level: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The band edge of each element: the tau where P[X >= k | tau] = level.
+
+    One elementwise root solve on the family's ``tail_array``, whose
+    derivative in tau is k p(k | tau) / tau in both families, from its
+    closed form start ``edge_start(level, k)``.  An unbounded space's
+    bracket ends a margin above the start, doubled for each element until
+    its tail reaches the level.  P[X >= 0] is 1 at every tau, so k = 0's
+    edge is 0, and a k past the whole space's support, the binomial's
+    n + 1, has its edge at tau_upper.  Every kernel evaluates each element
+    from its own arguments, so an edge is the same float whatever else the
+    batch holds.
+    """
+    edge = np.zeros(len(k))
+    top = model.support_upper(model.tau_upper) if model.tau_upper < math.inf else math.inf
+    edge[k > top] = model.tau_upper
+    solve = np.flatnonzero((k > 0) & (k <= top))
+    if not solve.size:
+        return edge
+    level, k = level[solve], k[solve]
+    start = model.edge_start(level, k)
+    if model.tau_upper < math.inf:
+        hi = np.full(len(k), model.tau_upper)
+    else:
+        # About a standard deviation of the gamma above the start.
+        hi, grow = start + 1.0 + np.sqrt(start), np.arange(len(k))
+        while grow.size:
+            grow = grow[model.tail_array(k[grow], hi[grow]) < level[grow]]
+            hi[grow] *= 2.0
+    edge[solve] = _rtsafe(
+        lambda i, tau: model.tail_array(k[i], tau),
+        lambda i, tau: k[i] * np.exp(model.log_pmf_array(k[i], tau)) / tau,
+        level, start, np.zeros(len(k)), hi,
+        lambda i: f"band edge failed for level={level[i]}, k={k[i]}",
+    )
+    return edge
+
+
 def band_masses(model, requests, quad: QuadratureSpec) -> list[np.ndarray]:
     """Masses of one model's memberships: the branch below o up to o, above on.
 
     ``model`` is any proposed family of the model, whose memo, band edges
-    and branches serve every anchor; its own o plays no part.  ``requests``
+    and ``branch_array`` serve every anchor; its own o plays no part.  ``requests``
     pairs anchors o with the range of counts whose masses each needs, and
     each range is checked at its two ends against its anchor, as each
     support is an interval, before any work starts; an empty range checks
@@ -221,8 +318,8 @@ def band_masses(model, requests, quad: QuadratureSpec) -> list[np.ndarray]:
     if not ranges:
         return [np.zeros(0) for _ in requests]
     span = range(min(c.start for c in ranges), max(c.stop for c in ranges))
-    z0, z1, a1, a0 = (np.clip(e, quad.lower, quad.upper) for e in model.band_edges(span))
-    bands = model.memo.bands
+    z0, z1, a1, a0 = (np.clip(e, quad.lower, quad.upper) for e in band_edges(model, span))
+    bands = _memo(model).bands
     bands[quad] = _grown(bands.get(quad, np.full((2, 0), np.nan)), span.stop)
     full = bands[quad][:, span.start : span.stop]  # a view: writing it fills the memo
     # A row per request: its anchor o, clipped to the range, and its counts.
@@ -298,15 +395,15 @@ def lower_bound_curve(
 def el_and_lower_bound(fam, theta_grid: Sequence[float], quad: QuadratureSpec) -> tuple:
     """``el_curve`` and ``lower_bound_curve`` of one grid, the same values as each alone.
 
-    A proposed family holds the memo of its envelope's model, so where the
-    envelope lacks points, the family's own masses join their
-    :func:`band_masses` batch: one root solve and one integration serve
-    both curves.  Otherwise its masses come from ``interval_masses``.
+    A proposed family, one with a ``branch_array``, is of its envelope's
+    model, so where the envelope lacks points, the family's own masses join
+    their :func:`band_masses` batch: one root solve and one integration
+    serve both curves.  Otherwise its masses come from ``interval_masses``.
     """
     thetas = [float(t) for t in theta_grid]
     tops = [fam.support_upper(theta) for theta in thetas]
     counts = range(max(tops, default=-1) + 1)
-    own = [(fam.o, counts)] if hasattr(fam, "memo") else []
+    own = [(fam.o, counts)] if hasattr(fam, "branch_array") else []
     bound, masses = _envelope(fam, thetas, quad, own)
     masses = masses[0] if masses else fam.interval_masses(counts, quad)
     return _pratt_sums(fam, thetas, tops, [masses] * len(thetas)), bound
@@ -319,7 +416,7 @@ def _envelope(fam, thetas, quad, own) -> tuple[list[float], list]:
     such point, no batch runs and no own masses are returned.
     """
     model = fam.reference(thetas[0]) if thetas else None
-    envelope = model.memo.envelope if thetas else {}
+    envelope = _memo(model).envelope if thetas else {}
     cold = [theta for theta in dict.fromkeys(thetas) if (quad, theta) not in envelope]
     masses = []
     if cold:

@@ -116,8 +116,10 @@ class _Normal:
         """Envelope below every membership's expected-length curve.
 
         The expected length at theta of the construction anchored at the
-        true mean, o = theta.
+        true mean, o = theta, an anchor that must lie inside the bounds.
         """
+        if not self._require_bounds()[0] <= theta <= self.bounds[1]:
+            raise ValueError(f"theta must lie inside the bounds {self.bounds}, got {theta}")
         return self._el_anchored(theta, theta)
 
     def _el_anchored(self, o: float, theta: float) -> float:

@@ -11,7 +11,7 @@ In every array kernel each element's value depends on its own arguments
 only, not on the rest of the array.
 
 All functions are pure and reentrant.  One elementwise root finder,
-``_rtsafe``, solves the band edges of :mod:`fuzzyci.discrete`, a whole
+``_rtsafe``, solves the band edges of :mod:`fuzzyci.length`, a whole
 batch per call, from the families' closed-form starts, whose normal
 deviates come from :func:`start_quantiles`.  Each element stops once it
 meets the absolute residual ``_ABS_TOL`` and its Newton step is within
@@ -136,7 +136,7 @@ def reg_inc_beta_array(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
 def _rtsafe(cdf, pdf, p, x, lo, hi, failure) -> np.ndarray:
     """Solve ``cdf(x) = p`` for x in the bracket [lo, hi], starting at x, elementwise.
 
-    It solves the band edges of :mod:`fuzzyci.discrete`, a batch per call.
+    It solves the band edges of :mod:`fuzzyci.length`, a batch per call.
     ``p``, ``x``, ``lo`` and ``hi`` are arrays of one length;
     ``cdf(i, x)`` and ``pdf(i, x)`` evaluate elements ``i`` at ``x`` over
     arrays, where ``i`` holds the indices of the elements still iterating.

@@ -20,7 +20,7 @@ from oracles import (
     scalar_coverage,
 )
 
-from fuzzyci import binomial, discrete, normal, poisson
+from fuzzyci import binomial, discrete, length, normal, poisson
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.knapsack import KnapsackInstance, solve_01_dp, solve_fractional, to_measure_problem
 from fuzzyci.length import QuadratureSpec, el_curve, lower_bound_curve
@@ -383,7 +383,7 @@ def test_criterion_9_special_function_identities():
     beta = reg_inc_beta_array(np.array([0.5, 0.6, 0.6]), np.array([1, 2, 1]), np.array([1, 1, 2]))
     checks = (np.abs(beta - [0.5, 0.36, 0.84]) < 1e-12).tolist()
     counts = poisson.PoissonFamily(1.0, 0.95)
-    high, half = counts.solve_band_edges(np.array([0.95, 0.5]), np.array([1, 1]))
+    high, half = length.solve_band_edges(counts, np.array([0.95, 0.5]), np.array([1, 1]))
     checks.append(abs(high + math.log(0.05)) < 1e-10)
     checks.append(abs(half - math.log(2.0)) < 1e-10)
     checks.append(abs(normal_cdf(0.0) - 0.5) < 1e-12)
@@ -399,7 +399,7 @@ def test_criterion_9_special_function_identities():
     def round_trip(fam, keys):
         # Each edge's level back from the tail, over one batch of edges.
         level, k = (np.array(v) for v in zip(*keys))
-        edges = fam.solve_band_edges(level, k)
+        edges = length.solve_band_edges(fam, level, k)
         return float(np.max(np.abs(fam.tail_array(k, edges) - level)))
 
     worst_rt = 0.0

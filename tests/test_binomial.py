@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzyci import length
 from fuzzyci.binomial import MAX_N, SUM_MAX_N, AgrestiCoull, BinomialFamily
 from fuzzyci.discrete import coverage
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
@@ -22,7 +23,7 @@ def binomial_measure(n, theta):
 class TestPsiLower:
     def test_rejected_region(self):
         fam = BinomialFamily(10, 0.5, 0.95)
-        threshold = fam.band_edges(range(3, 4))[0][0]  # P[X >= 3 | tau] = 0.05
+        threshold = length.band_edges(fam, range(3, 4))[0][0]  # P[X >= 3 | tau] = 0.05
         assert 0.05 < threshold
         assert fam.psi(3, 0.05) == 0.0
 
@@ -39,7 +40,7 @@ class TestPsiLower:
         # The zero branch never fires for omega = 0: psi = gamma/(1-tau)^n
         # throughout the randomized region, and 1 beyond it.
         fam = BinomialFamily(10, 0.5, 0.95)
-        upper = fam.band_edges(range(1))[1][0]  # P[X >= 1 | tau] = 0.05
+        upper = length.band_edges(fam, range(1))[1][0]  # P[X >= 1 | tau] = 0.05
         for tau in (1e-6, 1e-3, 0.9 * upper):
             assert fam.psi(0, tau) == pytest.approx(
                 0.95 / (1.0 - tau) ** 10, rel=1e-9

@@ -177,8 +177,7 @@ class TestMembershipCommand:
         def refuse(*args):
             raise AssertionError("a band edge was solved")
 
-        for cls in (binomial.BinomialFamily, poisson.PoissonFamily):
-            monkeypatch.setattr(cls, "solve_band_edges", refuse)
+        monkeypatch.setattr(length, "solve_band_edges", refuse)
         status, out = run_cli(
             capsys, "membership", *argv, "--gamma", "0.9471625",
             "--tau-grid", "0.05:0.95:19",
@@ -454,7 +453,7 @@ def _run_cold(argv):
 
     The command must exit 0 and write nothing to stderr.
     """
-    discrete._memo.cache_clear()
+    length._memos.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with contextlib.redirect_stdout(io.StringIO()) as out, \
@@ -650,6 +649,18 @@ class TestElCurveCommand:
         header, rows = parse_csv(out)
         assert header == ["theta", "lower_bound"]
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("command", [("lower-bound",), ("el-curve", "--o", "0.5")],
+                             ids=["lower-bound", "el-curve"])
+    def test_normal_lower_bound_refuses_theta_outside_the_bounds(self, capsys, command):
+        # The envelope at theta = -1 would anchor below a = 0; the command
+        # exits 2 naming theta and the bounds, and writes no row.
+        status = main([*command, "--family", "normal", "--gamma", "0.95", "--sigma", "0.3",
+                       "--a=0", "--b=1", "--theta-grid=-1:2:4"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: theta must lie inside the bounds (0.0, 1.0), got -1.0\n"
 
     def test_poisson_lower_bound_above_mean_700(self, capsys):
         # Above tau = 700 each CDF sums its masses from tau - 10 sqrt(tau) up,
@@ -875,9 +886,8 @@ class TestOversizedInput:
 
         monkeypatch.setattr(np, "linspace", capped)
         monkeypatch.setattr(discrete._Membership, "psi_counts", refuse)
-        monkeypatch.setattr(poisson.PoissonFamily, "solve_band_edges", refuse)
+        monkeypatch.setattr(length, "solve_band_edges", refuse)
         monkeypatch.setattr(poisson.ScoreInterval, "endpoints", refuse)
-        monkeypatch.setattr(binomial.BinomialFamily, "solve_band_edges", refuse)
         monkeypatch.setattr(binomial.AgrestiCoull, "endpoints", refuse)
 
     @pytest.mark.parametrize(
@@ -1510,7 +1520,7 @@ class TestParserReuse:
             if name.startswith("fig") and name.endswith(".json")
         )
         assert len(recipes) == 10
-        discrete._memo.cache_clear()
+        length._memos.cache_clear()
         misses = []
         compute = length.band_masses
 

@@ -18,38 +18,39 @@ from oracles import (
     scalar_psi,
 )
 
-from fuzzyci import binomial, discrete, poisson, specfun
+from fuzzyci import binomial, length, poisson, specfun
 from fuzzyci.discrete import coverage
 from fuzzyci.length import QuadratureSpec, band_masses
 from fuzzyci.specfun import ConvergenceError, log_factorials
 
 
 def count_solves(monkeypatch, cls):
-    """Record the (level, k) pairs of every band-edge batch of ``cls`` from now on.
+    """Record the (level, k) pairs of every band-edge batch of a ``cls`` model from now on.
 
     One list of pairs per batch.
     """
     batches = []
-    solve = cls.solve_band_edges
+    solve = length.solve_band_edges
 
-    def counted(self, level, k):
-        batches.append(list(zip(level.tolist(), k.tolist())))
-        return solve(self, level, k)
+    def counted(model, level, k):
+        if type(model) is cls:
+            batches.append(list(zip(level.tolist(), k.tolist())))
+        return solve(model, level, k)
 
-    monkeypatch.setattr(cls, "solve_band_edges", counted)
+    monkeypatch.setattr(length, "solve_band_edges", counted)
     return batches
 
 
 def count_root_solves(monkeypatch):
     """Record the number of elements of every band-edge root solve from now on."""
     calls = []
-    rtsafe = discrete._rtsafe
+    rtsafe = length._rtsafe
 
     def counted(cdf, pdf, p, *args):
         calls.append(len(p))
         return rtsafe(cdf, pdf, p, *args)
 
-    monkeypatch.setattr(discrete, "_rtsafe", counted)
+    monkeypatch.setattr(length, "_rtsafe", counted)
     return calls
 
 
@@ -63,7 +64,7 @@ def one_key_solves(fam, omega):
 
 def count_edges(fam, omega):
     """omega's four band edges from ``band_edges``, as a tuple of floats."""
-    return tuple(np.concatenate(fam.band_edges(range(omega, omega + 1))).tolist())
+    return tuple(np.concatenate(length.band_edges(fam, range(omega, omega + 1))).tolist())
 
 
 @pytest.mark.parametrize(
@@ -85,15 +86,15 @@ def count_edges(fam, omega):
 def test_families_differing_only_in_o_share_one_memo(first, second, taus, monkeypatch):
     # Every anchor of a model reads one memo; its cost rests on the band
     # edges being kept on everything but o.
-    assert first.memo is second.memo
+    assert length._memo(first) is length._memo(second)
     top = first.support_upper(max(taus))
-    first.band_edges(range(top + 1))
-    before = first.memo.edges.copy()
+    length.band_edges(first, range(top + 1))
+    before = length._memo(first).edges.copy()
     solves = count_solves(monkeypatch, type(first))
-    assert (np.array(second.band_edges(range(top + 1))).tolist()
-            == np.array(first.band_edges(range(top + 1))).tolist())
+    assert (np.array(length.band_edges(second, range(top + 1))).tolist()
+            == np.array(length.band_edges(first, range(top + 1))).tolist())
     assert solves == []
-    assert np.array_equal(second.memo.edges, before, equal_nan=True)
+    assert np.array_equal(length._memo(second).edges, before, equal_nan=True)
 
 
 def test_coverage_leaves_the_memos_untouched():
@@ -103,11 +104,11 @@ def test_coverage_leaves_the_memos_untouched():
         binomial.BinomialFamily(40, 0.4, gamma),
         poisson.PoissonFamily(6.0, gamma),
     )
-    before = discrete._memo.cache_info()
+    before = length._memos.cache_info()
     for fam in families:
         for tau in (0.2, fam.o, 0.7 if fam.tau_upper == 1.0 else 11.0):
             assert 0.0 < coverage(tau, fam) < 1.0
-    assert discrete._memo.cache_info() == before
+    assert length._memos.cache_info() == before
     assert all("memo" not in vars(fam) for fam in families)
 
 
@@ -123,12 +124,12 @@ def test_shared_band_edges_give_the_four_solve_thresholds(gamma):
     models = [(binomial.BinomialFamily(n, 0.5, gamma), n + 1) for n in (1, 2, 10, 40, 300)]
     models.append((poisson.PoissonFamily(1.0, gamma), 151))
     for fam, count in models:
-        edges = fam.band_edges(range(count))
-        rows, k = np.nonzero(~np.isnan(fam.memo.edges))
+        edges = length.band_edges(fam, range(count))
+        rows, k = np.nonzero(~np.isnan(length._memo(fam).edges))
         order = rng.permutation(len(k))
         level = np.array([1.0 - gamma, gamma])[rows[order]]
-        assert (fam.solve_band_edges(level, k[order]).tolist()
-                == fam.memo.edges[rows[order], k[order]].tolist())
+        assert (length.solve_band_edges(fam, level, k[order]).tolist()
+                == length._memo(fam).edges[rows[order], k[order]].tolist())
         for w in sorted({*range(0, count, max(1, count // 20)), count - 1}):
             assert tuple(e[w] for e in edges) == one_key_solves(fam, w)
 
@@ -146,14 +147,14 @@ def test_each_band_edge_is_solved_once(fam, monkeypatch):
     roots = count_root_solves(monkeypatch)
     quad = QuadratureSpec(1e-3, 0.999 if fam.tau_upper == 1.0 else 60.0)
     band_masses(fam, [(fam.o, range(41))], quad)
-    assert sorted(vars(fam.memo)) == ["bands", "edges", "envelope"]
+    assert sorted(vars(length._memo(fam))) == ["bands", "edges", "envelope"]
     assert len(solves) == len(roots) == 1
     keys = solves[0]
-    solved = np.count_nonzero(~np.isnan(fam.memo.edges))
+    solved = np.count_nonzero(~np.isnan(length._memo(fam).edges))
     assert len(keys) == len(set(keys)) == solved == 2 * (40 + 2)
     # k = 0, and the binomial's n + 1, need no root.
     assert roots == [len(keys) - (4 if fam.tau_upper == 1.0 else 2)]
-    fam.band_edges(range(41))
+    length.band_edges(fam, range(41))
     band_masses(fam, [(fam.o, range(41))], QuadratureSpec(0.1, 0.9))
     assert len(solves) == len(roots) == 1
 
@@ -166,7 +167,7 @@ def test_band_masses_checks_every_count_before_solving():
     model = binomial.BinomialFamily(n, 0.5, 0.9361729)
     with pytest.raises(ValueError):
         band_masses(model, [(0.5, range(n + 2))], QuadratureSpec(1e-3, 0.999))
-    assert model.memo.edges.size == 0 and model.memo.bands == {}
+    assert length._memo(model).edges.size == 0 and length._memo(model).bands == {}
 
 
 def test_a_failed_solve_stores_nothing(monkeypatch):
@@ -175,9 +176,9 @@ def test_a_failed_solve_stores_nothing(monkeypatch):
     fam = binomial.BinomialFamily(10, 0.5, gamma)
     monkeypatch.setattr(specfun, "_MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match="band edge"):
-        fam.band_edges(range(3, 4))
+        length.band_edges(fam, range(3, 4))
     # No edge of the failed batch is kept.
-    assert np.isnan(fam.memo.edges).all()
+    assert np.isnan(length._memo(fam).edges).all()
     monkeypatch.undo()
     assert count_edges(fam, 3) == one_key_solves(fam, 3)
 
@@ -198,7 +199,7 @@ def count_tails(monkeypatch, cls):
 def solve(fam, keys):
     """The ``(level, k)`` pairs ``keys`` as two arrays, with their edges from one batch."""
     level, k = (np.array(v) for v in zip(*keys))
-    return level, k, fam.solve_band_edges(level, k)
+    return level, k, length.solve_band_edges(fam, level, k)
 
 
 def solve_keys(fam, keys):
@@ -363,7 +364,7 @@ class TestSolveEdge:
         # Every edge of one band_edges batch, sampled at n = 1000, meets the
         # residual at 40 digits, and each level's edges rise with k.
         pytest.importorskip("mpmath")
-        edges = fam.band_edges(range(top + 1))
+        edges = length.band_edges(fam, range(top + 1))
         for level, column in ((1.0 - fam.gamma, 0), (fam.gamma, 2)):
             by_k = np.append(edges[column], edges[column + 1][-1])  # k = 0..top + 1
             assert np.all(np.diff(by_k) >= 0.0), level
@@ -374,16 +375,16 @@ class TestSolveEdge:
 
 
 def test_memos_are_bounded_in_models():
-    limit = discrete._memo.cache_info().maxsize
+    limit = length._memos.cache_info().maxsize
     assert limit is not None
     # Gammas no other test uses: each family is a model of its own.
     families = [binomial.BinomialFamily(3, 0.5, 0.8 + 1e-7 * i) for i in range(limit + 1)]
-    memos = [fam.memo for fam in families]
+    memos = [length._memo(fam) for fam in families]
     assert len(set(map(id, memos))) == limit + 1
-    assert discrete._memo.cache_info().currsize == limit
+    assert length._memos.cache_info().currsize == limit
     # The least recently used model was dropped: a new anchor starts afresh.
-    assert binomial.BinomialFamily(3, 0.2, families[0].gamma).memo is not memos[0]
-    assert binomial.BinomialFamily(3, 0.2, families[-1].gamma).memo is memos[-1]
+    assert length._memo(binomial.BinomialFamily(3, 0.2, families[0].gamma)) is not memos[0]
+    assert length._memo(binomial.BinomialFamily(3, 0.2, families[-1].gamma)) is memos[-1]
 
 
 def test_log_factorials_are_lgamma_values():
@@ -450,7 +451,7 @@ def test_psi_column_is_as_accurate_as_the_scalar_route(fam, taus):
         column_error = scalar_error = 0.0
         inside = 0
         omegas = range(fam.support_upper(tau) + 1)
-        for w, (z0, z1, a1, a0) in enumerate(zip(*fam.band_edges(omegas))):
+        for w, (z0, z1, a1, a0) in enumerate(zip(*length.band_edges(fam, omegas))):
             if not (a1 < tau < a0 if tau > fam.o else z0 < tau < z1):
                 continue
             inside += 1
@@ -493,7 +494,7 @@ def test_branch_array_matches_scalar_branch_inside_the_bands(fam, omegas, around
     # omega = 0 and omega = n are among the counts.  Kernels and log masses
     # differ by up to 1.4e-14 in the slack psi * p, the ratio's numerator.
     straddling = 0
-    for w, (z0, z1, a1, a0) in zip(omegas, zip(*fam.band_edges(omegas))):
+    for w, (z0, z1, a1, a0) in zip(omegas, zip(*length.band_edges(fam, omegas))):
         for above, a, b in ((False, z0, z1), (True, a1, a0)):
             if not a < b:
                 continue

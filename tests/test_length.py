@@ -1,7 +1,5 @@
 """Tests for the expected-length engine."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,16 +45,16 @@ def band_record(fam, quad, w):
     of the branch below over [z0, z1] and of the branch above over [a1, a0]
     in ``memo.bands[quad]``; an empty band's integral is 0.
     """
-    edges = np.clip(fam.memo.edges[:, w : w + 2], quad.lower, quad.upper)
+    edges = np.clip(length._memo(fam).edges[:, w : w + 2], quad.lower, quad.upper)
     (z0, z1), (a1, a0) = edges.tolist()
-    full_below, full_above = fam.memo.bands[quad][:, w].tolist()
+    full_below, full_above = length._memo(fam).bands[quad][:, w].tolist()
     assert (z0 < z1 or full_below == 0.0) and (a1 < a0 or full_above == 0.0)
     return z0, z1, a1, a0, full_below, full_above
 
 
 def banded_counts(fam, quad):
     """The counts whose full-band integrals the memo keeps for ``quad``."""
-    return np.flatnonzero(~np.isnan(fam.memo.bands[quad][0])).tolist()
+    return np.flatnonzero(~np.isnan(length._memo(fam).bands[quad][0])).tolist()
 
 
 def memo_entries(memo):
@@ -279,7 +277,7 @@ class TestBandRoute:
     def test_o_on_a_band_edge(self, family, w, quad):
         # Anchored exactly on z0, z1, a1 or a0 of omega, that band's end is
         # its near edge (an empty integral) or its far edge (the full band).
-        for edge in np.concatenate(family(0.5).band_edges(range(w, w + 1))).tolist():
+        for edge in np.concatenate(length.band_edges(family(0.5), range(w, w + 1))).tolist():
             fam = family(edge)
             top = fam.support_upper(quad.upper)
             _assert_band_route_matches_breakpoints(fam, quad, range(top + 1))
@@ -336,7 +334,7 @@ class TestBandRoute:
         # Every full band of a model, degenerate shapes (omega = 0, omega = n,
         # Poisson omega = 0) included, against one scalar bisection per band
         # over the scalar branches.
-        discrete._memo.cache_clear()
+        length._memos.cache_clear()
         top = fam.support_upper(quad.upper)
         fam.interval_masses(range(top + 1), quad)
         for w in range(top + 1):
@@ -384,17 +382,14 @@ class TestBandRoute:
         # One count at a time, through interval_masses, or all counts of the
         # model and their partial integrals in one el_curve batch: the same
         # bits.  The degenerate bands of omega = 0 and omega = top are in
-        # both.  A family keeps the memo it first read, so each cold memo
-        # is read through a fresh copy of the family.
+        # both, and each count alone reads a cold memo.
         top = fam.support_upper(quad.upper)
         one_by_one = {}
         for w in range(top + 1):
-            discrete._memo.cache_clear()
-            fresh = dataclasses.replace(fam)
-            mass = fresh.interval_masses(range(w, w + 1), quad)[0]
-            one_by_one[w] = (mass, band_record(fresh, quad, w))
-        discrete._memo.cache_clear()
-        fam = dataclasses.replace(fam)
+            length._memos.cache_clear()
+            mass = fam.interval_masses(range(w, w + 1), quad)[0]
+            one_by_one[w] = (mass, band_record(fam, quad, w))
+        length._memos.cache_clear()
         masses = fam.interval_masses(range(top + 1), quad)
         el_curve(fam, [0.5 * (quad.lower + quad.upper)], quad)
         for w in range(top + 1):
@@ -418,11 +413,10 @@ class TestBandRoute:
         # the two curves are one computation, whichever comes first.
         for o in anchors:
             fam = family(o)
-            discrete._memo.cache_clear()
+            length._memos.cache_clear()
             el_first = el_curve(fam, [o], quad)
             assert el_first == lower_bound_curve(fam, [o], quad)
-            discrete._memo.cache_clear()
-            fam = family(o)  # a family keeps the memo it first read
+            length._memos.cache_clear()
             bound_first = lower_bound_curve(fam, [o], quad)
             assert bound_first == el_curve(fam, [o], quad) == el_first
 
@@ -439,11 +433,9 @@ class TestBandRoute:
         # An el-curve command's two curves: a proposed family's own masses
         # join the envelope's cold points in one batch, with the values of
         # each curve computed alone from cold memos.
-        discrete._memo.cache_clear()
-        alone = (el_curve(dataclasses.replace(fam), grid, quad),
-                 lower_bound_curve(dataclasses.replace(fam), grid, quad))
-        discrete._memo.cache_clear()
-        fam = dataclasses.replace(fam)  # a family keeps the memo it first read
+        length._memos.cache_clear()
+        alone = el_curve(fam, grid, quad), lower_bound_curve(fam, grid, quad)
+        length._memos.cache_clear()
         calls = []
         integrate = length._integrate
 
@@ -501,20 +493,20 @@ class TestBandRoute:
         fam = poisson.PoissonFamily(300.0, 0.9417263)
         quad = QuadratureSpec(1e-9, 600.0)
         small = length.band_masses(fam, [(fam.o, range(6))], quad)[0]
-        memo = fam.memo
+        memo = length._memo(fam)
         assert memo.edges.shape == (2, 7) and memo.bands[quad].shape == (2, 6)
         first = [band_record(fam, quad, w) for w in range(6)]
         edges = memo.edges.tolist()
         length.band_masses(fam, [(fam.o, range(8))], quad)
         assert memo.edges.shape == (2, 14) and memo.bands[quad].shape == (2, 12)
         solved = []
-        solve = poisson.PoissonFamily.solve_band_edges
+        solve = length.solve_band_edges
 
-        def counted(self, level, k):
+        def counted(model, level, k):
             solved.extend(k.tolist())
-            return solve(self, level, k)
+            return solve(model, level, k)
 
-        monkeypatch.setattr(poisson.PoissonFamily, "solve_band_edges", counted)
+        monkeypatch.setattr(length, "solve_band_edges", counted)
         spans = count_band_integrals(monkeypatch)
         masses = length.band_masses(fam, [(fam.o, range(401))], quad)[0]
         assert memo.edges.shape[1] >= 402 and memo.bands[quad].shape[1] >= 401
@@ -529,24 +521,23 @@ class TestBandRoute:
         # own counts' bands.
         assert np.array_equal(
             length.band_masses(fam, [(fam.o, range(200, 401))], quad)[0], masses[200:])
-        discrete._memo.cache_clear()
-        fresh = dataclasses.replace(fam)
+        length._memos.cache_clear()
         assert np.array_equal(
-            length.band_masses(fresh, [(fam.o, range(200, 401))], quad)[0], masses[200:])
-        assert banded_counts(fresh, quad) == list(range(200, 401))
+            length.band_masses(fam, [(fam.o, range(200, 401))], quad)[0], masses[200:])
+        assert banded_counts(fam, quad) == list(range(200, 401))
 
     def test_a_failed_call_keeps_no_band(self):
         # A band is kept once its full-band integrals are: after a call that
         # fails, a later one integrates the band again, and fails again
         # where the first failed.  With o = 0.9 omega = 3's mass needs its
         # full band below o.
-        discrete._memo.cache_clear()
+        length._memos.cache_clear()
         fam = binomial.BinomialFamily(10, 0.9, 0.95)
         with pytest.raises(ValueError, match="omega"):
             fam.interval_masses(range(3, 12), UNIT)
         mass = fam.interval_masses(range(3, 4), UNIT)[0]
-        discrete._memo.cache_clear()
-        assert mass == dataclasses.replace(fam).interval_masses(range(3, 4), UNIT)[0]
+        length._memos.cache_clear()
+        assert mass == fam.interval_masses(range(3, 4), UNIT)[0]
         tight = QuadratureSpec(0.0, 1.0, rel_tol=1e-300)
         for _ in range(2):
             with pytest.raises(ConvergenceError, match="at depth 30"):
@@ -597,12 +588,12 @@ class TestPrattSums:
         # of many blocks, has the bits of a one-point grid's.
         grid = [float(t) for t in grid]
         assert len(list(fam.by_blocks(grid, 0, None))) >= 3
-        discrete._memo.cache_clear()
+        length._memos.cache_clear()
         el, bound = length.el_and_lower_bound(fam, grid, quad)
         for theta, el_theta, bound_theta in zip(grid, el, bound):
-            fam.memo.envelope.clear()  # the point is summed again, alone
+            length._memo(fam).envelope.clear()  # the point is summed again, alone
             assert length.el_and_lower_bound(fam, [theta], quad) == ([el_theta], [bound_theta])
-            assert list(fam.memo.envelope) == [(quad, theta)]
+            assert list(length._memo(fam).envelope) == [(quad, theta)]
 
 
 class TestCurves:
@@ -680,11 +671,11 @@ class TestCurves:
     def test_envelope_points_are_kept_in_the_reference_memo(
         self, method, proposed, grid, quad, monkeypatch
     ):
-        discrete._memo.cache_clear()
+        length._memos.cache_clear()
         misses = count_envelope_points(monkeypatch)
         first = lower_bound_curve(proposed, grid, quad)
         assert len(misses) == len(grid)
-        assert len(proposed.reference(grid[0]).memo.envelope) == len(grid)
+        assert len(length._memo(proposed.reference(grid[0])).envelope) == len(grid)
         # Each cold point is the reference family's own expected length.
         assert first == [
             el_curve(proposed.reference(th), [th], quad)[0] for th in grid
@@ -718,7 +709,7 @@ class TestCurves:
         # A gamma no other test uses, so the memo starts empty.
         anchors = np.linspace(0.0005, 0.9995, 1000).tolist()
         el_curve(binomial.BinomialFamily(40, anchors[0], 0.9517), [0.5], UNIT)
-        memo = binomial.BinomialFamily(40, 0.5, 0.9517).memo
+        memo = length._memo(binomial.BinomialFamily(40, 0.5, 0.9517))
         first = memo_entries(memo)
         for o in anchors[1:]:
             el_curve(binomial.BinomialFamily(40, o, 0.9517), [0.5], UNIT)

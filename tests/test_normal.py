@@ -205,6 +205,19 @@ class TestExpectedLengthClosedForms:
             assert fam.lower_bound(theta) == expected
             assert two_sided(fam).lower_bound(theta) == expected
 
+    @pytest.mark.parametrize("theta", [-1.0, -1e-12, 1.0 + 1e-12, 2.0])
+    def test_lower_bound_refuses_theta_outside_the_bounds(self, theta):
+        # The envelope at theta is anchored at o = theta, an anchor the
+        # bounds must hold; the expected length takes any theta.
+        fam = NormalFamily(o=0.5, gamma=0.95, sigma=0.3, bounds=(0.0, 1.0))
+        for method in (fam, two_sided(fam)):
+            with pytest.raises(ValueError) as refused:
+                method.lower_bound(theta)
+            assert str(refused.value) == (
+                f"theta must lie inside the bounds (0.0, 1.0), got {theta}")
+            assert 0.0 < method.expected_length(theta) < 1.0
+            assert 0.0 < method.lower_bound(0.0) and 0.0 < method.lower_bound(1.0)
+
     def test_wide_bounds_recover_fixed_width(self):
         fam = TwoSidedInterval(gamma=0.95, sigma=1.0, bounds=(-1e5, 1e5))
         d = normal_quantile(0.975)

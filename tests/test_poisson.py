@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzyci import length
 from fuzzyci.core import DiscreteMeasure, construct_psi_star
 from fuzzyci.discrete import coverage
 from fuzzyci.poisson import (
@@ -34,7 +35,7 @@ class TestPsiLower:
         # where it reaches exactly 1; full membership beyond.
         fam = PoissonFamily(8.0, 0.95)
         boundary = -math.log(0.95)
-        assert boundary == pytest.approx(fam.band_edges(range(1))[1][0], abs=1e-9)
+        assert boundary == pytest.approx(length.band_edges(fam, range(1))[1][0], abs=1e-9)
         for tau in (1e-6, 0.01, 0.9 * boundary):
             assert fam.psi(0, tau) == pytest.approx(
                 0.95 * math.exp(tau), rel=1e-9
@@ -43,7 +44,7 @@ class TestPsiLower:
 
     def test_rejected_region(self):
         fam = PoissonFamily(8.0, 0.95)
-        threshold = fam.band_edges(range(3, 4))[0][0]  # P[X >= 3 | tau] = 0.05
+        threshold = length.band_edges(fam, range(3, 4))[0][0]  # P[X >= 3 | tau] = 0.05
         assert 0.5 < threshold
         assert fam.psi(3, 0.5) == 0.0
 
@@ -143,7 +144,7 @@ class TestPsiO:
         for gamma in (0.9, 0.95, 0.99):
             fam = PoissonFamily(8.0, gamma)
             # Each count's edges at level 1 - gamma, of k = w and w + 1.
-            for below_zero, below_one, _, _ in zip(*fam.band_edges(range(1, 30))):
+            for below_zero, below_one, _, _ in zip(*length.band_edges(fam, range(1, 30))):
                 assert below_zero < below_one
 
     def test_breakpoints(self):

@@ -1,6 +1,7 @@
-"""Tests for the cell-by-cell CSV comparison in tools/."""
+"""Tests for the cell-by-cell CSV and JSON comparison in tools/."""
 
 import importlib.util
+import json
 import os
 
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "recipe_diff.py")
@@ -41,6 +42,39 @@ def test_reports_differing_cells_and_their_largest_relative_difference(tmp_path,
         f"csv/only_a.csv: only in {a}",
         "json/shape.csv: differ in shape",
         "json/text.csv: 1 cells differ, max relative difference nan",
+    ]
+
+
+def _json(rows, notes=None, indent=None):
+    payload = {"columns": ["theta", "el"], "rows": rows}
+    if notes is not None:
+        payload["notes"] = notes
+    return json.dumps(payload, indent=indent) + "\n"
+
+
+def test_reads_json_as_json(tmp_path, capsys):
+    # recipe --format json writes JSON into the recipe's .csv names, in any
+    # layout: its columns, rows and notes are the cells.
+    a = _tree(tmp_path / "a", {
+        "json/last_bits.csv": _json([[0.5, 1.25], [0.7, 2.0]]),
+        "json/rows.csv": _json([[1, 2]]),
+        "json/type.csv": _json([[0.5, 1.0]], indent=2),
+        "json/notes.csv": _json([[0.5, 1.25]], notes=["n = 5"], indent=2),
+        "json/same.csv": _json([[0.5, 1.25]], indent=2),
+    })
+    b = _tree(tmp_path / "b", {
+        "json/last_bits.csv": _json([[0.5, 1.25], [0.7, 2.0000000000000004]]),
+        "json/rows.csv": _json([[1], [2]]),
+        "json/type.csv": _json([[0.5, 1]], indent=2),
+        "json/notes.csv": _json([[0.5, 1.25]], notes=["n = 6"], indent=2),
+        "json/same.csv": _json([[0.5, 1.25]], indent=2),
+    })
+    assert recipe_diff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "json/last_bits.csv: 1 cells differ, max relative difference 2.22e-16",
+        "json/notes.csv: 1 cells differ, max relative difference nan",
+        "json/rows.csv: differ in shape",
+        "json/type.csv: 1 cells differ, max relative difference 0",
     ]
 
 

@@ -9,11 +9,19 @@ sides makes that difference ``nan``; a file of another shape, or on one
 side only, is named as such.  So a change in the last bits of a recipe's
 numbers shows its size, which ``diff -rq`` does not.  The exit status is 1
 if any CSV differs, else 0.
+
+A file whose text parses as a JSON object, as ``recipe --format json``
+writes into the recipe's ``.csv`` names, is read as the rows of its CSV
+form: its ``columns``, each of its ``rows`` and each of its ``notes``, with
+each cell as its JSON text, so that 1 and 1.0 differ (by 0).  Any other
+file is read as CSV.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 import sys
 from pathlib import Path
@@ -21,7 +29,16 @@ from pathlib import Path
 
 def _rows(path: Path) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as handle:
-        return list(csv.reader(handle))
+        text = handle.read()
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        payload = None
+    if not isinstance(payload, dict):
+        return list(csv.reader(io.StringIO(text, newline="")))
+    rows = [payload.get("columns", []), *payload.get("rows", [])]
+    rows += [[note] for note in payload.get("notes", [])]
+    return [[json.dumps(cell) for cell in row] for row in rows]
 
 
 def _relative(a: str, b: str) -> float:
